@@ -250,10 +250,11 @@ func (s *System) wirePerf() {
 	reg.GaugeFunc("io.cache.sync_writes", func() int64 { return s.IO.SyncWrites })
 	reg.GaugeFunc("io.cache.throttles", func() int64 { return s.IO.Throttles })
 
-	reg.GaugeFunc("mem.tlb.hits", func() int64 { h, _, _, _ := s.M.MemTotals(); return int64(h) })
-	reg.GaugeFunc("mem.tlb.misses", func() int64 { _, m, _, _ := s.M.MemTotals(); return int64(m) })
-	reg.GaugeFunc("mem.faults", func() int64 { _, _, f, _ := s.M.MemTotals(); return int64(f) })
-	reg.GaugeFunc("mem.guard.promotions", func() int64 { _, _, _, g := s.M.MemTotals(); return int64(g) })
+	// One MemTotals walk over the process table serves all four.
+	reg.GaugeFuncs([]string{"mem.tlb.hits", "mem.tlb.misses", "mem.faults", "mem.guard.promotions"}, func(vals []int64) {
+		h, m, f, g := s.M.MemTotals()
+		vals[0], vals[1], vals[2], vals[3] = int64(h), int64(m), int64(f), int64(g)
+	})
 
 	reg.GaugeFunc("sched.ctx_switches", func() int64 { return s.M.CtxSwitches })
 	reg.GaugeFunc("sys.calls.total", func() int64 { return s.K.TotalCalls() })

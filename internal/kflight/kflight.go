@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/kperf"
@@ -116,10 +117,11 @@ type AttrDelta struct {
 	Cycles  int64  `json:"cycles"`
 }
 
-// Epoch is one closed sampling window. All maps hold only entries
-// that changed during the window (delta encoding), so idle epochs are
-// nearly free; maps are immutable after close and may be shared by
-// postmortem copies.
+// Epoch is one closed sampling window as readers see it. All maps hold
+// only entries that changed during the window (delta encoding). The
+// recorder keeps closed epochs in a dense form, rows of (index, value),
+// and builds an Epoch from them each time one is read — by Epochs, by a
+// postmortem, or by Record — so every Epoch a caller gets owns its maps.
 type Epoch struct {
 	Seq   int64      `json:"seq"`
 	Start sim.Cycles `json:"start"`
@@ -258,15 +260,21 @@ type Recorder struct {
 	ticks        int64 // ticks since last close
 	totalTicks   int64
 
-	prevCounters map[string]int64
-	prevGauges   map[string]int64
-	prevHists    map[string]kperf.HistogramSnapshot
-	prevAttr     map[*kperf.ProcState][]int64
-	scratch      []int64
+	// Close state, indexed by registration order (metrics) and spawn
+	// order (processes). last is the registry read at the previous
+	// close and cur the read being closed; they swap after each close.
+	// lastAttr holds each process's attrCells cycle totals at the
+	// previous close.
+	last, cur kperf.Sample
+	procs     []*kperf.ProcState
+	lastAttr  []int64
+	scratch   []int64
+	callsIdx  int // index of callsGauge, -1 until registered
 
-	ring      []Epoch
+	// ring holds the retained epochs; once it reaches Retain the
+	// oldest sits at ringStart and is the next to be evicted.
+	ring      []storedEpoch
 	ringStart int
-	ringN     int
 	evicted   int64
 
 	dumps        []Postmortem
@@ -274,6 +282,38 @@ type Recorder struct {
 	events       map[string]int64
 
 	peakEpochSyscalls int64
+}
+
+// attrCells is the number of (mode, subsystem) attribution cells of
+// one process.
+const attrCells = kperf.NModes * kperf.NSubsys
+
+// callsGauge is the gauge whose per-epoch delta is the syscall rate.
+const callsGauge = "sys.calls.total"
+
+// storedEpoch is a closed epoch as the ring keeps it. Each row pairs
+// an index with a value: a metric's registration index, or for
+// attribution process*attrCells + cell. Histogram rows carry their
+// quantiles, computed at close. A slot's row slices are reused by the
+// epoch that evicts it, so closing into a full ring allocates nothing.
+type storedEpoch struct {
+	seq        int64
+	start, end sim.Cycles
+	ticks      int64
+	counters   []row // delta
+	gauges     []row // end value
+	hists      []histRow
+	attr       []row // cycle delta
+}
+
+type row struct {
+	i int
+	v int64
+}
+
+type histRow struct {
+	i int
+	d HistDelta
 }
 
 // NewRecorder creates a recorder sampling set. The set must be the
@@ -284,11 +324,8 @@ func NewRecorder(cfg Config, set *kperf.Set) *Recorder {
 		cfg:          cfg,
 		set:          set,
 		nextBoundary: cfg.EpochCycles,
-		prevCounters: make(map[string]int64),
-		prevGauges:   make(map[string]int64),
-		prevHists:    make(map[string]kperf.HistogramSnapshot),
-		prevAttr:     make(map[*kperf.ProcState][]int64),
-		ring:         make([]Epoch, 0, 64),
+		callsIdx:     -1,
+		ring:         make([]storedEpoch, 0, min(cfg.Retain, 64)),
 		events:       make(map[string]int64),
 	}
 }
@@ -321,30 +358,27 @@ func (r *Recorder) Event(now sim.Cycles, kind, detail string) {
 		r.closeEpoch(now)
 	}
 	pm := Postmortem{Kind: kind, Detail: detail, At: now}
-	n := r.ringN
-	if n > r.cfg.PostmortemEpochs {
-		n = r.cfg.PostmortemEpochs
-	}
-	if n > 0 {
+	if n := min(len(r.ring), r.cfg.PostmortemEpochs); n > 0 {
 		pm.Epochs = make([]Epoch, n)
-		for i := 0; i < n; i++ {
-			pm.Epochs[i] = r.ringAt(r.ringN - n + i)
+		names := r.set.Reg.Names()
+		for i := range pm.Epochs {
+			pm.Epochs[i] = r.render(len(r.ring)-n+i, names)
 		}
 	}
-	pm.Tail = r.tail()
-	pm.Requests = r.requests()
+	pm.Tail = traceTail(r.set, r.cfg.TailRecords)
+	pm.Requests = openRequests(r.set)
 	r.dumps = append(r.dumps, pm)
 }
 
-// tail collects the newest TailRecords trace records of every shard.
-func (r *Recorder) tail() []TailEvent {
-	if r.set == nil || r.set.Trace == nil {
+// traceTail collects the newest perShard trace records of every shard.
+func traceTail(set *kperf.Set, perShard int) []TailEvent {
+	if set == nil || set.Trace == nil {
 		return nil
 	}
 	var out []TailEvent
-	for _, sh := range r.set.Trace.Shards() {
+	for _, sh := range set.Trace.Shards() {
 		label := fmt.Sprintf("%s-%d", sh.Name(), sh.PID())
-		for _, ev := range sh.Tail(r.cfg.TailRecords) {
+		for _, ev := range sh.Tail(perShard) {
 			te := TailEvent{
 				Process: label,
 				Kind:    ev.Kind.String(),
@@ -353,8 +387,8 @@ func (r *Recorder) tail() []TailEvent {
 				End:     ev.End,
 				Req:     ev.Req,
 			}
-			if ev.Kind == kperf.EvSyscallSpan && r.set.SyscallName != nil {
-				te.Name = r.set.SyscallName(int(ev.Arg))
+			if ev.Kind == kperf.EvSyscallSpan && set.SyscallName != nil {
+				te.Name = set.SyscallName(int(ev.Arg))
 			}
 			out = append(out, te)
 		}
@@ -362,14 +396,14 @@ func (r *Recorder) tail() []TailEvent {
 	return out
 }
 
-// requests collects each process's open traced request (spawn order,
-// so the listing is deterministic).
-func (r *Recorder) requests() []ReqContext {
-	if r.set == nil {
+// openRequests collects each process's open traced request (spawn
+// order, so the listing is deterministic).
+func openRequests(set *kperf.Set) []ReqContext {
+	if set == nil {
 		return nil
 	}
 	var out []ReqContext
-	for _, ps := range r.set.Procs() {
+	for _, ps := range set.Procs() {
 		if id, op := ps.Request(); id != 0 {
 			out = append(out, ReqContext{Process: ps.Label(), Op: op, TraceID: id})
 		}
@@ -377,76 +411,125 @@ func (r *Recorder) requests() []ReqContext {
 	return out
 }
 
-// closeEpoch samples the set and closes the window [prevSample, now].
+// closeEpoch samples the set and closes the window [prevSample, now]:
+// each metric and attribution cell is compared with its value at the
+// previous close, and every one that moved adds a row.
 func (r *Recorder) closeEpoch(now sim.Cycles) {
 	if r.set == nil {
 		return
 	}
-	reg := r.set.Reg.Snapshot()
-	prevSyscalls := r.prevGauges["sys.calls.total"]
-	e := Epoch{
-		Seq:   r.seq,
-		Start: r.prevSample,
-		End:   now,
-		Ticks: r.ticks,
-	}
+	e := r.slot()
+	e.seq, e.start, e.end, e.ticks = r.seq, r.prevSample, now, r.ticks
 	r.seq++
 	r.ticks = 0
 
-	for name, v := range reg.Counters {
-		if d := v - r.prevCounters[name]; d != 0 {
-			if e.Counters == nil {
-				e.Counters = make(map[string]int64)
-			}
-			e.Counters[name] = d
+	reg := r.set.Reg
+	reg.Sample(&r.cur)
+	for i, v := range r.cur.Counters {
+		if d := v - valueAt(r.last.Counters, i); d != 0 {
+			e.counters = append(e.counters, row{i, d})
 		}
-		r.prevCounters[name] = v
 	}
-	for name, v := range reg.Gauges {
-		prev, seen := r.prevGauges[name]
-		if !seen || v != prev {
-			if e.Gauges == nil {
-				e.Gauges = make(map[string]int64)
-			}
-			e.Gauges[name] = v
+	for i, v := range r.cur.Gauges {
+		// A gauge is recorded at the first close that sees it, even at 0.
+		if i >= len(r.last.Gauges) || v != r.last.Gauges[i] {
+			e.gauges = append(e.gauges, row{i, v})
 		}
-		r.prevGauges[name] = v
 	}
-	for name, h := range reg.Histograms {
-		prev := r.prevHists[name]
-		if h.Count != prev.Count || h.Sum != prev.Sum {
-			if e.Hists == nil {
-				e.Hists = make(map[string]HistDelta)
-			}
-			p50, p90, p99 := kperf.Quantiles(h.Buckets, h.Count, h.Max)
-			e.Hists[name] = HistDelta{
-				Count: h.Count - prev.Count,
-				Sum:   h.Sum - prev.Sum,
-				P50:   p50,
-				P90:   p90,
-				P99:   p99,
-			}
+	for i, h := range r.cur.Hists {
+		var prev kperf.HistCount
+		if i < len(r.last.Hists) {
+			prev = r.last.Hists[i]
 		}
-		r.prevHists[name] = h
+		if h != prev {
+			d := HistDelta{Count: h.Count - prev.Count, Sum: h.Sum - prev.Sum}
+			d.P50, d.P90, d.P99 = reg.HistQuantiles(i)
+			e.hists = append(e.hists, histRow{i, d})
+		}
 	}
-	for _, ps := range r.set.Procs() {
+
+	r.procs = r.set.AppendProcs(r.procs)
+	if n := len(r.procs) * attrCells; n > len(r.lastAttr) {
+		r.lastAttr = append(r.lastAttr, make([]int64, n-len(r.lastAttr))...)
+	}
+	for p, ps := range r.procs {
 		r.scratch = ps.ModeSubsysCycles(r.scratch)
-		prev := r.prevAttr[ps]
-		if prev == nil {
-			prev = make([]int64, len(r.scratch))
-			r.prevAttr[ps] = prev
-		}
+		last := r.lastAttr[p*attrCells : (p+1)*attrCells]
 		for cell, v := range r.scratch {
-			if d := v - prev[cell]; d != 0 {
-				e.Attr = append(e.Attr, AttrDelta{
-					Process: ps.Label(),
-					Mode:    kperf.Mode(cell / kperf.NSubsys).String(),
-					Subsys:  kperf.Subsys(cell % kperf.NSubsys).String(),
-					Cycles:  d,
-				})
+			if d := v - last[cell]; d != 0 {
+				e.attr = append(e.attr, row{p*attrCells + cell, d})
+				last[cell] = v
 			}
-			prev[cell] = v
 		}
+	}
+
+	if r.callsIdx < 0 {
+		r.callsIdx = slices.Index(reg.Names().Gauges, callsGauge)
+	}
+	if i := r.callsIdx; i >= 0 {
+		if rate := r.cur.Gauges[i] - valueAt(r.last.Gauges, i); rate > r.peakEpochSyscalls {
+			r.peakEpochSyscalls = rate
+		}
+	}
+	r.last, r.cur = r.cur, r.last
+
+	r.prevSample = now
+	// Align the next boundary past now; a long jump closes one long
+	// epoch instead of a train of empty ones.
+	r.nextBoundary = (now/r.cfg.EpochCycles + 1) * r.cfg.EpochCycles
+}
+
+// valueAt reads entry i of an earlier sample: 0 for a metric
+// registered since.
+func valueAt(vs []int64, i int) int64 {
+	if i < len(vs) {
+		return vs[i]
+	}
+	return 0
+}
+
+// slot returns the ring slot for the epoch being closed: a new one
+// while the ring is below Retain, else the oldest, evicted and emptied
+// for reuse.
+func (r *Recorder) slot() *storedEpoch {
+	if len(r.ring) < r.cfg.Retain {
+		r.ring = append(r.ring, storedEpoch{})
+		return &r.ring[len(r.ring)-1]
+	}
+	e := &r.ring[r.ringStart]
+	r.ringStart = (r.ringStart + 1) % len(r.ring)
+	r.evicted++
+	e.counters, e.gauges, e.hists, e.attr = e.counters[:0], e.gauges[:0], e.hists[:0], e.attr[:0]
+	return e
+}
+
+// render builds the Epoch of the i-th retained epoch, oldest first.
+// The registry's names and the recorder's process list only grow, so
+// they cover every index an older epoch holds.
+func (r *Recorder) render(i int, names kperf.MetricNames) Epoch {
+	s := &r.ring[(r.ringStart+i)%len(r.ring)]
+	e := Epoch{
+		Seq:      s.seq,
+		Start:    s.start,
+		End:      s.end,
+		Ticks:    s.ticks,
+		Counters: namedRows(s.counters, names.Counters),
+		Gauges:   namedRows(s.gauges, names.Gauges),
+	}
+	if len(s.hists) > 0 {
+		e.Hists = make(map[string]HistDelta, len(s.hists))
+		for _, h := range s.hists {
+			e.Hists[names.Hists[h.i]] = h.d
+		}
+	}
+	for _, a := range s.attr {
+		cell := a.i % attrCells
+		e.Attr = append(e.Attr, AttrDelta{
+			Process: r.procs[a.i/attrCells].Label(),
+			Mode:    kperf.Mode(cell / kperf.NSubsys).String(),
+			Subsys:  kperf.Subsys(cell % kperf.NSubsys).String(),
+			Cycles:  a.v,
+		})
 	}
 	sort.Slice(e.Attr, func(i, j int) bool {
 		a, b := e.Attr[i], e.Attr[j]
@@ -458,45 +541,30 @@ func (r *Recorder) closeEpoch(now sim.Cycles) {
 		}
 		return a.Subsys < b.Subsys
 	})
-	if rate := r.prevGauges["sys.calls.total"] - prevSyscalls; rate > r.peakEpochSyscalls {
-		r.peakEpochSyscalls = rate
-	}
-
-	r.push(e)
-	r.prevSample = now
-	// Align the next boundary past now; a long jump closes one long
-	// epoch instead of a train of empty ones.
-	r.nextBoundary = (now/r.cfg.EpochCycles + 1) * r.cfg.EpochCycles
+	return e
 }
 
-// push appends e to the retention ring, evicting the oldest epoch
-// when full.
-func (r *Recorder) push(e Epoch) {
-	if len(r.ring) < r.cfg.Retain {
-		r.ring = append(r.ring, e)
-		r.ringN++
-		return
+// namedRows maps rows to the names of the readings they index; nil
+// when there are none, so empty maps stay out of the JSON.
+func namedRows(rows []row, names []string) map[string]int64 {
+	if len(rows) == 0 {
+		return nil
 	}
-	if r.ringN < len(r.ring) {
-		r.ring[(r.ringStart+r.ringN)%len(r.ring)] = e
-		r.ringN++
-		return
+	m := make(map[string]int64, len(rows))
+	for _, rw := range rows {
+		m[names[rw.i]] = rw.v
 	}
-	r.ring[r.ringStart] = e
-	r.ringStart = (r.ringStart + 1) % len(r.ring)
-	r.evicted++
-}
-
-// ringAt indexes retained epochs oldest-first.
-func (r *Recorder) ringAt(i int) Epoch {
-	return r.ring[(r.ringStart+i)%len(r.ring)]
+	return m
 }
 
 // Epochs returns the retained epochs oldest-first.
 func (r *Recorder) Epochs() []Epoch {
-	out := make([]Epoch, r.ringN)
-	for i := 0; i < r.ringN; i++ {
-		out[i] = r.ringAt(i)
+	out := make([]Epoch, len(r.ring))
+	if len(out) > 0 {
+		names := r.set.Reg.Names()
+		for i := range out {
+			out[i] = r.render(i, names)
+		}
 	}
 	return out
 }

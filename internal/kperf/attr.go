@@ -116,6 +116,10 @@ type ProcState struct {
 	// (mode*nSubsys + subsys)*nrSlots + sysNr. It is sized at spawn,
 	// so the per-charge hot path is index arithmetic plus one add.
 	cells []sim.Cycles
+	// modeSub is the running total of cells over syscall slots, indexed
+	// by mode*nSubsys + subsys, so samplers copy it instead of summing
+	// every slot.
+	modeSub [NModes * NSubsys]sim.Cycles
 
 	// req/reqOp is the ktrace request currently open on the process
 	// (SetRequest); klog stamps log entries with req, and the trace
@@ -149,30 +153,22 @@ func (ps *ProcState) Label() string {
 	return fmt.Sprintf("%s-%d", ps.name, ps.pid)
 }
 
-// ModeSubsysCycles sums the process's attribution cells across syscall
-// slots into a dense [NModes*NSubsys]int64 array indexed by
+// ModeSubsysCycles copies the process's attribution summed across
+// syscall slots into a dense [NModes*NSubsys]int64 array indexed by
 // mode*NSubsys+subsys. A correctly sized dst is reused (the kflight
 // sampler calls this every epoch for every process); otherwise a new
-// slice is allocated. Nil receiver returns dst untouched after
-// zeroing, so epoch deltas of a vanished process read as zero.
+// slice is allocated. Nil receiver returns dst zeroed, so epoch
+// deltas of a vanished process read as zero.
 func (ps *ProcState) ModeSubsysCycles(dst []int64) []int64 {
 	if len(dst) != NModes*NSubsys {
 		dst = make([]int64, NModes*NSubsys)
-	} else {
-		for i := range dst {
-			dst[i] = 0
-		}
 	}
 	if ps == nil {
+		clear(dst)
 		return dst
 	}
-	for cell := 0; cell < len(dst); cell++ {
-		base := cell * ps.set.nrSlots
-		var sum sim.Cycles
-		for slot := 0; slot < ps.set.nrSlots; slot++ {
-			sum += ps.cells[base+slot]
-		}
-		dst[cell] = int64(sum)
+	for cell, c := range ps.modeSub {
+		dst[cell] = int64(c)
 	}
 	return dst
 }
@@ -194,7 +190,9 @@ func (ps *ProcState) OnCycles(c sim.Cycles, kernelMode bool) {
 	} else if kernelMode {
 		sub = SubKern
 	}
-	ps.cells[(int(mode)*int(nSubsys)+int(sub))*ps.set.nrSlots+ps.sysNr] += c
+	cell := int(mode)*int(nSubsys) + int(sub)
+	ps.modeSub[cell] += c
+	ps.cells[cell*ps.set.nrSlots+ps.sysNr] += c
 }
 
 // CurrentSub reports the subsystem the next charge in the given mode
@@ -418,6 +416,19 @@ func (s *Set) Procs() []*ProcState {
 	out := make([]*ProcState, len(s.procs))
 	copy(out, s.procs)
 	return out
+}
+
+// AppendProcs extends dst, a slice an earlier call returned (or nil),
+// with the processes registered since, in spawn order. A sampler that
+// keeps its slice sees each process once and, while nothing spawns,
+// reads the list without allocating.
+func (s *Set) AppendProcs(dst []*ProcState) []*ProcState {
+	if s == nil {
+		return dst
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append(dst, s.procs[len(dst):]...)
 }
 
 // syscallName resolves nr for exporters, tolerating a missing

@@ -92,4 +92,9 @@ func TestHotPathsAllocFree(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("syscall span allocates %v/op", n)
 	}
+	set.Reg.GaugeFunc("lazy", func() int64 { return 1 })
+	var s Sample
+	if n := testing.AllocsPerRun(1000, func() { set.Reg.Sample(&s) }); n != 0 {
+		t.Fatalf("Registry.Sample into a reused Sample allocates %v/op", n)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -34,6 +35,45 @@ func TestCounterGaugeRegistry(t *testing.T) {
 	sn := r.Snapshot()
 	if sn.Counters["sys.calls"] != 5 || sn.Gauges["cache.size"] != 7 || sn.Gauges["lazy.reads"] != 42 {
 		t.Fatalf("snapshot mismatch: %+v", sn)
+	}
+
+	// A func registered under a plain gauge's name wins in both reads,
+	// keeping the gauge's position; a counter may share a gauge's name.
+	r.GaugeFunc("cache.size", func() int64 { return -1 })
+	r.Counter("cache.size").Add(3)
+	r.Histogram("lat").Observe(100)
+	if sn := r.Snapshot(); sn.Gauges["cache.size"] != -1 || sn.Counters["cache.size"] != 3 {
+		t.Fatalf("snapshot after re-registration: %+v", sn)
+	}
+	var s Sample
+	r.Sample(&s)
+	names := r.Names()
+	if !slices.Equal(names.Counters, []string{"sys.calls", "cache.size"}) ||
+		!slices.Equal(names.Gauges, []string{"cache.size", "lazy.reads"}) ||
+		!slices.Equal(names.Hists, []string{"lat"}) {
+		t.Fatalf("names = %+v", names)
+	}
+	if !slices.Equal(s.Counters, []int64{5, 3}) || !slices.Equal(s.Gauges, []int64{-1, 42}) ||
+		!slices.Equal(s.Hists, []HistCount{{1, 100}}) {
+		t.Fatalf("sample = %+v", s)
+	}
+	if p50, _, p99 := r.HistQuantiles(0); p50 != 128 || p99 != 128 {
+		t.Fatalf("HistQuantiles p50 %d p99 %d, want 128/128", p50, p99)
+	}
+
+	// A gauge group's func runs once per read and fills every member.
+	walks := 0
+	r.GaugeFuncs([]string{"grp.a", "grp.b"}, func(vals []int64) {
+		walks++
+		vals[0], vals[1] = int64(walks), int64(10*walks)
+	})
+	r.Sample(&s)
+	r.Sample(&s)
+	if walks != 2 || !slices.Equal(s.Gauges, []int64{-1, 42, 2, 20}) {
+		t.Fatalf("after %d group walks, sample gauges %v", walks, s.Gauges)
+	}
+	if sn := r.Snapshot(); walks != 3 || sn.Gauges["grp.a"] != 3 || sn.Gauges["grp.b"] != 30 {
+		t.Fatalf("after %d group walks, snapshot gauges %v", walks, sn.Gauges)
 	}
 }
 
@@ -269,6 +309,22 @@ func TestAttributionCellsAndFoldedSum(t *testing.T) {
 	}
 	if sn.SubsystemCycles["mem"] != 30 || sn.SubsystemCycles["boundary"] != 120 {
 		t.Fatalf("subsystem cycles: %v", sn.SubsystemCycles)
+	}
+	// The running (mode, subsystem) totals equal the cells summed over
+	// syscall slots.
+	want := make([]int64, NModes*NSubsys)
+	for _, c := range []struct {
+		mode Mode
+		sub  Subsys
+		v    int64
+	}{
+		{ModeUser, SubUser, 100}, {ModeUser, SubBoundary, 50},
+		{ModeKernel, SubBoundary, 70}, {ModeKernel, SubKern, 200}, {ModeKernel, SubMem, 30},
+	} {
+		want[int(c.mode)*NSubsys+int(c.sub)] = c.v
+	}
+	if got := ps.ModeSubsysCycles(nil); !slices.Equal(got, want) {
+		t.Fatalf("ModeSubsysCycles = %v, want %v", got, want)
 	}
 	folded := sn.FoldedStacks()
 	if !strings.Contains(folded, "proc-1;kernel;kern;call 200") {

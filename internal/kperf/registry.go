@@ -27,6 +27,7 @@ package kperf
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -223,71 +224,142 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // Registry is the typed metric registry of one machine. Metrics are
 // created (or found) by name; instrumented code resolves its handles
 // once at wiring time and then increments through the pointer, so the
-// registry map is never touched on a hot path. Gauge funcs are lazy:
-// they read an existing subsystem counter only when a snapshot is
-// taken, making them literally free during the run.
+// name index is never touched on a hot path. Each kind lives in an
+// append-only list in registration order, so a metric keeps its
+// position for the registry's lifetime and a sampler (kflight) can
+// hold dense per-metric state indexed by it. Gauge funcs are lazy:
+// they read an existing subsystem counter only when a snapshot or
+// sample is taken, making them literally free during the run.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	gaugeFns map[string]func() int64
-	hists    map[string]*Histogram
+	reads    uint64            // Snapshot and Sample calls so far
+	index    map[metricKey]int // position within the kind
+	names    [nKinds][]string  // each kind's names in registration order
+	counters []*Counter
+	gauges   []gaugeSlot
+	hists    []*Histogram
+}
+
+type metricKind uint8
+
+const (
+	kindCounter metricKind = iota
+	kindGauge
+	kindHist
+	nKinds
+)
+
+// metricKey names a metric within its kind: a counter and a gauge may
+// share a name.
+type metricKey struct {
+	kind metricKind
+	name string
+}
+
+// gaugeSlot is one gauge name. It holds a plain gauge, a lazy func, or
+// both when both were registered under the name; the func then wins.
+type gaugeSlot struct {
+	g  *Gauge
+	fn func() int64
+}
+
+func (s *gaugeSlot) value() int64 {
+	if s.fn != nil {
+		return s.fn()
+	}
+	return s.g.v
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		gaugeFns: make(map[string]func() int64),
-		hists:    make(map[string]*Histogram),
+	return &Registry{index: make(map[metricKey]int)}
+}
+
+// position returns name's index within its kind, appending the name
+// to the kind's list when it is new. Callers hold r.mu.
+func (r *Registry) position(kind metricKind, name string) (i int, isNew bool) {
+	k := metricKey{kind, name}
+	if i, ok := r.index[k]; ok {
+		return i, false
 	}
+	i = len(r.names[kind])
+	r.index[k] = i
+	r.names[kind] = append(r.names[kind], name)
+	return i, true
 }
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
+	i, isNew := r.position(kindCounter, name)
+	if isNew {
+		r.counters = append(r.counters, &Counter{})
 	}
-	return c
+	return r.counters[i]
+}
+
+// gaugeSlot returns the named gauge slot, creating it on first use.
+// The pointer is valid until the next registration. Callers hold r.mu.
+func (r *Registry) gaugeSlot(name string) *gaugeSlot {
+	i, isNew := r.position(kindGauge, name)
+	if isNew {
+		r.gauges = append(r.gauges, gaugeSlot{})
+	}
+	return &r.gauges[i]
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
+	s := r.gaugeSlot(name)
+	if s.g == nil {
+		s.g = &Gauge{}
 	}
-	return g
+	return s.g
 }
 
 // GaugeFunc registers a lazy gauge evaluated at snapshot time. This
 // is the zero-overhead way to expose counters a subsystem already
 // maintains (TLB hits, cache hits, ring drops): nothing happens until
-// someone asks.
+// someone asks. A func registered under a plain gauge's name replaces
+// that gauge's value in every later read.
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.gaugeFns[name] = fn
+	r.gaugeSlot(name).fn = fn
+}
+
+// GaugeFuncs registers lazy gauges computed together: fn fills vals[k]
+// for names[k] and runs at most once per snapshot or sample, however
+// many of the names that read evaluates. It is for values that one
+// walk over subsystem state yields at once.
+func (r *Registry) GaugeFuncs(names []string, fn func(vals []int64)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	vals := make([]int64, len(names))
+	var filled uint64 // the read vals was computed for; reads start at 1
+	for k, name := range names {
+		r.gaugeSlot(name).fn = func() int64 {
+			if filled != r.reads {
+				fn(vals)
+				filled = r.reads
+			}
+			return vals[k]
+		}
+	}
 }
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
+	i, isNew := r.position(kindHist, name)
+	if isNew {
+		r.hists = append(r.hists, &Histogram{})
 	}
-	return h
+	return r.hists[i]
 }
 
 // RegistrySnapshot is the serializable state of a registry.
@@ -301,26 +373,88 @@ type RegistrySnapshot struct {
 func (r *Registry) Snapshot() RegistrySnapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.reads++
 	s := RegistrySnapshot{
 		Counters:   make(map[string]int64, len(r.counters)),
-		Gauges:     make(map[string]int64, len(r.gauges)+len(r.gaugeFns)),
+		Gauges:     make(map[string]int64, len(r.gauges)),
 		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
 	}
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
+	for i, c := range r.counters {
+		s.Counters[r.names[kindCounter][i]] = c.v
 	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
+	for i := range r.gauges {
+		s.Gauges[r.names[kindGauge][i]] = r.gauges[i].value()
 	}
-	for name, fn := range r.gaugeFns {
-		s.Gauges[name] = fn()
-	}
-	for name, h := range r.hists {
+	for i, h := range r.hists {
 		if h.count > 0 {
-			s.Histograms[name] = h.Snapshot()
+			s.Histograms[r.names[kindHist][i]] = h.Snapshot()
 		}
 	}
 	return s
+}
+
+// Sample is a dense read of a registry's values: entry i of each list
+// belongs to the i-th metric of that kind in registration order, which
+// Names lists. Positions never change and the lists only grow, so a
+// longer list means metrics were registered since an earlier sample.
+type Sample struct {
+	Counters []int64
+	Gauges   []int64
+	Hists    []HistCount
+}
+
+// HistCount is a histogram's observation count and sum in a Sample;
+// either one moving means the histogram observed something.
+type HistCount struct {
+	Count, Sum int64
+}
+
+// Sample reads every metric into s, evaluating lazy gauges. It reuses
+// s's slices, so a sampler that keeps its Sample between reads
+// allocates nothing once no metric is being registered.
+func (r *Registry) Sample(s *Sample) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.reads++
+	s.Counters = s.Counters[:0]
+	for _, c := range r.counters {
+		s.Counters = append(s.Counters, c.v)
+	}
+	s.Gauges = s.Gauges[:0]
+	for i := range r.gauges {
+		s.Gauges = append(s.Gauges, r.gauges[i].value())
+	}
+	s.Hists = s.Hists[:0]
+	for _, h := range r.hists {
+		s.Hists = append(s.Hists, HistCount{h.count, h.sum})
+	}
+}
+
+// HistQuantiles computes the current p50/p90/p99 upper bounds of the
+// i-th registered histogram, as its Snapshot would report them.
+func (r *Registry) HistQuantiles(i int) (p50, p90, p99 int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	h := r.hists[i]
+	return Quantiles(h.buckets[:], h.count, h.max)
+}
+
+// MetricNames lists each kind's metric names in registration order.
+type MetricNames struct {
+	Counters, Gauges, Hists []string
+}
+
+// Names lists the registry's metric names: entry i names entry i of
+// every Sample of the registry, earlier or later. The lists share the
+// registry's append-only storage and must not be modified.
+func (r *Registry) Names() MetricNames {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return MetricNames{
+		Counters: slices.Clip(r.names[kindCounter]),
+		Gauges:   slices.Clip(r.names[kindGauge]),
+		Hists:    slices.Clip(r.names[kindHist]),
+	}
 }
 
 // sortedKeys returns map keys in stable order (exporters).
