@@ -69,7 +69,7 @@ func E11(perf bool) (*Table, error) {
 
 	// PostMark: plain, Cosy-consolidated transactions, kucode think.
 	pmPlain, pmPlainSum, err := leg(nil, nil, func(pr *sys.Proc) error {
-		_, err := workload.PostMark(pr, pmCfg)
+		_, err := workload.RunPostMark(pr, pmCfg, workload.NewTrap())
 		return err
 	})
 	if err != nil {
@@ -79,7 +79,7 @@ func E11(perf bool) (*Table, error) {
 	pmCosy, pmCosySum, err := leg(
 		func(s *core.System) { eng = s.CosyEngine(kext.ModeDataSeg) },
 		nil, func(pr *sys.Proc) error {
-			_, err := workload.PostMarkCosy(pr, eng, pmCfg)
+			_, err := workload.RunPostMark(pr, pmCfg, workload.NewCosy(eng))
 			return err
 		})
 	if err != nil {
@@ -100,7 +100,7 @@ func E11(perf bool) (*Table, error) {
 				_, err := pr.KuCall(kuID, int64(txn), 3)
 				return err
 			}
-			_, err := workload.PostMark(pr, kuCfg)
+			_, err := workload.RunPostMark(pr, kuCfg, workload.NewTrap())
 			return err
 		})
 	if err != nil {

@@ -78,7 +78,7 @@ func E12(perf bool) (*Table, error) {
 	// PostMark legs.
 	pmPlain, err := leg(nil, nil, func(pr *sys.Proc, ls *legStats) error {
 		var err error
-		ls.pm, err = workload.PostMark(pr, pmCfg)
+		ls.pm, err = workload.RunPostMark(pr, pmCfg, workload.NewTrap())
 		return err
 	})
 	if err != nil {
@@ -88,7 +88,7 @@ func E12(perf bool) (*Table, error) {
 	pmCosy, err := leg(func(s *core.System) { eng = s.CosyEngine(kext.ModeDataSeg) }, nil,
 		func(pr *sys.Proc, ls *legStats) error {
 			var err error
-			ls.pm, err = workload.PostMarkCosy(pr, eng, pmCfg)
+			ls.pm, err = workload.RunPostMark(pr, pmCfg, workload.NewCosy(eng))
 			return err
 		})
 	if err != nil {
@@ -113,7 +113,7 @@ func E12(perf bool) (*Table, error) {
 			_, err := pr.KuCall(kuID, int64(txn), 3)
 			return err
 		}
-		ls.pm, err = workload.PostMark(pr, cfg)
+		ls.pm, err = workload.RunPostMark(pr, cfg, workload.NewTrap())
 		return err
 	})
 	if err != nil {
@@ -126,7 +126,7 @@ func E12(perf bool) (*Table, error) {
 		b := b
 		ls, err := leg(nil, nil, func(pr *sys.Proc, ls *legStats) error {
 			var err error
-			ls.pm, err = workload.PostMarkRing(pr, pmCfg, b)
+			ls.pm, err = workload.RunPostMark(pr, pmCfg, workload.NewRing(b))
 			return err
 		})
 		if err != nil {

@@ -46,23 +46,29 @@ func (h *htab) put(k uint64, v *allocation) {
 	if h.n*2 >= len(h.keys) {
 		h.grow()
 	}
+	// Probe past tombstones: the key may live further along its
+	// chain, and writing it into the first tombstone would leave two
+	// live copies. Insert at the first free slot passed.
+	free := -1
 	i := h.hash(k)
-	for {
-		switch h.state[i] {
-		case 1:
+	for probes := 0; probes < len(h.keys); probes++ {
+		if h.state[i] == 1 {
 			if h.keys[i] == k {
 				h.vals[i] = v
 				return
 			}
-		default:
-			h.keys[i] = k
-			h.vals[i] = v
-			h.state[i] = 1
-			h.n++
-			return
+		} else if free < 0 {
+			free = i
+		}
+		if h.state[i] == 0 {
+			break
 		}
 		i = (i + 1) & (len(h.keys) - 1)
 	}
+	h.keys[free] = k
+	h.vals[free] = v
+	h.state[free] = 1
+	h.n++
 }
 
 func (h *htab) get(k uint64) (*allocation, bool) {

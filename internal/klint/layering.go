@@ -32,42 +32,42 @@ import (
 //     (nil-safe, never-charging) *ktrace.Tracer. The kernel proper
 //     stays ignorant of it.
 var layeringAllowed = map[string][]string{
-	"repro/internal/alloc":          {"repro/internal/mem", "repro/internal/sim"},
-	"repro/internal/bench":          {"repro/internal/core", "repro/internal/cosy/kext", "repro/internal/cosy/lang", "repro/internal/cosy/lib", "repro/internal/disk", "repro/internal/kefence", "repro/internal/kernel", "repro/internal/kflight", "repro/internal/kgcc", "repro/internal/kmon", "repro/internal/kperf", "repro/internal/kprobe", "repro/internal/ktrace", "repro/internal/mem", "repro/internal/minic", "repro/internal/sim", "repro/internal/splay", "repro/internal/sys", "repro/internal/trace", "repro/internal/vfs", "repro/internal/vfs/memfs", "repro/internal/workload"},
-	"repro/internal/core":           {"repro/internal/alloc", "repro/internal/cosy/kext", "repro/internal/disk", "repro/internal/kefence", "repro/internal/kernel", "repro/internal/kflight", "repro/internal/kgcc", "repro/internal/kmon", "repro/internal/kperf", "repro/internal/kprobe", "repro/internal/ktrace", "repro/internal/sim", "repro/internal/sys", "repro/internal/trace", "repro/internal/vfs", "repro/internal/vfs/btfs", "repro/internal/vfs/memfs", "repro/internal/vfs/wrapfs"},
-	"repro/internal/cosy/cc":        {"repro/internal/cosy/lang", "repro/internal/cosy/lib", "repro/internal/minic", "repro/internal/sys"},
-	"repro/internal/cosy/kext":      {"repro/internal/cosy/lang", "repro/internal/kernel", "repro/internal/kperf", "repro/internal/kring", "repro/internal/ktrace", "repro/internal/mem", "repro/internal/seg", "repro/internal/sim", "repro/internal/sys", "repro/internal/vfs"},
-	"repro/internal/cosy/lang":      {},
-	"repro/internal/cosy/lib":       {"repro/internal/cosy/lang"},
-	"repro/internal/disk":           {"repro/internal/kperf", "repro/internal/sim"},
-	"repro/internal/kcheck":         {"repro/internal/minic"},
-	"repro/internal/kefence":        {"repro/internal/alloc", "repro/internal/klog", "repro/internal/mem", "repro/internal/sim"},
-	"repro/internal/kernel":         {"repro/internal/alloc", "repro/internal/klog", "repro/internal/kperf", "repro/internal/mem", "repro/internal/ring", "repro/internal/sim"},
-	"repro/internal/kflight":        {"repro/internal/kperf", "repro/internal/sim"},
-	"repro/internal/kgcc":           {"repro/internal/kcheck", "repro/internal/kernel", "repro/internal/mem", "repro/internal/minic", "repro/internal/sim", "repro/internal/splay"},
-	"repro/internal/klint":          {},
-	"repro/internal/kring":          {"repro/internal/mem"},
+	"repro/internal/alloc":           {"repro/internal/mem", "repro/internal/sim"},
+	"repro/internal/bench":           {"repro/internal/core", "repro/internal/cosy/kext", "repro/internal/cosy/lang", "repro/internal/cosy/lib", "repro/internal/disk", "repro/internal/kefence", "repro/internal/kernel", "repro/internal/kflight", "repro/internal/kgcc", "repro/internal/kmon", "repro/internal/kperf", "repro/internal/kprobe", "repro/internal/ktrace", "repro/internal/mem", "repro/internal/minic", "repro/internal/sim", "repro/internal/splay", "repro/internal/sys", "repro/internal/trace", "repro/internal/vfs", "repro/internal/vfs/memfs", "repro/internal/workload"},
+	"repro/internal/core":            {"repro/internal/alloc", "repro/internal/cosy/kext", "repro/internal/disk", "repro/internal/kefence", "repro/internal/kernel", "repro/internal/kflight", "repro/internal/kgcc", "repro/internal/kmon", "repro/internal/kperf", "repro/internal/kprobe", "repro/internal/ktrace", "repro/internal/sim", "repro/internal/sys", "repro/internal/trace", "repro/internal/vfs", "repro/internal/vfs/btfs", "repro/internal/vfs/memfs", "repro/internal/vfs/wrapfs"},
+	"repro/internal/cosy/cc":         {"repro/internal/cosy/lang", "repro/internal/cosy/lib", "repro/internal/minic", "repro/internal/sys"},
+	"repro/internal/cosy/kext":       {"repro/internal/cosy/lang", "repro/internal/kernel", "repro/internal/kperf", "repro/internal/kring", "repro/internal/ktrace", "repro/internal/mem", "repro/internal/seg", "repro/internal/sim", "repro/internal/sys", "repro/internal/vfs"},
+	"repro/internal/cosy/lang":       {},
+	"repro/internal/cosy/lib":        {"repro/internal/cosy/lang"},
+	"repro/internal/disk":            {"repro/internal/kperf", "repro/internal/sim"},
+	"repro/internal/kcheck":          {"repro/internal/minic"},
+	"repro/internal/kefence":         {"repro/internal/alloc", "repro/internal/klog", "repro/internal/mem", "repro/internal/sim"},
+	"repro/internal/kernel":          {"repro/internal/alloc", "repro/internal/klog", "repro/internal/kperf", "repro/internal/mem", "repro/internal/ring", "repro/internal/sim"},
+	"repro/internal/kflight":         {"repro/internal/kperf", "repro/internal/sim"},
+	"repro/internal/kgcc":            {"repro/internal/kcheck", "repro/internal/kernel", "repro/internal/mem", "repro/internal/minic", "repro/internal/sim", "repro/internal/splay"},
+	"repro/internal/klint":           {},
+	"repro/internal/kring":           {"repro/internal/mem"},
 	"repro/internal/klint/klinttest": {"repro/internal/klint"},
-	"repro/internal/klog":           {"repro/internal/sim"},
-	"repro/internal/kmon":           {"repro/internal/kernel", "repro/internal/kperf", "repro/internal/ring", "repro/internal/sim", "repro/internal/sys", "repro/internal/vfs"},
-	"repro/internal/kperf":          {"repro/internal/sim"},
-	"repro/internal/kprobe":         {"repro/internal/kcheck", "repro/internal/kernel", "repro/internal/kgcc", "repro/internal/kperf", "repro/internal/mem", "repro/internal/minic", "repro/internal/sim"},
-	"repro/internal/ktrace":         {"repro/internal/kperf", "repro/internal/sim"},
-	"repro/internal/mem":            {"repro/internal/sim"},
-	"repro/internal/minic":          {"repro/internal/mem", "repro/internal/sim"},
-	"repro/internal/minic/mctest":   {},
-	"repro/internal/ring":           {},
-	"repro/internal/seg":            {"repro/internal/mem"},
-	"repro/internal/sim":            {},
-	"repro/internal/splay":          {},
-	"repro/internal/sys":            {"repro/internal/kcheck", "repro/internal/kernel", "repro/internal/kgcc", "repro/internal/kperf", "repro/internal/kprobe", "repro/internal/kring", "repro/internal/ktrace", "repro/internal/mem", "repro/internal/minic", "repro/internal/sim", "repro/internal/vfs"},
-	"repro/internal/sysgraph":       {},
-	"repro/internal/trace":          {"repro/internal/sim", "repro/internal/sys", "repro/internal/sysgraph"},
-	"repro/internal/vfs":            {"repro/internal/disk", "repro/internal/kernel", "repro/internal/kperf", "repro/internal/sim"},
-	"repro/internal/vfs/btfs":       {"repro/internal/kernel", "repro/internal/mem", "repro/internal/sim", "repro/internal/vfs"},
-	"repro/internal/vfs/memfs":      {"repro/internal/kernel", "repro/internal/mem", "repro/internal/sim", "repro/internal/vfs"},
-	"repro/internal/vfs/wrapfs":     {"repro/internal/alloc", "repro/internal/kernel", "repro/internal/mem", "repro/internal/sim", "repro/internal/vfs"},
-	"repro/internal/workload":       {"repro/internal/cosy/kext", "repro/internal/cosy/lang", "repro/internal/cosy/lib", "repro/internal/kmon", "repro/internal/kring", "repro/internal/sim", "repro/internal/sys", "repro/internal/vfs"},
+	"repro/internal/klog":            {"repro/internal/sim"},
+	"repro/internal/kmon":            {"repro/internal/kernel", "repro/internal/kperf", "repro/internal/ring", "repro/internal/sim", "repro/internal/sys", "repro/internal/vfs"},
+	"repro/internal/kperf":           {"repro/internal/sim"},
+	"repro/internal/kprobe":          {"repro/internal/kcheck", "repro/internal/kernel", "repro/internal/kgcc", "repro/internal/kperf", "repro/internal/mem", "repro/internal/minic", "repro/internal/sim"},
+	"repro/internal/ktrace":          {"repro/internal/kperf", "repro/internal/sim"},
+	"repro/internal/mem":             {"repro/internal/sim"},
+	"repro/internal/minic":           {"repro/internal/mem", "repro/internal/sim"},
+	"repro/internal/minic/mctest":    {},
+	"repro/internal/ring":            {},
+	"repro/internal/seg":             {"repro/internal/mem"},
+	"repro/internal/sim":             {},
+	"repro/internal/splay":           {},
+	"repro/internal/sys":             {"repro/internal/kcheck", "repro/internal/kernel", "repro/internal/kgcc", "repro/internal/kperf", "repro/internal/kprobe", "repro/internal/kring", "repro/internal/ktrace", "repro/internal/mem", "repro/internal/minic", "repro/internal/sim", "repro/internal/vfs"},
+	"repro/internal/sysgraph":        {},
+	"repro/internal/trace":           {"repro/internal/sim", "repro/internal/sys", "repro/internal/sysgraph"},
+	"repro/internal/vfs":             {"repro/internal/disk", "repro/internal/kernel", "repro/internal/kperf", "repro/internal/sim"},
+	"repro/internal/vfs/btfs":        {"repro/internal/kernel", "repro/internal/mem", "repro/internal/sim", "repro/internal/vfs"},
+	"repro/internal/vfs/memfs":       {"repro/internal/kernel", "repro/internal/mem", "repro/internal/sim", "repro/internal/vfs"},
+	"repro/internal/vfs/wrapfs":      {"repro/internal/alloc", "repro/internal/kernel", "repro/internal/mem", "repro/internal/sim", "repro/internal/vfs"},
+	"repro/internal/workload":        {"repro/internal/cosy/kext", "repro/internal/cosy/lang", "repro/internal/cosy/lib", "repro/internal/kmon", "repro/internal/kring", "repro/internal/sim", "repro/internal/sys", "repro/internal/vfs"},
 }
 
 // Layering checks every internal package's imports against the

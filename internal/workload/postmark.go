@@ -43,9 +43,9 @@ type PostMarkConfig struct {
 // marks one logical client-visible operation whose latency the
 // critical-path analyzer decomposes.
 const (
-	OpPostmarkTxn  = "postmark.txn"
-	OpCompileUnit  = "compile.unit"
-	OpSeqScanBatch = "dbscan.seq.batch"
+	OpPostmarkTxn   = "postmark.txn"
+	OpCompileUnit   = "compile.unit"
+	OpSeqScanBatch  = "dbscan.seq.batch"
 	OpRandScanBatch = "dbscan.rand.batch"
 )
 
@@ -71,126 +71,103 @@ type PostMarkStats struct {
 	BytesRead, BytesWritten          int64
 }
 
-// PostMark runs the benchmark on pr.
+// PostMark runs the benchmark with one system call per operation.
 func PostMark(pr *sys.Proc, cfg PostMarkConfig) (PostMarkStats, error) {
-	var st PostMarkStats
+	return RunPostMark(pr, cfg, NewTrap())
+}
+
+// PostMarkRing runs the benchmark through the kring data plane, batch
+// SQEs per ring_enter crossing.
+func PostMarkRing(pr *sys.Proc, cfg PostMarkConfig, batch int) (PostMarkStats, error) {
+	return RunPostMark(pr, cfg, NewRing(batch))
+}
+
+// RunPostMark runs the benchmark on pr, submitting its operations
+// through sub. The transaction mix, its random-draw order and the
+// stats are the same on every backend, so only the cost of reaching
+// the kernel differs.
+func RunPostMark(pr *sys.Proc, cfg PostMarkConfig, sub Submitter) (st PostMarkStats, err error) {
+	defer func() { st.BytesRead = sub.BytesRead() }()
 	rng := sim.NewRand(cfg.Seed)
 	if err := pr.Mkdir(cfg.Dir); err != nil {
 		return st, err
 	}
-	buf, err := pr.Mmap(cfg.MaxSize)
-	if err != nil {
+	if err := sub.Start(pr, cfg.MaxSize); err != nil {
 		return st, err
+	}
+	think := cfg.Think
+	if think == nil {
+		think = func(pr *sys.Proc) error {
+			pr.P.ChargeUser(cfg.UserThink)
+			return nil
+		}
 	}
 
 	var files []string
 	nextID := 0
-	create := func() error {
+	create := func() {
 		name := fmt.Sprintf("%s/f%06d", cfg.Dir, nextID)
 		nextID++
-		fd, err := pr.Creat(name)
-		if err != nil {
-			return err
-		}
 		size := rng.Range(cfg.MinSize, cfg.MaxSize)
-		ub := sys.UserBuf{Addr: buf.Addr, Len: size}
-		if _, err := pr.Write(fd, ub); err != nil {
-			return err
-		}
-		if err := pr.Close(fd); err != nil {
-			return err
-		}
+		fd := sub.Do(Op{Nr: sys.NrCreat, Path: name})
+		sub.Do(Op{Nr: sys.NrWrite, FD: fd, Len: size})
+		sub.Do(Op{Nr: sys.NrClose, FD: fd})
 		files = append(files, name)
 		st.Created++
 		st.BytesWritten += int64(size)
-		return nil
 	}
-	remove := func() error {
+	remove := func() {
 		if len(files) == 0 {
-			return nil
+			return
 		}
 		i := rng.Intn(len(files))
 		name := files[i]
 		files[i] = files[len(files)-1]
 		files = files[:len(files)-1]
-		if err := pr.Unlink(name); err != nil {
-			return err
-		}
+		sub.Do(Op{Nr: sys.NrUnlink, Path: name})
 		st.Deleted++
-		return nil
 	}
 
 	for i := 0; i < cfg.InitialFiles; i++ {
-		if err := create(); err != nil {
-			return st, err
-		}
+		create()
 	}
 	for t := 0; t < cfg.Transactions; t++ {
-		// Each transaction is one traced request: the tracer decomposes
-		// its wall time into user/kernel/copy/ready/disk segments.
-		pr.K.Ktrace.BeginOp(pr.P.PID, OpPostmarkTxn)
-		err := func() error {
-			if cfg.Think != nil {
-				if err := cfg.Think(pr); err != nil {
-					return err
-				}
+		sub.Begin(think)
+		// Half one: read or append an existing file.
+		if len(files) > 0 {
+			name := files[rng.Intn(len(files))]
+			if rng.Bool(cfg.ReadBias) {
+				fd := sub.Do(Op{Nr: sys.NrOpen, Path: name, Flags: sys.ORdonly})
+				sub.Do(Op{Nr: sys.NrRead, FD: fd, Len: cfg.MaxSize})
+				sub.Do(Op{Nr: sys.NrClose, FD: fd})
+				st.Read++
 			} else {
-				pr.P.ChargeUser(cfg.UserThink)
+				size := rng.Range(128, 2048)
+				fd := sub.Do(Op{Nr: sys.NrOpen, Path: name, Flags: sys.OWronly})
+				sub.Do(Op{Nr: sys.NrLseek, FD: fd, Whence: sys.SeekEnd})
+				sub.Do(Op{Nr: sys.NrWrite, FD: fd, Len: size})
+				sub.Do(Op{Nr: sys.NrClose, FD: fd})
+				st.Appended++
+				st.BytesWritten += int64(size)
 			}
-			// Half one: read or append an existing file.
-			if len(files) > 0 {
-				name := files[rng.Intn(len(files))]
-				if rng.Bool(cfg.ReadBias) {
-					fd, err := pr.Open(name, sys.ORdonly)
-					if err != nil {
-						return err
-					}
-					n, err := pr.Read(fd, buf)
-					if err != nil {
-						return err
-					}
-					if err := pr.Close(fd); err != nil {
-						return err
-					}
-					st.Read++
-					st.BytesRead += int64(n)
-				} else {
-					fd, err := pr.Open(name, sys.OWronly)
-					if err != nil {
-						return err
-					}
-					if _, err := pr.Lseek(fd, 0, sys.SeekEnd); err != nil {
-						return err
-					}
-					size := rng.Range(128, 2048)
-					ub := sys.UserBuf{Addr: buf.Addr, Len: size}
-					if _, err := pr.Write(fd, ub); err != nil {
-						return err
-					}
-					if err := pr.Close(fd); err != nil {
-						return err
-					}
-					st.Appended++
-					st.BytesWritten += int64(size)
-				}
-			}
-			// Half two: create or delete.
-			if rng.Bool(cfg.CreateBias) {
-				return create()
-			}
-			return remove()
-		}()
-		pr.K.Ktrace.EndOp(pr.P.PID)
-		if err != nil {
+		}
+		// Half two: create or delete.
+		if rng.Bool(cfg.CreateBias) {
+			create()
+		} else {
+			remove()
+		}
+		if err := sub.End(); err != nil {
 			return st, err
 		}
 	}
 	// Cleanup phase.
 	for _, name := range files {
-		if err := pr.Unlink(name); err != nil {
-			return st, err
-		}
+		sub.Do(Op{Nr: sys.NrUnlink, Path: name})
 		st.Deleted++
+	}
+	if err := sub.Finish(); err != nil {
+		return st, err
 	}
 	return st, pr.Rmdir(cfg.Dir)
 }

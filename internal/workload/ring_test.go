@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -8,20 +9,22 @@ import (
 	"repro/internal/sys"
 )
 
-// TestPostMarkRingMatchesClassic is the data-plane equivalence gate:
-// the ring variant replays the identical RNG-driven transaction mix,
-// so its PostMarkStats must be bit-identical to the classic path —
-// while spending far fewer boundary crossings.
+// TestPostMarkRingMatchesClassic is the submission-path equivalence
+// gate: PostMark is one program over every backend, so each must
+// report PostMarkStats identical to the trap path's, while the
+// consolidating backends cross the boundary less: Cosy fewer times
+// than trap, and the ring at batch >= 64 at least 10x fewer.
 func TestPostMarkRingMatchesClassic(t *testing.T) {
 	cfg := DefaultPostMark()
 	cfg.InitialFiles, cfg.Transactions = 40, 150
 
-	classic := func() (PostMarkStats, int64) {
+	run := func(boot backend) (PostMarkStats, int64) {
 		s := newSys(t, core.Options{})
+		sub := boot(s)
 		var st PostMarkStats
 		s.Spawn("pm", func(pr *sys.Proc) error {
 			var err error
-			st, err = PostMark(pr, cfg)
+			st, err = RunPostMark(pr, cfg, sub)
 			return err
 		})
 		if err := s.Run(); err != nil {
@@ -29,28 +32,23 @@ func TestPostMarkRingMatchesClassic(t *testing.T) {
 		}
 		return st, s.K.TotalCalls()
 	}
-	ringed := func(batch int) (PostMarkStats, int64) {
-		s := newSys(t, core.Options{})
-		var st PostMarkStats
-		s.Spawn("pmring", func(pr *sys.Proc) error {
-			var err error
-			st, err = PostMarkRing(pr, cfg, batch)
-			return err
-		})
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
+	tst, tcalls := run(trapBackend)
+	for _, c := range []struct {
+		name     string
+		boot     backend
+		maxCalls int64
+	}{
+		{"cosy", cosyBackend, tcalls - 1},
+		{"ring/1", ringBackend(1), math.MaxInt64},
+		{"ring/64", ringBackend(64), tcalls / 10},
+		{"ring/512", ringBackend(512), tcalls / 10},
+	} {
+		st, calls := run(c.boot)
+		if st != tst {
+			t.Errorf("%s: stats diverge: trap %+v, %s %+v", c.name, tst, c.name, st)
 		}
-		return st, s.K.TotalCalls()
-	}
-
-	cst, ccalls := classic()
-	for _, batch := range []int{1, 64, 512} {
-		rst, rcalls := ringed(batch)
-		if rst != cst {
-			t.Errorf("batch %d: stats diverge: classic %+v, ring %+v", batch, cst, rst)
-		}
-		if batch >= 64 && rcalls*10 > ccalls {
-			t.Errorf("batch %d: %d crossings vs classic %d — want >=10x reduction", batch, rcalls, ccalls)
+		if calls > c.maxCalls {
+			t.Errorf("%s: %d crossings vs trap %d, want at most %d", c.name, calls, tcalls, c.maxCalls)
 		}
 	}
 }
