@@ -10,6 +10,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/vfs"
+	"repro/internal/vfs/btfs"
 	"repro/internal/vfs/memfs"
 )
 
@@ -220,6 +221,73 @@ func TestRenameInvalidatesDcache(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestRenameOntoItself follows rename(2): when the target names the
+// source file itself, rename succeeds and changes nothing.
+func TestRenameOntoItself(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		fs   func(io *vfs.IOModel) vfs.FS
+	}{
+		{"memfs", func(io *vfs.IOModel) vfs.FS { return memfs.New("root", io) }},
+		{"btfs", func(io *vfs.IOModel) vfs.FS { return btfs.New("root", io) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := kernel.New(kernel.Config{})
+			k := NewKernel(m, vfs.NewNamespace(c.fs(vfs.NewIOModel(disk.New(disk.IDE7200()), 1<<16))))
+			run(t, m, k, func(pr *Proc) error {
+				msg := []byte("renamed onto itself")
+				ub, err := pr.Mmap(64)
+				if err != nil {
+					return err
+				}
+				if err := pr.Mkdir("/d"); err != nil {
+					return err
+				}
+				fd, err := pr.Creat("/d/f")
+				if err != nil {
+					return err
+				}
+				if err := pr.Poke(ub, msg); err != nil {
+					return err
+				}
+				if _, err := pr.Write(fd, UserBuf{Addr: ub.Addr, Len: len(msg)}); err != nil {
+					return err
+				}
+				if err := pr.Close(fd); err != nil {
+					return err
+				}
+				if err := pr.Rename("/d/f", "/d/f"); err != nil {
+					return fmt.Errorf("rename onto itself: %w", err)
+				}
+				at, err := pr.Stat("/d/f")
+				if err != nil || at.Size != int64(len(msg)) {
+					return fmt.Errorf("stat after rename = %+v, %v; want size %d", at, err, len(msg))
+				}
+				if fd, err = pr.Open("/d/f", ORdonly); err != nil {
+					return err
+				}
+				n, err := pr.Read(fd, ub)
+				if err != nil {
+					return err
+				}
+				if got, _ := pr.Peek(ub, n); !bytes.Equal(got, msg) {
+					t.Errorf("contents after rename = %q, want %q", got, msg)
+				}
+				if err := pr.Close(fd); err != nil {
+					return err
+				}
+				if err := pr.Unlink("/d/f"); err != nil {
+					t.Errorf("unlink after rename = %v", err)
+				}
+				if err := pr.Rmdir("/d"); err != nil {
+					t.Errorf("rmdir of the parent = %v", err)
+				}
+				return nil
+			})
+		})
+	}
 }
 
 func TestSyscallChargesTrapAndDispatch(t *testing.T) {

@@ -24,6 +24,7 @@ type FS struct {
 	tree  btree
 	nodes map[vfs.NodeID]*bnode
 	next  vfs.NodeID
+	pages vfs.FreePages
 
 	OpCPU    sim.Cycles
 	CopyByte sim.Cycles
@@ -59,7 +60,7 @@ type FS struct {
 
 type bnode struct {
 	attr vfs.Attr
-	data []byte
+	data vfs.FileData
 	// nchildren counts directory entries (for rmdir emptiness).
 	nchildren int
 	// mapped counts data blocks with tree-mapping items.
@@ -243,6 +244,7 @@ func (fs *FS) Unlink(p *kernel.Process, dir vfs.NodeID, name string) error {
 	n.attr.Nlink--
 	if n.attr.Nlink == 0 {
 		fs.dropBlocks(id, n)
+		n.data.Release(&fs.pages)
 		delete(fs.nodes, id)
 	}
 	fs.io.WriteBlock(p, vfs.BlockKey{Node: dir, Block: 0})
@@ -250,7 +252,7 @@ func (fs *FS) Unlink(p *kernel.Process, dir vfs.NodeID, name string) error {
 }
 
 func (fs *FS) dropBlocks(id vfs.NodeID, n *bnode) {
-	blocks := int64(len(n.data)+mem.PageSize-1) / mem.PageSize
+	blocks := (n.data.Size() + mem.PageSize - 1) / mem.PageSize
 	for b := int64(0); b <= blocks; b++ {
 		fs.io.Drop(vfs.BlockKey{Node: id, Block: b})
 	}
@@ -321,10 +323,10 @@ func (fs *FS) Read(p *kernel.Process, id vfs.NodeID, off int64, buf []byte) (int
 	if n.attr.Type == vfs.TypeDir {
 		return 0, vfs.ErrIsDir
 	}
-	if off >= int64(len(n.data)) {
+	if off >= n.data.Size() {
 		return 0, nil
 	}
-	count := copy(buf, n.data[off:])
+	count := n.data.ReadAt(buf, off)
 	for b := off / mem.PageSize; b <= (off+int64(count)-1)/mem.PageSize; b++ {
 		// Locate the block's item in the tree, then read it. The byte
 		// copy itself is generic kernel code.
@@ -349,14 +351,9 @@ func (fs *FS) Write(p *kernel.Process, id vfs.NodeID, off int64, data []byte) (i
 	if off < 0 {
 		return 0, vfs.ErrInval
 	}
+	n.data.WriteAt(&fs.pages, data, off)
+	n.attr.Size = n.data.Size()
 	end := off + int64(len(data))
-	if end > int64(len(n.data)) {
-		grown := make([]byte, end)
-		copy(grown, n.data)
-		n.data = grown
-		n.attr.Size = end
-	}
-	copy(n.data[off:], data)
 	n.attr.Mtime = p.M.Clock.Now()
 	journaled := false
 	for b := off / mem.PageSize; b <= (end-1)/mem.PageSize && len(data) > 0; b++ {
@@ -392,14 +389,7 @@ func (fs *FS) Truncate(p *kernel.Process, id vfs.NodeID, size int64) error {
 	if size < 0 {
 		return vfs.ErrInval
 	}
-	switch {
-	case size < int64(len(n.data)):
-		n.data = n.data[:size]
-	case size > int64(len(n.data)):
-		grown := make([]byte, size)
-		copy(grown, n.data)
-		n.data = grown
-	}
+	n.data.Truncate(&fs.pages, size)
 	n.attr.Size = size
 	fs.io.WriteBlock(p, vfs.BlockKey{Node: id, Block: -1})
 	return nil
@@ -422,6 +412,10 @@ func (fs *FS) Rename(p *kernel.Process, odir vfs.NodeID, oname string, ndir vfs.
 		return vfs.ErrNotExist
 	}
 	if existingRaw, ok := fs.tree.Get(key(ndir, nname)); ok {
+		if existingRaw == idRaw {
+			// rename(2): renaming a file onto itself changes nothing.
+			return nil
+		}
 		if fs.nodes[vfs.NodeID(existingRaw)].attr.Type == vfs.TypeDir {
 			return vfs.ErrIsDir
 		}

@@ -42,6 +42,7 @@ type IOModel struct {
 	table map[BlockKey]*cacheEntry
 	head  *cacheEntry // most recent
 	tail  *cacheEntry // least recent
+	spare *cacheEntry // evicted and dropped entries, linked by next
 	dirty int
 
 	// Stats.
@@ -85,6 +86,28 @@ func (io *IOModel) pushFront(e *cacheEntry) {
 	}
 }
 
+// insert caches key as the most recently used block, reusing a spare
+// entry when there is one.
+func (io *IOModel) insert(key BlockKey, dirty bool) {
+	e := io.spare
+	if e != nil {
+		io.spare = e.next
+		*e = cacheEntry{key: key, dirty: dirty}
+	} else {
+		e = &cacheEntry{key: key, dirty: dirty}
+	}
+	io.table[key] = e
+	io.pushFront(e)
+}
+
+// remove takes e out of the cache and keeps it as a spare.
+func (io *IOModel) remove(e *cacheEntry) {
+	io.unlink(e)
+	delete(io.table, e.key)
+	e.next = io.spare
+	io.spare = e
+}
+
 // touch marks e most-recently-used.
 func (io *IOModel) touch(e *cacheEntry) {
 	if io.head == e {
@@ -105,8 +128,7 @@ func (io *IOModel) evictIfNeeded(p *kernel.Process) {
 		if victim == nil {
 			return
 		}
-		io.unlink(victim)
-		delete(io.table, victim.key)
+		io.remove(victim)
 		if victim.dirty {
 			io.dirty--
 			io.Writebacks++
@@ -124,9 +146,7 @@ func (io *IOModel) ReadBlock(p *kernel.Process, key BlockKey) {
 	}
 	io.Misses++
 	p.BlockOn(kperf.SubDisk, io.Dev.AccessTime(diskBlock(key), disk.BlockSize, false))
-	e := &cacheEntry{key: key}
-	io.table[key] = e
-	io.pushFront(e)
+	io.insert(key, false)
 	io.evictIfNeeded(p)
 }
 
@@ -145,10 +165,8 @@ func (io *IOModel) WriteBlock(p *kernel.Process, key BlockKey) {
 		return
 	}
 	io.Misses++
-	e := &cacheEntry{key: key, dirty: true}
 	io.dirty++
-	io.table[key] = e
-	io.pushFront(e)
+	io.insert(key, true)
 	io.evictIfNeeded(p)
 	io.throttle(p)
 }
@@ -188,9 +206,7 @@ func (io *IOModel) WriteThrough(p *kernel.Process, key BlockKey) {
 		io.touch(e)
 		return
 	}
-	e := &cacheEntry{key: key}
-	io.table[key] = e
-	io.pushFront(e)
+	io.insert(key, false)
 	io.evictIfNeeded(p)
 }
 
@@ -200,8 +216,7 @@ func (io *IOModel) Drop(key BlockKey) {
 		if e.dirty {
 			io.dirty--
 		}
-		io.unlink(e)
-		delete(io.table, key)
+		io.remove(e)
 	}
 }
 

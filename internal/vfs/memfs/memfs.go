@@ -21,6 +21,10 @@ type FS struct {
 	io    *vfs.IOModel
 	nodes map[vfs.NodeID]*mnode
 	next  vfs.NodeID
+	pages vfs.FreePages
+	// spare holds unlinked file inodes, pages already released, for
+	// Create to reuse along with their page tables.
+	spare []*mnode
 
 	// OpCPU is the per-operation CPU cost (kernel mode); CopyByte the
 	// per-byte page-cache copy cost.
@@ -30,7 +34,7 @@ type FS struct {
 
 type mnode struct {
 	attr     vfs.Attr
-	data     []byte
+	data     vfs.FileData
 	children map[string]vfs.NodeID
 }
 
@@ -115,7 +119,14 @@ func (fs *FS) Create(p *kernel.Process, dir vfs.NodeID, name string) (vfs.NodeID
 	}
 	id := fs.next
 	fs.next++
-	fs.nodes[id] = &mnode{attr: vfs.Attr{ID: id, Type: vfs.TypeReg, Nlink: 1, Mode: 0644, Mtime: p.M.Clock.Now()}}
+	var n *mnode
+	if k := len(fs.spare); k > 0 {
+		n, fs.spare = fs.spare[k-1], fs.spare[:k-1]
+	} else {
+		n = new(mnode)
+	}
+	n.attr = vfs.Attr{ID: id, Type: vfs.TypeReg, Nlink: 1, Mode: 0644, Mtime: p.M.Clock.Now()}
+	fs.nodes[id] = n
 	d.children[name] = id
 	// The directory block receiving the new entry and the new inode
 	// block are dirtied.
@@ -173,14 +184,16 @@ func (fs *FS) Unlink(p *kernel.Process, dir vfs.NodeID, name string) error {
 	n.attr.Nlink--
 	if n.attr.Nlink == 0 {
 		fs.dropBlocks(id, n)
+		n.data.Release(&fs.pages)
 		delete(fs.nodes, id)
+		fs.spare = append(fs.spare, n)
 	}
 	fs.io.WriteBlock(p, vfs.BlockKey{Node: dir, Block: 0})
 	return nil
 }
 
 func (fs *FS) dropBlocks(id vfs.NodeID, n *mnode) {
-	blocks := int64(len(n.data)+mem.PageSize-1) / mem.PageSize
+	blocks := (n.data.Size() + mem.PageSize - 1) / mem.PageSize
 	for b := int64(0); b <= blocks; b++ {
 		fs.io.Drop(vfs.BlockKey{Node: id, Block: b})
 	}
@@ -244,10 +257,10 @@ func (fs *FS) Read(p *kernel.Process, id vfs.NodeID, off int64, buf []byte) (int
 	if n.attr.Type == vfs.TypeDir {
 		return 0, vfs.ErrIsDir
 	}
-	if off >= int64(len(n.data)) {
+	if off >= n.data.Size() {
 		return 0, nil
 	}
-	count := copy(buf, n.data[off:])
+	count := n.data.ReadAt(buf, off)
 	for b := off / mem.PageSize; b <= (off+int64(count)-1)/mem.PageSize; b++ {
 		fs.io.ReadBlock(p, vfs.BlockKey{Node: id, Block: b})
 	}
@@ -268,14 +281,9 @@ func (fs *FS) Write(p *kernel.Process, id vfs.NodeID, off int64, data []byte) (i
 	if off < 0 {
 		return 0, vfs.ErrInval
 	}
+	n.data.WriteAt(&fs.pages, data, off)
+	n.attr.Size = n.data.Size()
 	end := off + int64(len(data))
-	if end > int64(len(n.data)) {
-		grown := make([]byte, end)
-		copy(grown, n.data)
-		n.data = grown
-		n.attr.Size = end
-	}
-	copy(n.data[off:], data)
 	n.attr.Mtime = p.M.Clock.Now()
 	for b := off / mem.PageSize; b <= (end-1)/mem.PageSize && len(data) > 0; b++ {
 		fs.io.WriteBlock(p, vfs.BlockKey{Node: id, Block: b})
@@ -297,14 +305,7 @@ func (fs *FS) Truncate(p *kernel.Process, id vfs.NodeID, size int64) error {
 	if size < 0 {
 		return vfs.ErrInval
 	}
-	switch {
-	case size < int64(len(n.data)):
-		n.data = n.data[:size]
-	case size > int64(len(n.data)):
-		grown := make([]byte, size)
-		copy(grown, n.data)
-		n.data = grown
-	}
+	n.data.Truncate(&fs.pages, size)
 	n.attr.Size = size
 	fs.io.WriteBlock(p, vfs.BlockKey{Node: id, Block: -1})
 	return nil
@@ -326,6 +327,10 @@ func (fs *FS) Rename(p *kernel.Process, odir vfs.NodeID, oname string, ndir vfs.
 		return vfs.ErrNotExist
 	}
 	if existing, ok := nd.children[nname]; ok {
+		if existing == id {
+			// rename(2): renaming a file onto itself changes nothing.
+			return nil
+		}
 		if fs.nodes[existing].attr.Type == vfs.TypeDir {
 			return vfs.ErrIsDir
 		}

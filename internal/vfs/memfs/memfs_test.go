@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/kernel"
+	"repro/internal/mem"
 	"repro/internal/vfs"
 )
 
@@ -233,6 +234,38 @@ func TestManyFilesStress(t *testing.T) {
 		}
 		if len(ents) != 1000 {
 			t.Errorf("readdir = %d", len(ents))
+		}
+		return nil
+	})
+}
+
+func TestDataPathAllocFree(t *testing.T) {
+	fs := newFS()
+	data := make([]byte, 700)
+	run(t, func(p *kernel.Process) error {
+		root := fs.Root()
+		id, err := fs.Create(p, root, "log")
+		if err != nil {
+			return err
+		}
+		// 101 appends of 10 bytes stay within the file's first page.
+		if n := testing.AllocsPerRun(100, func() {
+			at, _ := fs.Getattr(p, id)
+			_, _ = fs.Write(p, id, at.Size, data[:10])
+		}); n != 0 {
+			t.Errorf("append within the last page allocates %v/op", n)
+		}
+		// Each file grows to 8,400 bytes, three pages; after the first
+		// cycle every page comes from the free list.
+		cycle := func() {
+			id, _ := fs.Create(p, root, "f")
+			for off := int64(0); off < 2*mem.PageSize; off += int64(len(data)) {
+				_, _ = fs.Write(p, id, off, data)
+			}
+			_ = fs.Unlink(p, root, "f")
+		}
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Errorf("create/write/unlink cycle allocates %v/op", n)
 		}
 		return nil
 	})

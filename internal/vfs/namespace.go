@@ -58,13 +58,37 @@ func (ns *Namespace) LookupDevice(path string) (Device, bool) {
 }
 
 // Clean normalizes a path: leading slash, no trailing slash, no empty
-// or "." components.
+// or "." components. A path that is already clean comes back as is,
+// without allocating.
 func Clean(path string) string {
+	if isClean(path) {
+		return path
+	}
 	parts := Split(path)
 	if len(parts) == 0 {
 		return "/"
 	}
 	return "/" + strings.Join(parts, "/")
+}
+
+// isClean reports whether Clean would return path unchanged.
+func isClean(path string) bool {
+	if path == "/" {
+		return true
+	}
+	if !strings.HasPrefix(path, "/") {
+		return false
+	}
+	for rest := path[1:]; ; {
+		c, after, more := strings.Cut(rest, "/")
+		if c == "" || c == "." || c == ".." {
+			return false
+		}
+		if !more {
+			return true
+		}
+		rest = after
+	}
 }
 
 // Split breaks a path into components, dropping empty and "."
@@ -86,18 +110,21 @@ func Split(path string) []string {
 }
 
 // mountFor returns the longest-prefix mount covering path and the
-// path remainder relative to it.
-func (ns *Namespace) mountFor(path string) (FS, []string) {
+// rest of the cleaned path below it: its components joined by "/",
+// or "" for the mount root itself.
+func (ns *Namespace) mountFor(path string) (FS, string) {
 	path = Clean(path)
 	for _, m := range ns.mounts {
 		if m.prefix == "/" {
-			return m.fs, Split(path)
+			return m.fs, path[1:]
 		}
-		if path == m.prefix {
-			return m.fs, nil
-		}
-		if strings.HasPrefix(path, m.prefix+"/") {
-			return m.fs, Split(path[len(m.prefix):])
+		rest, ok := strings.CutPrefix(path, m.prefix)
+		switch {
+		case !ok:
+		case rest == "":
+			return m.fs, ""
+		case rest[0] == '/':
+			return m.fs, rest[1:]
 		}
 	}
 	// The "/" mount always matches; unreachable.
@@ -106,34 +133,46 @@ func (ns *Namespace) mountFor(path string) (FS, []string) {
 
 // Resolve walks path to its inode.
 func (ns *Namespace) Resolve(p *kernel.Process, path string) (FS, NodeID, error) {
-	fs, parts := ns.mountFor(path)
-	cur := fs.Root()
-	for _, name := range parts {
-		id, err := ns.Dc.lookup(p, fs, cur, name)
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: %s", err, path)
-		}
-		cur = id
+	fs, rest := ns.mountFor(path)
+	id, err := ns.walk(p, fs, rest)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: %s", err, path)
 	}
-	return fs, cur, nil
+	return fs, id, nil
 }
 
 // ResolveParent walks to the parent directory of path and returns it
 // along with the final component.
 func (ns *Namespace) ResolveParent(p *kernel.Process, path string) (FS, NodeID, string, error) {
-	fs, parts := ns.mountFor(path)
-	if len(parts) == 0 {
+	fs, rest := ns.mountFor(path)
+	if rest == "" {
 		return nil, 0, "", fmt.Errorf("%w: cannot take parent of mount root %s", ErrInval, path)
 	}
+	dir, name := "", rest
+	if i := strings.LastIndexByte(rest, '/'); i >= 0 {
+		dir, name = rest[:i], rest[i+1:]
+	}
+	id, err := ns.walk(p, fs, dir)
+	if err != nil {
+		return nil, 0, "", fmt.Errorf("%w: %s", err, path)
+	}
+	return fs, id, name, nil
+}
+
+// walk looks up rel's components ("a/b", or "" for the root) one by
+// one from fs's root, each through the dcache.
+func (ns *Namespace) walk(p *kernel.Process, fs FS, rel string) (NodeID, error) {
 	cur := fs.Root()
-	for _, name := range parts[:len(parts)-1] {
+	for rel != "" {
+		var name string
+		name, rel, _ = strings.Cut(rel, "/")
 		id, err := ns.Dc.lookup(p, fs, cur, name)
 		if err != nil {
-			return nil, 0, "", fmt.Errorf("%w: %s", err, path)
+			return 0, err
 		}
 		cur = id
 	}
-	return fs, cur, parts[len(parts)-1], nil
+	return cur, nil
 }
 
 // Invalidate drops the dentry for path's final component (after

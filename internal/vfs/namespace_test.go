@@ -154,6 +154,51 @@ func TestMountLongestPrefixWins(t *testing.T) {
 		}
 		return nil
 	})
+
+	// Sibling prefixes: /mnt/x must not capture /mnt/xy or /mnt/xyz,
+	// and a path equal to a mount prefix is that mount's root.
+	ns = NewNamespace(root)
+	x, xy := newFakeFS("x"), newFakeFS("xy")
+	xb, xya := x.addDir(1, "b"), xy.addDir(1, "a")
+	if err := ns.Mount("/mnt/x", x); err != nil {
+		t.Fatal(err)
+	}
+	if err := ns.Mount("/mnt/xy", xy); err != nil {
+		t.Fatal(err)
+	}
+	run(t, func(p *kernel.Process) error {
+		for _, c := range []struct {
+			path string
+			fs   string
+			id   NodeID
+		}{
+			{"/mnt/x", "x", 1},
+			{"/mnt/xy", "xy", 1},
+			{"/mnt/x/b", "x", xb},
+			{"/mnt/xy/a", "xy", xya},
+			{"/mnt/x/../xy/./a/", "xy", xya},
+		} {
+			fs, id, err := ns.Resolve(p, c.path)
+			if err != nil || fs.FSName() != c.fs || id != c.id {
+				t.Errorf("Resolve(%q) = %v/%d, %v; want %s/%d", c.path, fs, id, err, c.fs, c.id)
+			}
+		}
+		if _, _, err := ns.Resolve(p, "/mnt/xyz"); !errors.Is(err, ErrNotExist) {
+			t.Errorf("Resolve(/mnt/xyz) err = %v, want ErrNotExist from the root fs", err)
+		}
+		fs, _, name, err := ns.ResolveParent(p, "/mnt/xyz")
+		if err != nil || fs != FS(root) || name != "xyz" {
+			t.Errorf("ResolveParent(/mnt/xyz) = %v, %q, %v; want root fs", fs, name, err)
+		}
+		fs, parent, name, err := ns.ResolveParent(p, "/mnt/xy/a")
+		if err != nil || fs != FS(xy) || parent != 1 || name != "a" {
+			t.Errorf("ResolveParent(/mnt/xy/a) = %v/%d, %q, %v", fs, parent, name, err)
+		}
+		if _, _, _, err := ns.ResolveParent(p, "/mnt/x"); !errors.Is(err, ErrInval) {
+			t.Errorf("ResolveParent of mount root /mnt/x err = %v, want ErrInval", err)
+		}
+		return nil
+	})
 }
 
 func TestDoubleMountFails(t *testing.T) {
@@ -227,4 +272,42 @@ func TestDeviceRegistry(t *testing.T) {
 	if _, ok := ns.LookupDevice("/dev/null"); ok {
 		t.Fatal("phantom device")
 	}
+}
+
+func TestPathWalkAllocFree(t *testing.T) {
+	root := newFakeFS("root")
+	root.addDir(root.addDir(1, "a"), "b")
+	root.addDir(1, "mnt")
+	sub := newFakeFS("sub")
+	sub.addDir(1, "x")
+	ns := NewNamespace(root)
+	if err := ns.Mount("/mnt", sub); err != nil {
+		t.Fatal(err)
+	}
+	ns.RegisterDevice("/dev/kernevents", nil)
+	run(t, func(p *kernel.Process) error {
+		steps := []struct {
+			name string
+			fn   func() error
+		}{
+			{"Resolve", func() error { _, _, err := ns.Resolve(p, "/a/b"); return err }},
+			{"Resolve under a mount", func() error { _, _, err := ns.Resolve(p, "/mnt/x"); return err }},
+			{"ResolveParent", func() error { _, _, _, err := ns.ResolveParent(p, "/a/b/new"); return err }},
+			{"LookupDevice", func() error {
+				if _, ok := ns.LookupDevice("/dev/kernevents"); !ok {
+					return ErrNoDev
+				}
+				return nil
+			}},
+		}
+		for _, s := range steps {
+			if err := s.fn(); err != nil { // warms the dcache
+				return err
+			}
+			if n := testing.AllocsPerRun(100, func() { _ = s.fn() }); n != 0 {
+				t.Errorf("%s allocates %v/op", s.name, n)
+			}
+		}
+		return nil
+	})
 }

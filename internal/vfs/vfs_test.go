@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/disk"
@@ -129,6 +130,14 @@ func TestSplitAndClean(t *testing.T) {
 		{"/a/./b", "/a/b"},
 		{"/a/../b", "/b"},
 		{"/../a", "/a"},
+		{"/a", "/a"},
+		{"/a/b", "/a/b"},
+		{"/.", "/"},
+		{"/a/..", "/"},
+		{"/..a", "/..a"},
+		{"/a.", "/a."},
+		{"//", "/"},
+		{"/a/b/.", "/a/b"},
 	}
 	for _, c := range cases {
 		if got := Clean(c.in); got != c.want {
@@ -139,6 +148,26 @@ func TestSplitAndClean(t *testing.T) {
 	if len(parts) != 3 || parts[2] != "bin" {
 		t.Errorf("Split = %v", parts)
 	}
+
+	// Clean's fast path must agree with the component form on every
+	// path built from short segments, clean or not.
+	segs := []string{"", ".", "..", "a", "b.", "..a", ".b", "..."}
+	var build func(path string, depth int)
+	build = func(path string, depth int) {
+		if want := "/" + strings.Join(Split(path), "/"); Clean(path) != want {
+			t.Errorf("Clean(%q) = %q, want %q", path, Clean(path), want)
+		}
+		if depth == 0 {
+			return
+		}
+		for _, s := range segs {
+			build(path+"/"+s, depth-1)
+			if path == "" {
+				build(s, depth-1)
+			}
+		}
+	}
+	build("", 4)
 }
 
 func TestDirEntBytes(t *testing.T) {
