@@ -224,15 +224,14 @@ func New(opts Options) (*System, error) {
 			return nil, fmt.Errorf("core: Flight requires Perf")
 		}
 		s.Flight = kflight.NewRecorder(*opts.Flight, s.Perf)
-		s.M.Flight = s.Flight
+		s.M.Observe(s.Flight)
 	}
 	if opts.Trace != nil {
 		if s.Perf == nil {
 			return nil, fmt.Errorf("core: Trace requires Perf")
 		}
 		s.Ktrace = ktrace.NewTracer(opts.Trace, &s.M.Clock, s.Perf)
-		s.M.Trace = s.Ktrace
-		s.K.Ktrace = s.Ktrace
+		s.M.Observe(s.Ktrace)
 	}
 	return s, nil
 }
@@ -291,11 +290,11 @@ func (s *System) Spawn(name string, fn func(pr *sys.Proc) error) *kernel.Process
 func (s *System) Run() error { return s.M.Run() }
 
 // EnableTrace installs a syscall recorder and returns it. The
-// recorder is added to the kernel's hook fan-out, so it composes with
-// any other observers already attached.
+// recorder is attached to the machine's observer seam after any
+// observers already there.
 func (s *System) EnableTrace() *trace.Recorder {
 	s.Rec = trace.NewRecorder(&s.M.Clock)
-	s.K.AddHook(s.Rec)
+	s.M.Observe(s.Rec)
 	return s.Rec
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/kperf"
 	"repro/internal/sys"
 )
 
@@ -138,25 +139,27 @@ func TestKlogEntriesCarrySpanIDs(t *testing.T) {
 	}
 }
 
-// countingHook records syscall fan-out deliveries.
-type countingHook struct{ calls int }
+// countingObserver counts syscall exits delivered through the
+// machine's observer seam.
+type countingObserver struct {
+	kperf.NopObserver
+	calls int
+}
 
-func (h *countingHook) Syscall(pid int, nr sys.Nr, in, out int) { h.calls++ }
+func (o *countingObserver) SyscallExit(pid int, nr uint16, in, out int) { o.calls++ }
 
-// TestHookFanOut checks satellite 2: multiple observers attach to the
-// syscall layer at once and each sees every completed call.
+// TestHookFanOut checks that several observers attach to the observer
+// seam at once, alongside the syscall recorder, and each sees every
+// completed call.
 func TestHookFanOut(t *testing.T) {
 	s, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := s.EnableTrace()
-	h1, h2 := &countingHook{}, &countingHook{}
-	s.K.AddHook(h1)
-	s.K.AddHook(h2)
-	if got := s.K.Hooks(); got != 3 {
-		t.Fatalf("Hooks() = %d, want 3", got)
-	}
+	h1, h2 := &countingObserver{}, &countingObserver{}
+	s.M.Observe(h1)
+	s.M.Observe(h2)
 	s.Spawn("calls", func(pr *sys.Proc) error {
 		for i := 0; i < 5; i++ {
 			pr.Getpid()
@@ -170,7 +173,7 @@ func TestHookFanOut(t *testing.T) {
 		t.Errorf("fan-out uneven: h1=%d h2=%d", h1.calls, h2.calls)
 	}
 	if int64(h1.calls) != rec.TotalCalls() {
-		t.Errorf("hook saw %d calls, recorder saw %d", h1.calls, rec.TotalCalls())
+		t.Errorf("observer saw %d calls, recorder saw %d", h1.calls, rec.TotalCalls())
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/kperf"
 	"repro/internal/kring"
-	"repro/internal/ktrace"
 	"repro/internal/mem"
 	"repro/internal/seg"
 	"repro/internal/sim"
@@ -193,6 +192,9 @@ func (e *Engine) Ring(pr *sys.Proc, need int) (*sys.RingHandle, error) {
 	return h, nil
 }
 
+// OpCosy names the operation each ExecRing compound opens.
+const OpCosy = "cosy.compound"
+
 // ExecRing runs one encoded compound through the kring data plane:
 // the compound bytes are staged into the ring's shared data area, a
 // single NrCosy SQE names them plus the shm selector, and ring_enter
@@ -201,8 +203,8 @@ func (e *Engine) Ring(pr *sys.Proc, need int) (*sys.RingHandle, error) {
 // operation: a request of its own when the workload opened none, a
 // child span of the workload's request otherwise.
 func (e *Engine) ExecRing(pr *sys.Proc, encoded []byte, shm *Shm) (int64, error) {
-	pr.K.Ktrace.BeginOp(pr.P.PID, ktrace.OpCosy)
-	defer pr.K.Ktrace.EndOp(pr.P.PID)
+	pr.BeginOp(OpCosy)
+	defer pr.EndOp()
 	h, err := e.Ring(pr, len(encoded))
 	if err != nil {
 		return 0, err

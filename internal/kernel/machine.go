@@ -66,15 +66,9 @@ type Machine struct {
 	// attached at the firing tracepoint.
 	Tap ProbeTap
 
-	// Flight is the flight-recorder seam (nil = no recorder). Like
-	// Perf it is host-side only and can never move a simulated cycle;
-	// see FlightHook.
-	Flight FlightHook
-
-	// Trace is the request-tracing seam (nil = no tracer). Like Flight
-	// it is host-side only and can never move a simulated cycle; see
-	// TraceHook.
-	Trace TraceHook
+	// obs are the attached observers (Observe), host-side only: like
+	// Perf they can never move a simulated cycle.
+	obs []Observer
 
 	procs   map[int]*Process
 	ready   *ring.Deque[*Process]
@@ -146,20 +140,21 @@ func New(cfg Config) *Machine {
 	// the seam must exist even on machines booted without Perf.
 	m.KAS.FaultProbe = func(f *mem.Fault) {
 		if p := m.current; p != nil {
-			p.Perf.Fault(m.Clock.Now(), f.Guard, f.Access == mem.AccessWrite)
-			if f.Guard {
-				m.FlightEvent(FlightTrap, fmt.Sprintf("guard fault in %s-%d at %#x", p.Name, p.PID, f.Addr))
-			}
-			m.probeFault(p, f)
+			m.fault(p, f)
 		}
 	}
 	return m
 }
 
-// probeFault dispatches the page-fault tracepoint and charges the
-// probe cost to the faulting process as kernel time under the probe
+// fault reports a handled page fault of p to kperf, announces guard
+// faults as trap events, and dispatches the page-fault tracepoint,
+// charging the probe cost to p as kernel time under the probe
 // subsystem.
-func (m *Machine) probeFault(p *Process, f *mem.Fault) {
+func (m *Machine) fault(p *Process, f *mem.Fault) {
+	p.Perf.Fault(m.Clock.Now(), f.Guard, f.Access == mem.AccessWrite)
+	if f.Guard {
+		m.Event(EventTrap, fmt.Sprintf("guard fault in %s-%d at %#x", p.Name, p.PID, f.Addr))
+	}
 	if m.Tap == nil {
 		return
 	}
@@ -240,13 +235,7 @@ func (m *Machine) Spawn(name string, fn func(*Process) error) *Process {
 			p.Perf.Pop()
 		}
 	}
-	p.UAS.FaultProbe = func(f *mem.Fault) {
-		p.Perf.Fault(m.Clock.Now(), f.Guard, f.Access == mem.AccessWrite)
-		if f.Guard {
-			m.FlightEvent(FlightTrap, fmt.Sprintf("guard fault in %s-%d at %#x", p.Name, p.PID, f.Addr))
-		}
-		m.probeFault(p, f)
-	}
+	p.UAS.FaultProbe = func(f *mem.Fault) { m.fault(p, f) }
 	m.procs[p.PID] = p
 	m.ready.PushBack(p)
 	go p.top(fn)
@@ -271,7 +260,7 @@ func (m *Machine) Run() error {
 				m.IdleCycles += gap
 				m.Perf.OnIdle(gap)
 				m.Clock.AdvanceTo(ev.when)
-				m.FlightTick()
+				m.tick()
 			}
 			ev.proc.wake()
 			continue
@@ -281,7 +270,7 @@ func (m *Machine) Run() error {
 			continue
 		}
 		m.dispatch(p)
-		m.FlightTick()
+		m.tick()
 		switch p.state {
 		case stateDone:
 			if p.err != nil && firstErr == nil {
@@ -295,7 +284,7 @@ func (m *Machine) Run() error {
 			// Wake event already queued by BlockFor.
 		}
 	}
-	m.FlightEvent(FlightRunEnd, "")
+	m.Event(EventRunEnd, "")
 	return firstErr
 }
 
@@ -303,25 +292,12 @@ func (m *Machine) Run() error {
 func (m *Machine) dispatch(p *Process) {
 	if m.lastRun != p && m.lastRun != nil {
 		m.CtxSwitches++
-		m.Clock.Advance(m.Costs.CtxSwitch)
-		p.sysCycles += m.Costs.CtxSwitch
-		p.Perf.Push(kperf.SubSched)
-		p.Perf.OnCycles(m.Costs.CtxSwitch, true)
-		m.traceCharge(p, m.Costs.CtxSwitch, true)
-		p.Perf.Pop()
+		m.chargeSwitch(p, m.Costs.CtxSwitch, kperf.SubSched)
 		p.UAS.TLBFlush()
 		m.KAS.TLBFlush()
 		if m.Tap != nil {
-			// Scheduler context: charge like the switch itself —
-			// advance the clock and bill the incoming process's
-			// system time directly (ChargeSys would preempt here).
 			if c := m.Tap.CtxSwitch(p); c > 0 {
-				m.Clock.Advance(c)
-				p.sysCycles += c
-				p.Perf.Push(kperf.SubProbe)
-				p.Perf.OnCycles(c, true)
-				m.traceCharge(p, c, true)
-				p.Perf.Pop()
+				m.chargeSwitch(p, c, kperf.SubProbe)
 			}
 		}
 	}
@@ -334,6 +310,18 @@ func (m *Machine) dispatch(p *Process) {
 	<-p.yield
 	m.current = nil
 	p.Perf.SchedSpan(start, m.Clock.Now())
+}
+
+// chargeSwitch bills scheduler-context cycles to the incoming process
+// p as system time under sub: it advances the clock and p's system
+// time directly, because ChargeSys would preempt here.
+func (m *Machine) chargeSwitch(p *Process, c sim.Cycles, sub kperf.Subsys) {
+	m.Clock.Advance(c)
+	p.sysCycles += c
+	p.Perf.Push(sub)
+	p.Perf.OnCycles(c, true)
+	m.noteCharge(p, c, true)
+	p.Perf.Pop()
 }
 
 // runnableOthers reports whether any process other than the current

@@ -84,7 +84,7 @@ func (p *Process) top(fn func(*Process) error) {
 			if r := recover(); r != nil {
 				if kp, ok := r.(killPanic); ok {
 					p.err = fmt.Errorf("%w: %s", ErrKilled, kp.reason)
-					p.M.FlightEvent(FlightKill,
+					p.M.Event(EventKill,
 						fmt.Sprintf("%s-%d: %s", p.Name, p.PID, kp.reason))
 					return
 				}
@@ -148,7 +148,7 @@ func (p *Process) Charge(c sim.Cycles) {
 			p.userCycles += step
 		}
 		p.Perf.OnCycles(step, p.inKernel > 0)
-		p.M.traceCharge(p, step, p.inKernel > 0)
+		p.M.noteCharge(p, step, p.inKernel > 0)
 		p.sliceLeft -= step
 		c -= step
 		if p.sliceLeft == 0 {
@@ -172,7 +172,7 @@ func (p *Process) ChargeSys(c sim.Cycles) {
 	p.M.Clock.Advance(c)
 	p.sysCycles += c
 	p.Perf.OnCycles(c, true)
-	p.M.traceCharge(p, c, true)
+	p.M.noteCharge(p, c, true)
 	if p.inKernel > 0 {
 		p.kernelStreak += c
 	}
@@ -201,7 +201,7 @@ func (p *Process) sliceLen() sim.Cycles {
 // fires, the bonus decays (this process just burned a full slice),
 // then the CPU is handed over if anyone else wants it.
 func (p *Process) preemptPoint() {
-	p.M.FlightTick()
+	p.M.tick()
 	if p.OnPreempt != nil {
 		if err := p.OnPreempt(p); err != nil {
 			p.KillErr(err)
@@ -213,11 +213,11 @@ func (p *Process) preemptPoint() {
 	p.M.deliverDue()
 	if p.M.runnableOthers() {
 		p.state = stateReady
-		p.M.traceReady(p)
+		p.M.noteReady(p)
 		p.yield <- yPreempted
 		<-p.resume
 		p.state = stateRunning
-		p.M.traceRun(p)
+		p.M.noteRun(p)
 	}
 	p.sliceLeft = p.sliceLen()
 }
@@ -231,11 +231,11 @@ func (p *Process) Yield() {
 		return
 	}
 	p.state = stateReady
-	p.M.traceReady(p)
+	p.M.noteReady(p)
 	p.yield <- yPreempted
 	<-p.resume
 	p.state = stateRunning
-	p.M.traceRun(p)
+	p.M.noteRun(p)
 	p.sliceLeft = p.sliceLen()
 }
 
@@ -258,11 +258,11 @@ func (p *Process) BlockOn(sub kperf.Subsys, d sim.Cycles) {
 	p.M.addEvent(wake, p)
 	start := p.M.Clock.Now()
 	p.state = stateBlocked
-	p.M.traceBlock(p, sub)
+	p.M.noteBlock(p, sub)
 	p.yield <- yBlocked
 	<-p.resume
 	p.state = stateRunning
-	p.M.traceRun(p)
+	p.M.noteRun(p)
 	// Sleeper boost: voluntary blocking earns priority.
 	p.bonus += 2
 	if p.bonus > maxBonus {
@@ -280,7 +280,7 @@ func (p *Process) BlockOn(sub kperf.Subsys, d sim.Cycles) {
 // scheduler when its event fires.
 func (p *Process) wake() {
 	p.state = stateReady
-	p.M.traceReady(p)
+	p.M.noteReady(p)
 	p.M.ready.PushBack(p)
 }
 

@@ -15,21 +15,6 @@ import (
 	"repro/internal/workload"
 )
 
-// tee delivers one Tick/Event stream to several flight hooks.
-type tee []kernel.FlightHook
-
-func (t tee) Tick(now sim.Cycles) {
-	for _, h := range t {
-		h.Tick(now)
-	}
-}
-
-func (t tee) Event(now sim.Cycles, kind, detail string) {
-	for _, h := range t {
-		h.Event(now, kind, detail)
-	}
-}
-
 // TestDenseCloseMatchesReference drives the dense Recorder and the
 // map-based reference with the same Tick/Event stream of a PostMark
 // run and requires byte-identical kflight/v1 records. The run
@@ -49,7 +34,7 @@ func TestDenseCloseMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := kflight.NewReferenceRecorder(cfg, s.Perf)
-		s.M.Flight = tee{s.Flight, ref}
+		s.M.Observe(ref)
 
 		reg := s.Perf.Reg
 		dual, ops := reg.Gauge("test.dual"), reg.Counter("test.ops")

@@ -5,7 +5,7 @@
 // kperf (the metric layer) answers "what did the whole run cost";
 // kflight answers "what was happening in the window leading up to
 // cycle X". At every scheduler boundary the kernel announces the
-// simulated clock through the FlightHook seam; when the clock passes
+// simulated clock through the kernel.Observer seam; when the clock passes
 // an epoch boundary the recorder closes an epoch — the delta of every
 // counter, gauge, histogram, and per-(process, mode, subsystem)
 // attribution cell since the previous close — into a bounded
@@ -19,8 +19,9 @@
 // with the recorder attached is bit-identical in simulated cycles to
 // one without. The determinism suite asserts exactly that.
 //
-// kflight imports only kperf and sim; internal/kernel's FlightHook is
-// satisfied structurally, keeping the dependency graph acyclic in
+// kflight imports only kperf and sim; internal/kernel's Observer is
+// satisfied structurally (the recorder overrides Tick and Event of an
+// embedded kperf.NopObserver), keeping the dependency graph acyclic in
 // both directions (kernel knows no recorder, recorder knows no
 // kernel).
 package kflight
@@ -251,6 +252,8 @@ type Record struct {
 // Tick and Event arrive from whichever goroutine holds the CPU, never
 // two at once, so plain fields are race-free.
 type Recorder struct {
+	kperf.NopObserver
+
 	cfg Config
 	set *kperf.Set
 
@@ -317,7 +320,7 @@ type histRow struct {
 }
 
 // NewRecorder creates a recorder sampling set. The set must be the
-// same one wired into the machine the recorder's hook is attached to.
+// same one wired into the machine the recorder observes.
 func NewRecorder(cfg Config, set *kperf.Set) *Recorder {
 	cfg = cfg.withDefaults()
 	return &Recorder{
@@ -333,7 +336,7 @@ func NewRecorder(cfg Config, set *kperf.Set) *Recorder {
 // Config reports the resolved configuration.
 func (r *Recorder) Config() Config { return r.cfg }
 
-// Tick is the kernel.FlightHook boundary callback: one compare on the
+// Tick is the kernel.Observer boundary callback: one compare on the
 // fast path, a sample only when the clock passed an epoch boundary.
 func (r *Recorder) Tick(now sim.Cycles) {
 	r.ticks++
@@ -344,7 +347,7 @@ func (r *Recorder) Tick(now sim.Cycles) {
 	r.closeEpoch(now)
 }
 
-// Event is the kernel.FlightHook event callback: count it, and for
+// Event is the kernel.Observer event callback: count it, and for
 // dump-worthy kinds cut a postmortem (capped, except run end).
 func (r *Recorder) Event(now sim.Cycles, kind, detail string) {
 	r.events[kind]++

@@ -15,6 +15,8 @@ import (
 // previous close's values, sums attribution from the raw per-syscall
 // cells, and pushes a finished Epoch into the ring.
 type ReferenceRecorder struct {
+	kperf.NopObserver
+
 	cfg Config
 	set *kperf.Set
 

@@ -105,7 +105,7 @@ func (cc *covChecker) callsAny(names ...string) bool {
 }
 
 // chargesSomething reports whether the body contains any
-// Charge-family call (Charge/ChargeUser/ChargeSys/chargeKu/... on any
+// Charge-family call (Charge/ChargeUser/ChargeSys/chargeExec/... on any
 // receiver).
 func (cc *covChecker) chargesSomething() bool {
 	found := false

@@ -7,19 +7,19 @@ import (
 )
 
 // Hookpure proves the cost-free observability contract at compile
-// time: every implementation of the kernel's structural hook seams —
-// kernel.TraceHook, kernel.FlightHook — and every kperf probe the
-// simulated-state layer invokes, together with everything they
-// transitively call, can never reach a cycle-charging or
-// kernel-state-mutating API. The dynamic bit-identity gate
-// (kperf/kflight/ktrace on vs off) *measures* this property per run;
-// hookpure makes it a property of the program text, closing the
-// dynamic-dispatch loophole the layering table cannot see (a hook
-// smuggling a kernel-owned closure or interface value and calling it).
+// time: every implementation of the kernel's one structural observer
+// seam, kernel.Observer, and every kperf probe the simulated-state
+// layer invokes, together with everything they transitively call, can
+// never reach a cycle-charging or kernel-state-mutating API. The
+// dynamic bit-identity gate (observers on vs off) *measures* this
+// property per run; hookpure makes it a property of the program text,
+// closing the dynamic-dispatch loophole the layering table cannot see
+// (a hook smuggling a kernel-owned closure or interface value and
+// calling it).
 //
 // Roots:
-//   - all methods of module types implementing kernel.TraceHook,
-//   - all methods of module types implementing kernel.FlightHook,
+//   - every method of module types implementing kernel.Observer
+//     (ktrace, kflight, trace.Recorder, kperf.NopObserver),
 //   - every kperf function called directly from the simulated-state
 //     layer (the probe seam surface: attribution, tracepoints, span
 //     bookkeeping threaded through kernel, sys, mem, disk, vfs, cosy,
@@ -28,7 +28,8 @@ import (
 // Forbidden: any function or literal defined in a simulated-state
 // package (kernel, sys, mem, disk, vfs*, cosy*, and the rest of
 // hookpureBannedPkgs), plus the sim.Clock mutators. kperf, ktrace,
-// kflight and sim accessors are the hooks' legitimate world.
+// kflight, trace, sysgraph and sim accessors are the hooks' legitimate
+// world.
 var Hookpure = &Analyzer{
 	Name:      "hookpure",
 	Doc:       "hook seam implementations can never charge cycles or mutate kernel state, transitively",
@@ -37,7 +38,7 @@ var Hookpure = &Analyzer{
 
 // hookpureSeams are the cost-free hook interfaces, looked up in
 // repro/internal/kernel.
-var hookpureSeams = []string{"TraceHook", "FlightHook"}
+var hookpureSeams = []string{"Observer"}
 
 // hookpureProbeCallers is the simulated-state layer whose direct
 // calls into kperf define the probe-seam root set.
@@ -78,8 +79,6 @@ var hookpureBannedPkgs = map[string]bool{
 	"repro/internal/seg":        true,
 	"repro/internal/splay":      true,
 	"repro/internal/sys":        true,
-	"repro/internal/sysgraph":   true,
-	"repro/internal/trace":      true,
 	"repro/internal/vfs":        true,
 	"repro/internal/vfs/btfs":   true,
 	"repro/internal/vfs/memfs":  true,
@@ -123,7 +122,7 @@ func runHookpure(pass *Pass) error {
 	}
 	g := buildCallGraph(m)
 
-	// Roots 1+2: seam implementations.
+	// Roots 1: seam implementations.
 	type root struct {
 		node *cgFunc
 		why  string
@@ -162,7 +161,7 @@ func runHookpure(pass *Pass) error {
 		}
 	}
 
-	// Roots 3: kperf functions invoked from the simulated-state layer.
+	// Roots 2: kperf functions invoked from the simulated-state layer.
 	probeRoots := map[*cgFunc]bool{}
 	for _, n := range g.allNodes() {
 		if n.pkg == nil || !hookpureProbeCallers[n.pkg.ImportPath] {

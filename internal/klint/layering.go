@@ -13,30 +13,31 @@ import (
 //
 // The load-bearing absences, the ones the dynamic gates depend on:
 //
-//   - kernel imports no observer: kflight, ktrace, kprobe, kmon and
-//     kefence are absent from its row. The machine reaches them only
-//     through the structural seams (kernel.FlightHook,
-//     kernel.TraceHook, kernel.ProbeTap), which is what makes the
-//     observability on/off bit-identity gate a property of the import
-//     graph rather than of test luck. kernel → kperf and kernel →
-//     klog are deliberate: attribution and the kernel log are
-//     substrate the machine charges against, not observers of it.
-//   - ktrace and kflight import only kperf and sim: a hook
-//     implementation cannot even name a kernel or mem symbol, so the
-//     hookpure analyzer only has to close the dynamic-dispatch loophole.
+//   - kernel imports no observer: kflight, ktrace, trace, kprobe, kmon
+//     and kefence are absent from its row. The machine reaches them
+//     only through the structural seams (kernel.Observer for every
+//     cost-free observer, kernel.ProbeTap for probes that charge),
+//     which is what makes the observability on/off bit-identity gate a
+//     property of the import graph rather than of test luck. kernel →
+//     kperf and kernel → klog are deliberate: attribution and the
+//     kernel log are substrate the machine charges against, not
+//     observers of it.
+//   - ktrace and kflight import only kperf and sim: an observer
+//     cannot even name a kernel or mem symbol, so the hookpure
+//     analyzer only has to close the dynamic-dispatch loophole.
+//   - no simulated-state package imports ktrace, kflight or trace:
+//     sys, cosy/kext and the workloads open operations and report
+//     syscalls through the machine's seam, never on a concrete
+//     observer.
 //   - minic (and kcheck above it) never import kernel: verified
 //     guest code and its analysis engine know nothing about the
 //     machine that hosts them.
-//   - sys → ktrace and cosy/kext → ktrace are allowed, documented
-//     edges: the syscall layer brackets requests on the concrete
-//     (nil-safe, never-charging) *ktrace.Tracer. The kernel proper
-//     stays ignorant of it.
 var layeringAllowed = map[string][]string{
 	"repro/internal/alloc":           {"repro/internal/mem", "repro/internal/sim"},
 	"repro/internal/bench":           {"repro/internal/core", "repro/internal/cosy/kext", "repro/internal/cosy/lang", "repro/internal/cosy/lib", "repro/internal/disk", "repro/internal/kefence", "repro/internal/kernel", "repro/internal/kflight", "repro/internal/kgcc", "repro/internal/kmon", "repro/internal/kperf", "repro/internal/kprobe", "repro/internal/ktrace", "repro/internal/mem", "repro/internal/minic", "repro/internal/sim", "repro/internal/splay", "repro/internal/sys", "repro/internal/trace", "repro/internal/vfs", "repro/internal/vfs/memfs", "repro/internal/workload"},
 	"repro/internal/core":            {"repro/internal/alloc", "repro/internal/cosy/kext", "repro/internal/disk", "repro/internal/kefence", "repro/internal/kernel", "repro/internal/kflight", "repro/internal/kgcc", "repro/internal/kmon", "repro/internal/kperf", "repro/internal/kprobe", "repro/internal/ktrace", "repro/internal/sim", "repro/internal/sys", "repro/internal/trace", "repro/internal/vfs", "repro/internal/vfs/btfs", "repro/internal/vfs/memfs", "repro/internal/vfs/wrapfs"},
 	"repro/internal/cosy/cc":         {"repro/internal/cosy/lang", "repro/internal/cosy/lib", "repro/internal/minic", "repro/internal/sys"},
-	"repro/internal/cosy/kext":       {"repro/internal/cosy/lang", "repro/internal/kernel", "repro/internal/kperf", "repro/internal/kring", "repro/internal/ktrace", "repro/internal/mem", "repro/internal/seg", "repro/internal/sim", "repro/internal/sys", "repro/internal/vfs"},
+	"repro/internal/cosy/kext":       {"repro/internal/cosy/lang", "repro/internal/kernel", "repro/internal/kperf", "repro/internal/kring", "repro/internal/mem", "repro/internal/seg", "repro/internal/sim", "repro/internal/sys", "repro/internal/vfs"},
 	"repro/internal/cosy/lang":       {},
 	"repro/internal/cosy/lib":        {"repro/internal/cosy/lang"},
 	"repro/internal/disk":            {"repro/internal/kperf", "repro/internal/sim"},
@@ -60,9 +61,9 @@ var layeringAllowed = map[string][]string{
 	"repro/internal/seg":             {"repro/internal/mem"},
 	"repro/internal/sim":             {},
 	"repro/internal/splay":           {},
-	"repro/internal/sys":             {"repro/internal/kcheck", "repro/internal/kernel", "repro/internal/kgcc", "repro/internal/kperf", "repro/internal/kprobe", "repro/internal/kring", "repro/internal/ktrace", "repro/internal/mem", "repro/internal/minic", "repro/internal/sim", "repro/internal/vfs"},
+	"repro/internal/sys":             {"repro/internal/kcheck", "repro/internal/kernel", "repro/internal/kgcc", "repro/internal/kperf", "repro/internal/kprobe", "repro/internal/kring", "repro/internal/mem", "repro/internal/minic", "repro/internal/sim", "repro/internal/vfs"},
 	"repro/internal/sysgraph":        {},
-	"repro/internal/trace":           {"repro/internal/sim", "repro/internal/sys", "repro/internal/sysgraph"},
+	"repro/internal/trace":           {"repro/internal/kperf", "repro/internal/sim", "repro/internal/sys", "repro/internal/sysgraph"},
 	"repro/internal/vfs":             {"repro/internal/disk", "repro/internal/kernel", "repro/internal/kperf", "repro/internal/sim"},
 	"repro/internal/vfs/btfs":        {"repro/internal/kernel", "repro/internal/mem", "repro/internal/sim", "repro/internal/vfs"},
 	"repro/internal/vfs/memfs":       {"repro/internal/kernel", "repro/internal/mem", "repro/internal/sim", "repro/internal/vfs"},

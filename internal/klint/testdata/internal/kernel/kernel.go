@@ -1,5 +1,5 @@
 // Package kernel is the fixture stand-in for the machine: it defines
-// the hook seams and the charging API, and carries one deliberate
+// the observer seam and the charging API, and carries one deliberate
 // layering violation (kernel must never import its observers).
 package kernel
 
@@ -15,14 +15,11 @@ type Process struct{ Used sim.Cycles }
 // Charge attributes cycles to the process.
 func (p *Process) Charge(c sim.Cycles) { p.Used += c }
 
-// TraceHook is the fixture trace seam.
-type TraceHook interface {
+// Observer is the fixture observer seam.
+type Observer interface {
 	OnCharge(pid int, c sim.Cycles)
-}
-
-// FlightHook is the fixture flight-recorder seam.
-type FlightHook interface {
 	Tick(now sim.Cycles)
+	BeginOp(pid int, op string)
 }
 
 var _ = ktrace.Marker

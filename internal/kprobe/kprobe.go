@@ -416,7 +416,7 @@ func (mgr *Manager) dispatch(tp Tracepoint, ctx Ctx) sim.Cycles {
 		if err != nil {
 			pg.Err = err
 			pg.dead = true
-			mgr.m.FlightEvent(kernel.FlightProbeDead,
+			mgr.m.Event(kernel.EventProbeDead,
 				fmt.Sprintf("probe %d (%s at %s): %v", pg.ID, pg.Entry, pg.TP, err))
 		}
 	}

@@ -43,7 +43,7 @@ func TestRequestDecompositionIdentity(t *testing.T) {
 				return err
 			}
 			for i := 0; i < 30; i++ {
-				s.Ktrace.BeginOp(pr.P.PID, "ident.req")
+				pr.BeginOp("ident.req")
 				err := func() error {
 					path := fmt.Sprintf("/%s-%d", name, i%4)
 					fd, err := pr.Creat(path)
@@ -69,7 +69,7 @@ func TestRequestDecompositionIdentity(t *testing.T) {
 					pr.P.ChargeUser(20_000)
 					return pr.Close(fd)
 				}()
-				s.Ktrace.EndOp(pr.P.PID)
+				pr.EndOp()
 				if err != nil {
 					return err
 				}
@@ -82,9 +82,9 @@ func TestRequestDecompositionIdentity(t *testing.T) {
 	// run-queue (ready) time, and the disk workers contend with them.
 	spinner := func(pr *sys.Proc) error {
 		for i := 0; i < 8; i++ {
-			s.Ktrace.BeginOp(pr.P.PID, "ident.req")
+			pr.BeginOp("ident.req")
 			pr.P.ChargeUser(2_500_000)
-			s.Ktrace.EndOp(pr.P.PID)
+			pr.EndOp()
 		}
 		return nil
 	}
@@ -215,14 +215,14 @@ func TestSpanNesting(t *testing.T) {
 		}
 		// One explicit request with a syscall, a nested op, and a
 		// nested ku_call.
-		s.Ktrace.BeginOp(pr.P.PID, "outer")
+		pr.BeginOp("outer")
 		pr.Getpid()
-		s.Ktrace.BeginOp(pr.P.PID, "inner")
-		s.Ktrace.EndOp(pr.P.PID)
+		pr.BeginOp("inner")
+		pr.EndOp()
 		if _, err := pr.KuCall(id, 3, 4); err != nil {
 			return err
 		}
-		s.Ktrace.EndOp(pr.P.PID)
+		pr.EndOp()
 		return nil
 	})
 	if err := s.Run(); err != nil {
@@ -230,7 +230,7 @@ func TestSpanNesting(t *testing.T) {
 	}
 
 	sum := s.Ktrace.Summary()
-	if ku := sum.Op(ktrace.OpKuCall); ku == nil || ku.Count != 1 {
+	if ku := sum.Op(sys.OpKuCall); ku == nil || ku.Count != 1 {
 		t.Errorf("standalone ku_call: SLI %+v, want one request", ku)
 	}
 	outer := sum.Op("outer")
@@ -263,7 +263,7 @@ func TestSpanNesting(t *testing.T) {
 			if sp.Parent != reqID {
 				t.Errorf("inner span parent = %d, want request %d", sp.Parent, reqID)
 			}
-		case sp.Kind == ktrace.SpanOp && sp.Op == ktrace.OpKuCall:
+		case sp.Kind == ktrace.SpanOp && sp.Op == sys.OpKuCall:
 			sawKu = true
 			if sp.Parent != reqID {
 				t.Errorf("ku_call span parent = %d, want request %d", sp.Parent, reqID)
@@ -297,10 +297,10 @@ func TestKlogRequestStamping(t *testing.T) {
 	s := newTraced(t, core.Options{})
 	s.Spawn("logger", func(pr *sys.Proc) error {
 		s.M.Log.Printf(klog.Info, "outside any request")
-		s.Ktrace.BeginOp(pr.P.PID, "logged.req")
+		pr.BeginOp("logged.req")
 		pr.Getpid()
 		s.M.Log.Printf(klog.Info, "inside the request")
-		s.Ktrace.EndOp(pr.P.PID)
+		pr.EndOp()
 		return nil
 	})
 	if err := s.Run(); err != nil {

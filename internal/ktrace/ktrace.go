@@ -13,14 +13,15 @@
 // bucket histograms.
 //
 // Like kperf and kflight, ktrace is host-side only and can never move
-// a simulated cycle: it observes charges and scheduling transitions
-// the kernel was making anyway through the cost-free kernel.TraceHook
-// seam (implemented structurally — ktrace imports only kperf and sim,
-// so the kernel stays ignorant of the tracer and vice versa), and it
-// rides the same on/off switch as kperf, so the benchall gate that
-// proves kperf costs nothing proves the same for ktrace.
+// a simulated cycle: it observes charges, scheduling transitions,
+// syscalls and operations the kernel was making anyway through the
+// cost-free kernel.Observer seam (implemented structurally — ktrace
+// imports only kperf and sim, so the kernel stays ignorant of the
+// tracer and vice versa), and it rides the same on/off switch as
+// kperf, so the benchall gate that proves kperf costs nothing proves
+// the same for ktrace.
 //
-// Request scoping is host-side only: BeginOp/EndOp are called from
+// Request scoping is host-side only: BeginOp/EndOp arrive from
 // workload code (and from the Cosy/kucode entry points) while the
 // process is running, never from simulated kernel context. That is
 // what makes the decomposition exact — a request can never straddle
@@ -110,15 +111,6 @@ func (k SpanKind) String() string {
 	}
 	return "?"
 }
-
-// Common operation names for requests opened by kernel-side entry
-// points. Workloads name their own operations ("postmark.txn",
-// "compile.unit", ...); these two are shared because the Cosy engine
-// and the kucode syscalls open them unconditionally.
-const (
-	OpCosy   = "cosy.compound"
-	OpKuCall = "ku.call"
-)
 
 // Span is one closed span record.
 type Span struct {
@@ -221,9 +213,11 @@ type opAgg struct {
 }
 
 // Tracer is the per-machine request tracer. It implements
-// kernel.TraceHook structurally. All exported methods are nil-receiver
-// safe so wiring layers hold a possibly-nil pointer.
+// kernel.Observer structurally. The accessors are nil-receiver safe so
+// reporting layers hold a possibly-nil pointer.
 type Tracer struct {
+	kperf.NopObserver
+
 	cfg   Config
 	clock *sim.Clock
 	set   *kperf.Set
@@ -299,7 +293,7 @@ func (t *Tracer) proc(pid int) *procTrace {
 	return pt
 }
 
-// ---- kernel.TraceHook ----
+// ---- kernel.Observer: scheduling ----
 
 // OnCharge classifies one cycle charge. While the process is on-CPU
 // the charge lands in user/copy/kernel by the live kperf subsystem
@@ -406,15 +400,12 @@ func (pt *procTrace) push(sp openSpan) {
 	pt.depth++
 }
 
-// BeginOp opens a logical operation for pid and returns its span id.
-// With no request open it opens one (the request root); otherwise it
-// nests a child op span — so a Cosy compound or ku_call traced inside
-// a workload batch becomes a child of the batch's request, and a
-// standalone one becomes a request of its own.
-func (t *Tracer) BeginOp(pid int, op string) uint64 {
-	if t == nil {
-		return 0
-	}
+// BeginOp opens a logical operation for pid. With no request open it
+// opens one (the request root); otherwise it nests a child op span —
+// so a Cosy compound or ku_call traced inside a workload batch becomes
+// a child of the batch's request, and a standalone one becomes a
+// request of its own.
+func (t *Tracer) BeginOp(pid int, op string) {
 	pt := t.proc(pid)
 	now := t.clock.Now()
 	t.seq++
@@ -427,19 +418,15 @@ func (t *Tracer) BeginOp(pid int, op string) uint64 {
 		}
 		t.requests++
 		pt.ps.SetRequest(id, op)
-		return id
+		return
 	}
 	pt.push(openSpan{id: id, kind: SpanOp, op: op, start: now})
-	return id
 }
 
 // EndOp closes the innermost open operation: a child op span when one
 // is open, otherwise the request itself — computing its decomposition,
 // checking the identity, and folding it into the per-op aggregates.
 func (t *Tracer) EndOp(pid int) {
-	if t == nil {
-		return
-	}
 	pt := t.proc(pid)
 	now := t.clock.Now()
 	if pt.depth > 0 && pt.stack[pt.depth-1].kind == SpanOp {
@@ -500,19 +487,13 @@ func (t *Tracer) closeRequest(pt *procTrace, now sim.Cycles) {
 // tracked with no request open, so nesting stays consistent; only
 // spans under a request are recorded).
 func (t *Tracer) SyscallEnter(pid int, nr uint16) {
-	if t == nil {
-		return
-	}
 	pt := t.proc(pid)
 	t.seq++
 	pt.push(openSpan{id: t.seq, kind: SpanSyscall, arg: uint32(nr), start: t.clock.Now()})
 }
 
 // SyscallExit closes the innermost syscall span.
-func (t *Tracer) SyscallExit(pid int) {
-	if t == nil {
-		return
-	}
+func (t *Tracer) SyscallExit(pid int, nr uint16, in, out int) {
 	pt := t.proc(pid)
 	if pt.depth == 0 || pt.stack[pt.depth-1].kind != SpanSyscall {
 		return
@@ -532,9 +513,6 @@ func (t *Tracer) SyscallExit(pid int) {
 // kucode run) as a child of pid's innermost open span. Outside a
 // request it records nothing.
 func (t *Tracer) ExecSpan(pid int, sub kperf.Subsys, start, end sim.Cycles) {
-	if t == nil {
-		return
-	}
 	pt := t.proc(pid)
 	if pt.reqID == 0 {
 		return

@@ -8,7 +8,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/kgcc"
 	"repro/internal/kperf"
-	"repro/internal/ktrace"
 	"repro/internal/mem"
 	"repro/internal/minic"
 	"repro/internal/sim"
@@ -131,17 +130,6 @@ func (k *Kernel) KuExt(id int) (*KuExt, bool) {
 	return e, ok
 }
 
-// chargeKu bills kucode work to the process as kernel time tagged
-// with the kucode subsystem, recording the slice as a ktrace exec
-// span under the current request.
-func (pr *Proc) chargeKu(c sim.Cycles) {
-	start := pr.K.M.Clock.Now()
-	pr.P.Perf.Push(kperf.SubKu)
-	pr.P.Charge(c)
-	pr.P.Perf.Pop()
-	pr.K.Ktrace.ExecSpan(pr.P.PID, kperf.SubKu, start, pr.K.M.Clock.Now())
-}
-
 // KuLoad is the ku_load system call: copy the extension source in,
 // compile + analyze + instrument it kernel-side, and install it. Load
 // time charges a per-instruction static-analysis cost (the same rate
@@ -159,7 +147,7 @@ func (pr *Proc) KuLoad(spec KuSpec) (int, error) {
 	pr.enter(NrKuLoad, in)
 	id, cost, err := pr.K.ku().load(pr.K, spec)
 	if cost > 0 {
-		pr.chargeKu(cost)
+		pr.chargeExec(kperf.SubKu, cost)
 	}
 	pr.exit(NrKuLoad, in, 8)
 	if err != nil {
@@ -372,6 +360,10 @@ func moduleCallCycle(m *minic.Module) string {
 	return ""
 }
 
+// OpKuCall names the operation each ku_call opens: a request of its
+// own, or a child op span of the caller's open request.
+const OpKuCall = "ku.call"
+
 // KuCall is the ku_call system call: invoke extension id's entry
 // point with the given arguments in a single crossing. The extension
 // runs in kernel mode at interpreter speed plus whatever runtime
@@ -380,8 +372,8 @@ func moduleCallCycle(m *minic.Module) string {
 // violation to the caller.
 func (pr *Proc) KuCall(id int, args ...int64) (int64, error) {
 	in := 8 + 8*len(args)
-	pr.K.Ktrace.BeginOp(pr.P.PID, ktrace.OpKuCall)
-	defer pr.K.Ktrace.EndOp(pr.P.PID)
+	pr.BeginOp(OpKuCall)
+	defer pr.EndOp()
 	pr.enter(NrKuCall, in)
 	ret, err := pr.kuInvoke(id, args...)
 	pr.exit(NrKuCall, in, 8)
@@ -419,7 +411,7 @@ func (pr *Proc) kuInvoke(id int, args ...int64) (int64, error) {
 		if err != nil {
 			e.Err = err
 			e.dead = true
-			pr.K.M.FlightEvent(kernel.FlightKuDead,
+			pr.K.M.Event(kernel.EventKuDead,
 				fmt.Sprintf("ext %d (%s): %v", id, e.Entry, err))
 		}
 		e.Calls++
@@ -427,7 +419,7 @@ func (pr *Proc) kuInvoke(id int, args ...int64) (int64, error) {
 		ku.pending = 0
 		e.Cycles += cost
 		if cost > 0 {
-			pr.chargeKu(cost)
+			pr.chargeExec(kperf.SubKu, cost)
 		}
 	}
 	return ret, err

@@ -76,10 +76,3 @@ func (n Nr) String() string {
 
 // Count reports the number of defined syscalls.
 func Count() int { return int(nrCount) }
-
-// Hook observes every system call for tracing (package trace
-// implements it). in and out are the bytes copied across the
-// boundary in each direction.
-type Hook interface {
-	Syscall(pid int, nr Nr, in, out int)
-}

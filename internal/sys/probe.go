@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/kperf"
 	"repro/internal/kprobe"
 	"repro/internal/sim"
 )
@@ -40,7 +41,7 @@ func (pr *Proc) ProbeAttach(spec kprobe.Spec) (int, error) {
 		var cost sim.Cycles
 		id, cost, err = pr.K.Probes.Attach(spec)
 		if cost > 0 {
-			pr.chargeProbe(cost)
+			pr.chargeExec(kperf.SubProbe, cost)
 		}
 	}
 	pr.exit(NrProbeAttach, in, 0)
@@ -77,7 +78,7 @@ func (pr *Proc) ProbeRead(id int, ub UserBuf) (int, error) {
 		var cost sim.Cycles
 		data, cost, err = pr.K.Probes.Read(id)
 		if cost > 0 {
-			pr.chargeProbe(cost)
+			pr.chargeExec(kperf.SubProbe, cost)
 		}
 	}
 	out := 0

@@ -7,14 +7,13 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/kperf"
 	"repro/internal/kprobe"
-	"repro/internal/ktrace"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 )
 
 // Kernel bundles the machine, the mount namespace, and the syscall
-// observers: everything the syscall layer needs.
+// probes: everything the syscall layer needs.
 type Kernel struct {
 	M  *kernel.Machine
 	NS *vfs.Namespace
@@ -40,23 +39,13 @@ type Kernel struct {
 	// it); enter/exit dispatch its syscall tracepoints.
 	Probes *kprobe.Manager
 
-	// Ktrace is the request tracer (nil on kernels booted without
-	// it; every method is nil-safe): enter/exit open syscall spans
-	// under the current request, and the Cosy/kucode entry points
-	// open operations through it.
-	Ktrace *ktrace.Tracer
-
 	// Ku is the kucode extension subsystem, created lazily on the
 	// first ku_load.
 	Ku *kuState
 
-	// hooks fan out every completed syscall to the registered
-	// observers (trace recorder, monitors); see AddHook.
-	hooks []Hook
-
 	// exitTaps observe syscall completion from kernel context with
 	// the span duration, before the kernel->user return. Unlike
-	// hooks, a tap runs while the syscall is still open, so charges
+	// observers, a tap runs while the syscall is still open, so charges
 	// it makes (e.g. kmon event dispatch) attribute inside the
 	// syscall's kperf slot — the seam E9's streaming bridge uses.
 	exitTaps []ExitTap
@@ -76,16 +65,6 @@ func (k *Kernel) AddExitTap(t ExitTap) {
 func NewKernel(m *kernel.Machine, ns *vfs.Namespace) *Kernel {
 	return &Kernel{M: m, NS: ns}
 }
-
-// AddHook registers a syscall observer. Hooks run in registration
-// order after each syscall completes; any number may be attached
-// concurrently (tracer, kperf taps, event monitors).
-func (k *Kernel) AddHook(h Hook) {
-	k.hooks = append(k.hooks, h)
-}
-
-// Hooks reports the number of registered syscall observers.
-func (k *Kernel) Hooks() int { return len(k.hooks) }
 
 // TotalCalls reports the total number of system calls served.
 func (k *Kernel) TotalCalls() int64 {
@@ -199,7 +178,7 @@ func (pr *Proc) enter(nr Nr, in int) {
 	c := &pr.K.M.Costs
 	pr.lastEnter = pr.K.M.Clock.Now()
 	pr.P.Perf.SyscallEnter(uint16(nr), pr.lastEnter)
-	pr.K.Ktrace.SyscallEnter(pr.P.PID, uint16(nr))
+	pr.K.M.SyscallEnter(pr.P.PID, uint16(nr))
 	pr.P.Perf.Push(kperf.SubBoundary)
 	pr.P.ChargeUser(c.UserDispatch)
 	pr.P.EnterKernel()
@@ -212,25 +191,25 @@ func (pr *Proc) enter(nr Nr, in int) {
 	pr.K.Calls[nr]++
 	if pr.K.Probes != nil {
 		if cost := pr.K.Probes.SyscallEnter(pr.P.PID, int(nr), in); cost > 0 {
-			pr.chargeProbe(cost)
+			pr.chargeExec(kperf.SubProbe, cost)
 		}
 	}
 }
 
-// chargeProbe bills probe-program execution to the process as kernel
-// time tagged with the probe subsystem: observer overhead is itself a
-// measured, attributable quantity. The execution slice is also
-// recorded as a ktrace exec span under the current request.
-func (pr *Proc) chargeProbe(c sim.Cycles) {
+// chargeExec bills in-kernel execution — probe programs (SubProbe:
+// observer overhead is itself a measured, attributable quantity) or
+// kucode (SubKu) — to the process as kernel time tagged with sub, and
+// announces the slice to the observers as an exec span.
+func (pr *Proc) chargeExec(sub kperf.Subsys, c sim.Cycles) {
 	start := pr.K.M.Clock.Now()
-	pr.P.Perf.Push(kperf.SubProbe)
+	pr.P.Perf.Push(sub)
 	pr.P.Charge(c)
 	pr.P.Perf.Pop()
-	pr.K.Ktrace.ExecSpan(pr.P.PID, kperf.SubProbe, start, pr.K.M.Clock.Now())
+	pr.K.M.ExecSpan(pr.P.PID, sub, start)
 }
 
 // exit performs the kernel->user transition, charging copyout for
-// out bytes and notifying the trace hook.
+// out bytes and announcing the completed call to the observers.
 func (pr *Proc) exit(nr Nr, in, out int) {
 	c := &pr.K.M.Costs
 	if out > 0 {
@@ -242,7 +221,7 @@ func (pr *Proc) exit(nr Nr, in, out int) {
 	dur := pr.K.M.Clock.Now() - pr.lastEnter
 	if pr.K.Probes != nil {
 		if cost := pr.K.Probes.SyscallExit(pr.P.PID, int(nr), in, out, dur); cost > 0 {
-			pr.chargeProbe(cost)
+			pr.chargeExec(kperf.SubProbe, cost)
 		}
 	}
 	for _, t := range pr.K.exitTaps {
@@ -250,11 +229,16 @@ func (pr *Proc) exit(nr Nr, in, out int) {
 	}
 	pr.P.ExitKernel()
 	pr.P.Perf.SyscallExit(pr.K.M.Clock.Now())
-	pr.K.Ktrace.SyscallExit(pr.P.PID)
-	for _, h := range pr.K.hooks {
-		h.Syscall(pr.P.PID, nr, in, out)
-	}
+	pr.K.M.SyscallExit(pr.P.PID, uint16(nr), in, out)
 }
+
+// BeginOp opens a logical operation of the process (a workload
+// transaction, a Cosy compound, a ku_call) for the observers;
+// operations nest. It charges nothing.
+func (pr *Proc) BeginOp(op string) { pr.K.M.BeginOp(pr.P.PID, op) }
+
+// EndOp closes the process's innermost open operation.
+func (pr *Proc) EndOp() { pr.K.M.EndOp(pr.P.PID) }
 
 // installFD grabs the lowest free descriptor.
 func (pr *Proc) installFD(f *file) (int, error) {

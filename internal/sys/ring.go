@@ -361,7 +361,7 @@ func (pr *Proc) ringDrain(rs *ringState) (int64, error) {
 
 		cqe.Err = errnoOf(herr)
 		pr.K.RingOps++
-		pr.K.Ktrace.ExecSpan(p.PID, kperf.SubRing, start, pr.K.M.Clock.Now())
+		pr.K.M.ExecSpan(p.PID, kperf.SubRing, start)
 		if err := d.complete(&cqe, herr); err != nil {
 			return completed, err
 		}

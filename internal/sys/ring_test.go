@@ -669,8 +669,9 @@ func TestRingAnycallStaging(t *testing.T) {
 }
 
 // TestRingOnOffBitIdentity is the observability gate extended to the
-// ring subsystem: an identical ring workload must burn identical
-// simulated cycles with kperf+ktrace attached and detached.
+// ring subsystem: an identical ring workload, traced as one request,
+// must burn identical simulated cycles with kperf+ktrace attached and
+// detached, and the tracer must see the whole request.
 func TestRingOnOffBitIdentity(t *testing.T) {
 	workload := func(observed bool) (int64, []uint64) {
 		var set *kperf.Set
@@ -680,12 +681,16 @@ func TestRingOnOffBitIdentity(t *testing.T) {
 		m := kernel.New(kernel.Config{Perf: set})
 		fs := memfs.New("root", vfs.NewIOModel(disk.New(disk.IDE7200()), 1<<16))
 		k := NewKernel(m, vfs.NewNamespace(fs))
+		var tr *ktrace.Tracer
 		if observed {
-			k.Ktrace = ktrace.NewTracer(&ktrace.Config{}, &m.Clock, m.Perf)
+			tr = ktrace.NewTracer(&ktrace.Config{}, &m.Clock, m.Perf)
+			m.Observe(tr)
 		}
 		var tags []uint64
 		m.Spawn("ringwork", func(p *kernel.Process) error {
 			pr := NewProc(k, p)
+			pr.BeginOp("ring.work")
+			defer pr.EndOp()
 			h, err := pr.RingSetup(16, 4096)
 			if err != nil {
 				return err
@@ -722,6 +727,12 @@ func TestRingOnOffBitIdentity(t *testing.T) {
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
+		}
+		if observed {
+			if sum := tr.Summary(); sum.Requests != 1 || sum.Open != 0 || sum.IdentityViolations != 0 {
+				t.Errorf("tracer saw %d requests (%d open), %d identity violations, want 1, 0, 0: %s",
+					sum.Requests, sum.Open, sum.IdentityViolations, sum.FirstViolation)
+			}
 		}
 		return int64(m.Clock.Now()), tags
 	}

@@ -512,37 +512,6 @@ func TestOpenFstatMissingClosesNothing(t *testing.T) {
 	})
 }
 
-type recHook struct {
-	calls []Nr
-	in    int
-	out   int
-}
-
-func (h *recHook) Syscall(pid int, nr Nr, in, out int) {
-	h.calls = append(h.calls, nr)
-	h.in += in
-	h.out += out
-}
-
-func TestHookObservesCalls(t *testing.T) {
-	m, k := env()
-	h := &recHook{}
-	k.AddHook(h)
-	run(t, m, k, func(pr *Proc) error {
-		fd, _ := pr.Creat("/f")
-		_ = pr.Close(fd)
-		_, _ = pr.Stat("/f")
-		return nil
-	})
-	want := []Nr{NrCreat, NrClose, NrStat}
-	if fmt.Sprint(h.calls) != fmt.Sprint(want) {
-		t.Fatalf("hook saw %v, want %v", h.calls, want)
-	}
-	if h.out != vfs.StatSize {
-		t.Fatalf("hook out bytes = %d", h.out)
-	}
-}
-
 func TestNrNames(t *testing.T) {
 	if NrOpen.String() != "open" || NrReaddirPlus.String() != "readdirplus" {
 		t.Fatal("names")

@@ -1,12 +1,13 @@
 // Package trace implements the paper's system-call logging and
-// analysis pipeline (§2.2): an strace/audit-style recorder plugged
-// into the syscall layer's hook, the weighted system-call graph built
+// analysis pipeline (§2.2): an strace/audit-style recorder attached
+// to the machine's observer seam, the weighted system-call graph built
 // from consecutive-call transitions, frequent-sequence mining, and
 // the consolidation-savings estimator used for the paper's
 // "28.15 seconds per hour" projection.
 package trace
 
 import (
+	"repro/internal/kperf"
 	"repro/internal/sim"
 	"repro/internal/sys"
 	"repro/internal/sysgraph"
@@ -22,8 +23,11 @@ type Event struct {
 	In, Out int
 }
 
-// Recorder captures syscall activity. It implements sys.Hook.
+// Recorder captures syscall activity. It implements kernel.Observer
+// structurally, overriding SyscallExit only.
 type Recorder struct {
+	kperf.NopObserver
+
 	clock *sim.Clock
 
 	// KeepEvents controls whether the full event list is retained
@@ -51,8 +55,8 @@ func NewRecorder(clock *sim.Clock) *Recorder {
 	}
 }
 
-// Syscall implements sys.Hook.
-func (r *Recorder) Syscall(pid int, nr sys.Nr, in, out int) {
+// SyscallExit records one completed system call.
+func (r *Recorder) SyscallExit(pid int, nr uint16, in, out int) {
 	t := r.clock.Now()
 	if !r.any {
 		r.first = t
@@ -60,7 +64,7 @@ func (r *Recorder) Syscall(pid int, nr sys.Nr, in, out int) {
 	}
 	r.last = t
 	if r.KeepEvents {
-		r.Events = append(r.Events, Event{Time: t, PID: pid, Nr: nr, In: in, Out: out})
+		r.Events = append(r.Events, Event{Time: t, PID: pid, Nr: sys.Nr(nr), In: in, Out: out})
 	}
 	r.Graph.Observe(pid, sysgraph.Node(nr))
 	if int(nr) < len(r.calls) {
@@ -80,8 +84,8 @@ func (r *Recorder) TotalCalls() int64 {
 }
 
 // Calls reports the count for one syscall. Out-of-range numbers
-// report zero rather than panicking (Syscall quietly ignores them
-// too, so the two stay consistent).
+// report zero rather than panicking (SyscallExit quietly ignores
+// them too, so the two stay consistent).
 func (r *Recorder) Calls(nr sys.Nr) int64 {
 	if int(nr) >= len(r.calls) {
 		return 0

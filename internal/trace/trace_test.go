@@ -1,17 +1,59 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/disk"
+	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/sys"
 	"repro/internal/sysgraph"
+	"repro/internal/vfs"
+	"repro/internal/vfs/memfs"
 )
 
 func feed(r *Recorder, clock *sim.Clock, pid int, nr sys.Nr, in, out int) {
 	clock.Advance(1000)
-	r.Syscall(pid, nr, in, out)
+	r.SyscallExit(pid, uint16(nr), in, out)
+}
+
+// TestRecorderObservesSyscalls attaches the recorder to a machine's
+// observer seam: a creat/close/stat program is recorded in that order,
+// and the only bytes copied out are stat's.
+func TestRecorderObservesSyscalls(t *testing.T) {
+	m := kernel.New(kernel.Config{})
+	k := sys.NewKernel(m, vfs.NewNamespace(memfs.New("root", vfs.NewIOModel(disk.New(disk.IDE7200()), 1<<10))))
+	r := NewRecorder(&m.Clock)
+	m.Observe(r)
+	m.Spawn("p", func(p *kernel.Process) error {
+		pr := sys.NewProc(k, p)
+		fd, err := pr.Creat("/f")
+		if err != nil {
+			return err
+		}
+		if err := pr.Close(fd); err != nil {
+			return err
+		}
+		_, err = pr.Stat("/f")
+		return err
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var got []sys.Nr
+	out := 0
+	for _, e := range r.Events {
+		got = append(got, e.Nr)
+		out += e.Out
+	}
+	if want := []sys.Nr{sys.NrCreat, sys.NrClose, sys.NrStat}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("recorded %v, want %v", got, want)
+	}
+	if out != vfs.StatSize {
+		t.Fatalf("recorded %d bytes out, want %d", out, vfs.StatSize)
+	}
 }
 
 func TestRecorderCounters(t *testing.T) {

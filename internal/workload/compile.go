@@ -105,7 +105,7 @@ func Compile(pr *sys.Proc, cfg CompileConfig) (CompileStats, error) {
 		}
 		// Each translation unit — stat, read, compile, emit — is one
 		// traced request.
-		pr.K.Ktrace.BeginOp(pr.P.PID, OpCompileUnit)
+		pr.BeginOp(OpCompileUnit)
 		err := func() error {
 			a, err := pr.Stat(path)
 			if err != nil {
@@ -154,7 +154,7 @@ func Compile(pr *sys.Proc, cfg CompileConfig) (CompileStats, error) {
 			st.BytesOut += int64(objSize)
 			return nil
 		}()
-		pr.K.Ktrace.EndOp(pr.P.PID)
+		pr.EndOp()
 		if err != nil {
 			return st, err
 		}

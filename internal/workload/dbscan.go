@@ -86,22 +86,22 @@ func SeqScanUser(pr *sys.Proc, cfg DBConfig) (int64, error) {
 	reads, open := 0, false
 	for {
 		if !open {
-			pr.K.Ktrace.BeginOp(pr.P.PID, OpSeqScanBatch)
+			pr.BeginOp(OpSeqScanBatch)
 			open = true
 		}
 		n, err := pr.Read(fd, buf)
 		if err != nil {
-			pr.K.Ktrace.EndOp(pr.P.PID)
+			pr.EndOp()
 			return 0, err
 		}
 		if n == 0 {
-			pr.K.Ktrace.EndOp(pr.P.PID)
+			pr.EndOp()
 			break
 		}
 		pr.P.ChargeUser(cfg.ProcessCPU)
 		total += int64(n)
 		if reads++; reads%SeqBatch == 0 {
-			pr.K.Ktrace.EndOp(pr.P.PID)
+			pr.EndOp()
 			open = false
 		}
 	}
@@ -157,22 +157,22 @@ func RandScanUser(pr *sys.Proc, cfg DBConfig) (int64, error) {
 	var total int64
 	for i := 0; i < cfg.Lookups; i++ {
 		if i%RandBatch == 0 {
-			pr.K.Ktrace.BeginOp(pr.P.PID, OpRandScanBatch)
+			pr.BeginOp(OpRandScanBatch)
 		}
 		rec := rng.Intn(cfg.Records)
 		if _, err := pr.Lseek(fd, int64(rec*cfg.RecSize), sys.SeekSet); err != nil {
-			pr.K.Ktrace.EndOp(pr.P.PID)
+			pr.EndOp()
 			return 0, err
 		}
 		n, err := pr.Read(fd, buf)
 		if err != nil {
-			pr.K.Ktrace.EndOp(pr.P.PID)
+			pr.EndOp()
 			return 0, err
 		}
 		pr.P.ChargeUser(cfg.ProcessCPU)
 		total += int64(n)
 		if (i+1)%RandBatch == 0 || i == cfg.Lookups-1 {
-			pr.K.Ktrace.EndOp(pr.P.PID)
+			pr.EndOp()
 		}
 	}
 	return total, pr.Close(fd)
@@ -232,9 +232,9 @@ func RandScanCosyBatched(pr *sys.Proc, e *kext.Engine, cfg DBConfig) (int64, err
 		if err != nil {
 			return 0, err
 		}
-		pr.K.Ktrace.BeginOp(pr.P.PID, OpRandScanBatch)
+		pr.BeginOp(OpRandScanBatch)
 		n, err := e.ExecRing(pr, raw, shm)
-		pr.K.Ktrace.EndOp(pr.P.PID)
+		pr.EndOp()
 		if err != nil {
 			return 0, err
 		}

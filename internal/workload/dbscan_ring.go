@@ -52,9 +52,9 @@ func SeqScanRing(pr *sys.Proc, cfg DBConfig, batch int) (int64, error) {
 				return 0, err
 			}
 		}
-		pr.K.Ktrace.BeginOp(pr.P.PID, OpSeqScanRing)
+		pr.BeginOp(OpSeqScanRing)
 		n, err := h.Enter()
-		pr.K.Ktrace.EndOp(pr.P.PID)
+		pr.EndOp()
 		if err != nil {
 			return 0, err
 		}
@@ -140,9 +140,9 @@ func SeqScanAnycall(pr *sys.Proc, cfg DBConfig, ext int) (int64, error) {
 
 	var total int64
 	for {
-		pr.K.Ktrace.BeginOp(pr.P.PID, OpSeqScanRing)
+		pr.BeginOp(OpSeqScanRing)
 		n, err := h.Enter()
-		pr.K.Ktrace.EndOp(pr.P.PID)
+		pr.EndOp()
 		if err != nil {
 			return 0, err
 		}

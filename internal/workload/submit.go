@@ -79,7 +79,7 @@ func (t *trapSub) Start(pr *sys.Proc, bufLen int) error {
 }
 
 func (t *trapSub) Begin(think func(pr *sys.Proc) error) {
-	t.pr.K.Ktrace.BeginOp(t.pr.P.PID, OpPostmarkTxn)
+	t.pr.BeginOp(OpPostmarkTxn)
 	if t.err == nil {
 		t.err = think(t.pr)
 	}
@@ -114,7 +114,7 @@ func (t *trapSub) Do(op Op) FD {
 }
 
 func (t *trapSub) End() error {
-	t.pr.K.Ktrace.EndOp(t.pr.P.PID)
+	t.pr.EndOp()
 	return t.err
 }
 
@@ -189,13 +189,13 @@ func (c *cosySub) End() error {
 		// The buffer is mapped before the request opens, as a program
 		// would prepare it before entering its critical section.
 		pr := c.pr
-		pr.K.Ktrace.BeginOp(pr.P.PID, OpPostmarkTxn)
+		pr.BeginOp(OpPostmarkTxn)
 		if err = c.think(pr); err == nil {
 			var n int64
 			n, err = c.e.ExecRing(pr, raw, shm)
 			c.read += n
 		}
-		pr.K.Ktrace.EndOp(pr.P.PID)
+		pr.EndOp()
 	}
 	c.err = err
 	return err
@@ -345,9 +345,9 @@ func (r *ringSub) flush() error {
 	if r.pushed == 0 {
 		return nil
 	}
-	r.pr.K.Ktrace.BeginOp(r.pr.P.PID, OpPostmarkBatch)
+	r.pr.BeginOp(OpPostmarkBatch)
 	n, err := r.h.Enter()
-	r.pr.K.Ktrace.EndOp(r.pr.P.PID)
+	r.pr.EndOp()
 	if err != nil {
 		return err
 	}
