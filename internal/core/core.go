@@ -237,43 +237,43 @@ func New(opts Options) (*System, error) {
 }
 
 // wirePerf attaches the lazy gauges and the disk-latency histogram.
-// GaugeFuncs read counters the subsystems already maintain and only
-// run at snapshot time, so the wiring costs nothing during a run.
+// Gauges read counters the subsystems already maintain and only at
+// snapshot time, so the wiring costs nothing during a run: a plain
+// field is read through its address, and a func computes the rest.
 func (s *System) wirePerf() {
 	reg := s.Perf.Reg
 	s.IO.Dev.Perf = reg.Histogram("disk.access.cycles")
 
-	reg.GaugeFunc("io.cache.hits", func() int64 { return s.IO.Hits })
-	reg.GaugeFunc("io.cache.misses", func() int64 { return s.IO.Misses })
-	reg.GaugeFunc("io.cache.writebacks", func() int64 { return s.IO.Writebacks })
-	reg.GaugeFunc("io.cache.sync_writes", func() int64 { return s.IO.SyncWrites })
-	reg.GaugeFunc("io.cache.throttles", func() int64 { return s.IO.Throttles })
+	reg.GaugeVar("io.cache.hits", &s.IO.Hits)
+	reg.GaugeVar("io.cache.misses", &s.IO.Misses)
+	reg.GaugeVar("io.cache.writebacks", &s.IO.Writebacks)
+	reg.GaugeVar("io.cache.sync_writes", &s.IO.SyncWrites)
+	reg.GaugeVar("io.cache.throttles", &s.IO.Throttles)
 
-	// One MemTotals walk over the process table serves all four.
+	// One MemTotals walk over the live processes serves all four.
 	reg.GaugeFuncs([]string{"mem.tlb.hits", "mem.tlb.misses", "mem.faults", "mem.guard.promotions"}, func(vals []int64) {
 		h, m, f, g := s.M.MemTotals()
 		vals[0], vals[1], vals[2], vals[3] = int64(h), int64(m), int64(f), int64(g)
 	})
 
-	reg.GaugeFunc("sched.ctx_switches", func() int64 { return s.M.CtxSwitches })
+	reg.GaugeVar("sched.ctx_switches", &s.M.CtxSwitches)
 	reg.GaugeFunc("sys.calls.total", func() int64 { return s.K.TotalCalls() })
-	reg.GaugeFunc("sys.bytes.copyin", func() int64 { return s.K.BytesIn })
-	reg.GaugeFunc("sys.bytes.copyout", func() int64 { return s.K.BytesOut })
+	reg.GaugeVar("sys.bytes.copyin", &s.K.BytesIn)
+	reg.GaugeVar("sys.bytes.copyout", &s.K.BytesOut)
 	// Ring data-plane activity: ops dispatched from ring_enter drains
 	// (not boundary crossings), payload bytes that rode the shared
 	// pages instead of the boundary, and dropped completions.
-	reg.GaugeFunc("sys.ring.ops", func() int64 { return s.K.RingOps })
-	reg.GaugeFunc("sys.ring.bytes", func() int64 { return s.K.RingBytes })
-	reg.GaugeFunc("sys.ring.overflows", func() int64 { return s.K.RingOverflows })
+	reg.GaugeVar("sys.ring.ops", &s.K.RingOps)
+	reg.GaugeVar("sys.ring.bytes", &s.K.RingBytes)
+	reg.GaugeVar("sys.ring.overflows", &s.K.RingOverflows)
 	for nr := 0; nr < sys.Count(); nr++ {
-		nr := sys.Nr(nr)
-		reg.GaugeFunc("sys.calls."+nr.String(), func() int64 { return s.K.Calls[nr] })
+		reg.GaugeVar("sys.calls."+sys.Nr(nr).String(), &s.K.Calls[nr])
 	}
 
 	s.Probes.WirePerf(reg)
 
-	reg.GaugeFunc("kmon.logged", func() int64 { return s.Mon.Logged })
-	reg.GaugeFunc("kmon.enqueued", func() int64 { return s.Mon.Enqueued })
+	reg.GaugeVar("kmon.logged", &s.Mon.Logged)
+	reg.GaugeVar("kmon.enqueued", &s.Mon.Enqueued)
 	reg.GaugeFunc("kmon.ring.drops", func() int64 { return int64(s.Mon.Ring.Drops.Load()) })
 	reg.GaugeFunc("klog.entries", func() int64 { return int64(s.M.Log.Len()) })
 	reg.GaugeFunc("klog.dropped", func() int64 { return int64(s.M.Log.Dropped()) })

@@ -345,7 +345,7 @@ func TestDeadlockDetected(t *testing.T) {
 	m := newMachine()
 	// A process that yields forever cannot exist in this cooperative
 	// model, so simulate a lost wakeup by spawning and never running.
-	m.procs[999] = &Process{PID: 999, Name: "ghost", state: stateBlocked}
+	m.procs = append(m.procs, &Process{PID: 999, Name: "ghost", state: stateBlocked})
 	m.Spawn("real", func(p *Process) error { return nil })
 	_ = m.Run()
 }
@@ -411,5 +411,22 @@ func TestChargeSysCountsAsSystemInUserMode(t *testing.T) {
 	_, s, _ := p.Times()
 	if s != 333 {
 		t.Fatalf("sys = %d", s)
+	}
+}
+
+// BenchmarkBlockLone is one process blocking with nothing else to run,
+// the case BlockOn serves on the process's own goroutine.
+func BenchmarkBlockLone(b *testing.B) {
+	m := newMachine()
+	m.Spawn("sleeper", func(p *Process) error {
+		for i := 0; i < b.N; i++ {
+			p.BlockFor(1000)
+		}
+		return nil
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := m.Run(); err != nil {
+		b.Fatal(err)
 	}
 }

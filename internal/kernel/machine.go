@@ -11,11 +11,18 @@
 // machine enforces strict hand-off — at any instant at most one
 // goroutine (either the scheduler loop or the current process) is
 // executing. This gives deterministic interleaving and makes all
-// shared state effectively single-threaded.
+// shared state effectively single-threaded. The scheduler loop's steps
+// do not always run on the loop's goroutine: a process that blocks
+// while nothing else is ready and its own wakeup is the next event
+// runs those steps itself (idle to the wakeup, wake, redispatch) and
+// keeps the CPU, while the loop's goroutine stays parked until the
+// process next yields. Still one goroutine at a time, in the same
+// order, so the run is the same either way.
 package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/alloc"
 	"repro/internal/klog"
@@ -70,12 +77,20 @@ type Machine struct {
 	// Perf they can never move a simulated cycle.
 	obs []Observer
 
-	procs   map[int]*Process
+	procs   []*Process // live processes in spawn order
 	ready   *ring.Deque[*Process]
 	current *Process
 	events  eventHeap
 	nextPID int
 	lastRun *Process
+	// schedStart is when the running process's sched span opened:
+	// dispatch opens it, and a lone sleeper closes and reopens it.
+	schedStart sim.Cycles
+	// noInlineSleep sends every block through the scheduler
+	// goroutine, and inlineSleeps counts the blocks that were not;
+	// tests use both to compare the two paths.
+	noInlineSleep bool
+	inlineSleeps  int64
 
 	// CtxSwitches counts process-to-process switches.
 	CtxSwitches int64
@@ -111,7 +126,6 @@ func New(cfg Config) *Machine {
 		Costs:   costs,
 		Phys:    mem.NewPhys(cfg.PhysBytes),
 		Perf:    cfg.Perf,
-		procs:   make(map[int]*Process),
 		ready:   ring.NewDeque[*Process](16),
 		nextPID: 1,
 	}
@@ -236,7 +250,7 @@ func (m *Machine) Spawn(name string, fn func(*Process) error) *Process {
 		}
 	}
 	p.UAS.FaultProbe = func(f *mem.Fault) { m.fault(p, f) }
-	m.procs[p.PID] = p
+	m.procs = append(m.procs, p)
 	m.ready.PushBack(p)
 	go p.top(fn)
 	return p
@@ -255,13 +269,7 @@ func (m *Machine) Run() error {
 				panic("kernel: deadlock - processes alive but nothing runnable and no pending events")
 			}
 			ev := m.events.pop()
-			if ev.when > m.Clock.Now() {
-				gap := ev.when - m.Clock.Now()
-				m.IdleCycles += gap
-				m.Perf.OnIdle(gap)
-				m.Clock.AdvanceTo(ev.when)
-				m.tick()
-			}
+			m.idleTo(ev.when)
 			ev.proc.wake()
 			continue
 		}
@@ -277,7 +285,8 @@ func (m *Machine) Run() error {
 				firstErr = fmt.Errorf("process %s: %w", p.Name, p.err)
 			}
 			m.retireMemStats(p.UAS)
-			delete(m.procs, p.PID)
+			i := slices.Index(m.procs, p)
+			m.procs = slices.Delete(m.procs, i, i+1)
 		case stateReady:
 			m.ready.PushBack(p)
 		case stateBlocked:
@@ -305,11 +314,53 @@ func (m *Machine) dispatch(p *Process) {
 	m.current = p
 	p.state = stateRunning
 	p.sliceLeft = p.sliceLen()
-	start := m.Clock.Now()
+	m.schedStart = m.Clock.Now()
 	p.resume <- struct{}{}
 	<-p.yield
 	m.current = nil
-	p.Perf.SchedSpan(start, m.Clock.Now())
+	p.Perf.SchedSpan(m.schedStart, m.Clock.Now())
+}
+
+// idleTo idles the CPU until when, if that is still ahead, and ticks
+// at the end of the gap.
+func (m *Machine) idleTo(when sim.Cycles) {
+	if gap := when - m.Clock.Now(); gap > 0 {
+		m.IdleCycles += gap
+		m.Perf.OnIdle(gap)
+		m.Clock.AdvanceTo(when)
+		m.tick()
+	}
+}
+
+// sleepsAlone reports whether, were p to hand the CPU over after
+// queueing its wakeup, the scheduler loop would only idle until that
+// wakeup and dispatch p again: nothing is ready and p's wakeup is the
+// earliest event. p's wakeup was queued last, so any other wakeup at
+// the same cycle sorts before it and p's is the earliest only when
+// every other one is later.
+func (m *Machine) sleepsAlone(p *Process) bool {
+	if m.noInlineSleep || m.ready.Len() > 0 {
+		return false
+	}
+	ev, ok := m.events.peek()
+	return ok && ev.proc == p
+}
+
+// sleepInline runs, on blocked p's own goroutine, the steps the
+// scheduler loop would take once sleepsAlone(p) holds, in the loop's
+// order: dispatch's return closes p's sched span, the loop ticks, pops
+// p's wakeup, idles to it and wakes p, and dispatch resumes p with no
+// switch, reopening the span. The loop's goroutine stays parked in
+// dispatch until p next yields.
+func (m *Machine) sleepInline(p *Process) {
+	m.inlineSleeps++
+	m.current = nil
+	p.Perf.SchedSpan(m.schedStart, m.Clock.Now())
+	m.tick()
+	m.idleTo(m.events.pop().when)
+	m.noteReady(p)
+	m.current = p
+	m.schedStart = m.Clock.Now()
 }
 
 // chargeSwitch bills scheduler-context cycles to the incoming process

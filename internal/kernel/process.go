@@ -248,19 +248,24 @@ func (p *Process) BlockFor(d sim.Cycles) {
 // BlockOn is BlockFor with a kperf subsystem tag naming what the
 // process is waiting on (SubDisk for block I/O); the blocked interval
 // appears in the timeline but — like all wait time — advances no CPU
-// attribution.
+// attribution. A process that blocks alone (nothing else ready before
+// its wakeup) takes the scheduler loop's idle steps itself instead of
+// handing the CPU to the loop's goroutine and back.
 func (p *Process) BlockOn(sub kperf.Subsys, d sim.Cycles) {
 	if d <= 0 {
 		p.Yield()
 		return
 	}
-	wake := p.M.Clock.Now() + d
-	p.M.addEvent(wake, p)
 	start := p.M.Clock.Now()
+	p.M.addEvent(start+d, p)
 	p.state = stateBlocked
 	p.M.noteBlock(p, sub)
-	p.yield <- yBlocked
-	<-p.resume
+	if p.M.sleepsAlone(p) {
+		p.M.sleepInline(p)
+	} else {
+		p.yield <- yBlocked
+		<-p.resume
+	}
 	p.state = stateRunning
 	p.M.noteRun(p)
 	// Sleeper boost: voluntary blocking earns priority.

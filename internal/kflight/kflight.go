@@ -100,7 +100,7 @@ func (c Config) withDefaults() Config {
 // HistDelta is one histogram's movement across an epoch: how many
 // observations it gained and what they summed to, plus the cumulative
 // quantile triple at epoch close (quantiles don't delta; the triple
-// is recomputed from the merged buckets via kperf.Quantiles).
+// comes with the registry's sample, computed by kperf.Quantiles).
 type HistDelta struct {
 	Count int64 `json:"count"`
 	Sum   int64 `json:"sum"`
@@ -272,7 +272,9 @@ type Recorder struct {
 	procs     []*kperf.ProcState
 	lastAttr  []int64
 	scratch   []int64
-	callsIdx  int // index of callsGauge, -1 until registered
+	// callsIdx is the index of callsGauge, -1 until registered;
+	// callsSearched is how many gauges the last search for it saw.
+	callsIdx, callsSearched int
 
 	// ring holds the retained epochs; once it reaches Retain the
 	// oldest sits at ringStart and is the next to be evicted.
@@ -440,14 +442,15 @@ func (r *Recorder) closeEpoch(now sim.Cycles) {
 		}
 	}
 	for i, h := range r.cur.Hists {
-		var prev kperf.HistCount
+		var prev kperf.HistSample
 		if i < len(r.last.Hists) {
 			prev = r.last.Hists[i]
 		}
-		if h != prev {
-			d := HistDelta{Count: h.Count - prev.Count, Sum: h.Sum - prev.Sum}
-			d.P50, d.P90, d.P99 = reg.HistQuantiles(i)
-			e.hists = append(e.hists, histRow{i, d})
+		if h.Count != prev.Count || h.Sum != prev.Sum {
+			e.hists = append(e.hists, histRow{i, HistDelta{
+				Count: h.Count - prev.Count, Sum: h.Sum - prev.Sum,
+				P50: h.P50, P90: h.P90, P99: h.P99,
+			}})
 		}
 	}
 
@@ -466,8 +469,9 @@ func (r *Recorder) closeEpoch(now sim.Cycles) {
 		}
 	}
 
-	if r.callsIdx < 0 {
+	if r.callsIdx < 0 && len(r.cur.Gauges) > r.callsSearched {
 		r.callsIdx = slices.Index(reg.Names().Gauges, callsGauge)
+		r.callsSearched = len(r.cur.Gauges)
 	}
 	if i := r.callsIdx; i >= 0 {
 		if rate := r.cur.Gauges[i] - valueAt(r.last.Gauges, i); rate > r.peakEpochSyscalls {

@@ -32,9 +32,21 @@ func TestCounterGaugeRegistry(t *testing.T) {
 	lazy := int64(0)
 	r.GaugeFunc("lazy.reads", func() int64 { return lazy })
 	lazy = 42
+	field := int64(0)
+	r.GaugeVar("field.reads", &field)
+	field = 9
 	sn := r.Snapshot()
-	if sn.Counters["sys.calls"] != 5 || sn.Gauges["cache.size"] != 7 || sn.Gauges["lazy.reads"] != 42 {
+	if sn.Counters["sys.calls"] != 5 || sn.Gauges["cache.size"] != 7 || sn.Gauges["lazy.reads"] != 42 ||
+		sn.Gauges["field.reads"] != 9 {
 		t.Fatalf("snapshot mismatch: %+v", sn)
+	}
+	// A variable registered under a plain gauge's name wins in every
+	// read; the plain gauge keeps its own value.
+	shadowed := int64(11)
+	r.Gauge("shadow").Set(1)
+	r.GaugeVar("shadow", &shadowed)
+	if r.Gauge("shadow").Value() != 1 || r.Snapshot().Gauges["shadow"] != 11 {
+		t.Fatalf("variable under a plain gauge's name: snapshot %+v", r.Snapshot().Gauges)
 	}
 
 	// A func registered under a plain gauge's name wins in both reads,
@@ -49,16 +61,14 @@ func TestCounterGaugeRegistry(t *testing.T) {
 	r.Sample(&s)
 	names := r.Names()
 	if !slices.Equal(names.Counters, []string{"sys.calls", "cache.size"}) ||
-		!slices.Equal(names.Gauges, []string{"cache.size", "lazy.reads"}) ||
+		!slices.Equal(names.Gauges, []string{"cache.size", "lazy.reads", "field.reads", "shadow"}) ||
 		!slices.Equal(names.Hists, []string{"lat"}) {
 		t.Fatalf("names = %+v", names)
 	}
-	if !slices.Equal(s.Counters, []int64{5, 3}) || !slices.Equal(s.Gauges, []int64{-1, 42}) ||
-		!slices.Equal(s.Hists, []HistCount{{1, 100}}) {
+	// The sample carries each histogram's quantile triple.
+	if !slices.Equal(s.Counters, []int64{5, 3}) || !slices.Equal(s.Gauges, []int64{-1, 42, 9, 11}) ||
+		!slices.Equal(s.Hists, []HistSample{{Count: 1, Sum: 100, P50: 128, P90: 128, P99: 128}}) {
 		t.Fatalf("sample = %+v", s)
-	}
-	if p50, _, p99 := r.HistQuantiles(0); p50 != 128 || p99 != 128 {
-		t.Fatalf("HistQuantiles p50 %d p99 %d, want 128/128", p50, p99)
 	}
 
 	// A gauge group's func runs once per read and fills every member.
@@ -69,7 +79,7 @@ func TestCounterGaugeRegistry(t *testing.T) {
 	})
 	r.Sample(&s)
 	r.Sample(&s)
-	if walks != 2 || !slices.Equal(s.Gauges, []int64{-1, 42, 2, 20}) {
+	if walks != 2 || !slices.Equal(s.Gauges, []int64{-1, 42, 9, 11, 2, 20}) {
 		t.Fatalf("after %d group walks, sample gauges %v", walks, s.Gauges)
 	}
 	if sn := r.Snapshot(); walks != 3 || sn.Gauges["grp.a"] != 3 || sn.Gauges["grp.b"] != 30 {
@@ -275,6 +285,83 @@ func TestQuantilesHelper(t *testing.T) {
 	if sn.P50 != p50 || sn.P90 != p90 || sn.P99 != p99 {
 		t.Errorf("snapshot quantiles %d/%d/%d disagree with helper %d/%d/%d",
 			sn.P50, sn.P90, sn.P99, p50, p90, p99)
+	}
+}
+
+// TestQuantilesOnePass checks the one-scan triple against three
+// BucketQuantile scans over random bucket vectors, plus empty and
+// single-bucket vectors, counts held in the overflow bucket, and counts
+// above the buckets' sum that fall through to max.
+func TestQuantilesOnePass(t *testing.T) {
+	check := func(b []int64, count, max int64) {
+		t.Helper()
+		p50, p90, p99 := Quantiles(b, count, max)
+		want := [3]int64{
+			BucketQuantile(b, count, max, 0.50),
+			BucketQuantile(b, count, max, 0.90),
+			BucketQuantile(b, count, max, 0.99),
+		}
+		if got := [3]int64{p50, p90, p99}; got != want {
+			t.Fatalf("Quantiles(%v, %d, %d) = %v, want %v", b, count, max, got, want)
+		}
+	}
+	check(nil, 0, 0)
+	check(nil, 5, 77)
+	check([]int64{3}, 3, 1)
+	check([]int64{0, 0, 4}, 9, 1000)
+	overflow := make([]int64, HistBuckets)
+	overflow[HistBuckets-1] = 10
+	check(overflow, 10, 1<<60)
+	overflow[3] = 90
+	check(overflow, 100, 1<<60)
+
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		b := make([]int64, rng.Intn(HistBuckets+1))
+		var sum int64
+		for j := range b {
+			if rng.Intn(3) == 0 {
+				b[j] = rng.Int63n(1000)
+			}
+			sum += b[j]
+		}
+		count := sum
+		switch rng.Intn(4) {
+		case 0: // past the buckets: the tail falls through to max
+			count = sum + 1 + rng.Int63n(100)
+		case 1:
+			count = rng.Int63n(sum + 1)
+		}
+		check(b, count, rng.Int63())
+	}
+}
+
+// TestSampleRefreshesQuantiles checks the triple a Sample caches: a
+// Sample after an Observe reports the moved histogram's new quantiles,
+// as its Snapshot does.
+func TestSampleRefreshesQuantiles(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("lat")
+	var s Sample
+	r.Sample(&s)
+	if s.Hists[0] != (HistSample{}) {
+		t.Fatalf("empty histogram sampled as %+v", s.Hists[0])
+	}
+	h.Observe(100)
+	r.Sample(&s)
+	if got := s.Hists[0]; got.P50 != 128 || got.P99 != 128 {
+		t.Fatalf("after one observation: %+v", got)
+	}
+	for i := 0; i < 10; i++ {
+		h.Observe(5000)
+	}
+	for range 2 { // the second read comes from the cache
+		r.Sample(&s)
+		sn := h.Snapshot()
+		want := HistSample{Count: sn.Count, Sum: sn.Sum, P50: sn.P50, P90: sn.P90, P99: sn.P99}
+		if got := s.Hists[0]; got != want || got.P50 != 8192 {
+			t.Fatalf("after the histogram moved: sample %+v, snapshot %+v", got, want)
+		}
 	}
 }
 

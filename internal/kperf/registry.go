@@ -152,13 +152,33 @@ func BucketQuantile(buckets []int64, count, max int64, q float64) int64 {
 	return bucketQuantile(buckets, count, max, q)
 }
 
-// Quantiles computes p50/p90/p99 in one call from raw power-of-two
-// bucket counts; the shared helper for exporters that report the
-// standard latency triple.
+// Quantiles computes p50/p90/p99 from raw power-of-two bucket counts
+// in one scan, equal to BucketQuantile at 0.5, 0.9 and 0.99; the
+// shared helper for exporters that report the standard latency triple.
 func Quantiles(buckets []int64, count, max int64) (p50, p90, p99 int64) {
-	return bucketQuantile(buckets, count, max, 0.50),
-		bucketQuantile(buckets, count, max, 0.90),
-		bucketQuantile(buckets, count, max, 0.99)
+	if count == 0 {
+		return 0, 0, 0
+	}
+	// The targets never decrease, so each one's bucket is at or past
+	// the previous one's and a single pass finds all three.
+	targets := [3]int64{
+		quantileTarget(count, 0.50),
+		quantileTarget(count, 0.90),
+		quantileTarget(count, 0.99),
+	}
+	out := [3]int64{max, max, max}
+	k := 0
+	var seen int64
+	for i, n := range buckets {
+		seen += n
+		for ; k < len(targets) && seen > targets[k]; k++ {
+			out[k] = int64(1) << uint(i)
+		}
+		if k == len(targets) {
+			break
+		}
+	}
+	return out[0], out[1], out[2]
 }
 
 // bucketQuantile is the shared quantile scan over power-of-two
@@ -169,10 +189,7 @@ func bucketQuantile(buckets []int64, count, max int64, q float64) int64 {
 	if count == 0 {
 		return 0
 	}
-	target := int64(q * float64(count))
-	if target >= count {
-		target = count - 1
-	}
+	target := quantileTarget(count, q)
 	var seen int64
 	for i, n := range buckets {
 		seen += n
@@ -181,6 +198,11 @@ func bucketQuantile(buckets []int64, count, max int64, q float64) int64 {
 		}
 	}
 	return max
+}
+
+// quantileTarget is the index of the q-th of count observations.
+func quantileTarget(count int64, q float64) int64 {
+	return min(int64(q*float64(count)), count-1)
 }
 
 // HistogramSnapshot is the serializable view of a histogram. Buckets
@@ -227,9 +249,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // name index is never touched on a hot path. Each kind lives in an
 // append-only list in registration order, so a metric keeps its
 // position for the registry's lifetime and a sampler (kflight) can
-// hold dense per-metric state indexed by it. Gauge funcs are lazy:
-// they read an existing subsystem counter only when a snapshot or
-// sample is taken, making them literally free during the run.
+// hold dense per-metric state indexed by it. Gauge variables and funcs
+// are lazy: they read an existing subsystem counter only when a
+// snapshot or sample is taken, making them literally free during the
+// run.
 type Registry struct {
 	mu       sync.Mutex
 	reads    uint64            // Snapshot and Sample calls so far
@@ -238,6 +261,9 @@ type Registry struct {
 	counters []*Counter
 	gauges   []gaugeSlot
 	hists    []*Histogram
+	// histReads holds each histogram's reading at the last Sample; its
+	// quantiles are rescanned only once the count has moved.
+	histReads []HistSample
 }
 
 type metricKind uint8
@@ -256,10 +282,12 @@ type metricKey struct {
 	name string
 }
 
-// gaugeSlot is one gauge name. It holds a plain gauge, a lazy func, or
-// both when both were registered under the name; the func then wins.
+// gaugeSlot is one gauge name: a plain gauge, a variable, a lazy func,
+// or several of them when several were registered under the name. A
+// func wins over a variable, and a variable over the plain gauge.
 type gaugeSlot struct {
-	g  *Gauge
+	g  *Gauge // the plain gauge, once one was asked for
+	v  *int64 // the variable read: g's value or one GaugeVar registered
 	fn func() int64
 }
 
@@ -267,7 +295,7 @@ func (s *gaugeSlot) value() int64 {
 	if s.fn != nil {
 		return s.fn()
 	}
-	return s.g.v
+	return *s.v
 }
 
 // NewRegistry creates an empty registry.
@@ -316,15 +344,29 @@ func (r *Registry) Gauge(name string) *Gauge {
 	s := r.gaugeSlot(name)
 	if s.g == nil {
 		s.g = &Gauge{}
+		if s.v == nil {
+			s.v = &s.g.v
+		}
 	}
 	return s.g
 }
 
-// GaugeFunc registers a lazy gauge evaluated at snapshot time. This
-// is the zero-overhead way to expose counters a subsystem already
-// maintains (TLB hits, cache hits, ring drops): nothing happens until
-// someone asks. A func registered under a plain gauge's name replaces
-// that gauge's value in every later read.
+// GaugeVar registers a gauge that reads *v at snapshot time. This is
+// the zero-overhead way to expose a counter a subsystem already
+// maintains as a plain int64 field (cache hits, syscall counts):
+// nothing happens until someone asks, and a read is one load. A
+// variable registered under a plain gauge's name replaces that gauge's
+// value in every later read.
+func (r *Registry) GaugeVar(name string, v *int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gaugeSlot(name).v = v
+}
+
+// GaugeFunc registers a lazy gauge computed at snapshot time, for a
+// value no single field holds (a sum, a locked or atomic read). A
+// func registered under a plain gauge's or a variable's name replaces
+// its value in every later read.
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -358,6 +400,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	i, isNew := r.position(kindHist, name)
 	if isNew {
 		r.hists = append(r.hists, &Histogram{})
+		r.histReads = append(r.histReads, HistSample{})
 	}
 	return r.hists[i]
 }
@@ -400,18 +443,23 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 type Sample struct {
 	Counters []int64
 	Gauges   []int64
-	Hists    []HistCount
+	Hists    []HistSample
 }
 
-// HistCount is a histogram's observation count and sum in a Sample;
-// either one moving means the histogram observed something.
-type HistCount struct {
-	Count, Sum int64
+// HistSample is a histogram's reading in a Sample: its observation
+// count and sum, either of which moving means the histogram observed
+// something, and its p50/p90/p99 upper bounds as its Snapshot would
+// report them.
+type HistSample struct {
+	Count, Sum    int64
+	P50, P90, P99 int64
 }
 
 // Sample reads every metric into s, evaluating lazy gauges. It reuses
 // s's slices, so a sampler that keeps its Sample between reads
-// allocates nothing once no metric is being registered.
+// allocates nothing once no metric is being registered. A histogram's
+// quantiles cost a bucket scan only when it observed something since
+// the previous Sample.
 func (r *Registry) Sample(s *Sample) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -425,18 +473,14 @@ func (r *Registry) Sample(s *Sample) {
 		s.Gauges = append(s.Gauges, r.gauges[i].value())
 	}
 	s.Hists = s.Hists[:0]
-	for _, h := range r.hists {
-		s.Hists = append(s.Hists, HistCount{h.count, h.sum})
+	for i, h := range r.hists {
+		hs := &r.histReads[i]
+		if hs.Count != h.count {
+			*hs = HistSample{Count: h.count, Sum: h.sum}
+			hs.P50, hs.P90, hs.P99 = Quantiles(h.buckets[:], h.count, h.max)
+		}
+		s.Hists = append(s.Hists, *hs)
 	}
-}
-
-// HistQuantiles computes the current p50/p90/p99 upper bounds of the
-// i-th registered histogram, as its Snapshot would report them.
-func (r *Registry) HistQuantiles(i int) (p50, p90, p99 int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[i]
-	return Quantiles(h.buckets[:], h.count, h.max)
 }
 
 // MetricNames lists each kind's metric names in registration order.

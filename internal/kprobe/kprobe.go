@@ -463,10 +463,10 @@ func (mgr *Manager) DiskWait(p *kernel.Process, d sim.Cycles) sim.Cycles {
 
 // WirePerf registers the manager's statistics as lazy kperf gauges.
 func (mgr *Manager) WirePerf(reg *kperf.Registry) {
-	reg.GaugeFunc("kprobe.attached", func() int64 { return mgr.Attached })
-	reg.GaugeFunc("kprobe.fired", func() int64 { return mgr.Fired })
-	reg.GaugeFunc("kprobe.map_ops", func() int64 { return mgr.MapOps })
-	reg.GaugeFunc("kprobe.skipped", func() int64 { return mgr.Skipped })
-	reg.GaugeFunc("kprobe.cache_hits", func() int64 { return mgr.CacheHits })
-	reg.GaugeFunc("kprobe.cycles", func() int64 { return int64(mgr.Cycles) })
+	reg.GaugeVar("kprobe.attached", &mgr.Attached)
+	reg.GaugeVar("kprobe.fired", &mgr.Fired)
+	reg.GaugeVar("kprobe.map_ops", &mgr.MapOps)
+	reg.GaugeVar("kprobe.skipped", &mgr.Skipped)
+	reg.GaugeVar("kprobe.cache_hits", &mgr.CacheHits)
+	reg.GaugeVar("kprobe.cycles", (*int64)(&mgr.Cycles))
 }

@@ -69,7 +69,7 @@ func NewKernel(m *kernel.Machine, ns *vfs.Namespace) *Kernel {
 // TotalCalls reports the total number of system calls served.
 func (k *Kernel) TotalCalls() int64 {
 	var total int64
-	for _, c := range k.Calls {
+	for _, c := range &k.Calls {
 		total += c
 	}
 	return total
