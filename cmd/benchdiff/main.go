@@ -6,7 +6,7 @@
 //
 // BASE and CURRENT are BENCH_repro.json paths; a directory means the
 // BENCH_repro.json inside it. Only deterministic simulated metrics
-// gate (cycle counts, kperf counters/gauges/histograms, kflight
+// gate (cycle counts, kperf gauges/histograms, kflight
 // summaries); volatile fields — timestamps, wall-clock seconds, host
 // provenance, micro-benchmark ns/op — are ignored unless -volatile.
 //

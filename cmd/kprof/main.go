@@ -108,7 +108,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "kprof: %v\n", err)
 			os.Exit(1)
 		}
-		if err := s.Perf.WriteChromeTraceExtra(f, filter, rec.CounterTracks(), s.Ktrace.FlowSpans(*req)); err == nil {
+		if err := s.Perf.WriteChromeTrace(f, filter, rec.CounterTracks(), s.Ktrace.FlowSpans(*req)); err == nil {
 			err = f.Close()
 		} else {
 			f.Close()
@@ -139,7 +139,7 @@ func main() {
 		fmt.Printf("wrote %s (replay with: ktop -in %s)\n", *flightOut, *flightOut)
 	}
 	if *foldedOut != "" {
-		if err := os.WriteFile(*foldedOut, []byte(sn.FoldedStacksFiltered(filter)), 0o644); err != nil {
+		if err := os.WriteFile(*foldedOut, []byte(sn.FoldedStacks(filter)), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "kprof: write folded: %v\n", err)
 			os.Exit(1)
 		}

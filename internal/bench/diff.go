@@ -15,7 +15,7 @@ import (
 // The BENCH_repro.json diff engine behind cmd/benchdiff: compares two
 // documents metric-by-metric and classifies every change. The key
 // split is deterministic vs volatile. Deterministic metrics are pure
-// functions of simulated behavior — cycle counts, kperf counters,
+// functions of simulated behavior — cycle counts, kperf gauges,
 // kflight epochs — and must not move between runs of the same code,
 // so any change beyond the (default zero) tolerance is a regression.
 // Volatile metrics — wall-clock seconds, timestamps, host provenance,
@@ -355,7 +355,6 @@ func findOp(ops []ktrace.OpSLI, name string) (*ktrace.OpSLI, bool) {
 // diffPerf compares two kperf snapshots.
 func (d *differ) diffPerf(p string, b, c *TrialResult) {
 	bp, cp := b.Perf, c.Perf
-	d.detMap(p+"/counters", bp.Counters, cp.Counters)
 	d.detMap(p+"/gauges", bp.Gauges, cp.Gauges)
 	d.detMap(p+"/subsystem_cycles", bp.SubsystemCycles, cp.SubsystemCycles)
 	d.det(p+"/setup_cycles", float64(bp.SetupCycles), float64(cp.SetupCycles))

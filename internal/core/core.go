@@ -94,8 +94,8 @@ type Options struct {
 	// Trace enables the ktrace request tracer over Perf (which must
 	// also be set): causal request/span tracing with critical-path
 	// latency decomposition. Like Flight it is host-side only and
-	// covered by the same bit-identity gate. A zero-value Config
-	// selects the defaults.
+	// covered by the same bit-identity gate. Config has no settings:
+	// a non-nil pointer is the switch.
 	Trace *ktrace.Config
 }
 
@@ -230,7 +230,7 @@ func New(opts Options) (*System, error) {
 		if s.Perf == nil {
 			return nil, fmt.Errorf("core: Trace requires Perf")
 		}
-		s.Ktrace = ktrace.NewTracer(opts.Trace, &s.M.Clock, s.Perf)
+		s.Ktrace = ktrace.NewTracer(&s.M.Clock, s.Perf)
 		s.M.Observe(s.Ktrace)
 	}
 	return s, nil

@@ -182,7 +182,7 @@ func TestHookFanOut(t *testing.T) {
 func TestChromeTraceFromSystem(t *testing.T) {
 	s := runInstrumented(t)
 	var buf bytes.Buffer
-	if err := s.Perf.WriteChromeTrace(&buf); err != nil {
+	if err := s.Perf.WriteChromeTrace(&buf, kperf.TraceFilter{}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

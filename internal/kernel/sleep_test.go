@@ -100,7 +100,7 @@ func runSleepers(t *testing.T, inline bool, bodies ...func(pr *sys.Proc) error) 
 		r.times = append(r.times, [3]sim.Cycles{u, sy, w})
 	}
 	var chrome, flight bytes.Buffer
-	if err := s.Perf.WriteChromeTrace(&chrome); err != nil {
+	if err := s.Perf.WriteChromeTrace(&chrome, kperf.TraceFilter{}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flight.WriteJSON(&flight); err != nil {

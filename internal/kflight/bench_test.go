@@ -6,19 +6,19 @@ import (
 	"repro/internal/sim"
 )
 
-// epochStep returns a function that moves a counter, a gauge,
-// sys.span.cycles and one attribution cell, then ticks past the next
-// epoch boundary, so every call closes one epoch with a row of each
-// kind. The ring is already full when it returns.
+// epochStep returns a function that moves a gauge variable, a gauge
+// func, sys.span.cycles and one attribution cell, then ticks past the
+// next epoch boundary, so every call closes one epoch with a row of
+// each kind. The ring is already full when it returns.
 func epochStep(r *Recorder) func() {
 	set := r.set
-	ctr := set.Reg.Counter("test.ops")
-	g := set.Reg.Gauge("test.depth")
+	var ops int64
+	set.Reg.GaugeVar("test.ops", &ops)
+	set.Reg.GaugeFunc("test.depth", func() int64 { return 2 * ops })
 	ps := set.NewProc(1, "proc")
 	now := sim.Cycles(0)
 	step := func() {
-		ctr.Inc()
-		g.Add(1)
+		ops++
 		ps.SyscallEnter(2, now)
 		ps.OnCycles(100, true)
 		now += r.cfg.EpochCycles
@@ -32,8 +32,8 @@ func epochStep(r *Recorder) func() {
 }
 
 // TestEpochCloseAllocFree pins the dense close: once the ring is full,
-// a Tick that closes an epoch allocates nothing, though a counter, a
-// gauge, a histogram and an attribution cell all moved in it.
+// a Tick that closes an epoch allocates nothing, though two gauges, a
+// histogram and an attribution cell all moved in it.
 func TestEpochCloseAllocFree(t *testing.T) {
 	r, _ := newTestRecorder(Config{Retain: 4})
 	step := epochStep(r)
@@ -45,7 +45,7 @@ func TestEpochCloseAllocFree(t *testing.T) {
 		t.Fatalf("closed %d epochs, want one per step (101)", closed)
 	}
 	e := r.Epochs()[3]
-	if e.Counters["test.ops"] != 1 || e.Gauges["test.depth"] == 0 ||
+	if e.Gauges["test.ops"] == 0 || e.Gauges["test.depth"] != 2*e.Gauges["test.ops"] ||
 		e.Hists["sys.span.cycles"].Count != 1 || len(e.Attr) != 1 {
 		t.Fatalf("closed epoch lacks a moved metric: %+v", e)
 	}

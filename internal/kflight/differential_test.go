@@ -19,9 +19,9 @@ import (
 // map-based reference with the same Tick/Event stream of a PostMark
 // run and requires byte-identical kflight/v1 records. The run
 // evicts from the ring (at the small config); mid-run it registers a
-// gauge func, a counter and a histogram and spawns a third process; it
-// registers one name as both a Gauge and a GaugeFunc, and cuts a kill
-// postmortem.
+// gauge func, a gauge variable and a histogram and spawns a third
+// process; it registers one name as both a GaugeVar and a GaugeFunc,
+// and cuts a kill postmortem.
 func TestDenseCloseMatchesReference(t *testing.T) {
 	for _, cfg := range []kflight.Config{
 		{EpochCycles: 1 << 16, Retain: 64},
@@ -37,7 +37,9 @@ func TestDenseCloseMatchesReference(t *testing.T) {
 		s.M.Observe(ref)
 
 		reg := s.Perf.Reg
-		dual, ops := reg.Gauge("test.dual"), reg.Counter("test.ops")
+		var dual, ops int64
+		reg.GaugeVar("test.dual", &dual)
+		reg.GaugeVar("test.ops", &ops)
 		pmConfig := func(dir string, seed uint64) workload.PostMarkConfig {
 			c := workload.DefaultPostMark()
 			c.Dir, c.InitialFiles, c.Transactions, c.Seed = dir, 40, 300, seed
@@ -50,17 +52,18 @@ func TestDenseCloseMatchesReference(t *testing.T) {
 		s.Spawn("pm-b", func(pr *sys.Proc) error {
 			c := pmConfig("/b", 2)
 			txns := 0
-			var lateOps *kperf.Counter
+			var lateOps int64
 			var lateCycles *kperf.Histogram
 			c.Think = func(pr *sys.Proc) error {
 				txns++
-				ops.Inc()
-				dual.Set(int64(txns / 10))
+				ops++
+				dual = int64(txns / 10)
 				if txns == 150 {
 					// Metrics and a process that appear after many closes.
 					reg.GaugeFunc("test.late", func() int64 { return s.K.TotalCalls() / 3 })
 					reg.GaugeFunc("test.dual", func() int64 { return -int64(txns / 10) })
-					lateOps, lateCycles = reg.Counter("test.late.ops"), reg.Histogram("test.late.cycles")
+					reg.GaugeVar("test.late.ops", &lateOps)
+					lateCycles = reg.Histogram("test.late.cycles")
 					s.Spawn("pm-c", func(pr *sys.Proc) error {
 						c := pmConfig("/c", 3)
 						c.InitialFiles, c.Transactions = 10, 60
@@ -68,8 +71,8 @@ func TestDenseCloseMatchesReference(t *testing.T) {
 						return err
 					})
 				}
-				if lateOps != nil {
-					lateOps.Inc()
+				if lateCycles != nil {
+					lateOps++
 					lateCycles.Observe(sim.Cycles(txns))
 				}
 				pr.P.ChargeUser(c.UserThink)

@@ -6,11 +6,12 @@
 // kflight answers "what was happening in the window leading up to
 // cycle X". At every scheduler boundary the kernel announces the
 // simulated clock through the kernel.Observer seam; when the clock passes
-// an epoch boundary the recorder closes an epoch — the delta of every
-// counter, gauge, histogram, and per-(process, mode, subsystem)
-// attribution cell since the previous close — into a bounded
-// retention ring. Postmortems copy the last K epochs and each trace
-// shard's tail, so a kill arrives with its own history attached.
+// an epoch boundary the recorder closes an epoch — every gauge that
+// changed, the movement of every histogram, and the delta of every
+// per-(process, mode, subsystem) attribution cell since the previous
+// close — into a bounded retention window. Postmortems copy the last
+// K epochs and each trace shard's tail, so a kill arrives with its
+// own history attached.
 //
 // The package inherits kperf's central invariant and strengthens it
 // structurally: sampling is host-side only. The recorder is driven
@@ -53,8 +54,9 @@ type Config struct {
 	// boundaries closes one long epoch, not several empty ones).
 	// 0 selects DefaultEpochCycles.
 	EpochCycles sim.Cycles
-	// Retain bounds the in-memory epoch ring; older epochs are evicted
-	// (and counted) as new ones close. 0 selects DefaultRetain.
+	// Retain bounds the in-memory epochs; older epochs are evicted
+	// (and counted) as new ones close. Their slots are allocated when
+	// the recorder is created. 0 selects DefaultRetain.
 	Retain int
 	// PostmortemEpochs is how many trailing epochs a postmortem copies.
 	// 0 selects DefaultPostmortemEpochs.
@@ -129,8 +131,6 @@ type Epoch struct {
 	End   sim.Cycles `json:"end"`
 	// Ticks counts scheduler boundaries observed inside the window.
 	Ticks int64 `json:"ticks"`
-	// Counters holds per-counter deltas (changed only).
-	Counters map[string]int64 `json:"counters,omitempty"`
 	// Gauges holds end-of-epoch gauge values (changed only).
 	Gauges map[string]int64 `json:"gauges,omitempty"`
 	// Hists holds per-histogram movement (changed only).
@@ -259,7 +259,6 @@ type Recorder struct {
 
 	nextBoundary sim.Cycles
 	prevSample   sim.Cycles
-	seq          int64
 	ticks        int64 // ticks since last close
 	totalTicks   int64
 
@@ -276,11 +275,8 @@ type Recorder struct {
 	// callsSearched is how many gauges the last search for it saw.
 	callsIdx, callsSearched int
 
-	// ring holds the retained epochs; once it reaches Retain the
-	// oldest sits at ringStart and is the next to be evicted.
-	ring      []storedEpoch
-	ringStart int
-	evicted   int64
+	// ring holds the retained epochs.
+	ring kperf.Window[storedEpoch]
 
 	dumps        []Postmortem
 	dumpsSkipped int64
@@ -301,11 +297,11 @@ const callsGauge = "sys.calls.total"
 // attribution process*attrCells + cell. Histogram rows carry their
 // quantiles, computed at close. A slot's row slices are reused by the
 // epoch that evicts it, so closing into a full ring allocates nothing.
+// An epoch's sequence number is not stored: it is the epoch's position
+// among all the epochs written to the ring.
 type storedEpoch struct {
-	seq        int64
 	start, end sim.Cycles
 	ticks      int64
-	counters   []row // delta
 	gauges     []row // end value
 	hists      []histRow
 	attr       []row // cycle delta
@@ -330,7 +326,7 @@ func NewRecorder(cfg Config, set *kperf.Set) *Recorder {
 		set:          set,
 		nextBoundary: cfg.EpochCycles,
 		callsIdx:     -1,
-		ring:         make([]storedEpoch, 0, min(cfg.Retain, 64)),
+		ring:         kperf.NewWindow[storedEpoch](cfg.Retain),
 		events:       make(map[string]int64),
 	}
 }
@@ -363,11 +359,11 @@ func (r *Recorder) Event(now sim.Cycles, kind, detail string) {
 		r.closeEpoch(now)
 	}
 	pm := Postmortem{Kind: kind, Detail: detail, At: now}
-	if n := min(len(r.ring), r.cfg.PostmortemEpochs); n > 0 {
+	if n := min(r.ring.Len(), r.cfg.PostmortemEpochs); n > 0 {
 		pm.Epochs = make([]Epoch, n)
 		names := r.set.Reg.Names()
 		for i := range pm.Epochs {
-			pm.Epochs[i] = r.render(len(r.ring)-n+i, names)
+			pm.Epochs[i] = r.render(r.ring.Len()-n+i, names)
 		}
 	}
 	pm.Tail = traceTail(r.set, r.cfg.TailRecords)
@@ -423,18 +419,15 @@ func (r *Recorder) closeEpoch(now sim.Cycles) {
 	if r.set == nil {
 		return
 	}
-	e := r.slot()
-	e.seq, e.start, e.end, e.ticks = r.seq, r.prevSample, now, r.ticks
-	r.seq++
+	// The slot Next hands out holds the evicted epoch once the ring is
+	// full; its row slices are emptied and reused.
+	e := r.ring.Next()
+	e.start, e.end, e.ticks = r.prevSample, now, r.ticks
+	e.gauges, e.hists, e.attr = e.gauges[:0], e.hists[:0], e.attr[:0]
 	r.ticks = 0
 
 	reg := r.set.Reg
 	reg.Sample(&r.cur)
-	for i, v := range r.cur.Counters {
-		if d := v - valueAt(r.last.Counters, i); d != 0 {
-			e.counters = append(e.counters, row{i, d})
-		}
-	}
 	for i, v := range r.cur.Gauges {
 		// A gauge is recorded at the first close that sees it, even at 0.
 		if i >= len(r.last.Gauges) || v != r.last.Gauges[i] {
@@ -495,33 +488,17 @@ func valueAt(vs []int64, i int) int64 {
 	return 0
 }
 
-// slot returns the ring slot for the epoch being closed: a new one
-// while the ring is below Retain, else the oldest, evicted and emptied
-// for reuse.
-func (r *Recorder) slot() *storedEpoch {
-	if len(r.ring) < r.cfg.Retain {
-		r.ring = append(r.ring, storedEpoch{})
-		return &r.ring[len(r.ring)-1]
-	}
-	e := &r.ring[r.ringStart]
-	r.ringStart = (r.ringStart + 1) % len(r.ring)
-	r.evicted++
-	e.counters, e.gauges, e.hists, e.attr = e.counters[:0], e.gauges[:0], e.hists[:0], e.attr[:0]
-	return e
-}
-
 // render builds the Epoch of the i-th retained epoch, oldest first.
 // The registry's names and the recorder's process list only grow, so
 // they cover every index an older epoch holds.
 func (r *Recorder) render(i int, names kperf.MetricNames) Epoch {
-	s := &r.ring[(r.ringStart+i)%len(r.ring)]
+	s := r.ring.At(i)
 	e := Epoch{
-		Seq:      s.seq,
-		Start:    s.start,
-		End:      s.end,
-		Ticks:    s.ticks,
-		Counters: namedRows(s.counters, names.Counters),
-		Gauges:   namedRows(s.gauges, names.Gauges),
+		Seq:    r.ring.Overwritten() + int64(i),
+		Start:  s.start,
+		End:    s.end,
+		Ticks:  s.ticks,
+		Gauges: namedRows(s.gauges, names.Gauges),
 	}
 	if len(s.hists) > 0 {
 		e.Hists = make(map[string]HistDelta, len(s.hists))
@@ -566,7 +543,7 @@ func namedRows(rows []row, names []string) map[string]int64 {
 
 // Epochs returns the retained epochs oldest-first.
 func (r *Recorder) Epochs() []Epoch {
-	out := make([]Epoch, len(r.ring))
+	out := make([]Epoch, r.ring.Len())
 	if len(out) > 0 {
 		names := r.set.Reg.Names()
 		for i := range out {
@@ -582,13 +559,13 @@ func (r *Recorder) Postmortems() []Postmortem {
 }
 
 // Evicted reports epochs lost to retention.
-func (r *Recorder) Evicted() int64 { return r.evicted }
+func (r *Recorder) Evicted() int64 { return r.ring.Overwritten() }
 
 // Summary digests the recorder for BENCH embedding.
 func (r *Recorder) Summary() *Summary {
 	s := &Summary{
-		Epochs:            r.seq,
-		Evicted:           r.evicted,
+		Epochs:            r.ring.Written(),
+		Evicted:           r.ring.Overwritten(),
 		Ticks:             r.totalTicks,
 		DumpsSkipped:      r.dumpsSkipped,
 		PeakEpochSyscalls: r.peakEpochSyscalls,

@@ -2,6 +2,7 @@ package kflight
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,26 +27,26 @@ func newTestRecorder(cfg Config) (*Recorder, *kperf.Set) {
 // depends on.
 func TestEpochDeltasSumToCumulative(t *testing.T) {
 	r, set := newTestRecorder(Config{})
-	ctr := set.Reg.Counter("test.ops")
-	g := set.Reg.Gauge("test.depth")
+	var ops, depth int64
+	set.Reg.GaugeVar("test.ops", &ops)
+	set.Reg.GaugeVar("test.depth", &depth)
 	ps := set.NewProc(1, "proc")
 
-	// Epoch 0: counter 3, gauge 7, one syscall span, 400 user cycles.
-	ctr.Add(3)
-	g.Set(7)
+	// Epoch 0: ops 3, depth 7, one syscall span, 400 user cycles.
+	ops, depth = 3, 7
 	ps.SyscallEnter(2, 100)
 	ps.SyscallExit(300) // observes the 200-cycle span
 	ps.OnCycles(400, false)
 	r.Tick(1500) // past boundary 1000: closes [0,1500]
 
-	// Epoch 1: counter +5, gauge unchanged, 200 kernel cycles.
-	ctr.Add(5)
+	// Epoch 1: ops +5, depth unchanged, 200 kernel cycles.
+	ops += 5
 	ps.OnCycles(200, true)
 	r.Tick(1600) // below next boundary (2000): no close
 	r.Tick(2500) // closes [1500,2500]
 
 	// Long idle jump: closes ONE long epoch, not a train.
-	ctr.Inc()
+	ops++
 	r.Tick(9100) // closes [2500,9100] in a single epoch
 
 	epochs := r.Epochs()
@@ -59,16 +60,17 @@ func TestEpochDeltasSumToCumulative(t *testing.T) {
 		t.Errorf("ticks = %d,%d, want 1,2", epochs[0].Ticks, epochs[1].Ticks)
 	}
 
-	// Counter deltas sum to the cumulative value.
-	var ops int64
+	// Gauges are end-values, changed-only: each epoch that moved
+	// test.ops carries its new value, so carrying the last one forward
+	// reconstructs the current value.
+	var got []int64
 	for _, e := range epochs {
-		ops += e.Counters["test.ops"]
+		got = append(got, e.Gauges["test.ops"])
 	}
-	if want := ctr.Value(); ops != want {
-		t.Errorf("summed test.ops deltas = %d, want %d", ops, want)
+	if !slices.Equal(got, []int64{3, 8, 9}) {
+		t.Errorf("test.ops end values = %v, want 3, 8, 9", got)
 	}
-	// Gauges are end-values, changed-only: present in epoch 0, absent
-	// after (no change).
+	// test.depth is present in epoch 0, absent after (no change).
 	if epochs[0].Gauges["test.depth"] != 7 {
 		t.Errorf("epoch 0 gauge = %d, want 7", epochs[0].Gauges["test.depth"])
 	}
@@ -115,9 +117,10 @@ func TestEpochDeltasSumToCumulative(t *testing.T) {
 // keep climbing.
 func TestRetentionRingEviction(t *testing.T) {
 	r, set := newTestRecorder(Config{Retain: 4})
-	ctr := set.Reg.Counter("test.ops")
+	var ops int64
+	set.Reg.GaugeVar("test.ops", &ops)
 	for i := 1; i <= 10; i++ {
-		ctr.Inc() // make each epoch non-empty
+		ops++ // make each epoch non-empty
 		r.Tick(sim.Cycles(i) * 1000)
 	}
 	epochs := r.Epochs()
@@ -142,17 +145,18 @@ func TestRetentionRingEviction(t *testing.T) {
 // run-end exemption.
 func TestEventPostmortems(t *testing.T) {
 	r, set := newTestRecorder(Config{Retain: 8, PostmortemEpochs: 2, MaxDumps: 2, TailRecords: 4})
-	ctr := set.Reg.Counter("test.ops")
+	var ops int64
+	set.Reg.GaugeVar("test.ops", &ops)
 	ps := set.NewProc(1, "victim")
 	for i := 1; i <= 3; i++ {
-		ctr.Inc()
+		ops++
 		r.Tick(sim.Cycles(i) * 1000)
 	}
 	ps.SyscallEnter(1, 3000)
 	ps.SyscallExit(3100)
 
 	// Open window [3000,3500] flushes into the dump's epochs.
-	ctr.Inc()
+	ops++
 	r.Event(3500, "kill", "victim-1: oom")
 	r.Event(3600, "kill", "victim-1: again")
 	r.Event(3700, "kill", "victim-1: dropped") // over MaxDumps
@@ -174,8 +178,8 @@ func TestEventPostmortems(t *testing.T) {
 	if last.End != 3500 {
 		t.Errorf("dump's newest epoch ends at %d, want the event cycle 3500", last.End)
 	}
-	if last.Counters["test.ops"] != 1 {
-		t.Errorf("flushed window counter delta = %d, want 1", last.Counters["test.ops"])
+	if last.Gauges["test.ops"] != 4 {
+		t.Errorf("flushed window gauge = %d, want 4", last.Gauges["test.ops"])
 	}
 	// The tail names the syscall via the injected resolver.
 	var sawCall bool
@@ -223,7 +227,8 @@ func TestMergeSummaries(t *testing.T) {
 // foreign schemas.
 func TestRecordRoundTrip(t *testing.T) {
 	r, set := newTestRecorder(Config{})
-	set.Reg.Counter("test.ops").Add(42)
+	ops := int64(42)
+	set.Reg.GaugeVar("test.ops", &ops)
 	r.Tick(1500)
 	r.Event(2000, "run_end", "")
 
@@ -239,8 +244,8 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Errorf("round trip: schema %q, %d epochs, %d postmortems",
 			rec.Schema, len(rec.Epochs), len(rec.Postmortems))
 	}
-	if rec.Epochs[0].Counters["test.ops"] != 42 {
-		t.Errorf("counter delta lost in round trip: %+v", rec.Epochs[0].Counters)
+	if rec.Epochs[0].Gauges["test.ops"] != 42 {
+		t.Errorf("gauge lost in round trip: %+v", rec.Epochs[0].Gauges)
 	}
 	if rec.Summary.Epochs != 2 {
 		t.Errorf("summary.Epochs = %d, want 2", rec.Summary.Epochs)

@@ -26,10 +26,9 @@ type ReferenceRecorder struct {
 	ticks        int64
 	totalTicks   int64
 
-	prevCounters map[string]int64
-	prevGauges   map[string]int64
-	prevHists    map[string]kperf.HistogramSnapshot
-	prevAttr     map[AttrDelta]int64 // keyed with Cycles zero
+	prevGauges map[string]int64
+	prevHists  map[string]kperf.HistogramSnapshot
+	prevAttr   map[AttrDelta]int64 // keyed with Cycles zero
 
 	ring      []Epoch
 	ringStart int
@@ -49,7 +48,6 @@ func NewReferenceRecorder(cfg Config, set *kperf.Set) *ReferenceRecorder {
 		cfg:          cfg,
 		set:          set,
 		nextBoundary: cfg.EpochCycles,
-		prevCounters: make(map[string]int64),
 		prevGauges:   make(map[string]int64),
 		prevHists:    make(map[string]kperf.HistogramSnapshot),
 		prevAttr:     make(map[AttrDelta]int64),
@@ -96,15 +94,6 @@ func (r *ReferenceRecorder) closeEpoch(now sim.Cycles) {
 	r.seq++
 	r.ticks = 0
 
-	for name, v := range sn.Counters {
-		if d := v - r.prevCounters[name]; d != 0 {
-			if e.Counters == nil {
-				e.Counters = make(map[string]int64)
-			}
-			e.Counters[name] = d
-		}
-		r.prevCounters[name] = v
-	}
 	for name, v := range sn.Gauges {
 		if prev, seen := r.prevGauges[name]; !seen || v != prev {
 			if e.Gauges == nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/sim"
 )
@@ -46,19 +47,25 @@ const machinePID = 1
 func cyclesToUs(c int64) float64 { return float64(c) / 1700.0 }
 
 // TraceFilter restricts the exporters to one process and/or one
-// subsystem. Proc matches a process name or its "name-pid" label;
-// Subsystem matches the event's attributed subsystem (scheduler spans
-// count as "sched", syscall spans as "kern", faults as "mem", blocked
-// intervals as the subsystem they waited on). Zero-value fields match
-// everything.
+// subsystem. Proc matches a process name or its "name-pid" label, so
+// "pm" selects process pm but not process pm-a; Subsystem matches the
+// event's attributed subsystem (scheduler spans count as "sched",
+// syscall spans as "kern", faults as "mem", blocked intervals as the
+// subsystem they waited on). Zero-value fields match everything.
 type TraceFilter struct {
 	Proc      string
 	Subsystem string
 }
 
-// MatchProc reports whether a process passes the filter.
-func (f TraceFilter) MatchProc(name string, pid int) bool {
-	return f.Proc == "" || f.Proc == name || f.Proc == fmt.Sprintf("%s-%d", name, pid)
+// matchProc reports whether the process labeled "name-pid" passes the
+// filter: Proc is its label, or its name, which is the label less a
+// "-pid" suffix.
+func (f TraceFilter) matchProc(label string) bool {
+	if f.Proc == "" || f.Proc == label {
+		return true
+	}
+	pid, ok := strings.CutPrefix(label, f.Proc+"-")
+	return ok && pid != "" && strings.Trim(pid, "0123456789") == ""
 }
 
 func (f TraceFilter) matchSub(sub string) bool {
@@ -95,31 +102,15 @@ type FlowSpan struct {
 	Args      map[string]any
 }
 
-// WriteChromeTrace renders the set's trace as Chrome trace_event
-// JSON.
-func (s *Set) WriteChromeTrace(w io.Writer) error {
-	return s.WriteChromeTraceFiltered(w, TraceFilter{})
-}
-
-// WriteChromeTraceFiltered is WriteChromeTrace restricted to the
-// processes and subsystems the filter selects.
-func (s *Set) WriteChromeTraceFiltered(w io.Writer, f TraceFilter) error {
-	return s.WriteChromeTraceCounters(w, f, nil)
-}
-
-// WriteChromeTraceCounters is WriteChromeTraceFiltered plus counter
-// tracks: each track renders as one counter row under the machine
-// process, so flight-recorder series (syscall rates, TLB ratios,
-// subsystem cycle deltas) line up against the span timeline.
-func (s *Set) WriteChromeTraceCounters(w io.Writer, f TraceFilter, tracks []CounterTrack) error {
-	return s.WriteChromeTraceExtra(w, f, tracks, nil)
-}
-
-// WriteChromeTraceExtra is WriteChromeTraceCounters plus
-// caller-supplied extra spans (the ktrace request/span forest) with
-// flow binding: requests originate a flow ("s" events) their child
-// spans join ("f"), so Perfetto draws the causal arrows.
-func (s *Set) WriteChromeTraceExtra(w io.Writer, f TraceFilter, tracks []CounterTrack, extra []FlowSpan) error {
+// WriteChromeTrace renders the set's trace as Chrome trace_event JSON,
+// restricted to the processes and subsystems the filter selects. Each
+// counter track renders as one counter row under the machine process,
+// so flight-recorder series (syscall rates, TLB ratios, subsystem cycle
+// deltas) line up against the span timeline. The extra spans (the
+// ktrace request/span forest) are bound into flows: requests originate
+// a flow ("s" events) their child spans join ("f"), so Perfetto draws
+// the causal arrows.
+func (s *Set) WriteChromeTrace(w io.Writer, f TraceFilter, tracks []CounterTrack, extra []FlowSpan) error {
 	if s == nil {
 		return fmt.Errorf("kperf: no set")
 	}
@@ -134,13 +125,14 @@ func (s *Set) WriteChromeTraceExtra(w io.Writer, f TraceFilter, tracks []Counter
 		}
 	}
 	for _, sh := range s.Trace.Shards() {
-		if !f.MatchProc(sh.name, sh.pid) {
+		label := fmt.Sprintf("%s-%d", sh.name, sh.pid)
+		if !f.matchProc(label) {
 			continue
 		}
 		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
 			Name: "thread_name", Cat: "__metadata", Ph: "M",
 			PID: machinePID, TID: sh.pid,
-			Args: map[string]any{"name": fmt.Sprintf("%s-%d", sh.name, sh.pid)},
+			Args: map[string]any{"name": label},
 		})
 		for _, ev := range sh.Events() {
 			switch ev.Kind {

@@ -14,59 +14,35 @@ import (
 
 func TestCounterGaugeRegistry(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("sys.calls")
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-	if r.Counter("sys.calls") != c {
-		t.Fatal("Counter not idempotent by name")
-	}
-	g := r.Gauge("cache.size")
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
-	}
+	calls := int64(0)
+	r.GaugeVar("sys.calls", &calls)
+	calls += 5 // a variable is read when the registry is, not when registered
 	lazy := int64(0)
 	r.GaugeFunc("lazy.reads", func() int64 { return lazy })
 	lazy = 42
-	field := int64(0)
+	field := int64(9)
 	r.GaugeVar("field.reads", &field)
-	field = 9
 	sn := r.Snapshot()
-	if sn.Counters["sys.calls"] != 5 || sn.Gauges["cache.size"] != 7 || sn.Gauges["lazy.reads"] != 42 ||
-		sn.Gauges["field.reads"] != 9 {
+	if sn.Gauges["sys.calls"] != 5 || sn.Gauges["lazy.reads"] != 42 || sn.Gauges["field.reads"] != 9 {
 		t.Fatalf("snapshot mismatch: %+v", sn)
 	}
-	// A variable registered under a plain gauge's name wins in every
-	// read; the plain gauge keeps its own value.
-	shadowed := int64(11)
-	r.Gauge("shadow").Set(1)
-	r.GaugeVar("shadow", &shadowed)
-	if r.Gauge("shadow").Value() != 1 || r.Snapshot().Gauges["shadow"] != 11 {
-		t.Fatalf("variable under a plain gauge's name: snapshot %+v", r.Snapshot().Gauges)
-	}
 
-	// A func registered under a plain gauge's name wins in both reads,
-	// keeping the gauge's position; a counter may share a gauge's name.
-	r.GaugeFunc("cache.size", func() int64 { return -1 })
-	r.Counter("cache.size").Add(3)
-	r.Histogram("lat").Observe(100)
-	if sn := r.Snapshot(); sn.Gauges["cache.size"] != -1 || sn.Counters["cache.size"] != 3 {
+	// A func registered under a variable's name wins in both reads,
+	// keeping the gauge's position; a histogram may share a gauge's name.
+	r.GaugeFunc("sys.calls", func() int64 { return -1 })
+	r.Histogram("sys.calls").Observe(100)
+	if sn := r.Snapshot(); sn.Gauges["sys.calls"] != -1 || sn.Histograms["sys.calls"].Count != 1 {
 		t.Fatalf("snapshot after re-registration: %+v", sn)
 	}
 	var s Sample
 	r.Sample(&s)
 	names := r.Names()
-	if !slices.Equal(names.Counters, []string{"sys.calls", "cache.size"}) ||
-		!slices.Equal(names.Gauges, []string{"cache.size", "lazy.reads", "field.reads", "shadow"}) ||
-		!slices.Equal(names.Hists, []string{"lat"}) {
+	if !slices.Equal(names.Gauges, []string{"sys.calls", "lazy.reads", "field.reads"}) ||
+		!slices.Equal(names.Hists, []string{"sys.calls"}) {
 		t.Fatalf("names = %+v", names)
 	}
 	// The sample carries each histogram's quantile triple.
-	if !slices.Equal(s.Counters, []int64{5, 3}) || !slices.Equal(s.Gauges, []int64{-1, 42, 9, 11}) ||
+	if !slices.Equal(s.Gauges, []int64{-1, 42, 9}) ||
 		!slices.Equal(s.Hists, []HistSample{{Count: 1, Sum: 100, P50: 128, P90: 128, P99: 128}}) {
 		t.Fatalf("sample = %+v", s)
 	}
@@ -79,7 +55,7 @@ func TestCounterGaugeRegistry(t *testing.T) {
 	})
 	r.Sample(&s)
 	r.Sample(&s)
-	if walks != 2 || !slices.Equal(s.Gauges, []int64{-1, 42, 9, 11, 2, 20}) {
+	if walks != 2 || !slices.Equal(s.Gauges, []int64{-1, 42, 9, 2, 20}) {
 		t.Fatalf("after %d group walks, sample gauges %v", walks, s.Gauges)
 	}
 	if sn := r.Snapshot(); walks != 3 || sn.Gauges["grp.a"] != 3 || sn.Gauges["grp.b"] != 30 {
@@ -413,7 +389,7 @@ func TestAttributionCellsAndFoldedSum(t *testing.T) {
 	if got := ps.ModeSubsysCycles(nil); !slices.Equal(got, want) {
 		t.Fatalf("ModeSubsysCycles = %v, want %v", got, want)
 	}
-	folded := sn.FoldedStacks()
+	folded := sn.FoldedStacks(TraceFilter{})
 	if !strings.Contains(folded, "proc-1;kernel;kern;call 200") {
 		t.Fatalf("folded missing kernel body line:\n%s", folded)
 	}
@@ -445,19 +421,20 @@ func TestSnapshotMerge(t *testing.T) {
 	a := New(4, 64)
 	pa := a.NewProc(1, "a")
 	pa.OnCycles(10, true)
-	a.Reg.Counter("x").Add(1)
+	xa, xb := int64(1), int64(2)
+	a.Reg.GaugeVar("x", &xa)
 	a.Reg.Histogram("h").Observe(8)
 
 	b := New(4, 64)
 	pb := b.NewProc(1, "b")
 	pb.OnCycles(20, false)
-	b.Reg.Counter("x").Add(2)
+	b.Reg.GaugeVar("x", &xb)
 	b.Reg.Histogram("h").Observe(100)
 
 	sa, sb := a.Snapshot(), b.Snapshot()
 	sa.Merge(sb)
-	if sa.TotalCycles != 30 || sa.Counters["x"] != 3 {
-		t.Fatalf("merge: total %d counter %d", sa.TotalCycles, sa.Counters["x"])
+	if sa.TotalCycles != 30 || sa.Gauges["x"] != 3 {
+		t.Fatalf("merge: total %d gauge %d", sa.TotalCycles, sa.Gauges["x"])
 	}
 	h := sa.Histograms["h"]
 	if h.Count != 2 || h.Sum != 108 || h.Min != 8 || h.Max != 100 {
@@ -516,7 +493,7 @@ func TestChromeTraceIsValidJSON(t *testing.T) {
 	ps.Fault(120, true, false)
 
 	var buf bytes.Buffer
-	if err := set.WriteChromeTrace(&buf); err != nil {
+	if err := set.WriteChromeTrace(&buf, TraceFilter{}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -558,10 +535,13 @@ func TestTraceFilter(t *testing.T) {
 	app.BlockSpan(SubDisk, 300, 450)
 	other := set.NewProc(2, "bg")
 	other.SchedSpan(500, 600)
+	// A dashed name: "app" must not select app-x (label app-x-3).
+	dashed := set.NewProc(3, "app-x")
+	dashed.SchedSpan(600, 700)
 
 	count := func(f TraceFilter) int {
 		var buf bytes.Buffer
-		if err := set.WriteChromeTraceFiltered(&buf, f); err != nil {
+		if err := set.WriteChromeTrace(&buf, f, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		var doc struct {
@@ -578,8 +558,8 @@ func TestTraceFilter(t *testing.T) {
 		}
 		return n
 	}
-	if got := count(TraceFilter{}); got != 4 {
-		t.Fatalf("unfiltered events = %d, want 4", got)
+	if got := count(TraceFilter{}); got != 5 {
+		t.Fatalf("unfiltered events = %d, want 5", got)
 	}
 	if got := count(TraceFilter{Proc: "app"}); got != 3 {
 		t.Fatalf("proc=app events = %d, want 3", got)
@@ -596,25 +576,31 @@ func TestTraceFilter(t *testing.T) {
 	if got := count(TraceFilter{Proc: "nope"}); got != 0 {
 		t.Fatalf("proc=nope events = %d, want 0", got)
 	}
+	for _, proc := range []string{"app-x", "app-x-3"} {
+		if got := count(TraceFilter{Proc: proc}); got != 1 {
+			t.Fatalf("proc=%s events = %d, want 1", proc, got)
+		}
+	}
 
 	sn := &Snapshot{
 		Attribution: []AttrRow{
 			{Process: "app-1", Mode: "kernel", Subsys: "disk", Syscall: "read", Cycles: 100},
 			{Process: "app-1", Mode: "user", Subsys: "kern", Syscall: "-", Cycles: 50},
 			{Process: "bg-2", Mode: "kernel", Subsys: "disk", Syscall: "write", Cycles: 25},
+			{Process: "app-x-3", Mode: "user", Subsys: "user", Syscall: "-", Cycles: 10},
 		},
 		SetupCycles: 7,
 		IdleCycles:  3,
 	}
 	lineCount := func(f TraceFilter) int {
-		s := sn.FoldedStacksFiltered(f)
+		s := sn.FoldedStacks(f)
 		if s == "" {
 			return 0
 		}
 		return strings.Count(s, "\n")
 	}
-	if got := lineCount(TraceFilter{}); got != 5 {
-		t.Fatalf("unfiltered folded lines = %d, want 5", got)
+	if got := lineCount(TraceFilter{}); got != 6 {
+		t.Fatalf("unfiltered folded lines = %d, want 6", got)
 	}
 	if got := lineCount(TraceFilter{Proc: "app"}); got != 2 {
 		t.Fatalf("proc=app folded lines = %d, want 2", got)
@@ -627,6 +613,11 @@ func TestTraceFilter(t *testing.T) {
 	}
 	if got := lineCount(TraceFilter{Proc: "bg", Subsystem: "disk"}); got != 1 {
 		t.Fatalf("bg disk folded lines = %d, want 1", got)
+	}
+	for _, proc := range []string{"app-x", "app-x-3"} {
+		if got := lineCount(TraceFilter{Proc: proc}); got != 1 {
+			t.Fatalf("proc=%s folded lines = %d, want 1", proc, got)
+		}
 	}
 }
 

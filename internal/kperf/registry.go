@@ -1,11 +1,12 @@
 // Package kperf is the always-on, zero-simulated-cost observability
 // layer of the simulated kernel. It provides three things:
 //
-//   - a typed metric registry (counters, gauges, cycle-bucketed
-//     histograms) that subsystems thread hot-path handles through,
-//   - a binary ring-buffer event tracer with per-process shards that
-//     records scheduler spans, syscall spans, blocking spans and fault
-//     events stamped in simulated cycles, and
+//   - a typed metric registry of gauges, read lazily from state the
+//     subsystems already keep, and cycle-bucketed histograms, whose
+//     hot-path handles the subsystems hold,
+//   - an event tracer with per-process shards, each a bounded Window
+//     of 32-byte records, that records scheduler spans, syscall spans,
+//     blocking spans and fault events stamped in simulated cycles, and
 //   - a cycle-attribution table (process → mode → subsystem → syscall)
 //     whose totals account for every advance of the simulated clock,
 //     exported as a flamegraph-ready folded-stack profile and a Chrome
@@ -33,36 +34,6 @@ import (
 
 	"repro/internal/sim"
 )
-
-// Counter is a monotonically increasing metric. Increments are
-// allocation-free and branch-free; the simulated machine's strict
-// goroutine hand-off makes plain int64 arithmetic race-free.
-type Counter struct {
-	v int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds d.
-func (c *Counter) Add(d int64) { c.v += d }
-
-// Value reads the counter.
-func (c *Counter) Value() int64 { return c.v }
-
-// Gauge is a set-to-current-value metric.
-type Gauge struct {
-	v int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v = v }
-
-// Add adjusts the gauge by d.
-func (g *Gauge) Add(d int64) { g.v += d }
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 { return g.v }
 
 // histBuckets is the number of power-of-two cycle buckets: bucket i
 // counts observations with value < 2^i cycles, so the largest bucket
@@ -243,24 +214,23 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 }
 
-// Registry is the typed metric registry of one machine. Metrics are
-// created (or found) by name; instrumented code resolves its handles
-// once at wiring time and then increments through the pointer, so the
+// Registry is the typed metric registry of one machine. It holds two
+// kinds. Gauges are lazy: a variable or func registered by name reads
+// an existing subsystem counter only when a snapshot or sample is
+// taken, making them literally free during the run. Histograms are
+// created (or found) by name; instrumented code resolves the handle
+// once at wiring time and then observes through the pointer, so the
 // name index is never touched on a hot path. Each kind lives in an
 // append-only list in registration order, so a metric keeps its
 // position for the registry's lifetime and a sampler (kflight) can
-// hold dense per-metric state indexed by it. Gauge variables and funcs
-// are lazy: they read an existing subsystem counter only when a
-// snapshot or sample is taken, making them literally free during the
-// run.
+// hold dense per-metric state indexed by it.
 type Registry struct {
-	mu       sync.Mutex
-	reads    uint64            // Snapshot and Sample calls so far
-	index    map[metricKey]int // position within the kind
-	names    [nKinds][]string  // each kind's names in registration order
-	counters []*Counter
-	gauges   []gaugeSlot
-	hists    []*Histogram
+	mu     sync.Mutex
+	reads  uint64            // Snapshot and Sample calls so far
+	index  map[metricKey]int // position within the kind
+	names  [nKinds][]string  // each kind's names in registration order
+	gauges []gaugeSlot
+	hists  []*Histogram
 	// histReads holds each histogram's reading at the last Sample; its
 	// quantiles are rescanned only once the count has moved.
 	histReads []HistSample
@@ -269,25 +239,22 @@ type Registry struct {
 type metricKind uint8
 
 const (
-	kindCounter metricKind = iota
-	kindGauge
+	kindGauge metricKind = iota
 	kindHist
 	nKinds
 )
 
-// metricKey names a metric within its kind: a counter and a gauge may
-// share a name.
+// metricKey names a metric within its kind: a gauge and a histogram
+// may share a name.
 type metricKey struct {
 	kind metricKind
 	name string
 }
 
-// gaugeSlot is one gauge name: a plain gauge, a variable, a lazy func,
-// or several of them when several were registered under the name. A
-// func wins over a variable, and a variable over the plain gauge.
+// gaugeSlot is one gauge name: a variable, a lazy func, or both when
+// both were registered under the name, in which case the func wins.
 type gaugeSlot struct {
-	g  *Gauge // the plain gauge, once one was asked for
-	v  *int64 // the variable read: g's value or one GaugeVar registered
+	v  *int64
 	fn func() int64
 }
 
@@ -316,17 +283,6 @@ func (r *Registry) position(kind metricKind, name string) (i int, isNew bool) {
 	return i, true
 }
 
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	i, isNew := r.position(kindCounter, name)
-	if isNew {
-		r.counters = append(r.counters, &Counter{})
-	}
-	return r.counters[i]
-}
-
 // gaugeSlot returns the named gauge slot, creating it on first use.
 // The pointer is valid until the next registration. Callers hold r.mu.
 func (r *Registry) gaugeSlot(name string) *gaugeSlot {
@@ -337,26 +293,10 @@ func (r *Registry) gaugeSlot(name string) *gaugeSlot {
 	return &r.gauges[i]
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.gaugeSlot(name)
-	if s.g == nil {
-		s.g = &Gauge{}
-		if s.v == nil {
-			s.v = &s.g.v
-		}
-	}
-	return s.g
-}
-
 // GaugeVar registers a gauge that reads *v at snapshot time. This is
 // the zero-overhead way to expose a counter a subsystem already
 // maintains as a plain int64 field (cache hits, syscall counts):
-// nothing happens until someone asks, and a read is one load. A
-// variable registered under a plain gauge's name replaces that gauge's
-// value in every later read.
+// nothing happens until someone asks, and a read is one load.
 func (r *Registry) GaugeVar(name string, v *int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -365,8 +305,8 @@ func (r *Registry) GaugeVar(name string, v *int64) {
 
 // GaugeFunc registers a lazy gauge computed at snapshot time, for a
 // value no single field holds (a sum, a locked or atomic read). A
-// func registered under a plain gauge's or a variable's name replaces
-// its value in every later read.
+// func registered under a variable's name replaces its value in every
+// later read.
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -407,7 +347,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // RegistrySnapshot is the serializable state of a registry.
 type RegistrySnapshot struct {
-	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
@@ -418,12 +357,8 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	defer r.mu.Unlock()
 	r.reads++
 	s := RegistrySnapshot{
-		Counters:   make(map[string]int64, len(r.counters)),
 		Gauges:     make(map[string]int64, len(r.gauges)),
 		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
-	}
-	for i, c := range r.counters {
-		s.Counters[r.names[kindCounter][i]] = c.v
 	}
 	for i := range r.gauges {
 		s.Gauges[r.names[kindGauge][i]] = r.gauges[i].value()
@@ -441,9 +376,8 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 // Names lists. Positions never change and the lists only grow, so a
 // longer list means metrics were registered since an earlier sample.
 type Sample struct {
-	Counters []int64
-	Gauges   []int64
-	Hists    []HistSample
+	Gauges []int64
+	Hists  []HistSample
 }
 
 // HistSample is a histogram's reading in a Sample: its observation
@@ -464,10 +398,6 @@ func (r *Registry) Sample(s *Sample) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.reads++
-	s.Counters = s.Counters[:0]
-	for _, c := range r.counters {
-		s.Counters = append(s.Counters, c.v)
-	}
 	s.Gauges = s.Gauges[:0]
 	for i := range r.gauges {
 		s.Gauges = append(s.Gauges, r.gauges[i].value())
@@ -485,7 +415,7 @@ func (r *Registry) Sample(s *Sample) {
 
 // MetricNames lists each kind's metric names in registration order.
 type MetricNames struct {
-	Counters, Gauges, Hists []string
+	Gauges, Hists []string
 }
 
 // Names lists the registry's metric names: entry i names entry i of
@@ -495,9 +425,8 @@ func (r *Registry) Names() MetricNames {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return MetricNames{
-		Counters: slices.Clip(r.names[kindCounter]),
-		Gauges:   slices.Clip(r.names[kindGauge]),
-		Hists:    slices.Clip(r.names[kindHist]),
+		Gauges: slices.Clip(r.names[kindGauge]),
+		Hists:  slices.Clip(r.names[kindHist]),
 	}
 }
 

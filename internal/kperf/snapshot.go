@@ -23,7 +23,6 @@ type AttrRow struct {
 // counters. BENCH_repro.json embeds one per experiment; kprof renders
 // one as a folded-stack profile.
 type Snapshot struct {
-	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 
@@ -59,7 +58,6 @@ func (s *Set) Snapshot() *Snapshot {
 	}
 	reg := s.Reg.Snapshot()
 	sn := &Snapshot{
-		Counters:        reg.Counters,
 		Gauges:          reg.Gauges,
 		Histograms:      reg.Histograms,
 		SubsystemCycles: make(map[string]int64),
@@ -100,12 +98,6 @@ func (s *Set) Snapshot() *Snapshot {
 func (sn *Snapshot) Merge(other *Snapshot) {
 	if other == nil {
 		return
-	}
-	if sn.Counters == nil {
-		sn.Counters = make(map[string]int64)
-	}
-	for k, v := range other.Counters {
-		sn.Counters[k] += v
 	}
 	if sn.Gauges == nil {
 		sn.Gauges = make(map[string]int64)
@@ -169,27 +161,17 @@ func mergeHist(a, b HistogramSnapshot) HistogramSnapshot {
 	return out
 }
 
-// FoldedStacks renders the attribution table in folded-stack format
-// (one "frame;frame;... cycles" line per cell, flamegraph.pl /
-// speedscope ready): process → mode → subsystem → syscall. Machine
-// sinks appear under a "machine" root so the lines sum to elapsed
-// cycles.
-func (sn *Snapshot) FoldedStacks() string {
-	return sn.FoldedStacksFiltered(TraceFilter{})
-}
-
-// FoldedStacksFiltered renders only the attribution cells the filter
-// selects (the machine's setup/idle sinks count as process "machine",
-// subsystems "setup" and "idle"). With a zero filter the lines sum to
-// TotalCycles; with a filter they sum to that slice of it.
-func (sn *Snapshot) FoldedStacksFiltered(f TraceFilter) string {
+// FoldedStacks renders the attribution cells the filter selects in
+// folded-stack format (one "frame;frame;... cycles" line per cell,
+// flamegraph.pl / speedscope ready): process → mode → subsystem →
+// syscall. Machine sinks appear under a "machine" root, as process
+// "machine" with subsystems "setup" and "idle". With a zero filter the
+// lines sum to TotalCycles, the machine's elapsed cycles; with a
+// filter they sum to that slice of it.
+func (sn *Snapshot) FoldedStacks(f TraceFilter) string {
 	lines := make([]string, 0, len(sn.Attribution)+2)
 	matchRow := func(procLabel, sub string) bool {
-		if f.Proc != "" && f.Proc != procLabel &&
-			!strings.HasPrefix(procLabel, f.Proc+"-") {
-			return false
-		}
-		return f.Subsystem == "" || f.Subsystem == sub
+		return f.matchProc(procLabel) && f.matchSub(sub)
 	}
 	for _, row := range sn.Attribution {
 		if !matchRow(row.Process, row.Subsys) {

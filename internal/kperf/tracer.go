@@ -1,7 +1,6 @@
 package kperf
 
 import (
-	"encoding/binary"
 	"sync"
 
 	"repro/internal/sim"
@@ -40,14 +39,18 @@ func (k EventKind) String() string {
 	return "?"
 }
 
-// recordBytes is the fixed on-ring size of one binary record:
-// kind(1) pad(3) arg(4) start(8) end(8) req(8). The trailing req word
-// is the ktrace request id the record was written under (0 when no
+// record is one trace record as a shard keeps it, 32 bytes. req is
+// the ktrace request id the record was written under (0 when no
 // request was open), so postmortem trace tails can say which logical
 // operation a span belonged to.
-const recordBytes = 32
+type record struct {
+	kind       EventKind
+	arg        uint32
+	start, end sim.Cycles
+	req        uint64
+}
 
-// TraceEvent is one decoded trace record.
+// TraceEvent is one trace record as readers see it.
 type TraceEvent struct {
 	PID        int
 	Kind       EventKind
@@ -58,23 +61,17 @@ type TraceEvent struct {
 	Req uint64
 }
 
-// Shard is one process's private slice of the tracer: a bounded
-// binary ring of fixed-size records. When the ring is full a new
-// record overwrites the oldest one and the loss is counted — tracing
-// never blocks and never reallocates, and the retained window is
-// always the most recent records, which is exactly the tail a
-// kflight postmortem wants. The hot path is a 32-byte encode plus
-// two index updates.
+// Shard is one process's private slice of the tracer: a Window of
+// records. The retained records are always the most recent ones,
+// which is exactly the tail a kflight postmortem wants. The hot path
+// writes one record in place.
 type Shard struct {
 	pid  int
 	name string
 
-	buf     []byte // nrec*recordBytes, fixed
-	nrec    int    // record capacity
-	w       int    // next write slot
-	n       int    // retained records (<= nrec)
-	drops   int64  // records overwritten by wraparound (oldest lost)
-	records int64  // total records ever written, including overwritten
+	recs Window[record]
+	// spanDrops counts syscall spans dropped past maxOpenSpans.
+	spanDrops int64
 
 	// req is the ktrace request id currently open on the process
 	// (ProcState.SetRequest); every record written while it is nonzero
@@ -107,16 +104,16 @@ func (s *Shard) PID() int { return s.pid }
 // Name reports the shard's process name.
 func (s *Shard) Name() string { return s.name }
 
-// Drops reports records lost to wraparound: the ring was full and the
-// oldest record was overwritten to make room.
-func (s *Shard) Drops() int64 { return s.drops }
+// Drops reports records lost: overwritten by newer ones once the
+// shard was full, or syscall spans nested past maxOpenSpans.
+func (s *Shard) Drops() int64 { return s.recs.Overwritten() + s.spanDrops }
 
 // Records reports the total records ever written, including those
-// later overwritten; Records()-Drops() is the retained count.
-func (s *Shard) Records() int64 { return s.records }
+// later overwritten.
+func (s *Shard) Records() int64 { return s.recs.Written() }
 
-// Retained reports the records currently held in the ring.
-func (s *Shard) Retained() int { return s.n }
+// Retained reports the records currently held.
+func (s *Shard) Retained() int { return s.recs.Len() }
 
 // Span records a completed span.
 func (s *Shard) Span(kind EventKind, arg uint32, start, end sim.Cycles) {
@@ -132,7 +129,7 @@ func (s *Shard) Instant(kind EventKind, arg uint32, at sim.Cycles) {
 func (s *Shard) Begin(arg uint32, at sim.Cycles) uint64 {
 	s.spanSeq++
 	if s.openDeep >= maxOpenSpans {
-		s.drops++
+		s.spanDrops++
 		return 0
 	}
 	s.open[s.openDeep] = openSpan{id: s.spanSeq, arg: arg, start: at}
@@ -161,70 +158,23 @@ func (s *Shard) CurrentSpan() uint64 {
 }
 
 func (s *Shard) write(kind EventKind, arg uint32, start, end sim.Cycles) {
-	if s.nrec == 0 {
-		s.drops++
-		s.records++
-		return
-	}
-	off := s.w * recordBytes
-	b := s.buf[off : off+recordBytes]
-	b[0] = byte(kind)
-	b[1], b[2], b[3] = 0, 0, 0
-	binary.LittleEndian.PutUint32(b[4:], arg)
-	binary.LittleEndian.PutUint64(b[8:], uint64(start))
-	binary.LittleEndian.PutUint64(b[16:], uint64(end))
-	binary.LittleEndian.PutUint64(b[24:], s.req)
-	s.w++
-	if s.w == s.nrec {
-		s.w = 0
-	}
-	if s.n < s.nrec {
-		s.n++
-	} else {
-		s.drops++
-	}
-	s.records++
+	r := s.recs.Next()
+	r.kind, r.arg, r.start, r.end, r.req = kind, arg, start, end, s.req
 }
 
-// decode reads the record in ring slot idx.
-func (s *Shard) decode(idx int) TraceEvent {
-	b := s.buf[idx*recordBytes : idx*recordBytes+recordBytes]
-	return TraceEvent{
-		PID:   s.pid,
-		Kind:  EventKind(b[0]),
-		Arg:   binary.LittleEndian.Uint32(b[4:]),
-		Start: sim.Cycles(binary.LittleEndian.Uint64(b[8:])),
-		End:   sim.Cycles(binary.LittleEndian.Uint64(b[16:])),
-		Req:   binary.LittleEndian.Uint64(b[24:]),
-	}
-}
-
-// Events decodes the shard's retained records in write order (oldest
+// Events returns the shard's retained records in write order (oldest
 // retained first).
 func (s *Shard) Events() []TraceEvent {
-	return s.Tail(s.n)
+	return s.Tail(s.recs.Len())
 }
 
-// Tail decodes the most recent k retained records in write order; k
+// Tail returns the most recent k retained records in write order; k
 // larger than the retained count returns everything.
 func (s *Shard) Tail(k int) []TraceEvent {
-	if k > s.n {
-		k = s.n
-	}
-	if k <= 0 {
-		return nil
-	}
-	out := make([]TraceEvent, 0, k)
-	start := s.w - k
-	if start < 0 {
-		start += s.nrec
-	}
-	for i := 0; i < k; i++ {
-		idx := start + i
-		if idx >= s.nrec {
-			idx -= s.nrec
-		}
-		out = append(out, s.decode(idx))
+	recs := s.recs.Tail(k)
+	out := make([]TraceEvent, len(recs))
+	for i, r := range recs {
+		out[i] = TraceEvent{PID: s.pid, Kind: r.kind, Arg: r.arg, Start: r.start, End: r.end, Req: r.req}
 	}
 	return out
 }
@@ -258,7 +208,7 @@ func (t *Tracer) Shard(pid int, name string) *Shard {
 	if n <= 0 {
 		n = DefaultShardRecords
 	}
-	s := &Shard{pid: pid, name: name, nrec: n, buf: make([]byte, n*recordBytes)}
+	s := &Shard{pid: pid, name: name, recs: NewWindow[record](n)}
 	t.mu.Lock()
 	t.shards = append(t.shards, s)
 	t.mu.Unlock()
@@ -274,11 +224,11 @@ func (t *Tracer) Shards() []*Shard {
 	return out
 }
 
-// Totals reports records retained and dropped across all shards.
+// Totals reports records written and dropped across all shards.
 func (t *Tracer) Totals() (records, drops int64) {
 	for _, s := range t.Shards() {
-		records += s.records
-		drops += s.drops
+		records += s.Records()
+		drops += s.Drops()
 	}
 	return records, drops
 }

@@ -140,20 +140,15 @@ type ReqRecord struct {
 // Wall reports the request's wall cycles.
 func (r ReqRecord) Wall() int64 { return int64(r.End - r.Start) }
 
-// Config sizes the tracer's bounded retention.
-type Config struct {
-	// SpanRecords caps the closed-span ring (0: DefaultSpanRecords).
-	// When full, the oldest span is overwritten and counted dropped.
-	SpanRecords int
-	// ReqRecords caps the retained per-request decomposition records
-	// (0: DefaultReqRecords); same ring semantics.
-	ReqRecords int
-}
+// Config switches the tracer on: a machine traces requests when its
+// options point at one. It has no settings.
+type Config struct{}
 
-// Retention defaults.
+// Retention bounds: the newest closed spans and request records are
+// kept, and older ones are overwritten and counted dropped.
 const (
-	DefaultSpanRecords = 1 << 16
-	DefaultReqRecords  = 1 << 15
+	spanRecords = 1 << 16
+	reqRecords  = 1 << 15
 )
 
 // winKind is the off-CPU window state of one process.
@@ -218,7 +213,6 @@ type opAgg struct {
 type Tracer struct {
 	kperf.NopObserver
 
-	cfg   Config
 	clock *sim.Clock
 	set   *kperf.Set
 
@@ -232,40 +226,21 @@ type Tracer struct {
 
 	aggs map[string]*opAgg
 
-	spans      []Span
-	spanW      int
-	spanN      int
-	spanDrops  int64
-	spansTotal int64
-
-	reqs     []ReqRecord
-	reqW     int
-	reqN     int
-	reqDrops int64
+	spans kperf.Window[Span]
+	reqs  kperf.Window[ReqRecord]
 }
 
 // NewTracer creates a tracer reading simulated time from clock and
 // stamping request context into set's per-process state (set may be
-// nil; request stamping is then skipped). cfg nil selects defaults.
-func NewTracer(cfg *Config, clock *sim.Clock, set *kperf.Set) *Tracer {
-	c := Config{}
-	if cfg != nil {
-		c = *cfg
-	}
-	if c.SpanRecords <= 0 {
-		c.SpanRecords = DefaultSpanRecords
-	}
-	if c.ReqRecords <= 0 {
-		c.ReqRecords = DefaultReqRecords
-	}
+// nil; request stamping is then skipped).
+func NewTracer(clock *sim.Clock, set *kperf.Set) *Tracer {
 	return &Tracer{
-		cfg:   c,
 		clock: clock,
 		set:   set,
 		procs: make(map[int]*procTrace),
 		aggs:  make(map[string]*opAgg),
-		spans: make([]Span, c.SpanRecords),
-		reqs:  make([]ReqRecord, c.ReqRecords),
+		spans: kperf.NewWindow[Span](spanRecords),
+		reqs:  kperf.NewWindow[ReqRecord](reqRecords),
 	}
 }
 
@@ -371,10 +346,10 @@ func (t *Tracer) closeWindow(pt *procTrace, at sim.Cycles) {
 	}
 	if kind == winBlocked {
 		t.seq++
-		t.emit(Span{
+		*t.spans.Next() = Span{
 			ID: t.seq, Parent: pt.topID(), Req: pt.reqID, PID: pt.pid,
 			Kind: SpanWait, Arg: uint32(sub), Start: start, End: at,
-		})
+		}
 	}
 }
 
@@ -432,10 +407,10 @@ func (t *Tracer) EndOp(pid int) {
 	if pt.depth > 0 && pt.stack[pt.depth-1].kind == SpanOp {
 		pt.depth--
 		sp := pt.stack[pt.depth]
-		t.emit(Span{
+		*t.spans.Next() = Span{
 			ID: sp.id, Parent: pt.topID(), Req: pt.reqID, PID: pid,
 			Kind: SpanOp, Op: sp.op, Start: sp.start, End: now,
-		})
+		}
 		return
 	}
 	if pt.reqID == 0 || pt.depth > 0 {
@@ -463,22 +438,11 @@ func (t *Tracer) closeRequest(pt *procTrace, now sim.Cycles) {
 		pt.agg.segs[i] += s
 	}
 
-	rec := ReqRecord{ID: pt.reqID, PID: pt.pid, Op: pt.op, Start: pt.reqStart, End: now, Segs: pt.segs}
-	t.reqs[t.reqW] = rec
-	t.reqW++
-	if t.reqW == len(t.reqs) {
-		t.reqW = 0
-	}
-	if t.reqN < len(t.reqs) {
-		t.reqN++
-	} else {
-		t.reqDrops++
-	}
-
-	t.emit(Span{
+	*t.reqs.Next() = ReqRecord{ID: pt.reqID, PID: pt.pid, Op: pt.op, Start: pt.reqStart, End: now, Segs: pt.segs}
+	*t.spans.Next() = Span{
 		ID: pt.reqID, Req: pt.reqID, PID: pt.pid,
 		Kind: SpanRequest, Op: pt.op, Start: pt.reqStart, End: now,
-	})
+	}
 	pt.ps.SetRequest(0, "")
 	pt.reqID, pt.op, pt.agg = 0, "", nil
 }
@@ -503,10 +467,10 @@ func (t *Tracer) SyscallExit(pid int, nr uint16, in, out int) {
 	if pt.reqID == 0 {
 		return
 	}
-	t.emit(Span{
+	*t.spans.Next() = Span{
 		ID: sp.id, Parent: pt.topID(), Req: pt.reqID, PID: pid,
 		Kind: SpanSyscall, Arg: sp.arg, Start: sp.start, End: t.clock.Now(),
-	})
+	}
 }
 
 // ExecSpan records a completed in-kernel execution slice (probe or
@@ -518,27 +482,10 @@ func (t *Tracer) ExecSpan(pid int, sub kperf.Subsys, start, end sim.Cycles) {
 		return
 	}
 	t.seq++
-	t.emit(Span{
+	*t.spans.Next() = Span{
 		ID: t.seq, Parent: pt.topID(), Req: pt.reqID, PID: pid,
 		Kind: SpanExec, Arg: uint32(sub), Start: start, End: end,
-	})
-}
-
-// emit writes one closed span into the bounded ring, overwriting (and
-// counting) the oldest when full. Spans outside any request are not
-// emitted by callers.
-func (t *Tracer) emit(sp Span) {
-	t.spans[t.spanW] = sp
-	t.spanW++
-	if t.spanW == len(t.spans) {
-		t.spanW = 0
 	}
-	if t.spanN < len(t.spans) {
-		t.spanN++
-	} else {
-		t.spanDrops++
-	}
-	t.spansTotal++
 }
 
 // agg returns (creating) the aggregate for op.
@@ -554,44 +501,21 @@ func (t *Tracer) agg(op string) *opAgg {
 // ---- accessors ----
 
 // Spans returns the retained closed spans in write order (oldest
-// retained first). Nil-safe.
+// retained first). Spans outside any request are never recorded.
+// Nil-safe.
 func (t *Tracer) Spans() []Span {
-	if t == nil || t.spanN == 0 {
+	if t == nil {
 		return nil
 	}
-	out := make([]Span, 0, t.spanN)
-	start := t.spanW - t.spanN
-	if start < 0 {
-		start += len(t.spans)
-	}
-	for i := 0; i < t.spanN; i++ {
-		idx := start + i
-		if idx >= len(t.spans) {
-			idx -= len(t.spans)
-		}
-		out = append(out, t.spans[idx])
-	}
-	return out
+	return t.spans.Tail(t.spans.Len())
 }
 
 // Requests returns the retained closed-request records in write order.
 func (t *Tracer) Requests() []ReqRecord {
-	if t == nil || t.reqN == 0 {
+	if t == nil {
 		return nil
 	}
-	out := make([]ReqRecord, 0, t.reqN)
-	start := t.reqW - t.reqN
-	if start < 0 {
-		start += len(t.reqs)
-	}
-	for i := 0; i < t.reqN; i++ {
-		idx := start + i
-		if idx >= len(t.reqs) {
-			idx -= len(t.reqs)
-		}
-		out = append(out, t.reqs[idx])
-	}
-	return out
+	return t.reqs.Tail(t.reqs.Len())
 }
 
 // segList renders a segment array for diagnostics.

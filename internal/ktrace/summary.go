@@ -84,9 +84,9 @@ func (t *Tracer) Summary() *Summary {
 		return s
 	}
 	s.Requests = t.requests
-	s.ReqDrops = t.reqDrops
-	s.Spans = t.spansTotal
-	s.SpanDrops = t.spanDrops
+	s.ReqDrops = t.reqs.Overwritten()
+	s.Spans = t.spans.Written()
+	s.SpanDrops = t.spans.Overwritten()
 	s.IdentityViolations = t.idViol
 	s.FirstViolation = t.firstViol
 	for _, pt := range t.procs {

@@ -683,7 +683,7 @@ func TestRingOnOffBitIdentity(t *testing.T) {
 		k := NewKernel(m, vfs.NewNamespace(fs))
 		var tr *ktrace.Tracer
 		if observed {
-			tr = ktrace.NewTracer(&ktrace.Config{}, &m.Clock, m.Perf)
+			tr = ktrace.NewTracer(&m.Clock, m.Perf)
 			m.Observe(tr)
 		}
 		var tags []uint64

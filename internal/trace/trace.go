@@ -30,11 +30,7 @@ type Recorder struct {
 
 	clock *sim.Clock
 
-	// KeepEvents controls whether the full event list is retained
-	// (the savings estimator needs it); the graph and counters are
-	// always maintained.
-	KeepEvents bool
-
+	// Events lists every recorded call; the savings estimator reads it.
 	Events []Event
 	Graph  *sysgraph.Graph
 
@@ -48,10 +44,9 @@ type Recorder struct {
 // NewRecorder creates a recorder stamping events from clock.
 func NewRecorder(clock *sim.Clock) *Recorder {
 	return &Recorder{
-		clock:      clock,
-		KeepEvents: true,
-		Graph:      sysgraph.New(func(n sysgraph.Node) string { return sys.Nr(n).String() }),
-		calls:      make([]int64, sys.Count()),
+		clock: clock,
+		Graph: sysgraph.New(func(n sysgraph.Node) string { return sys.Nr(n).String() }),
+		calls: make([]int64, sys.Count()),
 	}
 }
 
@@ -63,9 +58,7 @@ func (r *Recorder) SyscallExit(pid int, nr uint16, in, out int) {
 		r.any = true
 	}
 	r.last = t
-	if r.KeepEvents {
-		r.Events = append(r.Events, Event{Time: t, PID: pid, Nr: sys.Nr(nr), In: in, Out: out})
-	}
+	r.Events = append(r.Events, Event{Time: t, PID: pid, Nr: sys.Nr(nr), In: in, Out: out})
 	r.Graph.Observe(pid, sysgraph.Node(nr))
 	if int(nr) < len(r.calls) {
 		r.calls[nr]++

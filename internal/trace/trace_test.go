@@ -79,19 +79,6 @@ func TestRecorderCounters(t *testing.T) {
 	}
 }
 
-func TestRecorderNoEventsMode(t *testing.T) {
-	var clock sim.Clock
-	r := NewRecorder(&clock)
-	r.KeepEvents = false
-	feed(r, &clock, 1, sys.NrOpen, 5, 0)
-	if len(r.Events) != 0 {
-		t.Fatal("events kept despite KeepEvents=false")
-	}
-	if r.TotalCalls() != 1 {
-		t.Fatal("counters not maintained")
-	}
-}
-
 func TestGraphBuiltFromTrace(t *testing.T) {
 	var clock sim.Clock
 	r := NewRecorder(&clock)
