@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/kperf"
+	"repro/internal/sim"
 	"repro/internal/sys"
 )
 
@@ -94,12 +96,16 @@ func TestKlogEntriesCarrySpanIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Spawn("logger", func(pr *sys.Proc) error {
-		_, err := pr.RawSyscall(sys.NrGetpid, 0, 0, func() (int64, error) {
+	// An exit tap runs in kernel context before the return to user
+	// space, while the getpid span is still open.
+	s.K.AddExitTap(func(p *kernel.Process, nr sys.Nr, in, out int, dur sim.Cycles) {
+		if nr == sys.NrGetpid {
 			s.M.Log.Printf(2, "inside syscall")
-			return 0, nil
-		})
-		return err
+		}
+	})
+	s.Spawn("logger", func(pr *sys.Proc) error {
+		pr.Getpid()
+		return nil
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)

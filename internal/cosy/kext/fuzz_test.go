@@ -1,0 +1,190 @@
+package kext
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"repro/internal/cosy/lang"
+	"repro/internal/cosy/lib"
+	"repro/internal/kernel"
+	"repro/internal/sys"
+	"repro/internal/vfs"
+)
+
+// fuzzShmSize is the shared buffer every fuzzed compound runs over.
+const fuzzShmSize = 4096
+
+// seedCompounds returns well-formed compounds for FuzzCompound to
+// mutate: one making all ten calls compounds may make, the DB scans'
+// sequential and random probe loops, and E3's open-read-close, stat
+// and creat-write-close loops. Each runs over the parity fixture.
+func seedCompounds() ([][]byte, error) {
+	var out [][]byte
+	add := func(b *lib.Builder, result lang.Reg) error {
+		raw, err := b.Build(result)
+		out = append(out, raw)
+		return err
+	}
+
+	// All ten calls.
+	b := lib.New()
+	dir := b.Const(int64(b.String("/p/all")))
+	file := b.Const(int64(b.String("/p/all/x")))
+	buf := b.Const(int64(b.Alloc(256)))
+	st := b.Const(int64(b.Alloc(vfs.StatSize)))
+	n := b.Const(256)
+	b.Sys(uint16(sys.NrMkdir), dir)
+	fd := b.Sys(uint16(sys.NrCreat), file)
+	b.Sys(uint16(sys.NrWrite), fd, buf, n)
+	b.Sys(uint16(sys.NrLseek), fd, b.Const(0), b.Const(sys.SeekSet))
+	got := b.Sys(uint16(sys.NrRead), fd, buf, n)
+	b.Sys(uint16(sys.NrFstat), fd, st)
+	b.Sys(uint16(sys.NrClose), fd)
+	fd2 := b.Sys(uint16(sys.NrOpen), file, b.Const(sys.ORdonly))
+	b.Sys(uint16(sys.NrStat), file, st)
+	b.Sys(uint16(sys.NrClose), fd2)
+	b.Sys(uint16(sys.NrUnlink), file)
+	if err := add(b, got); err != nil {
+		return nil, err
+	}
+
+	// Sequential scan: read until EOF, testing each record header.
+	b = lib.New()
+	rec := b.Alloc(32)
+	fd = b.Sys(uint16(sys.NrOpen), b.Const(int64(b.String(parityFile))), b.Const(0))
+	total := b.Const(0)
+	top := b.Here()
+	got = b.Sys(uint16(sys.NrRead), fd, b.Const(int64(rec)), b.Const(32))
+	exit := b.Brz(got)
+	b.BinInto(total, "+", total, got)
+	hdr := b.Load(8, b.Const(int64(rec)))
+	b.Bin("&", hdr, hdr)
+	b.JmpTo(top)
+	exit.Here()
+	b.Sys(uint16(sys.NrClose), fd)
+	if err := add(b, total); err != nil {
+		return nil, err
+	}
+
+	// Random probes from an in-compound LCG: lseek + read per lookup.
+	b = lib.New()
+	rec = b.Alloc(16)
+	fd = b.Sys(uint16(sys.NrOpen), b.Const(int64(b.String(parityFile))), b.Const(0))
+	total = b.Const(0)
+	x := b.Const(42)
+	mul, inc, mod := b.Const(1103515245), b.Const(12345), b.Const(1<<31)
+	nrec, rsz := b.Const(6), b.Const(16)
+	b.CountedLoop(8, func(lang.Reg) {
+		b.BinInto(x, "%", b.Bin("+", b.Bin("*", mul, x), inc), mod)
+		off := b.Bin("*", b.Bin("%", x, nrec), rsz)
+		b.Sys(uint16(sys.NrLseek), fd, off, b.Const(sys.SeekSet))
+		b.BinInto(total, "+", total, b.Sys(uint16(sys.NrRead), fd, b.Const(int64(rec)), rsz))
+	})
+	b.Sys(uint16(sys.NrClose), fd)
+	if err := add(b, total); err != nil {
+		return nil, err
+	}
+
+	// E3's loops: open-read-close, stat, creat-write-close.
+	for _, shape := range []string{"orc", "stat", "cwc"} {
+		b = lib.New()
+		path := b.Const(int64(b.String(parityFile)))
+		buf := b.Const(int64(b.Alloc(vfs.StatSize)))
+		size := b.Const(vfs.StatSize)
+		total = b.Const(0)
+		b.CountedLoop(4, func(lang.Reg) {
+			var r lang.Reg
+			switch shape {
+			case "orc":
+				fd := b.Sys(uint16(sys.NrOpen), path, b.Const(0))
+				r = b.Sys(uint16(sys.NrRead), fd, buf, size)
+				b.Sys(uint16(sys.NrClose), fd)
+			case "stat":
+				r = b.Sys(uint16(sys.NrStat), path, buf)
+			case "cwc":
+				fd := b.Sys(uint16(sys.NrCreat), path)
+				r = b.Sys(uint16(sys.NrWrite), fd, buf, size)
+				b.Sys(uint16(sys.NrClose), fd)
+			}
+			b.BinInto(total, "+", total, r)
+		})
+		if err := add(b, total); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// TestSeedCompoundsRun checks FuzzCompound's seeds are live: each runs
+// to completion over the parity fixture.
+func TestSeedCompoundsRun(t *testing.T) {
+	seeds, err := seedCompounds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, raw := range seeds {
+		m, k := env()
+		e := New(k, ModeDataSeg)
+		rerr := run(t, m, func(p *kernel.Process) error {
+			pr := sys.NewProc(k, p)
+			if err := parityFixture(pr); err != nil {
+				return err
+			}
+			shm, err := e.NewShm(fuzzShmSize)
+			if err != nil {
+				return err
+			}
+			if _, err := e.ExecRing(pr, raw, shm); err != nil {
+				return fmt.Errorf("seed %d: %w", i, err)
+			}
+			return nil
+		})
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+	}
+}
+
+// FuzzCompound submits arbitrary bytes through ExecRing as an encoded
+// compound over the parity fixture. Every input must end in a value
+// or an error, or in a watchdog kill for compounds that outrun
+// MaxKernel — never a panic — and a process whose compound returned
+// must leave kernel mode and still complete a getpid.
+func FuzzCompound(f *testing.F) {
+	seeds, err := seedCompounds()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, raw := range seeds {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		m, k := env()
+		e := New(k, ModeDataSeg)
+		e.MaxKernel = 1_000_000
+		returned := false
+		rerr := run(t, m, func(p *kernel.Process) error {
+			pr := sys.NewProc(k, p)
+			if err := parityFixture(pr); err != nil {
+				return err
+			}
+			shm, err := e.NewShm(fuzzShmSize)
+			if err != nil {
+				return err
+			}
+			_, _ = e.ExecRing(pr, raw, shm)
+			returned = true
+			if p.InKernel() {
+				return errors.New("compound returned in kernel mode")
+			}
+			if pid := pr.Getpid(); pid != p.PID {
+				return fmt.Errorf("getpid after the compound = %d, want %d", pid, p.PID)
+			}
+			return nil
+		})
+		if rerr != nil && !(errors.Is(rerr, kernel.ErrKilled) && !returned) {
+			t.Fatal(rerr)
+		}
+	})
+}

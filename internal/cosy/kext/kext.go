@@ -240,9 +240,8 @@ func (e *Engine) ExecRing(pr *sys.Proc, encoded []byte, shm *Shm) (int64, error)
 
 // ringExec is the registered NrCosy ring op: Args[0] selects the shm,
 // the data window holds the encoded compound. The compound bytes are
-// read through the shared mapping without a boundary copy charge —
-// the same charge-free treatment the legacy trap entry gave its
-// encoded argument (decode cost is charged per op inside).
+// read through the shared mapping without a copy charge; decoding is
+// charged per op inside.
 func (e *Engine) ringExec(pr *sys.Proc, args [4]int64, data mem.UserView) (int64, error) {
 	shm := e.shms[seg.Selector(args[0])]
 	if shm == nil {
@@ -300,6 +299,10 @@ func (e *Engine) execInKernel(pr *sys.Proc, encoded []byte, shm *Shm) (int64, er
 
 	e.Stats.Compounds++
 	regs := make([]int64, c.NRegs)
+	// One Args serves every syscall of the compound: it escapes
+	// through the registry's indirect call, so one per operation
+	// would cost a heap object each.
+	var args sys.Args
 	inUserFunc := false
 	enterUserFunc := func() {
 		if e.Mode == ModeIsolated && !inUserFunc {
@@ -352,14 +355,14 @@ func (e *Engine) execInKernel(pr *sys.Proc, encoded []byte, shm *Shm) (int64, er
 			}
 		case lang.OpLoad:
 			enterUserFunc()
-			v, err := e.shmLoad(p, shm, regs[in.A], int(in.Sub))
+			v, err := e.shmLoad(shm, regs[in.A], int(in.Sub))
 			if err != nil {
 				return 0, err
 			}
 			regs[in.Dst] = v
 		case lang.OpStore:
 			enterUserFunc()
-			if err := e.shmStore(p, shm, regs[in.A], regs[in.B], int(in.Sub)); err != nil {
+			if err := e.shmStore(shm, regs[in.A], regs[in.B], int(in.Sub)); err != nil {
 				return 0, err
 			}
 		case lang.OpJmp:
@@ -374,7 +377,7 @@ func (e *Engine) execInKernel(pr *sys.Proc, encoded []byte, shm *Shm) (int64, er
 		case lang.OpSys:
 			inUserFunc = false
 			e.Stats.Syscalls++
-			v, err := e.dispatch(pr, shm, sys.Nr(in.Imm), in.Args, regs)
+			v, err := e.dispatch(pr, shm, &args, in, regs)
 			if err != nil {
 				regs[in.Dst] = -1
 				// System call errors terminate the compound, like an
@@ -390,11 +393,20 @@ func (e *Engine) execInKernel(pr *sys.Proc, encoded []byte, shm *Shm) (int64, er
 	}
 }
 
-// shmLoad reads size bytes at shm offset off through the segment.
-func (e *Engine) shmLoad(p *kernel.Process, shm *Shm, off int64, size int) (int64, error) {
-	addr, err := e.Table.Check(shm.sel, uint64(off), size, mem.AccessRead)
+// segCheck translates a shm access through the compound's segment,
+// counting the protection faults it raises.
+func (e *Engine) segCheck(shm *Shm, off int64, size int, access mem.Access) (mem.Addr, error) {
+	addr, err := e.Table.Check(shm.sel, uint64(off), size, access)
 	if err != nil {
 		e.Stats.Faults++
+	}
+	return addr, err
+}
+
+// shmLoad reads size bytes at shm offset off through the segment.
+func (e *Engine) shmLoad(shm *Shm, off int64, size int) (int64, error) {
+	addr, err := e.segCheck(shm, off, size, mem.AccessRead)
+	if err != nil {
 		return 0, err
 	}
 	if size == 1 {
@@ -408,10 +420,9 @@ func (e *Engine) shmLoad(p *kernel.Process, shm *Shm, off int64, size int) (int6
 	return int64(v), err
 }
 
-func (e *Engine) shmStore(p *kernel.Process, shm *Shm, off, val int64, size int) error {
-	addr, err := e.Table.Check(shm.sel, uint64(off), size, mem.AccessWrite)
+func (e *Engine) shmStore(shm *Shm, off, val int64, size int) error {
+	addr, err := e.segCheck(shm, off, size, mem.AccessWrite)
 	if err != nil {
-		e.Stats.Faults++
 		return err
 	}
 	if size == 1 {
@@ -436,155 +447,101 @@ func (e *Engine) readShmString(shm *Shm, off int64) (string, error) {
 	return "", fmt.Errorf("%w: unterminated string at shm offset %d", ErrBadCompound, off)
 }
 
-// dispatch executes one syscall operation. Buffers live in the shared
-// region: data moved by read/write is copied once inside the kernel
-// (page cache <-> shm) and never crosses the boundary.
-func (e *Engine) dispatch(pr *sys.Proc, shm *Shm, nr sys.Nr, args []lang.Reg, regs []int64) (int64, error) {
-	costs := &e.K.M.Costs
-	arg := func(i int) int64 {
-		if i < len(args) {
-			return regs[args[i]]
-		}
-		return 0
+// compoundArity is the set of system calls a compound may make, with
+// the register arguments each takes; zero marks a call compounds may
+// not make.
+var compoundArity = [...]int{
+	sys.NrOpen:   2, // path, flags
+	sys.NrClose:  1, // fd
+	sys.NrRead:   3, // fd, buffer, count
+	sys.NrWrite:  3, // fd, buffer, count
+	sys.NrLseek:  3, // fd, offset, whence
+	sys.NrStat:   2, // path, stat buffer
+	sys.NrFstat:  2, // fd, stat buffer
+	sys.NrCreat:  1, // path
+	sys.NrUnlink: 1, // path
+	sys.NrMkdir:  1, // path
+}
+
+// dispatch executes one syscall operation through sys.KernelCall, the
+// registry body a trapping process runs: "the system call invocation
+// by the Cosy kernel module is the same as a normal process" (§2.3).
+// The operation's registers decode into a: paths are shm strings, and
+// payload and stat buffers are segment-checked windows of the shared
+// region, so data moved by read/write is copied once inside the
+// kernel (page cache <-> shm) and never crosses the boundary. Those
+// copies are charged at kernel rate: twice per payload byte (kernel
+// buffer and shm), once per stat byte.
+func (e *Engine) dispatch(pr *sys.Proc, shm *Shm, a *sys.Args, in *lang.Instr, regs []int64) (int64, error) {
+	if in.Imm < 0 || in.Imm >= int64(len(compoundArity)) || compoundArity[in.Imm] == 0 {
+		return 0, fmt.Errorf("%w: syscall %v not permitted in compounds", ErrBadCompound, sys.Nr(in.Imm))
 	}
-	argN := func(want int) error {
-		if len(args) != want {
-			return fmt.Errorf("%w: sys_%v wants %d args, got %d", ErrBadCompound, nr, want, len(args))
+	nr := sys.Nr(in.Imm)
+	if want := compoundArity[nr]; len(in.Args) != want {
+		return 0, fmt.Errorf("%w: sys_%v wants %d args, got %d", ErrBadCompound, nr, want, len(in.Args))
+	}
+	arg := func(i int) int64 { return regs[in.Args[i]] }
+	copyCost := e.K.M.Costs.CopyKernByte
+
+	*a = sys.Args{}
+	var err error
+	switch nr {
+	case sys.NrOpen, sys.NrCreat, sys.NrUnlink, sys.NrMkdir:
+		a.Path, err = e.readShmString(shm, arg(0))
+		if nr == sys.NrOpen {
+			a.Flags = int(arg(1))
 		}
-		return nil
+	case sys.NrStat:
+		if a.Path, err = e.readShmString(shm, arg(0)); err == nil {
+			a.Buf, err = e.window(shm, arg(1), vfs.StatSize, mem.AccessWrite)
+		}
+	case sys.NrFstat:
+		a.Fd = int(arg(0))
+		a.Buf, err = e.window(shm, arg(1), vfs.StatSize, mem.AccessWrite)
+	case sys.NrClose:
+		a.Fd = int(arg(0))
+	case sys.NrLseek:
+		a.Fd, a.Off, a.Whence = int(arg(0)), arg(1), int(arg(2))
+	case sys.NrRead, sys.NrWrite:
+		a.Fd = int(arg(0))
+		count := arg(2)
+		if count < 0 || count > int64(shm.size) {
+			return 0, fmt.Errorf("%w: %v of %d bytes", ErrBadCompound, nr, count)
+		}
+		access := mem.AccessWrite
+		if nr == sys.NrWrite {
+			access = mem.AccessRead
+		}
+		a.Buf, err = e.window(shm, arg(1), int(count), access)
+	}
+	if err != nil {
+		return 0, err
+	}
+	if nr == sys.NrWrite {
+		pr.P.Charge(sim.Cycles(2*a.Buf.Len()) * copyCost)
+	}
+
+	v, err := pr.KernelCall(nr, a)
+	if err != nil {
+		return 0, err
 	}
 	switch nr {
-	case sys.NrOpen:
-		if err := argN(2); err != nil {
-			return 0, err
-		}
-		path, err := e.readShmString(shm, arg(0))
-		if err != nil {
-			return 0, err
-		}
-		fd, err := pr.KOpen(path, int(arg(1)))
-		return int64(fd), err
-	case sys.NrCreat:
-		if err := argN(1); err != nil {
-			return 0, err
-		}
-		path, err := e.readShmString(shm, arg(0))
-		if err != nil {
-			return 0, err
-		}
-		fd, err := pr.KCreat(path)
-		return int64(fd), err
-	case sys.NrClose:
-		if err := argN(1); err != nil {
-			return 0, err
-		}
-		return 0, pr.KClose(int(arg(0)))
 	case sys.NrRead:
-		if err := argN(3); err != nil {
-			return 0, err
-		}
-		fd, bufOff, count := int(arg(0)), arg(1), int(arg(2))
-		if count < 0 || count > shm.size {
-			return 0, fmt.Errorf("%w: read of %d bytes", ErrBadCompound, count)
-		}
-		// Segment-check the destination before doing any work.
-		addr, err := e.Table.Check(shm.sel, uint64(bufOff), count, mem.AccessWrite)
-		if err != nil {
-			e.Stats.Faults++
-			return 0, err
-		}
-		kbuf := make([]byte, count)
-		n, err := pr.KRead(fd, kbuf)
-		if err != nil {
-			return 0, err
-		}
-		if err := e.K.M.KAS.WriteBytes(addr, kbuf[:n]); err != nil {
-			return 0, err
-		}
-		pr.P.Charge(sim.Cycles(n) * costs.CopyKernByte)
-		return int64(n), nil
-	case sys.NrWrite:
-		if err := argN(3); err != nil {
-			return 0, err
-		}
-		fd, bufOff, count := int(arg(0)), arg(1), int(arg(2))
-		if count < 0 || count > shm.size {
-			return 0, fmt.Errorf("%w: write of %d bytes", ErrBadCompound, count)
-		}
-		addr, err := e.Table.Check(shm.sel, uint64(bufOff), count, mem.AccessRead)
-		if err != nil {
-			e.Stats.Faults++
-			return 0, err
-		}
-		kbuf := make([]byte, count)
-		if err := e.K.M.KAS.ReadBytes(addr, kbuf); err != nil {
-			return 0, err
-		}
-		pr.P.Charge(sim.Cycles(count) * costs.CopyKernByte)
-		n, err := pr.KWrite(fd, kbuf)
-		return int64(n), err
-	case sys.NrLseek:
-		if err := argN(3); err != nil {
-			return 0, err
-		}
-		off, err := pr.KLseek(int(arg(0)), arg(1), int(arg(2)))
-		return off, err
+		pr.P.Charge(sim.Cycles(2*v) * copyCost)
 	case sys.NrStat, sys.NrFstat:
-		var a vfs.Attr
-		var err error
-		var statOff int64
-		if nr == sys.NrStat {
-			if err := argN(2); err != nil {
-				return 0, err
-			}
-			var path string
-			path, err = e.readShmString(shm, arg(0))
-			if err != nil {
-				return 0, err
-			}
-			statOff = arg(1)
-			a, err = pr.KStat(path)
-		} else {
-			if err := argN(2); err != nil {
-				return 0, err
-			}
-			statOff = arg(1)
-			a, err = pr.KFstat(int(arg(0)))
-		}
-		if err != nil {
-			return 0, err
-		}
-		buf := EncodeStat(a)
-		addr, err := e.Table.Check(shm.sel, uint64(statOff), len(buf), mem.AccessWrite)
-		if err != nil {
-			e.Stats.Faults++
-			return 0, err
-		}
-		if err := e.K.M.KAS.WriteBytes(addr, buf); err != nil {
-			return 0, err
-		}
-		pr.P.Charge(sim.Cycles(len(buf)) * costs.CopyKernByte)
-		return 0, nil
-	case sys.NrUnlink:
-		if err := argN(1); err != nil {
-			return 0, err
-		}
-		path, err := e.readShmString(shm, arg(0))
-		if err != nil {
-			return 0, err
-		}
-		return 0, pr.KUnlink(path)
-	case sys.NrMkdir:
-		if err := argN(1); err != nil {
-			return 0, err
-		}
-		path, err := e.readShmString(shm, arg(0))
-		if err != nil {
-			return 0, err
-		}
-		return 0, pr.KMkdir(path)
+		pr.P.Charge(vfs.StatSize * copyCost)
 	}
-	return 0, fmt.Errorf("%w: syscall %v not permitted in compounds", ErrBadCompound, nr)
+	return v, nil
+}
+
+// window returns the segment-checked shm range [off, off+n) as a
+// kernel view.
+func (e *Engine) window(shm *Shm, off int64, n int, access mem.Access) (mem.UserView, error) {
+	addr, err := e.segCheck(shm, off, n, access)
+	if err != nil {
+		return mem.UserView{}, err
+	}
+	return e.K.M.KAS.View(addr, n), nil
 }
 
 func evalBin(code uint8, a, b int64) (int64, error) {
@@ -636,41 +593,4 @@ func b2i(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-// EncodeStat serializes an Attr into the vfs.StatSize-byte struct
-// stat layout the compound sees in the shared buffer.
-func EncodeStat(a vfs.Attr) []byte {
-	buf := make([]byte, vfs.StatSize)
-	put := func(off int, v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[off+i] = byte(v >> (8 * i))
-		}
-	}
-	put(0, uint64(a.ID))
-	put(8, uint64(a.Size))
-	put(16, uint64(a.Nlink))
-	put(24, uint64(a.Mode))
-	put(32, uint64(a.Type))
-	put(40, uint64(a.Mtime))
-	return buf
-}
-
-// DecodeStat is the inverse of EncodeStat.
-func DecodeStat(buf []byte) vfs.Attr {
-	get := func(off int) uint64 {
-		var v uint64
-		for i := 7; i >= 0; i-- {
-			v = v<<8 | uint64(buf[off+i])
-		}
-		return v
-	}
-	return vfs.Attr{
-		ID:    vfs.NodeID(get(0)),
-		Size:  int64(get(8)),
-		Nlink: int(get(16)),
-		Mode:  uint16(get(24)),
-		Type:  vfs.FileType(get(32)),
-		Mtime: sim.Cycles(get(40)),
-	}
 }

@@ -335,26 +335,64 @@ func TestSegmentationBlocksOOBRead(t *testing.T) {
 }
 
 func TestSyscallBufferBoundsChecked(t *testing.T) {
-	// A read told to place 4096 bytes at the end of a small shm must
-	// fault, not scribble.
-	m, k := env()
-	e := New(k, ModeDataSeg)
-	b := lib.New()
-	pathOff := b.String("/x")
-	fd := b.Sys(uint16(sys.NrCreat), b.Const(int64(pathOff)))
-	n := b.Sys(uint16(sys.NrRead), fd, b.Const(60), b.Const(4096))
-	buf, err := b.Build(n)
-	if err != nil {
-		t.Fatal(err)
+	// A buffer running past the end of a small shm must fault, not
+	// scribble: read and write payloads, stat and fstat records. A
+	// count larger than the whole shm is rejected outright.
+	for _, tc := range []struct {
+		name   string
+		nr     sys.Nr
+		off, n int64 // buffer offset; count for read and write
+		fault  bool
+	}{
+		{"read-oversized", sys.NrRead, 60, 4096, false},
+		{"read", sys.NrRead, 48, 32, true},
+		{"write", sys.NrWrite, 48, 32, true},
+		{"stat", sys.NrStat, 16, 0, true},
+		{"fstat", sys.NrFstat, 16, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, k := env()
+			e := New(k, ModeDataSeg)
+			b := lib.New()
+			path := b.Const(int64(b.String("/x")))
+			fd := b.Sys(uint16(sys.NrCreat), path)
+			var r lang.Reg
+			switch tc.nr {
+			case sys.NrStat:
+				r = b.Sys(uint16(tc.nr), path, b.Const(tc.off))
+			case sys.NrFstat:
+				r = b.Sys(uint16(tc.nr), fd, b.Const(tc.off))
+			default:
+				r = b.Sys(uint16(tc.nr), fd, b.Const(tc.off), b.Const(tc.n))
+			}
+			buf, err := b.Build(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rerr := run(t, m, func(p *kernel.Process) error {
+				pr := sys.NewProc(k, p)
+				shm, err := e.NewShm(64)
+				if err != nil {
+					return err
+				}
+				_, err = e.ExecRing(pr, buf, shm)
+				var pf *seg.ProtFault
+				if tc.fault && !errors.As(err, &pf) {
+					t.Errorf("err = %v, want protection fault", err)
+				}
+				if !tc.fault && !errors.Is(err, ErrBadCompound) {
+					t.Errorf("err = %v, want ErrBadCompound", err)
+				}
+				return nil
+			})
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if tc.fault && e.Stats.Faults != 1 {
+				t.Errorf("faults = %d, want 1", e.Stats.Faults)
+			}
+		})
 	}
-	_ = run(t, m, func(p *kernel.Process) error {
-		pr := sys.NewProc(k, p)
-		shm, _ := e.NewShm(64)
-		if _, err := e.ExecRing(pr, buf, shm); err == nil {
-			t.Error("oversized read into shm succeeded")
-		}
-		return nil
-	})
 }
 
 func TestIsolatedModeChargesSegEntries(t *testing.T) {
@@ -417,23 +455,92 @@ func TestHandcraftedCompoundRejected(t *testing.T) {
 	})
 }
 
+// TestForbiddenSyscallRejected covers calls outside Cosy's set of
+// ten: a nested compound, and registry calls with bodies that
+// compounds may not make. Each must be rejected without running.
 func TestForbiddenSyscallRejected(t *testing.T) {
-	m, k := env()
-	e := New(k, ModeDataSeg)
-	b := lib.New()
-	r := b.Sys(uint16(sys.NrCosy)) // compounds may not nest
-	buf, err := b.Build(r)
-	if err != nil {
-		t.Fatal(err)
+	for _, nr := range []sys.Nr{sys.NrCosy, sys.NrRmdir, sys.NrRename, sys.NrGetpid} {
+		t.Run(nr.String(), func(t *testing.T) {
+			b := lib.New()
+			dir := b.Const(int64(b.String("/keep")))
+			var args []lang.Reg
+			switch nr {
+			case sys.NrRmdir:
+				args = []lang.Reg{dir}
+			case sys.NrRename:
+				args = []lang.Reg{dir, b.Const(int64(b.String("/moved")))}
+			}
+			buf, err := b.Build(b.Sys(uint16(nr), args...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, k := env()
+			e := New(k, ModeDataSeg)
+			rerr := run(t, m, func(p *kernel.Process) error {
+				pr := sys.NewProc(k, p)
+				if err := pr.Mkdir("/keep"); err != nil {
+					return err
+				}
+				shm, err := e.NewShm(64)
+				if err != nil {
+					return err
+				}
+				if _, err := e.ExecRing(pr, buf, shm); !errors.Is(err, ErrBadCompound) {
+					t.Errorf("err = %v, want ErrBadCompound", err)
+				}
+				if _, err := pr.Stat("/keep"); err != nil {
+					t.Errorf("rejected %v changed the tree: %v", nr, err)
+				}
+				return nil
+			})
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+		})
 	}
-	_ = run(t, m, func(p *kernel.Process) error {
-		pr := sys.NewProc(k, p)
-		shm, _ := e.NewShm(64)
-		if _, err := e.ExecRing(pr, buf, shm); !errors.Is(err, ErrBadCompound) {
-			t.Errorf("err = %v", err)
-		}
-		return nil
-	})
+}
+
+// TestInvalidOperandsRejected hand-encodes compounds whose operations
+// read or write no register, or name an unknown unary operator.
+// Validation must reject each before the interpreter runs it.
+func TestInvalidOperandsRejected(t *testing.T) {
+	end := lang.Instr{Op: lang.OpEnd, Dst: lang.NoReg, A: lang.NoReg, B: lang.NoReg}
+	for _, tc := range []struct {
+		name string
+		in   lang.Instr
+	}{
+		{"mov", lang.Instr{Op: lang.OpMov, Dst: 0, A: lang.NoReg, B: lang.NoReg}},
+		{"const", lang.Instr{Op: lang.OpConst, Dst: lang.NoReg, A: lang.NoReg, B: lang.NoReg, Imm: 7}},
+		{"bin", lang.Instr{Op: lang.OpBin, Dst: 0, A: 0, B: lang.NoReg, Sub: lang.BinAdd}},
+		{"load", lang.Instr{Op: lang.OpLoad, Dst: lang.NoReg, A: 0, B: lang.NoReg, Sub: 8}},
+		{"store", lang.Instr{Op: lang.OpStore, A: lang.NoReg, B: 0, Sub: 8}},
+		{"sys-dst", lang.Instr{Op: lang.OpSys, Dst: lang.NoReg, A: lang.NoReg, B: lang.NoReg,
+			Imm: int64(sys.NrClose), Args: []lang.Reg{0}}},
+		{"sys-arg", lang.Instr{Op: lang.OpSys, Dst: 0, A: lang.NoReg, B: lang.NoReg,
+			Imm: int64(sys.NrClose), Args: []lang.Reg{lang.NoReg}}},
+		{"brz", lang.Instr{Op: lang.OpBrz, Dst: lang.NoReg, A: lang.NoReg, B: lang.NoReg, Imm: 1}},
+		{"unop", lang.Instr{Op: lang.OpUn, Dst: 0, A: 0, B: lang.NoReg, Sub: 9}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			buf := lang.Encode(&lang.Compound{NRegs: 1, ShmSize: 64, Code: []lang.Instr{tc.in, end}})
+			m, k := env()
+			e := New(k, ModeDataSeg)
+			rerr := run(t, m, func(p *kernel.Process) error {
+				pr := sys.NewProc(k, p)
+				shm, err := e.NewShm(64)
+				if err != nil {
+					return err
+				}
+				if _, err := e.ExecRing(pr, buf, shm); !errors.Is(err, ErrBadCompound) {
+					t.Errorf("err = %v, want ErrBadCompound", err)
+				}
+				return nil
+			})
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+		})
+	}
 }
 
 func TestStatThroughCompound(t *testing.T) {
@@ -459,7 +566,7 @@ func TestStatThroughCompound(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		a := DecodeStat(raw)
+		a := vfs.DecodeAttr(raw)
 		if a.Type != vfs.TypeReg || a.Nlink != 1 {
 			t.Errorf("decoded attr = %+v", a)
 		}

@@ -105,6 +105,7 @@ const (
 	UnNeg uint8 = iota
 	UnNot
 	UnBNot
+	unCount
 )
 
 // Reg is a compound register index.
@@ -164,18 +165,34 @@ type Compound struct {
 	Code    []Instr
 }
 
+// opUses marks the register fields each operation reads or writes;
+// OpSys also uses every Args entry, and OpEnd's A may be NoReg (no
+// result).
+var opUses = [opCount]struct{ dst, a, b bool }{
+	OpConst: {dst: true},
+	OpMov:   {dst: true, a: true},
+	OpBin:   {dst: true, a: true, b: true},
+	OpUn:    {dst: true, a: true},
+	OpLoad:  {dst: true, a: true},
+	OpStore: {a: true, b: true},
+	OpSys:   {dst: true},
+	OpBrz:   {a: true},
+}
+
 // Validate performs the static checks the kernel extension runs
-// before execution: register indices in range, jump targets in range,
-// shm init regions inside the buffer.
+// before execution: register indices in range, a real register in
+// every field an operation uses (NoReg only in fields it ignores),
+// known operator codes, jump targets in range, shm init regions
+// inside the buffer.
 func (c *Compound) Validate() error {
 	if c.NRegs < 0 || c.NRegs > 4096 {
 		return fmt.Errorf("cosy: unreasonable register count %d", c.NRegs)
 	}
-	checkReg := func(r Reg) error {
-		if r == NoReg {
-			return nil
-		}
-		if int(r) >= c.NRegs {
+	checkReg := func(r Reg, used bool) error {
+		switch {
+		case r == NoReg && used:
+			return errors.New("cosy: operand names no register")
+		case r != NoReg && int(r) >= c.NRegs:
 			return fmt.Errorf("cosy: register r%d out of range (%d regs)", r, c.NRegs)
 		}
 		return nil
@@ -184,13 +201,17 @@ func (c *Compound) Validate() error {
 		if in.Op >= opCount {
 			return fmt.Errorf("cosy: instruction %d: bad opcode %d", i, in.Op)
 		}
-		for _, r := range []Reg{in.Dst, in.A, in.B} {
-			if err := checkReg(r); err != nil {
+		use := opUses[in.Op]
+		for _, f := range []struct {
+			r    Reg
+			used bool
+		}{{in.Dst, use.dst}, {in.A, use.a}, {in.B, use.b}} {
+			if err := checkReg(f.r, f.used); err != nil {
 				return fmt.Errorf("instruction %d: %w", i, err)
 			}
 		}
 		for _, r := range in.Args {
-			if err := checkReg(r); err != nil {
+			if err := checkReg(r, in.Op == OpSys); err != nil {
 				return fmt.Errorf("instruction %d: %w", i, err)
 			}
 		}
@@ -202,6 +223,10 @@ func (c *Compound) Validate() error {
 		case OpBin:
 			if in.Sub >= binCount {
 				return fmt.Errorf("cosy: instruction %d: bad binop %d", i, in.Sub)
+			}
+		case OpUn:
+			if in.Sub >= unCount {
+				return fmt.Errorf("cosy: instruction %d: bad unop %d", i, in.Sub)
 			}
 		case OpLoad, OpStore:
 			if in.Sub != 1 && in.Sub != 8 {

@@ -100,6 +100,11 @@ func TestValidateCatchesBadPrograms(t *testing.T) {
 		{"init outside shm", func(c *Compound) { c.Init[0].Off = 1000 }},
 		{"no end op", func(c *Compound) { c.Code = c.Code[:3] }},
 		{"arg out of range", func(c *Compound) { c.Code[3].Args[0] = 50 }},
+		{"no-register operand", func(c *Compound) { c.Code[2].B = NoReg }},
+		{"no-register destination", func(c *Compound) { c.Code[0].Dst = NoReg }},
+		{"no-register sys arg", func(c *Compound) { c.Code[3].Args[1] = NoReg }},
+		{"no-register branch", func(c *Compound) { c.Code[4].A = NoReg }},
+		{"bad unop", func(c *Compound) { c.Code[2] = Instr{Op: OpUn, Dst: 2, A: 0, B: NoReg, Sub: 3} }},
 	}
 	for _, tc := range cases {
 		c := sample()

@@ -16,15 +16,14 @@ import (
 //     path and requires pr.exit (called or deferred) before every
 //     return, error paths included: an unbalanced path would leave
 //     the process stuck in kernel mode with the crossing half-charged;
-//   - or is a kernel-internal entry (Cosy's K* calls) charging
-//     Costs.KernelCall via pr.kcall;
-//   - or delegates the whole transition to pr.RawSyscall.
+//   - or is the kernel-context entry (KernelCall, which ring drains
+//     and Cosy compounds use) charging Costs.KernelCall via pr.kcall.
 //
 // A method that names an Nr constant but does none of the above is a
 // handler that crosses for free and is flagged.
 var Chargecov = &Analyzer{
 	Name: "chargecov",
-	Doc:  "every syscall handler charges its crossing: enter/exit balanced on all paths, or kcall/RawSyscall",
+	Doc:  "every syscall handler charges its crossing: enter/exit balanced on all paths, or kcall",
 	Run:  runChargecov,
 }
 
@@ -148,11 +147,11 @@ func (cc *covChecker) check() {
 			cc.pass.Reportf(cc.fd.Body.Rbrace,
 				"handler %s can fall off the end without pr.exit: the crossing never completes", cc.fd.Name.Name)
 		}
-	case cc.callsAny("kcall", "RawSyscall"):
+	case cc.callsAny("kcall"):
 		// Charged by construction.
 	case cc.mentionsNr() && !cc.chargesSomething():
 		cc.pass.Reportf(cc.fd.Pos(),
-			"handler %s names a syscall number but never charges the crossing (no enter/exit, kcall, RawSyscall, or Charge call)", cc.fd.Name.Name)
+			"handler %s names a syscall number but never charges the crossing (no enter/exit, kcall, or Charge call)", cc.fd.Name.Name)
 	}
 }
 

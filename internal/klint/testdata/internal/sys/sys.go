@@ -23,9 +23,6 @@ func (pr *Proc) enter(nr Nr) { pr.depth++ }
 func (pr *Proc) exit(nr Nr)  { pr.depth-- }
 func (pr *Proc) kcall()      { pr.depth += 2 }
 
-// RawSyscall self-brackets the crossing.
-func (pr *Proc) RawSyscall(nr Nr) { pr.enter(nr); pr.exit(nr) }
-
 // Open is conforming: the deferred exit covers every path.
 func (pr *Proc) Open(path string) error {
 	pr.enter(NrOpen)
@@ -47,8 +44,9 @@ func (pr *Proc) Read(fd int) (int, error) {
 	return fd, nil
 }
 
-// KSpin is conforming: a kernel-internal entry charged via kcall.
-func (pr *Proc) KSpin() { pr.kcall() }
+// KernelCall is conforming: the kernel-context entry, charged via
+// kcall.
+func (pr *Proc) KernelCall() { pr.kcall() }
 
 // Close leaks the crossing on its error path.
 func (pr *Proc) Close(fd int) error {

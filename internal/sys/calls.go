@@ -1,9 +1,6 @@
 package sys
 
-import (
-	"repro/internal/sim"
-	"repro/internal/vfs"
-)
+import "repro/internal/vfs"
 
 // Open flags.
 const (
@@ -23,8 +20,8 @@ func (pr *Proc) Open(path string, flags int) (int, error) {
 	return int(fd), err
 }
 
-// openInternal is the kernel-side open, shared with Cosy and the
-// consolidated calls.
+// openInternal is the kernel-side open, shared by the open and creat
+// bodies and the consolidated calls.
 func (pr *Proc) openInternal(path string, flags int) (int, error) {
 	if dev, ok := pr.K.NS.LookupDevice(path); ok {
 		return pr.installFD(&file{dev: dev, path: path})
@@ -92,8 +89,7 @@ func (pr *Proc) Read(fd int, ub UserBuf) (int, error) {
 	return int(n), nil
 }
 
-// readInternal reads into a kernel buffer (no boundary copy); Cosy's
-// entrypoint.
+// readInternal reads into a kernel buffer (no boundary copy).
 func (pr *Proc) readInternal(fd int, kbuf []byte) (int, error) {
 	f, err := pr.file(fd)
 	if err != nil {
@@ -307,9 +303,4 @@ func (pr *Proc) Getpid() int {
 	a := Args{}
 	pid, _ := bodyGetpid(pr, &a)
 	return int(pid)
-}
-
-// chargeKernelCopy accounts a kernel-internal copy of n bytes.
-func (pr *Proc) chargeKernelCopy(n int) {
-	pr.P.Charge(sim.Cycles(n) * pr.K.M.Costs.CopyKernByte)
 }

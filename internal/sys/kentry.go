@@ -1,108 +1,25 @@
 package sys
 
-import (
-	"repro/internal/sim"
-	"repro/internal/vfs"
-)
+import "fmt"
 
-// Kernel-internal system call entry points, used by the Cosy kernel
-// extension: "The system call invocation by the Cosy kernel module is
-// the same as a normal process and hence all the necessary checks are
-// performed" (§2.3) — the path validation, descriptor checks and VFS
-// work all happen, but there is no trap and no user-space copy; data
-// stays in kernel buffers. Each entry charges Costs.KernelCall for
-// the in-kernel dispatch.
-//
-// These must be called with the process already in kernel mode.
-
+// kcall charges the in-kernel dispatch of one kernel-context call.
 func (pr *Proc) kcall() {
 	pr.P.Charge(pr.K.M.Costs.KernelCall)
 }
 
-// KOpen is the in-kernel open.
-func (pr *Proc) KOpen(path string, flags int) (int, error) {
-	pr.kcall()
-	return pr.openInternal(path, flags)
-}
-
-// KCreat is the in-kernel creat.
-func (pr *Proc) KCreat(path string) (int, error) {
-	pr.kcall()
-	return pr.openInternal(path, OCreate|OTrunc)
-}
-
-// KClose is the in-kernel close.
-func (pr *Proc) KClose(fd int) error {
-	pr.kcall()
-	return pr.closeInternal(fd)
-}
-
-// KRead reads into a kernel buffer, charging the kernel-internal
-// copy.
-func (pr *Proc) KRead(fd int, buf []byte) (int, error) {
-	pr.kcall()
-	n, err := pr.readInternal(fd, buf)
-	if n > 0 {
-		pr.P.Charge(sim.Cycles(n) * pr.K.M.Costs.CopyKernByte)
+// KernelCall is the one kernel-context system call entry: the ring
+// drain and Cosy compounds run the registry's body for nr on
+// arguments they decoded into a. "The system call invocation by the
+// Cosy kernel module is the same as a normal process and hence all
+// the necessary checks are performed" (§2.3): path validation,
+// descriptor checks and VFS work all happen, but there is no trap and
+// no user-space copy, since payloads stay in kernel-mapped windows. It
+// charges Costs.KernelCall; each caller charges its own kernel-rate
+// copies. The process must already be in kernel mode.
+func (pr *Proc) KernelCall(nr Nr, a *Args) (int64, error) {
+	if int(nr) >= len(sysTable) || sysTable[nr].body == nil {
+		return 0, fmt.Errorf("%w: %v", errNoSys, nr)
 	}
-	return n, err
-}
-
-// KWrite writes from a kernel buffer.
-func (pr *Proc) KWrite(fd int, data []byte) (int, error) {
 	pr.kcall()
-	if len(data) > 0 {
-		pr.P.Charge(sim.Cycles(len(data)) * pr.K.M.Costs.CopyKernByte)
-	}
-	return pr.writeInternal(fd, data)
-}
-
-// KLseek is the in-kernel lseek.
-func (pr *Proc) KLseek(fd int, off int64, whence int) (int64, error) {
-	pr.kcall()
-	return pr.lseekInternal(fd, off, whence)
-}
-
-// KStat is the in-kernel stat.
-func (pr *Proc) KStat(path string) (vfs.Attr, error) {
-	pr.kcall()
-	return pr.statInternal(path)
-}
-
-// KFstat is the in-kernel fstat.
-func (pr *Proc) KFstat(fd int) (vfs.Attr, error) {
-	pr.kcall()
-	return pr.fstatInternal(fd)
-}
-
-// KUnlink is the in-kernel unlink.
-func (pr *Proc) KUnlink(path string) error {
-	pr.kcall()
-	return pr.unlinkInternal(path)
-}
-
-// KMkdir is the in-kernel mkdir.
-func (pr *Proc) KMkdir(path string) error {
-	pr.kcall()
-	fs, parent, name, err := pr.K.NS.ResolveParent(pr.P, path)
-	if err != nil {
-		return err
-	}
-	id, err := fs.Mkdir(pr.P, parent, name)
-	if err != nil {
-		return err
-	}
-	pr.K.NS.Dc.Insert(pr.P, fs, parent, name, id)
-	return nil
-}
-
-// RawSyscall runs fn as the body of system call nr, performing the
-// standard user->kernel->user transition around it with in/out bytes
-// of boundary copying. The Cosy extension uses this for NrCosy: one
-// crossing for the whole compound.
-func (pr *Proc) RawSyscall(nr Nr, in, out int, fn func() (int64, error)) (int64, error) {
-	pr.enter(nr, in)
-	v, err := fn()
-	pr.exit(nr, in, out)
-	return v, err
+	return sysTable[nr].body(pr, a)
 }

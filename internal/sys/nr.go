@@ -7,11 +7,11 @@
 // The package provides both the classic POSIX calls and the paper's
 // consolidated calls (§2.2): readdirplus, open_read_close,
 // open_write_close and open_fstat, each of which crosses the boundary
-// once instead of once per step. It also exposes kernel-internal
-// entrypoints (no trap, no user copies) that the Cosy kernel
-// extension uses to issue system calls from inside the kernel: "the
-// system call invocation by the Cosy kernel module is the same as a
-// normal process" (§2.3).
+// once instead of once per step. KernelCall is the kernel-context
+// entry (no trap, no user copies) through which ring drains and the
+// Cosy kernel extension issue system calls from inside the kernel:
+// "the system call invocation by the Cosy kernel module is the same
+// as a normal process" (§2.3).
 package sys
 
 // Nr is a system call number.

@@ -10,27 +10,30 @@ import (
 )
 
 // The syscall registry: every system call is defined ONCE, as a
-// kernel-side body operating on decoded Args, and is then invocable
-// from two entry paths that differ only in how arguments arrive and
-// how boundary costs are charged:
+// kernel-side body operating on decoded Args. Three front ends invoke
+// it; they differ only in how arguments arrive and how boundary costs
+// are charged:
 //
 //   - the classic trap path: the exported Proc methods in calls.go /
 //     consolidated.go decode Go-typed arguments into Args, bracket
 //     the body with pr.enter/pr.exit (trap + per-byte user-copy
 //     charges), and translate Args back to Go results. klint's
-//     chargecov analyzer keeps proving enter/exit balance on these
-//     wrappers exactly as before.
+//     chargecov analyzer proves enter/exit balance on each wrapper.
 //
-//   - the ring drain path: ring.go pops SQEs, the per-call decoder in
-//     this table turns the SQE + data-area windows into the same
-//     Args, and the body runs in kernel context with only
-//     KernelCall + kernel-rate copy charges — the whole batch shares
-//     one trap.
+//   - the ring drain: ring.go pops SQEs, the per-call decoder in this
+//     table turns the SQE + data-area windows into the same Args, and
+//     KernelCall runs the body in kernel context with only KernelCall
+//     + kernel-rate copy charges — the whole batch shares one trap.
 //
-// Payload buffers are mem.UserViews in both paths: the classic path
-// views the caller's user buffer, the ring path views the shared
-// data area, and the body cannot tell the difference — one
-// charging- and fault-correct data plane.
+//   - Cosy compounds: cosy/kext decodes each OpSys operation's
+//     registers and shared-buffer strings and windows into Args and
+//     runs it through the same KernelCall — one crossing for the
+//     whole compound.
+//
+// Payload buffers are mem.UserViews on every path: the classic path
+// views the caller's user buffer, the ring path the shared data
+// area, Cosy the compound's shared buffer, and the body cannot tell
+// the difference — one charging- and fault-correct data plane.
 
 // Args is the decoded argument/result record a syscall body operates
 // on. Decoders fill the inputs; bodies fill Attr/Out and return the
@@ -46,14 +49,15 @@ type Args struct {
 	// Flags are open's flags.
 	Flags int
 	// Buf is the payload window: the user buffer on the classic path,
-	// a data-area window on the ring path. Zero (invalid) when the
-	// call carries no payload or the caller wants none materialized.
+	// a data-area window on the ring path, a shared-buffer window in a
+	// Cosy compound. Zero (invalid) when the call carries no payload
+	// or the caller wants none materialized.
 	Buf mem.UserView
 	// Attr receives stat results.
 	Attr vfs.Attr
 	// In/Out are the payload byte counts consumed/produced, used by
 	// each entry path for its own copy accounting (user-rate on the
-	// classic path, kernel-rate on the ring path).
+	// classic path, kernel-rate in kernel context).
 	In, Out int
 	// CopiedIn records that the body consumed the input payload (the
 	// classic write path charges copyin only in that case, matching
@@ -287,7 +291,7 @@ func bodyOpenFstat(pr *Proc, a *Args) (int64, error) {
 }
 
 // materializeAttr serializes a.Attr into a.Buf when the caller
-// supplied an output window (the ring path); the classic path reads
+// supplied an output window (ring and Cosy); the classic path reads
 // the Attr field directly and passes no window.
 func materializeAttr(a *Args) error {
 	if !a.Buf.Valid() {
@@ -296,26 +300,8 @@ func materializeAttr(a *Args) error {
 	if a.Buf.Len() < vfs.StatSize {
 		return fmt.Errorf("%w: %d-byte stat window", vfs.ErrInval, a.Buf.Len())
 	}
-	return a.Buf.CopyOut(0, encodeAttr(a.Attr))
-}
-
-// encodeAttr serializes an Attr into the vfs.StatSize-byte struct
-// stat layout — the same wire layout kext.EncodeStat gives Cosy
-// compounds, so ring and compound consumers share one decoder.
-func encodeAttr(a vfs.Attr) []byte {
-	buf := make([]byte, vfs.StatSize)
-	put := func(off int, v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[off+i] = byte(v >> (8 * i))
-		}
-	}
-	put(0, uint64(a.ID))
-	put(8, uint64(a.Size))
-	put(16, uint64(a.Nlink))
-	put(24, uint64(a.Mode))
-	put(32, uint64(a.Type))
-	put(40, uint64(a.Mtime))
-	return buf
+	b := vfs.EncodeAttr(a.Attr)
+	return a.Buf.CopyOut(0, b[:])
 }
 
 // Ring-path decoders. Argument conventions (DESIGN.md §12):
@@ -453,8 +439,9 @@ const (
 // failed FDRel reference.
 var errCanceled = errors.New("sys: ring entry canceled")
 
-// errNoSys reports an op the ring cannot dispatch.
-var errNoSys = errors.New("sys: ring op not ring-invocable")
+// errNoSys reports a call with no kernel-context body, or an op the
+// ring cannot dispatch.
+var errNoSys = errors.New("sys: call not invocable in kernel context")
 
 // errnoOf maps a body error to its CQE errno code.
 func errnoOf(err error) uint32 {

@@ -191,6 +191,12 @@ type drain struct {
 	pr   *Proc
 	rs   *ringState
 	cqes []kring.CQE
+	// e and a are the entry being dispatched and its decoded
+	// arguments, zeroed and reused for every entry: both escape
+	// through the registry's indirect calls, so per-entry values would
+	// cost a heap object each.
+	e kring.SQE
+	a Args
 }
 
 // pathString reads a pathname from the data area window [off, off+n).
@@ -307,11 +313,12 @@ func (pr *Proc) ringDrain(rs *ringState) (int64, error) {
 			// treat it as backpressure, never as room.
 			break
 		}
-		var e kring.SQE
+		e := &d.e
+		*e = kring.SQE{}
 		if len(rs.pending) > 0 {
-			e = rs.pending[0]
+			*e = rs.pending[0]
 			rs.pending = rs.pending[1:]
-		} else if err := rs.kr.SqPop(&e); err != nil {
+		} else if err := rs.kr.SqPop(e); err != nil {
 			if err == kring.ErrSQEmpty {
 				break
 			}
@@ -326,7 +333,7 @@ func (pr *Proc) ringDrain(rs *ringState) (int64, error) {
 
 		switch {
 		case e.Op == kring.OpAnycall:
-			cqe.Res, skip, abort, herr = pr.ringAnycall(d, &e)
+			cqe.Res, skip, abort, herr = pr.ringAnycall(d, e)
 		case pr.K.ringOps[e.Op] != nil:
 			data, derr := rs.kr.Data(int(e.DataOff), int(e.DataLen))
 			if derr != nil {
@@ -335,18 +342,18 @@ func (pr *Proc) ringDrain(rs *ringState) (int64, error) {
 				cqe.Res, herr = pr.K.ringOps[e.Op](pr, e.Args, data)
 			}
 		case int(e.Op) < int(nrCount) && sysTable[e.Op].decode != nil:
-			var a Args
-			herr = sysTable[e.Op].decode(pr, d, &e, &a)
+			a := &d.a
+			*a = Args{}
+			herr = sysTable[e.Op].decode(pr, d, e, a)
 			if herr == nil && e.Flags&kring.FlagFDRel != 0 {
 				if !sysTable[e.Op].fdArg {
 					herr = fmt.Errorf("%w: FDRel on non-fd op %v", vfs.ErrInval, Nr(e.Op))
 				} else {
-					herr = d.resolveFd(&e, &a)
+					herr = d.resolveFd(e, a)
 				}
 			}
 			if herr == nil {
-				pr.kcall()
-				cqe.Res, herr = sysTable[e.Op].body(pr, &a)
+				cqe.Res, herr = pr.KernelCall(Nr(e.Op), a)
 				if nb := a.In + a.Out; nb > 0 {
 					// Payloads move at kernel copy rate: they ride the
 					// shared pages, never the boundary.

@@ -12,7 +12,6 @@ import (
 	"repro/internal/kperf"
 	"repro/internal/kring"
 	"repro/internal/ktrace"
-	"repro/internal/sim"
 	"repro/internal/vfs"
 	"repro/internal/vfs/memfs"
 )
@@ -312,17 +311,7 @@ func TestRingResultsMatchClassic(t *testing.T) {
 				if err := av.CopyIn(0, sb); err != nil {
 					return err
 				}
-				g := func(o int) uint64 {
-					var x uint64
-					for i := 0; i < 8; i++ {
-						x |= uint64(sb[o+i]) << (8 * i)
-					}
-					return x
-				}
-				ringed.stats[si] = vfs.Attr{
-					ID: vfs.NodeID(g(0)), Size: int64(g(8)), Nlink: int(g(16)),
-					Mode: uint16(g(24)), Type: vfs.FileType(g(32)), Mtime: sim.Cycles(g(40)),
-				}
+				ringed.stats[si] = vfs.DecodeAttr(sb)
 			}
 			return h.Close()
 		})

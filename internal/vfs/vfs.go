@@ -7,6 +7,7 @@
 package vfs
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"repro/internal/kernel"
@@ -52,6 +53,36 @@ type Attr struct {
 
 // StatSize is the user-visible size of a stat structure.
 const StatSize = 96
+
+// EncodeAttr lays a out as the StatSize-byte struct stat every
+// submission path writes into a caller's stat window: ID, Size,
+// Nlink, Mode, Type and Mtime as little-endian uint64s at offsets 0,
+// 8, 16, 24, 32 and 40, then zero padding.
+func EncodeAttr(a Attr) [StatSize]byte {
+	var b [StatSize]byte
+	le := binary.LittleEndian
+	le.PutUint64(b[0:], uint64(a.ID))
+	le.PutUint64(b[8:], uint64(a.Size))
+	le.PutUint64(b[16:], uint64(a.Nlink))
+	le.PutUint64(b[24:], uint64(a.Mode))
+	le.PutUint64(b[32:], uint64(a.Type))
+	le.PutUint64(b[40:], uint64(a.Mtime))
+	return b
+}
+
+// DecodeAttr is EncodeAttr's inverse; buf holds one StatSize-byte
+// record.
+func DecodeAttr(buf []byte) Attr {
+	le := binary.LittleEndian
+	return Attr{
+		ID:    NodeID(le.Uint64(buf[0:])),
+		Size:  int64(le.Uint64(buf[8:])),
+		Nlink: int(le.Uint64(buf[16:])),
+		Mode:  uint16(le.Uint64(buf[24:])),
+		Type:  FileType(le.Uint64(buf[32:])),
+		Mtime: sim.Cycles(le.Uint64(buf[40:])),
+	}
+}
 
 // DirEnt is one directory entry. DirEntSize approximates the linux
 // dirent record copied out by getdents (fixed part + name).

@@ -185,3 +185,28 @@ func TestFileTypeString(t *testing.T) {
 		t.Fatal("unknown type")
 	}
 }
+
+func TestAttrCodec(t *testing.T) {
+	a := Attr{ID: 7, Type: TypeDir, Size: 1 << 40, Nlink: 3, Mode: 0o755, Mtime: 123456789}
+	b := EncodeAttr(a)
+	for _, f := range []struct {
+		off  int
+		want uint64
+	}{{0, 7}, {8, 1 << 40}, {16, 3}, {24, 0o755}, {32, uint64(TypeDir)}, {40, 123456789}} {
+		var got uint64
+		for i := 7; i >= 0; i-- {
+			got = got<<8 | uint64(b[f.off+i])
+		}
+		if got != f.want {
+			t.Errorf("field at offset %d = %d, want %d", f.off, got, f.want)
+		}
+	}
+	for i := 48; i < StatSize; i++ {
+		if b[i] != 0 {
+			t.Fatalf("padding byte %d = %#x", i, b[i])
+		}
+	}
+	if got := DecodeAttr(b[:]); got != a {
+		t.Fatalf("round trip = %+v, want %+v", got, a)
+	}
+}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/sys"
-	"repro/internal/vfs"
 )
 
 // DirSweepConfig is experiment E1's workload: a directory of n files
@@ -99,5 +98,3 @@ func ReaddirPlusSweep(pr *sys.Proc, cfg DirSweepConfig) (int64, error) {
 func ExpectedSweepBytes(cfg DirSweepConfig) int64 {
 	return int64(cfg.Files) * int64(cfg.FileSize)
 }
-
-var _ = vfs.StatSize
