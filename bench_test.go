@@ -1,6 +1,6 @@
-// Package repro's root benchmark harness: one benchmark per paper
-// table/figure (see DESIGN.md's experiment index) plus substrate
-// micro-benchmarks. Run with:
+// Package repro's root benchmark harness: one sub-benchmark per paper
+// table/figure (BenchmarkExperiments/E<n>, see DESIGN.md's experiment
+// index), the ablations, and substrate micro-benchmarks. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -43,43 +43,14 @@ func benchTable(b *testing.B, fn func() (*bench.Table, error)) {
 	}
 }
 
-// BenchmarkE1Readdirplus regenerates §2.2's readdirplus table.
-func BenchmarkE1Readdirplus(b *testing.B) {
-	benchTable(b, func() (*bench.Table, error) { return bench.E1(false, false) })
+// BenchmarkExperiments regenerates every paper table and figure, one
+// sub-benchmark per bench.Suite entry (BenchmarkExperiments/E1 …
+// BenchmarkExperiments/E12).
+func BenchmarkExperiments(b *testing.B) {
+	for _, tr := range bench.Suite(false, false) {
+		b.Run(tr.Name, func(b *testing.B) { benchTable(b, tr.Run) })
+	}
 }
-
-// BenchmarkE2TraceSavings regenerates §2.2's trace-savings projection.
-func BenchmarkE2TraceSavings(b *testing.B) {
-	benchTable(b, func() (*bench.Table, error) { return bench.E2(false) })
-}
-
-// BenchmarkE3CosyMicro regenerates §2.3's micro-benchmarks.
-func BenchmarkE3CosyMicro(b *testing.B) {
-	benchTable(b, func() (*bench.Table, error) { return bench.E3(false) })
-}
-
-// BenchmarkE4CosyApps regenerates §2.3's application benchmarks.
-func BenchmarkE4CosyApps(b *testing.B) {
-	benchTable(b, func() (*bench.Table, error) { return bench.E4(false) })
-}
-
-// BenchmarkE5Kefence regenerates §3.2's Kefence overhead table.
-func BenchmarkE5Kefence(b *testing.B) {
-	benchTable(b, func() (*bench.Table, error) { return bench.E5(false) })
-}
-
-// BenchmarkE6EventMonitor regenerates §3.3's monitoring overheads.
-func BenchmarkE6EventMonitor(b *testing.B) {
-	benchTable(b, func() (*bench.Table, error) { return bench.E6(false) })
-}
-
-// BenchmarkE7KGCC regenerates §3.4's instrumented-module table.
-func BenchmarkE7KGCC(b *testing.B) {
-	benchTable(b, func() (*bench.Table, error) { return bench.E7(false) })
-}
-
-// BenchmarkE8CheckElimination regenerates §3.4's static statistics.
-func BenchmarkE8CheckElimination(b *testing.B) { benchTable(b, bench.E8) }
 
 // Ablation benchmarks (design choices called out in DESIGN.md §5).
 
@@ -98,9 +69,7 @@ func BenchmarkAblationSplayLocality(b *testing.B) { benchTable(b, bench.Ablation
 // --- substrate micro-benchmarks ---
 //
 // The translation/copy/dispatch bodies live in internal/bench
-// (micro.go) so cmd/benchall can record the same numbers into
-// BENCH_repro.json; the *MapBaseline variants measure the seed's
-// map-backed substrate for the speedup comparison.
+// (micro.go).
 
 // BenchmarkSyscallPath measures the simulated getpid round trip in
 // real time (the harness's own overhead per syscall).
@@ -115,19 +84,11 @@ func BenchmarkTranslateHit(b *testing.B) { bench.BenchTranslateHit(b) }
 func BenchmarkTranslateMiss(b *testing.B) { bench.BenchTranslateMiss(b) }
 
 // BenchmarkWriteBytes measures the bulk-copy path with syscall-sized
-// (512B) chunks; the acceptance gate compares it against
-// BenchmarkWriteBytesMapBaseline.
+// (512B) chunks.
 func BenchmarkWriteBytes(b *testing.B) { bench.BenchBulkCopy(b, 512) }
 
 // BenchmarkWriteBytesPage measures page-sized bulk copies.
 func BenchmarkWriteBytesPage(b *testing.B) { bench.BenchBulkCopy(b, 4096) }
-
-// BenchmarkWriteBytesMapBaseline is the seed's map-based page table
-// and frame pool on the same access pattern.
-func BenchmarkWriteBytesMapBaseline(b *testing.B) { bench.BenchBulkCopyBaseline(b, 512) }
-
-// BenchmarkWriteBytesPageMapBaseline is the page-sized baseline.
-func BenchmarkWriteBytesPageMapBaseline(b *testing.B) { bench.BenchBulkCopyBaseline(b, 4096) }
 
 // BenchmarkReadU64 measures the word path the Cosy VM and KGCC
 // interpreter lean on.

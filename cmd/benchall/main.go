@@ -4,14 +4,12 @@
 //
 // Usage:
 //
-//	benchall [-workers N] [-full] [-serial-compare] [-no-micro] [-no-kperf-gate] [-out BENCH_repro.json]
+//	benchall [-workers N] [-full] [-serial-compare] [-no-kperf-gate] [-out BENCH_repro.json]
 //
 // Each experiment is an independent, deterministic simulated machine,
 // so trials fan across GOMAXPROCS without changing a single simulated
 // cycle; -serial-compare reruns the suite on one worker to record the
-// parallel speedup. The micro section records the substrate
-// fast-path numbers (bulk copy vs the seed's map-based baseline,
-// translation hit/miss, syscall round trip, scheduler dispatch).
+// parallel speedup.
 //
 // The primary run boots every experiment with kperf instrumentation
 // and embeds each experiment's observability snapshot in
@@ -35,7 +33,6 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool size (0: GOMAXPROCS)")
 	full := flag.Bool("full", false, "include the slowest configurations (E1's 100,000-file point)")
 	serialCompare := flag.Bool("serial-compare", false, "also run the suite serially and record the parallel speedup")
-	noMicro := flag.Bool("no-micro", false, "skip the substrate micro-benchmarks")
 	noKperfGate := flag.Bool("no-kperf-gate", false, "skip the kperf-off rerun that asserts instrumentation moves no simulated cycle")
 	out := flag.String("out", "BENCH_repro.json", "output trajectory file")
 	flag.Parse()
@@ -111,20 +108,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "serial %.2fs vs parallel %.2fs -> speedup %.2fx\n",
 			doc.SerialWallSeconds, doc.WallSeconds, doc.ParallelSpeedup)
-	}
-
-	if !*noMicro {
-		fmt.Fprintln(os.Stderr, "running substrate micro-benchmarks...")
-		doc.Micro = bench.MicroSuite()
-		for _, m := range doc.Micro {
-			if m.BaselineNsPerOp > 0 {
-				fmt.Fprintf(os.Stderr, "  %-20s %10.1f ns/op  (map baseline %.1f ns/op, %.2fx)\n",
-					m.Name, m.NsPerOp, m.BaselineNsPerOp, m.Speedup)
-			} else {
-				fmt.Fprintf(os.Stderr, "  %-20s %10.1f ns/op  %d allocs/op\n",
-					m.Name, m.NsPerOp, m.AllocsPerOp)
-			}
-		}
 	}
 
 	if runtime.GOMAXPROCS(0) < 2 {

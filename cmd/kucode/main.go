@@ -67,33 +67,15 @@ func main() {
 	}
 	all := want["all"]
 
-	type exp struct {
-		id string
-		fn func() (*bench.Table, error)
-	}
-	exps := []exp{
-		{"e1", func() (*bench.Table, error) { return bench.E1(*full, *perf) }},
-		{"e2", func() (*bench.Table, error) { return bench.E2(*perf) }},
-		{"e3", func() (*bench.Table, error) { return bench.E3(*perf) }},
-		{"e4", func() (*bench.Table, error) { return bench.E4(*perf) }},
-		{"e5", func() (*bench.Table, error) { return bench.E5(*perf) }},
-		{"e6", func() (*bench.Table, error) { return bench.E6(*perf) }},
-		{"e7", func() (*bench.Table, error) { return bench.E7(*perf) }},
-		{"e8", bench.E8},
-		{"e9", func() (*bench.Table, error) { return bench.E9(*perf) }},
-		{"e10", func() (*bench.Table, error) { return bench.E10(*perf) }},
-		{"e11", func() (*bench.Table, error) { return bench.E11(*perf) }},
-		{"e12", func() (*bench.Table, error) { return bench.E12(*perf) }},
-	}
-
 	failed := false
-	for _, e := range exps {
-		if !all && !want[e.id] {
+	for _, tr := range bench.Suite(*full, *perf) {
+		id := strings.ToLower(tr.Name)
+		if !all && !want[id] {
 			continue
 		}
-		tbl, err := e.fn()
+		tbl, err := tr.Run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
 			os.Exit(1)
 		}
 		render(tbl, *md)

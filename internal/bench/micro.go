@@ -9,10 +9,8 @@ import (
 	"repro/internal/sys"
 )
 
-// Substrate micro-benchmark bodies, shared between the root
-// bench_test.go Benchmark* functions and cmd/benchall's recorded
-// micro section (which drives them through testing.Benchmark). Each
-// takes *testing.B so it works in both harnesses.
+// Substrate micro-benchmark bodies, run by the root bench_test.go
+// Benchmark* functions.
 
 // microSpace builds an uncharged address space with span rw pages.
 func microSpace(span int) (*mem.AddressSpace, mem.Addr) {
@@ -46,32 +44,6 @@ func BenchBulkCopy(b *testing.B, chunk int) {
 			b.Fatal(err)
 		}
 		if err := as.ReadBytes(va, buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchBulkCopyBaseline is BenchBulkCopy against the seed's
-// map-backed substrate, for the recorded speedup comparison.
-func BenchBulkCopyBaseline(b *testing.B, chunk int) {
-	const span = 64
-	bs := NewBaselineSpace()
-	base := bs.MapRegion(span)
-	buf := make([]byte, chunk)
-	for i := range buf {
-		buf[i] = byte(i)
-	}
-	limit := span*mem.PageSize - chunk
-	b.ReportAllocs()
-	b.SetBytes(int64(2 * chunk))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		off := (i * 1024) & (mem.PageSize - 1)
-		va := base + mem.Addr((i*chunk+off)%limit)
-		if err := bs.WriteBytes(va, buf); err != nil {
-			b.Fatal(err)
-		}
-		if err := bs.ReadBytes(va, buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -163,57 +135,5 @@ func BenchSchedulerDispatch(b *testing.B) {
 	b.ResetTimer()
 	if err := s.Run(); err != nil {
 		b.Fatal(err)
-	}
-}
-
-// MicroSuite runs the recorded micro comparisons and returns rows for
-// BENCH_repro.json. The bulk-copy rows carry the map-baseline
-// comparison that gates perf regressions.
-func MicroSuite() []MicroResult {
-	nsPerOp := func(r testing.BenchmarkResult) float64 {
-		if r.N == 0 {
-			return 0
-		}
-		return float64(r.T.Nanoseconds()) / float64(r.N)
-	}
-	row := func(name string, fn func(b *testing.B)) MicroResult {
-		r := testing.Benchmark(fn)
-		return MicroResult{Name: name, NsPerOp: nsPerOp(r), AllocsPerOp: r.AllocsPerOp()}
-	}
-	compare := func(name string, chunk int) MicroResult {
-		res := row(name, func(b *testing.B) { BenchBulkCopy(b, chunk) })
-		base := testing.Benchmark(func(b *testing.B) { BenchBulkCopyBaseline(b, chunk) })
-		res.BaselineNsPerOp = nsPerOp(base)
-		if res.NsPerOp > 0 {
-			res.Speedup = res.BaselineNsPerOp / res.NsPerOp
-		}
-		return res
-	}
-	// compareVM rows record the bytecode VM against the tree-walking
-	// interpreter as the baseline: the host-side speedup the minivm
-	// compiler buys on in-kernel execution paths.
-	compareVM := func(name string, vm, interp func(b *testing.B)) MicroResult {
-		res := row(name, vm)
-		base := testing.Benchmark(interp)
-		res.BaselineNsPerOp = nsPerOp(base)
-		if res.NsPerOp > 0 {
-			res.Speedup = res.BaselineNsPerOp / res.NsPerOp
-		}
-		return res
-	}
-	return []MicroResult{
-		compare("bulk-copy-512B", 512),
-		compare("bulk-copy-4KiB", 4096),
-		row("translate-hit", BenchTranslateHit),
-		row("translate-miss", BenchTranslateMiss),
-		row("read-u64", BenchReadU64),
-		row("syscall-round-trip", BenchSyscallRoundTrip),
-		row("scheduler-dispatch", BenchSchedulerDispatch),
-		compareVM("minic-vm-probe-128",
-			func(b *testing.B) { BenchMinicProbeVM(b, 128) },
-			func(b *testing.B) { BenchMinicProbeInterp(b, 128) }),
-		compareVM("minic-vm-call-128",
-			func(b *testing.B) { BenchMinicCallVM(b, 128) },
-			func(b *testing.B) { BenchMinicCallInterp(b, 128) }),
 	}
 }

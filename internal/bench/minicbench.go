@@ -14,8 +14,7 @@ import (
 // bytecode VM on the two shapes that dominate in-kernel execution —
 // a KGCC-checked probe fire (no arguments, array traffic, runtime
 // checks) and a ku_call-style arithmetic loop (argument in, scalar
-// out). Shared between root bench_test.go and the recorded MicroSuite
-// so BENCH_repro.json carries the interp-baseline speedup.
+// out). The root BenchmarkMinicEngines runs them.
 
 // minicProbeSrc is the probe-fire shape with the loop count baked in.
 func minicProbeSrc(n int) string {

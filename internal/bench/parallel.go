@@ -18,7 +18,7 @@ import (
 
 // The parallel experiment runner. Every experiment trial boots its
 // own core.System — a shared-nothing, deterministic machine — so the
-// whole E1-E8 suite fans out across host cores with no effect on any
+// whole E1-E12 suite fans out across host cores with no effect on any
 // simulated cycle count. The simulated machines do not know they ran
 // concurrently; only the wall clock does.
 
@@ -51,14 +51,12 @@ type TrialResult struct {
 	PerfIdentity string          `json:"kperf_identity,omitempty"`
 
 	// Flight is the experiment's merged flight-recorder summary (nil
-	// when the trial ran with instrumentation off). Deterministic in
-	// simulated behavior, so benchdiff gates on it.
+	// when the trial ran with instrumentation off).
 	Flight *kflight.Summary `json:"kflight,omitempty"`
 
 	// Ktrace is the experiment's merged request-trace summary (nil
 	// when the trial ran with instrumentation off): per-operation
-	// latency SLIs and critical-path decompositions. Deterministic in
-	// simulated behavior, so benchdiff gates on it.
+	// latency SLIs and critical-path decompositions.
 	Ktrace *ktrace.Summary `json:"ktrace,omitempty"`
 
 	// Table carries the full result for rendering; not serialized.
@@ -127,8 +125,9 @@ func runTrial(tr Trial) TrialResult {
 	return res
 }
 
-// Suite returns the standard experiment trial list, one trial per
-// experiment. perf boots every experiment's systems with kperf
+// Suite returns the experiment list, one trial per experiment:
+// benchall, cmd/kucode and the root BenchmarkExperiments all iterate
+// it. perf boots every experiment's systems with kperf
 // instrumentation; E8 is static analysis (no machine), so the flag
 // does not apply to it.
 func Suite(full, perf bool) []Trial {
@@ -148,25 +147,14 @@ func Suite(full, perf bool) []Trial {
 	}
 }
 
-// MicroResult is one micro-benchmark comparison row in
-// BENCH_repro.json.
-type MicroResult struct {
-	Name            string  `json:"name"`
-	NsPerOp         float64 `json:"ns_per_op"`
-	AllocsPerOp     int64   `json:"allocs_per_op"`
-	BaselineNsPerOp float64 `json:"baseline_ns_per_op,omitempty"`
-	Speedup         float64 `json:"speedup,omitempty"`
-}
-
-// Repro is the BENCH_repro.json document: the wall-clock and
-// simulated-cycle trajectory of one full benchmark run, written so
-// future PRs can compare host performance while asserting simulated
-// results never move.
+// Repro is the BENCH_repro.json document: the simulated-cycle record
+// of one full benchmark run, which benchdiff asserts never moves, plus
+// the run's host time and provenance.
 type Repro struct {
 	Schema      string `json:"schema"`
 	GeneratedAt string `json:"generated_at"`
 	// Host provenance: which code, toolchain, and CPU produced this
-	// document. All volatile — benchdiff reports but never gates on
+	// document. Like the rest of the header, benchdiff never reads
 	// them.
 	GitCommit         string        `json:"git_commit,omitempty"`
 	GoVersion         string        `json:"go_version,omitempty"`
@@ -177,7 +165,6 @@ type Repro struct {
 	SerialWallSeconds float64       `json:"serial_wall_seconds,omitempty"`
 	ParallelSpeedup   float64       `json:"parallel_speedup,omitempty"`
 	Experiments       []TrialResult `json:"experiments"`
-	Micro             []MicroResult `json:"micro,omitempty"`
 	Notes             []string      `json:"notes,omitempty"`
 }
 

@@ -8,7 +8,7 @@ import "testing"
 // without it. The instrumentation only reads the clock and observes
 // charges the kernel already makes, so any diff here means a probe
 // accidentally moved simulated time. cmd/benchall runs the same gate
-// over the full E1-E8 suite on every invocation.
+// over the full E1-E12 suite on every invocation.
 func TestKperfZeroSimulatedCost(t *testing.T) {
 	pairs := []struct {
 		name string

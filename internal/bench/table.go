@@ -1,5 +1,5 @@
 // Package bench is the experiment harness: one entry point per paper
-// result (E1-E8, see DESIGN.md), each returning a table of
+// result (E1-E12, see DESIGN.md), each returning a table of
 // paper-reported versus measured values with pass/fail acceptance
 // bands. The root bench_test.go, cmd/kucode, and EXPERIMENTS.md all
 // render these tables.

@@ -57,29 +57,17 @@ const (
 
 // Options configures a System.
 type Options struct {
-	// PhysBytes bounds simulated RAM (0: the paper's 884MB).
-	PhysBytes int64
 	// Costs overrides the cost model (nil: sim.DefaultCosts).
 	Costs *sim.Costs
 	// FS selects the root file system.
 	FS FSKind
 	// Wrap stacks wrapfs over the root FS.
 	Wrap WrapMode
-	// KefenceMode applies when Wrap == WrapKefence.
-	KefenceMode kefence.Mode
-	// KefenceUnderflow places guards before buffers instead of after.
-	KefenceUnderflow bool
 	// CacheBlocks sizes the buffer cache (0: 16384 blocks = 64MB).
 	CacheBlocks int
-	// Disk selects the drive profile (zero value: IDE7200).
-	Disk disk.Profile
-	// RingCap sizes the event-monitor ring (0: 4096).
-	RingCap int
 	// KGCCModule instruments the btfs module with the KGCC runtime
 	// (requires FS == FSBtfs): experiment E7's configuration.
 	KGCCModule bool
-	// KGCCObjects sizes the instrumented module's object map.
-	KGCCObjects int
 	// Perf enables the kperf observability layer (kperf.New(...)).
 	// Instrumentation reads the clock and observes existing charges
 	// only, so simulated cycle counts are bit-identical with it on or
@@ -144,17 +132,13 @@ type System struct {
 // New boots a system.
 func New(opts Options) (*System, error) {
 	s := &System{Perf: opts.Perf}
-	s.M = kernel.New(kernel.Config{PhysBytes: opts.PhysBytes, Costs: opts.Costs, Perf: opts.Perf})
+	s.M = kernel.New(kernel.Config{Costs: opts.Costs, Perf: opts.Perf})
 
-	prof := opts.Disk
-	if prof.Name == "" {
-		prof = disk.IDE7200()
-	}
 	cache := opts.CacheBlocks
 	if cache == 0 {
 		cache = 16384
 	}
-	s.IO = vfs.NewIOModel(disk.New(prof), cache)
+	s.IO = vfs.NewIOModel(disk.New(disk.IDE7200()), cache)
 
 	var base vfs.FS
 	switch opts.FS {
@@ -172,11 +156,7 @@ func New(opts Options) (*System, error) {
 		if s.Btfs == nil {
 			return nil, fmt.Errorf("core: KGCCModule requires FSBtfs")
 		}
-		n := opts.KGCCObjects
-		if n == 0 {
-			n = 512
-		}
-		s.Module = kgcc.NewModule(&s.M.Costs, n)
+		s.Module = kgcc.NewModule(&s.M.Costs, 512) // object-map entries
 		s.Btfs.MemTouch = s.Module.Touch
 	}
 
@@ -193,8 +173,6 @@ func New(opts Options) (*System, error) {
 		s.Root = s.Wrap
 	case WrapKefence:
 		s.Kef = kefence.New(s.M.KAS, &s.M.Costs, s.M.ChargeTagged(kperf.SubKefence), s.M.Log)
-		s.Kef.Mode = opts.KefenceMode
-		s.Kef.GuardBefore = opts.KefenceUnderflow
 		s.wrapAlloc = s.Kef
 		s.Wrap = wrapfs.New(base, s.M.KAS, s.Kef)
 		s.Root = s.Wrap
@@ -205,11 +183,7 @@ func New(opts Options) (*System, error) {
 	s.NS = vfs.NewNamespace(s.Root)
 	s.K = sys.NewKernel(s.M, s.NS)
 
-	ringCap := opts.RingCap
-	if ringCap == 0 {
-		ringCap = 4096
-	}
-	s.Mon = kmon.New(s.M, ringCap)
+	s.Mon = kmon.New(s.M, 4096) // event-ring slots
 	s.NS.RegisterDevice("/dev/kernevents", &kmon.Dev{Mon: s.Mon})
 
 	s.Probes = kprobe.NewManager(s.M)

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/kefence"
 	"repro/internal/sys"
 )
 
@@ -13,7 +12,7 @@ func TestBootVariants(t *testing.T) {
 		{FS: FSBtfs},
 		{Wrap: WrapKmalloc},
 		{Wrap: WrapVmalloc},
-		{Wrap: WrapKefence, KefenceMode: kefence.ModeCrash},
+		{Wrap: WrapKefence},
 		{FS: FSBtfs, KGCCModule: true},
 	}
 	for i, opts := range cases {

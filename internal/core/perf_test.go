@@ -6,9 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/kernel"
 	"repro/internal/kperf"
-	"repro/internal/sim"
 	"repro/internal/sys"
 )
 
@@ -85,63 +83,6 @@ func TestPerfRegistryFedBySubsystems(t *testing.T) {
 	}
 	if sn.TraceRecords == 0 {
 		t.Error("tracer captured no records")
-	}
-}
-
-// TestKlogEntriesCarrySpanIDs checks satellite 3's correlation: a
-// syslog line emitted inside a syscall is stamped with that syscall's
-// kperf trace-span id, and one emitted outside any syscall is not.
-func TestKlogEntriesCarrySpanIDs(t *testing.T) {
-	s, err := New(Options{Perf: NewPerf(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An exit tap runs in kernel context before the return to user
-	// space, while the getpid span is still open.
-	s.K.AddExitTap(func(p *kernel.Process, nr sys.Nr, in, out int, dur sim.Cycles) {
-		if nr == sys.NrGetpid {
-			s.M.Log.Printf(2, "inside syscall")
-		}
-	})
-	s.Spawn("logger", func(pr *sys.Proc) error {
-		pr.Getpid()
-		return nil
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	s.M.Log.Printf(2, "outside syscall")
-
-	entries := s.M.Log.Entries()
-	var inside, outside uint64
-	var foundIn, foundOut bool
-	for _, e := range entries {
-		switch e.Msg {
-		case "inside syscall":
-			inside, foundIn = e.Span, true
-		case "outside syscall":
-			outside, foundOut = e.Span, true
-		}
-	}
-	if !foundIn || !foundOut {
-		t.Fatalf("log entries missing: inside=%v outside=%v", foundIn, foundOut)
-	}
-	if inside == 0 {
-		t.Error("entry emitted inside a syscall has no span id")
-	}
-	if outside != 0 {
-		t.Errorf("entry emitted outside any syscall has span id %d, want 0", outside)
-	}
-
-	// The span id must correspond to a syscall span the tracer kept.
-	found := false
-	for _, shard := range s.Perf.Trace.Shards() {
-		if uint64(shard.Records()) >= inside && inside > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("span id %d does not fall within any shard's recorded spans", inside)
 	}
 }
 

@@ -105,8 +105,6 @@ type Machine struct {
 
 // Config controls machine creation.
 type Config struct {
-	// PhysBytes bounds physical memory; 0 selects the paper's 884MB.
-	PhysBytes int64
 	// Costs overrides the cost model; nil selects sim.DefaultCosts.
 	Costs *sim.Costs
 	// Perf, when set, enables the kperf observability layer.
@@ -115,16 +113,13 @@ type Config struct {
 
 // New creates a machine.
 func New(cfg Config) *Machine {
-	if cfg.PhysBytes == 0 {
-		cfg.PhysBytes = 884 << 20
-	}
 	costs := sim.DefaultCosts()
 	if cfg.Costs != nil {
 		costs = *cfg.Costs
 	}
 	m := &Machine{
 		Costs:   costs,
-		Phys:    mem.NewPhys(cfg.PhysBytes),
+		Phys:    mem.NewPhys(884 << 20), // the paper's 884MB
 		Perf:    cfg.Perf,
 		ready:   ring.NewDeque[*Process](16),
 		nextPID: 1,
@@ -135,12 +130,6 @@ func New(cfg Config) *Machine {
 	m.Vm = alloc.NewVmalloc(m.KAS, &m.Costs, m.ChargeTagged(kperf.SubAlloc))
 	m.Log = klog.New(&m.Clock, 0)
 	if m.Perf != nil {
-		m.Log.Span = func() uint64 {
-			if p := m.current; p != nil {
-				return p.Perf.CurrentSpan()
-			}
-			return 0
-		}
 		m.Log.Req = func() uint64 {
 			if p := m.current; p != nil {
 				id, _ := p.Perf.Request()

@@ -42,11 +42,6 @@ type Entry struct {
 	Time  sim.Cycles
 	Level Level
 	Msg   string
-	// Span is the kperf trace-span id of the syscall the entry was
-	// emitted under (0: outside any syscall, or tracing disabled). It
-	// lets a syslog line be correlated with the exact timeline span
-	// that produced it.
-	Span uint64
 	// Req is the ktrace request id the entry was emitted under (0:
 	// outside any request, or tracing disabled), so a syslog line can
 	// be correlated with the logical operation — PostMark transaction,
@@ -61,11 +56,6 @@ func (e Entry) String() string {
 // Log is a bounded kernel log. When full, the oldest entries are
 // dropped, like a real dmesg ring.
 type Log struct {
-	// Span, when set, supplies the current trace-span id stamped into
-	// each entry (wired by the machine to the running process's kperf
-	// state).
-	Span func() uint64
-
 	// Req, when set, supplies the current ktrace request id (wired by
 	// the machine to the running process's kperf state).
 	Req func() uint64
@@ -94,14 +84,11 @@ func (l *Log) Printf(level Level, format string, args ...any) {
 	if l.clock != nil {
 		t = l.clock.Now()
 	}
-	var span, req uint64
-	if l.Span != nil {
-		span = l.Span()
-	}
+	var req uint64
 	if l.Req != nil {
 		req = l.Req()
 	}
-	l.entries = append(l.entries, Entry{Time: t, Level: level, Msg: fmt.Sprintf(format, args...), Span: span, Req: req})
+	l.entries = append(l.entries, Entry{Time: t, Level: level, Msg: fmt.Sprintf(format, args...), Req: req})
 	if len(l.entries) > l.max {
 		over := len(l.entries) - l.max
 		l.entries = append(l.entries[:0:0], l.entries[over:]...)

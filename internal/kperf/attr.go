@@ -287,15 +287,6 @@ func (ps *ProcState) SyscallExit(at sim.Cycles) {
 	ps.sysNr = noSyscall
 }
 
-// CurrentSpan reports the innermost open syscall span id (klog
-// correlation), 0 when none or when kperf is disabled.
-func (ps *ProcState) CurrentSpan() uint64 {
-	if ps == nil {
-		return 0
-	}
-	return ps.shard.CurrentSpan()
-}
-
 // BlockSpan records a blocked interval tagged with the subsystem the
 // process was waiting on.
 func (ps *ProcState) BlockSpan(sub Subsys, start, end sim.Cycles) {

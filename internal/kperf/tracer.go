@@ -79,16 +79,12 @@ type Shard struct {
 	req uint64
 
 	// Open-span bookkeeping for syscall spans: Begin pushes, End pops
-	// and writes the completed record. IDs are per-shard sequence
-	// numbers; CurrentSpan exposes the innermost open id so other
-	// subsystems (klog) can stamp their records with it.
-	spanSeq  uint64
+	// and writes the completed record.
 	open     [maxOpenSpans]openSpan
 	openDeep int
 }
 
 type openSpan struct {
-	id    uint64
 	arg   uint32
 	start sim.Cycles
 }
@@ -125,16 +121,14 @@ func (s *Shard) Instant(kind EventKind, arg uint32, at sim.Cycles) {
 	s.write(kind, arg, at, at)
 }
 
-// Begin opens a span (syscall entry) and returns its id.
-func (s *Shard) Begin(arg uint32, at sim.Cycles) uint64 {
-	s.spanSeq++
+// Begin opens a span (syscall entry).
+func (s *Shard) Begin(arg uint32, at sim.Cycles) {
 	if s.openDeep >= maxOpenSpans {
 		s.spanDrops++
-		return 0
+		return
 	}
-	s.open[s.openDeep] = openSpan{id: s.spanSeq, arg: arg, start: at}
+	s.open[s.openDeep] = openSpan{arg: arg, start: at}
 	s.openDeep++
-	return s.spanSeq
 }
 
 // End closes the innermost open span, writing the completed record.
@@ -145,16 +139,6 @@ func (s *Shard) End(at sim.Cycles) {
 	s.openDeep--
 	sp := s.open[s.openDeep]
 	s.write(EvSyscallSpan, sp.arg, sp.start, at)
-}
-
-// CurrentSpan reports the innermost open span id, 0 when none. klog
-// stamps log records with this so a syslog line can be correlated
-// with the syscall it was emitted under.
-func (s *Shard) CurrentSpan() uint64 {
-	if s == nil || s.openDeep == 0 {
-		return 0
-	}
-	return s.open[s.openDeep-1].id
 }
 
 func (s *Shard) write(kind EventKind, arg uint32, start, end sim.Cycles) {

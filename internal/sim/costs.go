@@ -2,7 +2,7 @@ package sim
 
 // Costs is the machine cost model. All calibration lives here; no
 // other package hard-codes timing. The defaults are tuned so the
-// paper's experiments E1-E8 (see DESIGN.md) land inside the bands
+// paper's experiments E1-E12 (see DESIGN.md) land inside the bands
 // reported in the paper on the simulated machine.
 type Costs struct {
 	// Trap is the cost of one user->kernel->user crossing: mode
