@@ -10,6 +10,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/bench"
@@ -129,6 +130,51 @@ int f(void) {
 				return err
 			}
 		}
+		return nil
+	})
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkRingDrain measures the kring drain per dispatched entry.
+// Each iteration is one SeqScanAnycall over a 1,024-record table: one
+// ring_enter in which an anycall stages a [read, anycall] block per
+// record, 2,050 entries in all. It reports host ns and heap objects
+// per ring-dispatched entry (the K.RingOps delta).
+func BenchmarkRingDrain(b *testing.B) {
+	s, err := core.New(core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := workload.DefaultDB()
+	cfg.Records = 1024
+	s.Spawn("bench", func(pr *sys.Proc) error {
+		if err := workload.DBSetup(pr, cfg); err != nil {
+			return err
+		}
+		ext, err := pr.KuLoad(sys.KuSpec{
+			Source: workload.PumpSource, Entry: workload.PumpEntry, Checks: kgcc.KcheckOptions()})
+		if err != nil {
+			return err
+		}
+		if _, err := workload.SeqScanAnycall(pr, cfg, ext); err != nil {
+			return err
+		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		mallocs, ops := ms.Mallocs, pr.K.RingOps
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := workload.SeqScanAnycall(pr, cfg, ext); err != nil {
+				return err
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		entries := float64(pr.K.RingOps - ops)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/entries, "ns/entry")
+		b.ReportMetric(float64(ms.Mallocs-mallocs)/entries, "objs/entry")
 		return nil
 	})
 	if err := s.Run(); err != nil {

@@ -77,10 +77,37 @@ type Engine struct {
 	// shms indexes shared buffers by selector so ring SQEs can name
 	// them by scalar argument.
 	shms map[seg.Selector]*Shm
-	// rings caches one submission ring per process for ExecRing.
-	rings map[int]*sys.RingHandle
+	// procs holds each process's engine state by PID.
+	procs map[int]*procState
 
 	Stats Stats
+}
+
+// procState is the engine's state for one process: the submission
+// ring ExecRing uses, and the scratch its compounds are staged,
+// decoded and run in, reused from one compound to the next. The
+// scratch must be per process, not per engine: a compound can be
+// preempted inside a Charge, and another process's compound can run
+// on the engine before it resumes.
+type procState struct {
+	ring    *sys.RingHandle
+	encoded []byte        // staging copy of the compound bytes
+	c       lang.Compound // the decoded compound
+	regs    []int64
+	// args serves every syscall of the compound: it escapes through
+	// the registry's indirect call, so one per operation would cost a
+	// heap object each.
+	args sys.Args
+}
+
+// state returns pid's engine state, creating it on first use.
+func (e *Engine) state(pid int) *procState {
+	ps := e.procs[pid]
+	if ps == nil {
+		ps = &procState{}
+		e.procs[pid] = ps
+	}
+	return ps
 }
 
 // New loads the extension into a kernel. Loading registers the NrCosy
@@ -91,7 +118,7 @@ func New(k *sys.Kernel, mode Mode) *Engine {
 	e := &Engine{
 		K: k, Table: seg.NewTable(), Mode: mode,
 		shms:  make(map[seg.Selector]*Shm),
-		rings: make(map[int]*sys.RingHandle),
+		procs: make(map[int]*procState),
 	}
 	k.RegisterRingOp(uint16(sys.NrCosy), e.ringExec)
 	return e
@@ -165,12 +192,12 @@ const (
 	ringDataMin = 64 << 10
 )
 
-// Ring returns the engine's cached submission ring for pr's process,
+// ring returns the engine's cached submission ring for pr's process,
 // creating (or re-creating, when the data area is too small for need
-// bytes) it on demand. Exposed so callers can batch their own NrCosy
-// SQEs on the exact ring ExecRing uses.
-func (e *Engine) Ring(pr *sys.Proc, need int) (*sys.RingHandle, error) {
-	h := e.rings[pr.P.PID]
+// bytes) it on demand.
+func (e *Engine) ring(pr *sys.Proc, need int) (*sys.RingHandle, error) {
+	ps := e.state(pr.P.PID)
+	h := ps.ring
 	if h != nil && h.DataLen() >= need {
 		return h, nil
 	}
@@ -178,7 +205,7 @@ func (e *Engine) Ring(pr *sys.Proc, need int) (*sys.RingHandle, error) {
 		if err := h.Close(); err != nil {
 			return nil, err
 		}
-		delete(e.rings, pr.P.PID)
+		ps.ring = nil
 	}
 	dataBytes := ringDataMin
 	for dataBytes < need {
@@ -188,7 +215,7 @@ func (e *Engine) Ring(pr *sys.Proc, need int) (*sys.RingHandle, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.rings[pr.P.PID] = h
+	ps.ring = h
 	return h, nil
 }
 
@@ -205,7 +232,7 @@ const OpCosy = "cosy.compound"
 func (e *Engine) ExecRing(pr *sys.Proc, encoded []byte, shm *Shm) (int64, error) {
 	pr.BeginOp(OpCosy)
 	defer pr.EndOp()
-	h, err := e.Ring(pr, len(encoded))
+	h, err := e.ring(pr, len(encoded))
 	if err != nil {
 		return 0, err
 	}
@@ -247,23 +274,28 @@ func (e *Engine) ringExec(pr *sys.Proc, args [4]int64, data mem.UserView) (int64
 	if shm == nil {
 		return 0, fmt.Errorf("%w: no shm with selector %d", ErrBadCompound, args[0])
 	}
-	encoded := make([]byte, data.Len())
-	if len(encoded) > 0 {
-		if err := data.CopyIn(0, encoded); err != nil {
+	ps := e.state(pr.P.PID)
+	if cap(ps.encoded) < data.Len() {
+		ps.encoded = make([]byte, data.Len())
+	}
+	ps.encoded = ps.encoded[:data.Len()]
+	if len(ps.encoded) > 0 {
+		if err := data.CopyIn(0, ps.encoded); err != nil {
 			return 0, err
 		}
 	}
-	return e.execInKernel(pr, encoded, shm)
+	return e.execInKernel(pr, ps, shm)
 }
 
-func (e *Engine) execInKernel(pr *sys.Proc, encoded []byte, shm *Shm) (int64, error) {
+// execInKernel decodes and runs the compound staged in ps.encoded.
+func (e *Engine) execInKernel(pr *sys.Proc, ps *procState, shm *Shm) (int64, error) {
 	costs := &e.K.M.Costs
 	p := pr.P
 	p.Perf.Push(kperf.SubCosy)
 	defer p.Perf.Pop()
 
-	c, err := lang.Decode(encoded)
-	if err != nil {
+	c := &ps.c
+	if err := lang.DecodeInto(c, ps.encoded); err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrBadCompound, err)
 	}
 	p.Charge(sim.Cycles(len(c.Code)) * costs.CosyDecodeOp)
@@ -298,11 +330,11 @@ func (e *Engine) execInKernel(pr *sys.Proc, encoded []byte, shm *Shm) (int64, er
 	defer func() { p.OnPreempt = prev }()
 
 	e.Stats.Compounds++
-	regs := make([]int64, c.NRegs)
-	// One Args serves every syscall of the compound: it escapes
-	// through the registry's indirect call, so one per operation
-	// would cost a heap object each.
-	var args sys.Args
+	if cap(ps.regs) < c.NRegs {
+		ps.regs = make([]int64, c.NRegs)
+	}
+	regs := ps.regs[:c.NRegs]
+	clear(regs)
 	inUserFunc := false
 	enterUserFunc := func() {
 		if e.Mode == ModeIsolated && !inUserFunc {
@@ -377,7 +409,7 @@ func (e *Engine) execInKernel(pr *sys.Proc, encoded []byte, shm *Shm) (int64, er
 		case lang.OpSys:
 			inUserFunc = false
 			e.Stats.Syscalls++
-			v, err := e.dispatch(pr, shm, &args, in, regs)
+			v, err := e.dispatch(pr, shm, &ps.args, in, regs)
 			if err != nil {
 				regs[in.Dst] = -1
 				// System call errors terminate the compound, like an
@@ -431,18 +463,21 @@ func (e *Engine) shmStore(shm *Shm, off, val int64, size int) error {
 	return e.K.M.KAS.WriteU64(addr, uint64(val))
 }
 
-// readShmString reads a NUL-terminated string at shm offset off.
+// readShmString reads a NUL-terminated string at shm offset off, one
+// segment-checked byte at a time.
 func (e *Engine) readShmString(shm *Shm, off int64) (string, error) {
-	var out []byte
-	for int(off)+len(out) < shm.size && len(out) < 4096 {
-		b, err := shm.Read(int(off)+len(out), 1)
+	var out [4096]byte
+	for n := 0; int(off)+n < shm.size && n < len(out); n++ {
+		addr, err := e.Table.Check(shm.sel, uint64(int(off)+n), 1, mem.AccessRead)
 		if err != nil {
 			return "", err
 		}
-		if b[0] == 0 {
-			return string(out), nil
+		if err := e.K.M.KAS.ReadBytes(addr, out[n:n+1]); err != nil {
+			return "", err
 		}
-		out = append(out, b[0])
+		if out[n] == 0 {
+			return string(out[:n]), nil
+		}
 	}
 	return "", fmt.Errorf("%w: unterminated string at shm offset %d", ErrBadCompound, off)
 }

@@ -126,7 +126,7 @@ func TestCompoundSyscallsOpenWriteReadClose(t *testing.T) {
 		}
 		// Warm the engine's submission ring so the measurement below
 		// sees the steady state, not the one-time ring_setup crossing.
-		if _, err := e.Ring(pr, len(buf)); err != nil {
+		if _, err := e.ring(pr, len(buf)); err != nil {
 			return err
 		}
 		before := k.TotalCalls()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cosy/lang"
 	"repro/internal/cosy/lib"
 	"repro/internal/kernel"
 	"repro/internal/kring"
@@ -43,7 +44,7 @@ func TestExecMatchesExplicitRingSubmission(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				var got int64
 				if explicit {
-					h, err := e.Ring(pr, len(buf))
+					h, err := e.ring(pr, len(buf))
 					if err != nil {
 						return err
 					}
@@ -155,5 +156,71 @@ func TestExecRingReusesRing(t *testing.T) {
 	}
 	if m.Clock.Now() == 0 {
 		t.Error("clock did not advance")
+	}
+}
+
+// TestCompoundsInterleaveAcrossProcesses runs two processes' compounds
+// on one engine. Their loops differ in length and run long enough to
+// be preempted mid-compound, so the other process's compound is staged,
+// decoded and run before each resumes: every compound must still
+// return what it returns alone.
+func TestCompoundsInterleaveAcrossProcesses(t *testing.T) {
+	build := func(adds int) []byte {
+		b := lib.New()
+		total := b.Const(0)
+		step := b.Const(int64(5 * adds))
+		b.CountedLoop(20_000, func(lang.Reg) {
+			for i := 0; i < adds; i++ {
+				b.BinInto(total, "+", total, step)
+			}
+		})
+		raw, err := b.Build(total)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	cases := []struct {
+		name string
+		adds int
+		want int64
+	}{{"one-add", 1, 100_000}, {"three-adds", 3, 900_000}}
+
+	m, k := env()
+	e := New(k, ModeDataSeg)
+	got := make([][]int64, len(cases))
+	for i, c := range cases {
+		raw := build(c.adds)
+		m.Spawn(c.name, func(p *kernel.Process) error {
+			pr := sys.NewProc(k, p)
+			shm, err := e.NewShm(64)
+			if err != nil {
+				return err
+			}
+			for j := 0; j < 5; j++ {
+				v, err := e.ExecRing(pr, raw, shm)
+				if err != nil {
+					return err
+				}
+				got[i] = append(got[i], v)
+			}
+			return nil
+		})
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if m.CtxSwitches == 0 {
+		t.Fatal("no context switches: the compounds never interleaved")
+	}
+	for i, c := range cases {
+		if len(got[i]) != 5 {
+			t.Fatalf("%s ran %d compounds, want 5", c.name, len(got[i]))
+		}
+		for j, v := range got[i] {
+			if v != c.want {
+				t.Errorf("%s compound %d returned %d, want %d", c.name, j, v, c.want)
+			}
+		}
 	}
 }

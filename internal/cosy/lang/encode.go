@@ -61,7 +61,7 @@ const instrFixed = 1 + 1 + 2 + 2 + 2 + 8 + 1
 
 // Encode serializes the compound into the compound-buffer format.
 func Encode(c *Compound) []byte {
-	size := 4 + 2 + 4 + 2 + 4
+	size := hdrSize
 	for _, ini := range c.Init {
 		size += 8 + len(ini.Data)
 	}
@@ -108,23 +108,56 @@ func Encode(c *Compound) []byte {
 // ErrMalformed reports a compound buffer the decoder rejects.
 var ErrMalformed = errors.New("cosy: malformed compound")
 
-// Decode parses an encoded compound, performing full bounds checking
-// on the buffer — this is the kernel's first line of defense against
-// hand-crafted compounds.
+// hdrSize is the fixed header: magic, nregs, shmsize, ninit, ninstr.
+const hdrSize = 4 + 2 + 4 + 2 + 4
+
+// checkHeader rejects a buffer too short for the header or without
+// the magic.
+func checkHeader(buf []byte) error {
+	if len(buf) < hdrSize {
+		return fmt.Errorf("%w: truncated at offset 0", ErrMalformed)
+	}
+	if getU32(buf) != magic {
+		return fmt.Errorf("%w: bad magic", ErrMalformed)
+	}
+	return nil
+}
+
+// ShmSize reads the shared-buffer size an encoded compound's header
+// asks for, without decoding the rest.
+func ShmSize(buf []byte) (int, error) {
+	if err := checkHeader(buf); err != nil {
+		return 0, err
+	}
+	return int(getU32(buf[6:])), nil
+}
+
+// Decode parses an encoded compound into a new Compound; see
+// DecodeInto.
 func Decode(buf []byte) (*Compound, error) {
+	c := &Compound{}
+	if err := DecodeInto(c, buf); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// DecodeInto parses an encoded compound into c, performing full
+// bounds checking on the buffer — this is the kernel's first line of
+// defense against hand-crafted compounds. It reuses c's storage, so a
+// caller decoding compound after compound into one Compound allocates
+// only when a compound outgrows every earlier one. Init data alias
+// buf. On error c's contents are unspecified.
+func DecodeInto(c *Compound, buf []byte) error {
 	need := func(n int, o int) error {
 		if o+n > len(buf) {
 			return fmt.Errorf("%w: truncated at offset %d", ErrMalformed, o)
 		}
 		return nil
 	}
-	if err := need(16, 0); err != nil {
-		return nil, err
+	if err := checkHeader(buf); err != nil {
+		return err
 	}
-	if getU32(buf) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrMalformed)
-	}
-	c := &Compound{}
 	o := 4
 	c.NRegs = int(getU16(buf[o:]))
 	o += 2
@@ -135,29 +168,39 @@ func Decode(buf []byte) (*Compound, error) {
 	ninstr := int(getU32(buf[o:]))
 	o += 4
 	if ninstr > 1<<20 {
-		return nil, fmt.Errorf("%w: unreasonable instruction count %d", ErrMalformed, ninstr)
+		return fmt.Errorf("%w: unreasonable instruction count %d", ErrMalformed, ninstr)
 	}
+	c.Init = c.Init[:0]
 	for i := 0; i < ninit; i++ {
 		if err := need(8, o); err != nil {
-			return nil, err
+			return err
 		}
 		off := int(getU32(buf[o:]))
 		n := int(getU32(buf[o+4:]))
 		o += 8
 		if n > len(buf) {
-			return nil, fmt.Errorf("%w: init blob of %d bytes", ErrMalformed, n)
+			return fmt.Errorf("%w: init blob of %d bytes", ErrMalformed, n)
 		}
 		if err := need(n, o); err != nil {
-			return nil, err
+			return err
 		}
-		data := make([]byte, n)
-		copy(data, buf[o:o+n])
+		c.Init = append(c.Init, ShmInit{Off: off, Data: buf[o : o+n : o+n]})
 		o += n
-		c.Init = append(c.Init, ShmInit{Off: off, Data: data})
 	}
+	// The counts are untrusted: size Code for no more instructions,
+	// and the Args backing for no more registers, than the remaining
+	// bytes can hold. Every Args then slices one backing array that
+	// appends never move.
+	if n := min(ninstr, (len(buf)-o)/instrFixed); cap(c.Code) < n {
+		c.Code = make([]Instr, 0, n)
+	}
+	if n := (len(buf) - o) / 2; cap(c.args) < n {
+		c.args = make([]Reg, 0, n)
+	}
+	c.Code, c.args = c.Code[:0], c.args[:0]
 	for i := 0; i < ninstr; i++ {
 		if err := need(instrFixed, o); err != nil {
-			return nil, err
+			return err
 		}
 		in := Instr{
 			Op:  Op(buf[o]),
@@ -170,16 +213,17 @@ func Decode(buf []byte) (*Compound, error) {
 		nargs := int(buf[o+16])
 		o += instrFixed
 		if err := need(2*nargs, o); err != nil {
-			return nil, err
+			return err
 		}
-		for j := 0; j < nargs; j++ {
-			in.Args = append(in.Args, Reg(getU16(buf[o:])))
-			o += 2
+		if nargs > 0 {
+			start := len(c.args)
+			for j := 0; j < nargs; j++ {
+				c.args = append(c.args, Reg(getU16(buf[o:])))
+				o += 2
+			}
+			in.Args = c.args[start:len(c.args):len(c.args)]
 		}
 		c.Code = append(c.Code, in)
 	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return c.Validate()
 }

@@ -163,6 +163,10 @@ type Compound struct {
 	ShmSize int
 	Init    []ShmInit
 	Code    []Instr
+
+	// args is the backing array DecodeInto slices every Code[i].Args
+	// from, kept for the next decode into the same Compound.
+	args []Reg
 }
 
 // opUses marks the register fields each operation reads or writes;

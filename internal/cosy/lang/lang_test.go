@@ -1,6 +1,9 @@
 package lang
 
 import (
+	"bytes"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -144,5 +147,77 @@ func TestDumpAndStrings(t *testing.T) {
 	}
 	if OpSys.String() != "sys" || Op(99).String() == "" {
 		t.Fatal("op names")
+	}
+}
+
+// TestDecodeIntoReuses decodes differently shaped compounds one after
+// another into one Compound: each must read back exactly as a fresh
+// Decode does, and a header claiming far more instructions than its
+// bytes hold must fail without allocating for them.
+func TestDecodeIntoReuses(t *testing.T) {
+	big := sample()
+	big.Init = append(big.Init, ShmInit{Off: 64, Data: []byte("/tmp/x\x00")})
+	big.Code = append([]Instr{
+		{Op: OpSys, Dst: 3, Imm: 2, Args: []Reg{0, 1, 2, 3}, A: NoReg, B: NoReg},
+		{Op: OpSys, Dst: 3, Imm: 1, A: NoReg, B: NoReg},
+	}, big.Code...)
+	for i := range big.Code {
+		if big.Code[i].Op == OpBrz {
+			big.Code[i].Imm += 2
+		}
+	}
+	bare := &Compound{NRegs: 1, Code: []Instr{
+		{Op: OpConst, Dst: 0, Imm: 9, A: NoReg, B: NoReg},
+		{Op: OpEnd, A: 0, Dst: NoReg, B: NoReg},
+	}}
+	var c Compound
+	for i, src := range []*Compound{sample(), big, bare, sample(), bare, big} {
+		buf := Encode(src)
+		want, err := Decode(buf)
+		if err != nil {
+			t.Fatalf("compound %d: %v", i, err)
+		}
+		if err := DecodeInto(&c, buf); err != nil {
+			t.Fatalf("compound %d: DecodeInto: %v", i, err)
+		}
+		if c.NRegs != want.NRegs || c.ShmSize != want.ShmSize {
+			t.Errorf("compound %d: header %d/%d, want %d/%d", i, c.NRegs, c.ShmSize, want.NRegs, want.ShmSize)
+		}
+		if len(c.Init) != len(want.Init) {
+			t.Fatalf("compound %d: %d init blobs, want %d", i, len(c.Init), len(want.Init))
+		}
+		for j := range want.Init {
+			if c.Init[j].Off != want.Init[j].Off || !bytes.Equal(c.Init[j].Data, want.Init[j].Data) {
+				t.Errorf("compound %d init %d: %+v, want %+v", i, j, c.Init[j], want.Init[j])
+			}
+		}
+		if len(c.Code) != len(want.Code) {
+			t.Fatalf("compound %d: %d instructions, want %d", i, len(c.Code), len(want.Code))
+		}
+		for j := range want.Code {
+			a, b := c.Code[j], want.Code[j]
+			if a.Op != b.Op || a.Dst != b.Dst || a.A != b.A || a.B != b.B || a.Imm != b.Imm ||
+				a.Sub != b.Sub || !slices.Equal(a.Args, b.Args) {
+				t.Errorf("compound %d instr %d: %+v, want %+v", i, j, a, b)
+			}
+		}
+		if n, err := ShmSize(buf); err != nil || n != want.ShmSize {
+			t.Errorf("compound %d: ShmSize = %d, %v, want %d", i, n, err, want.ShmSize)
+		}
+	}
+
+	hostile := make([]byte, hdrSize)
+	putU32(hostile, magic)
+	putU32(hostile[12:], 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	errFresh := DecodeInto(&Compound{}, hostile)
+	errReused := DecodeInto(&c, hostile)
+	runtime.ReadMemStats(&after)
+	if errFresh == nil || errReused == nil {
+		t.Fatal("a 16-byte compound claiming 1<<20 instructions decoded")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Errorf("rejecting a 16-byte compound allocated %d bytes", n)
 	}
 }

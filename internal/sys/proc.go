@@ -115,6 +115,9 @@ type Proc struct {
 	// iterated — map order must not reach the simulation).
 	rings      map[int]*ringState
 	nextRingID int
+	// freeDrain is a one-slot free list of ring_enter dispatch
+	// contexts: a drain takes it and puts it back on return.
+	freeDrain *drain
 }
 
 // kbuf returns an n-byte kernel staging buffer, reusing the

@@ -2,6 +2,7 @@ package sys
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/kernel"
 	"repro/internal/kperf"
@@ -64,12 +65,18 @@ type ringState struct {
 	// frames; cursor state lives in the shared bytes.
 	ur, kr *kring.Ring
 	// pending is the anycall-staged entry queue, drained ahead of the
-	// SQ. It survives across ring_enter calls under backpressure.
+	// SQ. It survives across ring_enter calls under backpressure. It is
+	// stored next-entry-last, so popping an entry and staging a block
+	// ahead of the queue both work at the tail of one backing array.
 	pending []kring.SQE
-	// errq mirrors the CQ with the original Go errors, in completion
-	// order, so user-side reaping loses no error fidelity to the
-	// errno code table.
-	errq []error
+	// errs mirrors the CQ slots with the bodies' original Go errors, so
+	// user-side reaping loses no error fidelity to the errno code
+	// table: the error of the n-th completion pushed sits in slot
+	// n mod 2*entries, and Pop reads slot popped mod 2*entries. The
+	// counts are host-side, out of reach of a hostile cq_head. errs
+	// stays nil until the ring's first failed entry.
+	errs           []error
+	pushed, popped uint32
 }
 
 // RingHandle is the user-space side of a mapped ring.
@@ -186,7 +193,9 @@ func (pr *Proc) ringCloseInternal(id int) error {
 }
 
 // drain is the per-ring_enter dispatch context: the completions of
-// THIS crossing, which FDRel references and anycalls inspect.
+// THIS crossing, which FDRel references and anycalls inspect. Each
+// Proc keeps one between crossings (Proc.freeDrain), so cqes keeps its
+// capacity from one ring_enter to the next.
 type drain struct {
 	pr   *Proc
 	rs   *ringState
@@ -208,7 +217,7 @@ func (d *drain) pathString(off, n int64) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("%w: path window: %v", vfs.ErrInval, err)
 	}
-	buf := make([]byte, int(n))
+	buf := d.pr.kbuf(int(n))
 	if err := v.CopyIn(0, buf); err != nil {
 		return "", err
 	}
@@ -252,7 +261,14 @@ func (d *drain) complete(cqe *kring.CQE, herr error) error {
 		return err
 	}
 	d.cqes = append(d.cqes, *cqe)
-	d.rs.errq = append(d.rs.errq, herr)
+	rs := d.rs
+	if herr != nil && rs.errs == nil {
+		rs.errs = make([]error, 2*rs.entries)
+	}
+	if rs.errs != nil {
+		rs.errs[rs.pushed&uint32(len(rs.errs)-1)] = herr
+	}
+	rs.pushed++
 	return nil
 }
 
@@ -299,7 +315,17 @@ func (pr *Proc) ringDrain(rs *ringState) (int64, error) {
 	}
 	defer func() { p.OnPreempt = prev }()
 
-	d := &drain{pr: pr, rs: rs}
+	// Take the process's drain context. A nested drain (none exists
+	// today: no ring op enters a ring) would find the slot empty and
+	// get a fresh one.
+	d := pr.freeDrain
+	pr.freeDrain = nil
+	if d == nil {
+		d = &drain{}
+	}
+	*d = drain{pr: pr, rs: rs, cqes: d.cqes[:0]}
+	defer func() { pr.freeDrain = d }()
+
 	var completed int64
 	abort := false
 	for steps := 0; steps < maxDrainSteps && !abort; steps++ {
@@ -315,9 +341,9 @@ func (pr *Proc) ringDrain(rs *ringState) (int64, error) {
 		}
 		e := &d.e
 		*e = kring.SQE{}
-		if len(rs.pending) > 0 {
-			*e = rs.pending[0]
-			rs.pending = rs.pending[1:]
+		if n := len(rs.pending); n > 0 {
+			*e = rs.pending[n-1]
+			rs.pending = rs.pending[:n-1]
 		} else if err := rs.kr.SqPop(e); err != nil {
 			if err == kring.ErrSQEmpty {
 				break
@@ -383,9 +409,9 @@ func (pr *Proc) ringDrain(rs *ringState) (int64, error) {
 		}
 		for ; skip > 0; skip-- {
 			var se kring.SQE
-			if len(rs.pending) > 0 {
-				se = rs.pending[0]
-				rs.pending = rs.pending[1:]
+			if n := len(rs.pending); n > 0 {
+				se = rs.pending[n-1]
+				rs.pending = rs.pending[:n-1]
 			} else if err := rs.kr.SqPop(&se); err != nil {
 				break
 			}
@@ -397,9 +423,10 @@ func (pr *Proc) ringDrain(rs *ringState) (int64, error) {
 	}
 
 	if abort {
-		// Cancel everything still queued: staged entries and the SQ.
-		for _, se := range rs.pending {
-			if err := d.complete(&kring.CQE{UserTag: se.UserTag, Err: errnoCanceled}, errCanceled); err != nil {
+		// Cancel everything still queued: staged entries (in queue
+		// order, so from the tail) and then the SQ.
+		for i := len(rs.pending) - 1; i >= 0; i-- {
+			if err := d.complete(&kring.CQE{UserTag: rs.pending[i].UserTag, Err: errnoCanceled}, errCanceled); err != nil {
 				return completed, err
 			}
 			completed++
@@ -489,17 +516,20 @@ func (pr *Proc) ringStage(d *drain, off int64) error {
 	if err != nil {
 		return fmt.Errorf("%w: staged block body: %v", vfs.ErrInval, err)
 	}
-	staged := make([]kring.SQE, count)
+	// pending is stored next-entry-last: the block's first entry
+	// lands at the tail. Every slot is decoded in full before use.
+	base := len(rs.pending)
+	rs.pending = slices.Grow(rs.pending, count)[:base+count]
 	var slot [kring.SQESize]byte
 	for i := 0; i < count; i++ {
 		if err := blk.CopyIn(i*kring.SQESize, slot[:]); err != nil {
+			rs.pending = rs.pending[:base]
 			return err
 		}
-		kring.DecodeSQE(slot[:], &staged[i])
+		kring.DecodeSQE(slot[:], &rs.pending[base+count-1-i])
 	}
 	pr.P.Charge(sim.Cycles(8+count*kring.SQESize) * pr.K.M.Costs.CopyKernByte)
 	pr.K.RingBytes += int64(8 + count*kring.SQESize)
-	rs.pending = append(staged, rs.pending...)
 	return nil
 }
 
@@ -535,11 +565,13 @@ func (h *RingHandle) Pop() (kring.CQE, error, error) {
 	if err := h.rs.ur.CqPop(&cqe); err != nil {
 		return cqe, nil, err
 	}
+	rs := h.rs
 	var herr error
-	if len(h.rs.errq) > 0 {
-		herr = h.rs.errq[0]
-		h.rs.errq = h.rs.errq[1:]
+	if rs.errs != nil {
+		i := rs.popped & uint32(len(rs.errs)-1)
+		herr, rs.errs[i] = rs.errs[i], nil
 	}
+	rs.popped++
 	return cqe, herr, nil
 }
 

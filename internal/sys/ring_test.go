@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/disk"
@@ -376,7 +377,77 @@ func TestRingErrnoFidelity(t *testing.T) {
 		if cqe.Err != errnoInval || !errors.Is(herr, vfs.ErrInval) {
 			t.Errorf("bad FDRel: errno %d, herr %v", cqe.Err, herr)
 		}
-		return nil
+
+		// Two crossings without reaping, failures at known positions:
+		// every Pop's error must be its own CQE's.
+		ghost := kring.SQE{Op: uint16(NrOpen), DataOff: 0, DataLen: 6}
+		for _, batch := range [][]kring.SQE{
+			{{Op: uint16(NrGetpid)}, ghost, {Op: uint16(NrGetpid)}, {Op: uint16(NrClose), Args: [4]int64{99}}},
+			{{Op: uint16(NrClose), Args: [4]int64{77}}, {Op: uint16(NrGetpid)}, ghost, {Op: uint16(NrGetpid)}},
+		} {
+			if err := pushAll(h, batch...); err != nil {
+				return err
+			}
+			if n, err := h.Enter(); err != nil || n != 4 {
+				return fmt.Errorf("unreaped batch: %d, %v", n, err)
+			}
+		}
+		for i, want := range []uint32{0, errnoNoEnt, 0, errnoBadF, errnoBadF, 0, errnoNoEnt, 0} {
+			cqe, herr, err := h.Pop()
+			if err != nil {
+				return err
+			}
+			if cqe.Err != want || errnoOf(herr) != want {
+				t.Errorf("unreaped completion %d: errno %d, herr %v, want errno %d", i, cqe.Err, herr, want)
+			}
+		}
+
+		// A 4-entry ring (8 CQ slots) wrapped ten times with every third
+		// entry failing, reaped one batch behind so the CQ is full at
+		// every reap.
+		h4, err := pr.RingSetup(4, 0)
+		if err != nil {
+			return err
+		}
+		pushed, reaped := 0, 0
+		reapBatch := func() error {
+			for i := 0; i < 4; i++ {
+				cqe, herr, err := h4.Pop()
+				if err != nil {
+					return err
+				}
+				var want uint32
+				if reaped%3 == 2 {
+					want = errnoBadF
+				}
+				if cqe.UserTag != uint64(reaped) || cqe.Err != want || errnoOf(herr) != want {
+					t.Errorf("entry %d: tag %d, errno %d, herr %v, want errno %d", reaped, cqe.UserTag, cqe.Err, herr, want)
+				}
+				reaped++
+			}
+			return nil
+		}
+		for round := 0; round < 10; round++ {
+			for i := 0; i < 4; i++ {
+				e := kring.SQE{Op: uint16(NrGetpid), UserTag: uint64(pushed)}
+				if pushed%3 == 2 {
+					e = kring.SQE{Op: uint16(NrClose), Args: [4]int64{99}, UserTag: uint64(pushed)}
+				}
+				if err := h4.Push(&e); err != nil {
+					return err
+				}
+				pushed++
+			}
+			if n, err := h4.Enter(); err != nil || n != 4 {
+				return fmt.Errorf("round %d: %d, %v", round, n, err)
+			}
+			if round > 0 {
+				if err := reapBatch(); err != nil {
+					return err
+				}
+			}
+		}
+		return reapBatch()
 	})
 	_ = k
 }
@@ -487,7 +558,7 @@ func TestRingAnycallSkipAndAbort(t *testing.T) {
 			return err
 		}
 
-		h, err := pr.RingSetup(8, 0)
+		h, err := pr.RingSetup(8, 512)
 		if err != nil {
 			return err
 		}
@@ -561,6 +632,52 @@ func TestRingAnycallSkipAndAbort(t *testing.T) {
 		if cqes[1].Err != 0 {
 			t.Errorf("entry after failed anycall: %+v", cqes[1])
 		}
+
+		// An abort while two staged entries are pending cancels them in
+		// queue order, then the SQ: a staged block [anycall(abort),
+		// getpid, getpid] runs ahead of the last SQ entry.
+		stager, err := pr.KuLoad(KuSpec{Source: `
+		int emit(int pos, int prev, int err, int arg) {
+			if (prev > 0) { return (arg * 8) + 2; }
+			return 0;
+		}`, Entry: "emit", Checks: kgcc.KcheckOptions()})
+		if err != nil {
+			return err
+		}
+		blk := make([]byte, 8+3*kring.SQESize)
+		blk[0] = 3
+		for i, e := range []kring.SQE{
+			{Op: kring.OpAnycall, Ext: uint32(skipper), Args: [4]int64{-1}, UserTag: 30},
+			{Op: uint16(NrGetpid), UserTag: 31},
+			{Op: uint16(NrGetpid), UserTag: 32},
+		} {
+			kring.EncodeSQE(blk[8+i*kring.SQESize:], &e)
+		}
+		if err := stage(h, 0, blk); err != nil {
+			return err
+		}
+		if err := pushAll(h,
+			kring.SQE{Op: uint16(NrGetpid), UserTag: 21},
+			kring.SQE{Op: kring.OpAnycall, Ext: uint32(stager), Args: [4]int64{0}, UserTag: 22},
+			kring.SQE{Op: uint16(NrGetpid), UserTag: 23},
+		); err != nil {
+			return err
+		}
+		if n, err := h.Enter(); err != nil || n != 6 {
+			return fmt.Errorf("staged-abort drain: %d, %v", n, err)
+		}
+		cqes, err = reap(h, 6)
+		if err != nil {
+			return err
+		}
+		for i, want := range []struct {
+			tag   uint64
+			errno uint32
+		}{{21, 0}, {22, 0}, {30, 0}, {31, errnoCanceled}, {32, errnoCanceled}, {23, errnoCanceled}} {
+			if cqes[i].UserTag != want.tag || cqes[i].Err != want.errno {
+				t.Errorf("staged-abort completion %d: %+v, want tag %d errno %d", i, cqes[i], want.tag, want.errno)
+			}
+		}
 		return nil
 	})
 	_ = k
@@ -626,16 +743,58 @@ func TestRingAnycallStaging(t *testing.T) {
 			t.Errorf("RingOps = %d", k.RingOps)
 		}
 
+		// A staged block's anycall stages a second block while the
+		// first block's later entry is pending: the second block runs
+		// first, then the rest of the first, then the SQ.
+		outer := make([]byte, 8+3*kring.SQESize)
+		outer[0] = 3
+		for i, e := range []kring.SQE{
+			{Op: uint16(NrGetpid), UserTag: 110},
+			{Op: kring.OpAnycall, Ext: uint32(stager), Args: [4]int64{768}, UserTag: 111},
+			{Op: uint16(NrGetpid), UserTag: 112},
+		} {
+			kring.EncodeSQE(outer[8+i*kring.SQESize:], &e)
+		}
+		inner := make([]byte, 8+2*kring.SQESize)
+		inner[0] = 2
+		kring.EncodeSQE(inner[8:], &kring.SQE{Op: uint16(NrGetpid), UserTag: 120})
+		kring.EncodeSQE(inner[8+kring.SQESize:], &kring.SQE{Op: uint16(NrGetpid), UserTag: 121})
+		if err := stage(h, 512, outer); err != nil {
+			return err
+		}
+		if err := stage(h, 768, inner); err != nil {
+			return err
+		}
+		if err := pushAll(h,
+			kring.SQE{Op: uint16(NrGetpid), UserTag: 4},
+			kring.SQE{Op: kring.OpAnycall, Ext: uint32(stager), Args: [4]int64{512}, UserTag: 5},
+			kring.SQE{Op: uint16(NrGetpid), UserTag: 6},
+		); err != nil {
+			return err
+		}
+		if n, err := h.Enter(); err != nil || n != 8 {
+			return fmt.Errorf("nested staging drain: %d, %v", n, err)
+		}
+		cqes, err = reap(h, 8)
+		if err != nil {
+			return err
+		}
+		for i, want := range []uint64{4, 5, 110, 111, 120, 121, 112, 6} {
+			if cqes[i].UserTag != want || cqes[i].Err != 0 {
+				return fmt.Errorf("nested staging order: completion %d is %+v, want tag %d (%+v)", i, cqes[i], want, cqes)
+			}
+		}
+
 		// A hostile staged block (absurd count) fails the anycall only.
 		blk2 := make([]byte, 8)
 		blk2[0] = 0xFF
 		blk2[1] = 0xFF
-		if err := stage(h, 512, blk2); err != nil {
+		if err := stage(h, 960, blk2); err != nil {
 			return err
 		}
 		if err := pushAll(h,
 			kring.SQE{Op: uint16(NrGetpid), UserTag: 8},
-			kring.SQE{Op: kring.OpAnycall, Ext: uint32(stager), Args: [4]int64{512}, UserTag: 9},
+			kring.SQE{Op: kring.OpAnycall, Ext: uint32(stager), Args: [4]int64{960}, UserTag: 9},
 			kring.SQE{Op: uint16(NrGetpid), UserTag: 10},
 		); err != nil {
 			return err
@@ -778,6 +937,112 @@ func TestRingDrainDeterminism(t *testing.T) {
 	a, b := once(), once()
 	if a != b {
 		t.Errorf("drain cycles differ across runs: %d vs %d", a, b)
+	}
+}
+
+// TestRingDrainAllocsFlat pins the drain's host cost: after a warm-up
+// crossing, one ring_enter of 1,024 entries (getpids, reads of a cached
+// file pumped by anycalls that stage a [read, anycall] block per
+// record, and one failing open) allocates no more than 16 heap objects.
+func TestRingDrainAllocsFlat(t *testing.T) {
+	const (
+		recSize = 64
+		records = 256
+		tmplOff = recSize       // the pump's [read, anycall] block
+		pathOff = tmplOff + 256 // "/ghost"
+	)
+	m, k := env()
+	var allocs uint64
+	run(t, m, k, func(pr *Proc) error {
+		fd, err := pr.Creat("/table")
+		if err != nil {
+			return err
+		}
+		ub, err := pr.Mmap(records * recSize)
+		if err != nil {
+			return err
+		}
+		if _, err := pr.Write(fd, ub); err != nil {
+			return err
+		}
+		pump, err := pr.KuLoad(KuSpec{Source: `
+		int pump(int pos, int prev, int err, int blk) {
+			if (prev > 0) { return (blk * 8) + 2; }
+			return 0;
+		}`, Entry: "pump", Checks: kgcc.KcheckOptions()})
+		if err != nil {
+			return err
+		}
+		h, err := pr.RingSetup(512, pathOff+64)
+		if err != nil {
+			return err
+		}
+		read := kring.SQE{Op: uint16(NrRead), Args: [4]int64{int64(fd)}, DataLen: recSize}
+		anycall := kring.SQE{Op: kring.OpAnycall, Ext: uint32(pump), Args: [4]int64{tmplOff}}
+		blk := make([]byte, 8+2*kring.SQESize)
+		blk[0] = 2
+		kring.EncodeSQE(blk[8:], &read)
+		kring.EncodeSQE(blk[8+kring.SQESize:], &anycall)
+		if err := stage(h, tmplOff, blk); err != nil {
+			return err
+		}
+		if err := stage(h, pathOff, []byte("/ghost")); err != nil {
+			return err
+		}
+		// lseek, then the pump: 257 reads and 257 anycalls; the failing
+		// open; getpids up to 1,024 entries.
+		const getpids = 1024 - 1 - 2*(records+1) - 1
+		enter := func() (uint64, error) {
+			if err := pushAll(h,
+				kring.SQE{Op: uint16(NrLseek), Args: [4]int64{int64(fd), 0, SeekSet}},
+				read, anycall,
+				kring.SQE{Op: uint16(NrOpen), DataOff: pathOff, DataLen: 6},
+			); err != nil {
+				return 0, err
+			}
+			for i := 0; i < getpids; i++ {
+				if err := h.Push(&kring.SQE{Op: uint16(NrGetpid)}); err != nil {
+					return 0, err
+				}
+			}
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			n, err := h.Enter()
+			runtime.ReadMemStats(&ms)
+			if err != nil {
+				return 0, err
+			}
+			if n != 1024 {
+				return 0, fmt.Errorf("drain completed %d entries, want 1024", n)
+			}
+			failed := 0
+			for i := 0; i < 1024; i++ {
+				cqe, herr, err := h.Pop()
+				if err != nil {
+					return 0, err
+				}
+				if cqe.Err != 0 {
+					failed++
+					if cqe.Err != errnoNoEnt || !errors.Is(herr, vfs.ErrNotExist) {
+						return 0, fmt.Errorf("entry %d: errno %d, herr %v", i, cqe.Err, herr)
+					}
+				}
+			}
+			if failed != 1 {
+				return 0, fmt.Errorf("%d entries failed, want the one open", failed)
+			}
+			return ms.Mallocs - before, nil
+		}
+		if _, err := enter(); err != nil {
+			return err
+		}
+		allocs, err = enter()
+		return err
+	})
+	t.Logf("a 1,024-entry ring_enter allocated %d heap objects", allocs)
+	if allocs > 16 {
+		t.Errorf("a 1,024-entry ring_enter allocated %d heap objects, want at most 16", allocs)
 	}
 }
 

@@ -203,11 +203,11 @@ func (c *cosySub) End() error {
 
 // compoundShm maps the shared buffer an encoded compound asks for.
 func compoundShm(e *kext.Engine, raw []byte) (*kext.Shm, error) {
-	c, err := lang.Decode(raw)
+	size, err := lang.ShmSize(raw)
 	if err != nil {
 		return nil, err
 	}
-	return e.NewShm(c.ShmSize)
+	return e.NewShm(size)
 }
 
 // OpPostmarkBatch is the traced request of the ring backend: one per
