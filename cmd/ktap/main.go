@@ -112,7 +112,7 @@ func main() {
 		if err := os.WriteFile(*emit, enc, 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote %s: %d bytes, key %s\n", *emit, len(enc), mod.Key)
+		fmt.Printf("wrote %s: %d bytes, key %s\n", *emit, len(enc), kprobe.SpecKey(spec))
 		return
 	}
 

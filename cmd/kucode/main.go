@@ -134,8 +134,9 @@ func extTool(srcFile, modFile, entry, checks, emit, callArgs, cacheDir string) {
 		spec.Source = string(b)
 	}
 
+	key := sys.KuSpecKey(spec)
 	if cacheDir != "" && spec.Module == nil {
-		path := filepath.Join(cacheDir, sys.KuSpecKey(spec).String()+".kmod")
+		path := filepath.Join(cacheDir, key.String()+".kmod")
 		if b, err := os.ReadFile(path); err == nil {
 			fmt.Printf("module cache hit: %s\n", path)
 			spec = sys.KuSpec{Entry: entry, Checks: opts, Module: b}
@@ -170,7 +171,7 @@ func extTool(srcFile, modFile, entry, checks, emit, callArgs, cacheDir string) {
 		if err := os.WriteFile(emit, enc, 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote %s: %d bytes, key %s\n", emit, len(enc), minic.HashBytes(enc))
+		fmt.Printf("wrote %s: %d bytes, key %s\n", emit, len(enc), key)
 		return
 	}
 

@@ -1,6 +1,6 @@
 // Package kgcc implements KGCC, the paper's kernel-ready
 // bounds-checking compiler derived from Jones & Kelly's BCC (§3.4).
-// It has three parts:
+// It has four parts:
 //
 //   - the runtime: an object map in a splay tree consulted before any
 //     memory operation, with the paper's out-of-bounds *peer* objects
@@ -11,7 +11,9 @@
 //     common-subexpression elimination of checks);
 //   - the module runtime: charges check costs for Go-implemented
 //     kernel modules (btfs) so whole-file-system benchmarks (E7) run
-//     with realistic instrumented overhead.
+//     with realistic instrumented overhead;
+//   - the extension loader: the one module cache, VM setup, id table
+//     and kill path that kprobe programs and kucode extensions share.
 package kgcc
 
 import (

@@ -52,7 +52,7 @@ var layeringAllowed = map[string][]string{
 	"repro/internal/klog":            {"repro/internal/sim"},
 	"repro/internal/kmon":            {"repro/internal/kernel", "repro/internal/kperf", "repro/internal/ring", "repro/internal/sim", "repro/internal/sys", "repro/internal/vfs"},
 	"repro/internal/kperf":           {"repro/internal/sim"},
-	"repro/internal/kprobe":          {"repro/internal/kcheck", "repro/internal/kernel", "repro/internal/kgcc", "repro/internal/kperf", "repro/internal/mem", "repro/internal/minic", "repro/internal/sim"},
+	"repro/internal/kprobe":          {"repro/internal/kcheck", "repro/internal/kernel", "repro/internal/kgcc", "repro/internal/kperf", "repro/internal/minic", "repro/internal/sim"},
 	"repro/internal/ktrace":          {"repro/internal/kperf", "repro/internal/sim"},
 	"repro/internal/mem":             {"repro/internal/sim"},
 	"repro/internal/minic":           {"repro/internal/mem", "repro/internal/sim"},

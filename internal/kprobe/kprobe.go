@@ -33,7 +33,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/kgcc"
 	"repro/internal/kperf"
-	"repro/internal/mem"
 	"repro/internal/minic"
 	"repro/internal/sim"
 )
@@ -110,32 +109,29 @@ type Spec struct {
 	Module []byte `json:"module,omitempty"`
 }
 
+// entry is the spec's entry function name, defaulted.
+func (spec Spec) entry() string {
+	if spec.Entry == "" {
+		return "probe"
+	}
+	return spec.Entry
+}
+
 // MaxMaps bounds the maps one program may declare.
 const MaxMaps = 32
 
-// Prog is one attached (verified, instrumented) probe program.
-type Prog struct {
-	ID    int
-	TP    Tracepoint
-	Entry string
-	Maps  []*Map
-	// Insns is the verified instruction count (pre-instrumentation).
-	Insns int
-	// Fired counts dispatches of this program.
-	Fired int64
-	// Err is the first runtime error; a program that errors is dead
-	// and never runs again (the simulated analogue of a BPF program
-	// being killed by the runtime).
-	Err error
-
-	vm *minic.VM
-	// entryIdx is Entry resolved to a module function index at attach
-	// time, so a fire dispatches without a per-fire name lookup. -1
-	// means unresolved (the fire falls back to Call and dies with the
-	// interpreter's undefined-function error).
-	entryIdx int
-	dead     bool
+// Hook is a probe's attach state: its tracepoint and the maps its
+// helpers aggregate into.
+type Hook struct {
+	TP   Tracepoint
+	Maps []*Map
 }
+
+// Prog is one attached (verified, instrumented) probe program. Its
+// Calls count dispatches; a program whose run errors is dead and never
+// runs again (the simulated analogue of a BPF program being killed by
+// the runtime).
+type Prog = kgcc.Prog[Hook]
 
 // Manager owns every attached probe program and the tracepoint
 // dispatch tables. It implements kernel.ProbeTap, so the machine
@@ -143,36 +139,25 @@ type Prog struct {
 // without the kernel package importing kprobe.
 //
 // A Manager, like the machine it instruments, is driven by a single
-// goroutine: the stats counters are plain fields and Attach's
-// get-then-put on the module cache is not atomic. The cache's own
-// lock only makes its map safe to look at; it does not (and need
-// not) serialize whole admissions.
+// goroutine: the stats counters are plain fields.
 type Manager struct {
 	m *kernel.Machine
-	// as is the probes' private kernel address space: interpreter
-	// stacks live here and its memory costs (TLB misses, page maps)
-	// accumulate into the probe charge like everything else a probe
-	// does, so the whole cost of probing lands in one subsystem.
-	as *mem.AddressSpace
-
-	progs  [nTracepoints][]*Prog
-	byID   map[int]*Prog
-	nextID int
+	// ld loads, caches and runs the programs. Its address space is
+	// the probes' own: interpreter stacks live there and its memory
+	// costs accumulate into the probe charge like everything else a
+	// probe does, so the whole cost of probing lands in one subsystem.
+	// Its module cache is keyed by SpecKey, which excludes the
+	// tracepoint, so attaching the same program at five sites verifies
+	// and compiles once — eBPF's "verify once, attach everywhere"
+	// economics.
+	ld    *kgcc.Loader[Hook]
+	progs [nTracepoints][]*Prog
 
 	// running guards against re-entrant dispatch (a probe's own
 	// charging preempting into another tracepoint), like the kernel's
 	// bpf_prog_active counter.
 	running bool
-	// pending accumulates simulated cost during one dispatch or
-	// attach; the caller charges it in one step with a probe tag.
-	pending sim.Cycles
 	ctx     Ctx
-
-	// cache holds verified compiled modules by content hash. The key
-	// excludes the tracepoint, so attaching the same program at five
-	// sites verifies and compiles once — eBPF's "verify once, attach
-	// everywhere" economics.
-	cache minic.ModuleCache
 
 	// Stats (kperf exposes them as lazy gauges).
 	Attached  int64
@@ -185,10 +170,7 @@ type Manager struct {
 
 // NewManager creates the probe subsystem for a machine.
 func NewManager(m *kernel.Machine) *Manager {
-	mgr := &Manager{m: m, byID: make(map[int]*Prog), nextID: 1}
-	mgr.as = mem.NewAddressSpace("kprobe", m.Phys, &m.Costs)
-	mgr.as.Charge = func(c sim.Cycles) { mgr.pending += c }
-	return mgr
+	return &Manager{m: m, ld: kgcc.NewLoader[Hook]("kprobe", m.Phys, &m.Costs)}
 }
 
 // Attach verifies (or fetches from the module cache), compiles, and
@@ -196,13 +178,14 @@ func NewManager(m *kernel.Machine) *Manager {
 // simulated cycles the attach itself cost (verification plus VM
 // setup); the syscall layer charges them to the attaching process
 // under the probe subsystem. A verifier rejection returns a
-// *VerifyError and attaches nothing.
+// *VerifyError, attaches nothing, and costs the instructions the
+// verifier analyzed.
 //
 // The admission pipeline — parse, optimize, verify, instrument,
 // compile to bytecode — runs once per distinct program content: the
-// resulting module is cached by content hash (excluding the
-// tracepoint), so re-attaching the same program, at the same or any
-// other tracepoint, skips both the host-side work and the simulated
+// resulting module is cached by SpecKey (excluding the tracepoint),
+// so re-attaching the same program, at the same or any other
+// tracepoint, skips both the host-side work and the simulated
 // per-instruction verification charge.
 func (mgr *Manager) Attach(spec Spec) (int, sim.Cycles, error) {
 	if spec.Tracepoint < 0 || spec.Tracepoint >= nTracepoints {
@@ -211,84 +194,25 @@ func (mgr *Manager) Attach(spec Spec) (int, sim.Cycles, error) {
 	if len(spec.Maps) > MaxMaps {
 		return 0, 0, fmt.Errorf("kprobe: %d maps declared, max %d", len(spec.Maps), MaxMaps)
 	}
-	entry := spec.Entry
-	if entry == "" {
-		entry = "probe"
-	}
-
-	var key minic.CacheKey
-	if len(spec.Module) > 0 {
-		// The key covers entry and map signature, not just the bytes:
-		// a cache hit skips verifyModule, so everything verifyModule
-		// looks at must be part of the key.
-		key = moduleKey(spec)
-	} else {
-		key = SpecKey(spec)
-	}
-	mod, hit := mgr.cache.Get(key)
-	if hit {
-		mgr.CacheHits++
-	} else {
-		var err error
-		if len(spec.Module) > 0 {
-			mod, err = minic.DecodeModule(spec.Module)
-			if err != nil {
-				return 0, 0, fmt.Errorf("kprobe: %w", err)
-			}
-			if err := verifyModule(mod, entry, spec.Maps); err != nil {
-				return 0, 0, err
-			}
-		} else {
-			mod, err = BuildModule(spec)
-			if err != nil {
-				return 0, 0, err
-			}
-		}
-		mod.Key = key
-		mgr.cache.Put(key, mod)
-	}
-	insns := mod.SrcInsns
-
-	mgr.pending = 0
-	vm, err := minic.NewVM(mgr.as, mod)
+	pg, cost, err := mgr.ld.Load(SpecKey(spec), spec.entry(), func() (kgcc.Admission, error) { return admit(spec) })
+	mgr.Cycles += cost
 	if err != nil {
-		mgr.pending = 0
-		return 0, 0, fmt.Errorf("kprobe: %w", err)
+		return 0, cost, err
 	}
-	vm.PerInstr = mgr.m.Costs.ProbeInstr
-	vm.Charge = func(c sim.Cycles) { mgr.pending += c }
+	if pg.CacheHit {
+		mgr.CacheHits++
+	}
+	pg.Hook.TP = spec.Tracepoint
+	for _, ms := range spec.Maps {
+		pg.Hook.Maps = append(pg.Hook.Maps, newMap(ms))
+	}
 	// Generous per-dispatch belt: the verifier already bounds
 	// execution by code length, so hitting this means a verifier bug.
-	vm.MaxSteps = 1_000_000
-	km := kgcc.NewMap(&mgr.m.Costs, func(c sim.Cycles) { mgr.pending += c })
-	kgcc.Attach(vm, km)
-
-	pg := &Prog{
-		ID:       mgr.nextID,
-		TP:       spec.Tracepoint,
-		Entry:    entry,
-		Insns:    insns,
-		vm:       vm,
-		entryIdx: mod.FnIndex(entry),
-	}
-	mgr.nextID++
-	for _, ms := range spec.Maps {
-		pg.Maps = append(pg.Maps, newMap(ms))
-	}
+	pg.VM.MaxSteps = 1_000_000
 	mgr.installHelpers(pg)
 
 	mgr.progs[spec.Tracepoint] = append(mgr.progs[spec.Tracepoint], pg)
-	mgr.byID[pg.ID] = pg
 	mgr.Attached++
-
-	// A cache hit skips the simulated verification charge: the kernel
-	// already admitted this exact program content.
-	cost := mgr.pending
-	if !hit {
-		cost += sim.Cycles(insns) * mgr.m.Costs.ProbeVerifyInstr
-	}
-	mgr.pending = 0
-	mgr.Cycles += cost
 	return pg.ID, cost, nil
 }
 
@@ -298,11 +222,12 @@ func (mgr *Manager) Attach(spec Spec) (int, sim.Cycles, error) {
 // the runtime checks here are pure defense in depth.
 func (mgr *Manager) installHelpers(pg *Prog) {
 	costs := &mgr.m.Costs
-	pg.vm.SetBuiltin("ctx_pid", func(minic.Env, []int64) (int64, error) { return mgr.ctx.Pid, nil })
-	pg.vm.SetBuiltin("ctx_nr", func(minic.Env, []int64) (int64, error) { return mgr.ctx.Nr, nil })
-	pg.vm.SetBuiltin("ctx_arg", func(minic.Env, []int64) (int64, error) { return mgr.ctx.Arg, nil })
-	pg.vm.SetBuiltin("ctx_cycles", func(minic.Env, []int64) (int64, error) { return mgr.ctx.Cycles, nil })
-	pg.vm.SetBuiltin("now", func(minic.Env, []int64) (int64, error) { return int64(mgr.m.Clock.Now()), nil })
+	maps := pg.Hook.Maps
+	pg.VM.SetBuiltin("ctx_pid", func(minic.Env, []int64) (int64, error) { return mgr.ctx.Pid, nil })
+	pg.VM.SetBuiltin("ctx_nr", func(minic.Env, []int64) (int64, error) { return mgr.ctx.Nr, nil })
+	pg.VM.SetBuiltin("ctx_arg", func(minic.Env, []int64) (int64, error) { return mgr.ctx.Arg, nil })
+	pg.VM.SetBuiltin("ctx_cycles", func(minic.Env, []int64) (int64, error) { return mgr.ctx.Cycles, nil })
+	pg.VM.SetBuiltin("now", func(minic.Env, []int64) (int64, error) { return int64(mgr.m.Clock.Now()), nil })
 	// The map-helper argument checks are written out in each closure
 	// (rather than shared through an inner function) so each helper is
 	// one call frame on the probe fire path.
@@ -311,43 +236,54 @@ func (mgr *Manager) installHelpers(pg *Prog) {
 			return fmt.Errorf("kprobe: map helper takes 3 arguments, got %d", len(args))
 		}
 		id := args[0]
-		if id < 0 || id >= int64(len(pg.Maps)) {
+		if id < 0 || id >= int64(len(maps)) {
 			return fmt.Errorf("kprobe: map id %d out of range", id)
 		}
-		return fmt.Errorf("kprobe: map %d is a %s map", id, pg.Maps[id].Kind)
+		return fmt.Errorf("kprobe: map %d is a %s map", id, maps[id].Kind)
 	}
-	pg.vm.SetBuiltin("map_add", func(_ minic.Env, args []int64) (int64, error) {
-		if len(args) != 3 || args[0] < 0 || args[0] >= int64(len(pg.Maps)) || pg.Maps[args[0]].Kind != MapHash {
+	pg.VM.SetBuiltin("map_add", func(_ minic.Env, args []int64) (int64, error) {
+		if len(args) != 3 || args[0] < 0 || args[0] >= int64(len(maps)) || maps[args[0]].Kind != MapHash {
 			return 0, mapArgErr(args, MapHash)
 		}
 		mgr.MapOps++
-		mgr.pending += costs.ProbeMapOp
-		pg.Maps[args[0]].add(uint64(args[1]), args[2])
+		mgr.ld.Charge(costs.ProbeMapOp)
+		maps[args[0]].add(uint64(args[1]), args[2])
 		return 0, nil
 	})
-	pg.vm.SetBuiltin("map_hist", func(_ minic.Env, args []int64) (int64, error) {
-		if len(args) != 3 || args[0] < 0 || args[0] >= int64(len(pg.Maps)) || pg.Maps[args[0]].Kind != MapHist {
+	pg.VM.SetBuiltin("map_hist", func(_ minic.Env, args []int64) (int64, error) {
+		if len(args) != 3 || args[0] < 0 || args[0] >= int64(len(maps)) || maps[args[0]].Kind != MapHist {
 			return 0, mapArgErr(args, MapHist)
 		}
 		mgr.MapOps++
-		mgr.pending += costs.ProbeMapOp
-		pg.Maps[args[0]].observe(uint64(args[1]), args[2])
+		mgr.ld.Charge(costs.ProbeMapOp)
+		maps[args[0]].observe(uint64(args[1]), args[2])
 		return 0, nil
 	})
+}
+
+// Lookup returns program id as process pid may name it: a process
+// (pid > 0) reaches only the programs it attached, and another
+// process's program gets the same error as an id never issued. pid 0
+// is the kernel, which reaches every program.
+func (mgr *Manager) Lookup(pid, id int) (*Prog, error) {
+	if pg, ok := mgr.ld.Lookup(pid, id); ok {
+		return pg, nil
+	}
+	return nil, fmt.Errorf("kprobe: no program %d", id)
 }
 
 // Detach removes a program; its tracepoint goes back to costing zero
 // once no programs remain.
 func (mgr *Manager) Detach(id int) error {
-	pg, ok := mgr.byID[id]
-	if !ok {
-		return fmt.Errorf("kprobe: no program %d", id)
+	pg, err := mgr.Lookup(0, id)
+	if err != nil {
+		return err
 	}
-	delete(mgr.byID, id)
-	list := mgr.progs[pg.TP]
+	mgr.ld.Unload(id)
+	list := mgr.progs[pg.Hook.TP]
 	for i, p := range list {
 		if p == pg {
-			mgr.progs[pg.TP] = append(list[:i], list[i+1:]...)
+			mgr.progs[pg.Hook.TP] = append(list[:i], list[i+1:]...)
 			break
 		}
 	}
@@ -356,10 +292,7 @@ func (mgr *Manager) Detach(id int) error {
 }
 
 // Prog returns the attached program with the given id.
-func (mgr *Manager) Prog(id int) (*Prog, bool) {
-	pg, ok := mgr.byID[id]
-	return pg, ok
-}
+func (mgr *Manager) Prog(id int) (*Prog, bool) { return mgr.ld.Lookup(0, id) }
 
 // AttachedAt reports whether any live program is attached at tp.
 func (mgr *Manager) AttachedAt(tp Tracepoint) bool {
@@ -371,13 +304,13 @@ func (mgr *Manager) AttachedAt(tp Tracepoint) bool {
 // kernel-side copy per byte plus one map op per map — the single
 // summary copy that replaces an event stream).
 func (mgr *Manager) Read(id int) ([]byte, sim.Cycles, error) {
-	pg, ok := mgr.byID[id]
-	if !ok {
-		return nil, 0, fmt.Errorf("kprobe: no program %d", id)
+	pg, err := mgr.Lookup(0, id)
+	if err != nil {
+		return nil, 0, err
 	}
-	data := encodeMaps(pg.Maps)
+	data := encodeMaps(pg.Hook.Maps)
 	cost := sim.Cycles(len(data))*mgr.m.Costs.CopyKernByte +
-		sim.Cycles(len(pg.Maps))*mgr.m.Costs.ProbeMapOp
+		sim.Cycles(len(pg.Hook.Maps))*mgr.m.Costs.ProbeMapOp
 	mgr.Cycles += cost
 	return data, cost, nil
 }
@@ -398,31 +331,21 @@ func (mgr *Manager) dispatch(tp Tracepoint, ctx Ctx) sim.Cycles {
 		return 0
 	}
 	mgr.running = true
-	mgr.pending = mgr.m.Costs.ProbeDispatch
 	mgr.ctx = ctx
+	c := mgr.m.Costs.ProbeDispatch
 	for _, pg := range progs {
-		if pg.dead {
+		if pg.Err != nil {
 			continue
 		}
-		pg.Fired++
 		mgr.Fired++
-		pg.vm.Steps = 0
-		var err error
-		if pg.entryIdx >= 0 {
-			_, err = pg.vm.CallIndex(pg.entryIdx)
-		} else {
-			_, err = pg.vm.Call(pg.Entry)
-		}
+		_, cost, err := mgr.ld.Run(pg)
+		c += cost
 		if err != nil {
-			pg.Err = err
-			pg.dead = true
 			mgr.m.Event(kernel.EventProbeDead,
-				fmt.Sprintf("probe %d (%s at %s): %v", pg.ID, pg.Entry, pg.TP, err))
+				fmt.Sprintf("probe %d (%s at %s): %v", pg.ID, pg.Entry, pg.Hook.TP, err))
 		}
 	}
 	mgr.running = false
-	c := mgr.pending
-	mgr.pending = 0
 	mgr.Cycles += c
 	return c
 }

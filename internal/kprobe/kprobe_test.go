@@ -501,7 +501,7 @@ func TestRuntimeErrorKillsProbe(t *testing.T) {
 			t.Error("program vanished")
 			return nil
 		}
-		fired, perr = pg.Fired, pg.Err
+		fired, perr = pg.Calls, pg.Err
 		return nil
 	})
 	if err := s.Run(); err != nil {
@@ -654,8 +654,8 @@ func TestModuleAttachFullChecksArtifactRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("attached program not registered")
 	}
-	if pg.Fired != 1 || pg.Err != nil {
-		t.Fatalf("fired %d, err %v; want one clean fire", pg.Fired, pg.Err)
+	if pg.Calls != 1 || pg.Err != nil {
+		t.Fatalf("fired %d, err %v; want one clean fire", pg.Calls, pg.Err)
 	}
 }
 
@@ -680,5 +680,123 @@ func TestModuleAttachEntryNotSkippedByCache(t *testing.T) {
 		t.Fatal("same module bytes with a bogus entry attached via cache hit")
 	} else if !strings.Contains(err.Error(), "not defined") {
 		t.Fatalf("rejection %q does not name the missing entry", err)
+	}
+}
+
+// TestProbeForeignReadDetach pins per-process probe ids: probe_read
+// and probe_detach of another process's probe fail as for an id never
+// issued, and the owner still reads its maps afterwards.
+func TestProbeForeignReadDetach(t *testing.T) {
+	s := boot(t, core.Options{})
+	var id int
+	var bDone bool
+	a := s.Spawn("a", func(pr *sys.Proc) error {
+		var err error
+		if id, err = pr.ProbeAttach(kprobe.Spec{Tracepoint: kprobe.TpSyscallExit, Source: aggSrc, Maps: aggMaps}); err != nil {
+			return err
+		}
+		for !bDone {
+			pr.P.BlockFor(s.M.Costs.TimeSlice)
+		}
+		buf, err := pr.Mmap(1 << 16)
+		if err != nil {
+			return err
+		}
+		if _, err := pr.ProbeRead(id, buf); err != nil {
+			t.Errorf("owner's probe_read after foreign calls: %v", err)
+		}
+		return nil
+	})
+	b := s.Spawn("b", func(pr *sys.Proc) error {
+		defer func() { bDone = true }()
+		for id == 0 {
+			pr.P.BlockFor(s.M.Costs.TimeSlice)
+		}
+		buf, err := pr.Mmap(1 << 16)
+		if err != nil {
+			return err
+		}
+		if _, err := pr.ProbeRead(id, buf); err == nil || !strings.Contains(err.Error(), "no program") {
+			t.Errorf("foreign probe_read: err = %v; want \"no program\"", err)
+		}
+		if err := pr.ProbeDetach(id); err == nil || !strings.Contains(err.Error(), "no program") {
+			t.Errorf("foreign probe_detach: err = %v; want \"no program\"", err)
+		}
+		return nil
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, p := range []*kernel.Process{a, b} {
+		if p.Err() != nil {
+			t.Fatalf("process %s: %v", p.Name, p.Err())
+		}
+	}
+}
+
+// TestRejectedAttachChargesVerification: a rejected probe_attach pays
+// for the verification it got, as a rejected ku_load does — the
+// verifier analyzed the looping program before it refused it.
+func TestRejectedAttachChargesVerification(t *testing.T) {
+	s := boot(t, core.Options{})
+	spec := kprobe.Spec{Tracepoint: kprobe.TpSyscallExit, Source: `int probe() {
+		int i; i = 0;
+		while (i < 3) { i = i + 1; }
+		return i;
+	}`}
+	_, cost, err := s.Probes.Attach(spec)
+	var ve *kprobe.VerifyError
+	if !errors.As(err, &ve) {
+		t.Fatalf("looping probe: err = %v; want a *kprobe.VerifyError", err)
+	}
+	if verify := s.M.Costs.ProbeVerifyInstr; cost <= 0 || cost%verify != 0 {
+		t.Fatalf("rejected attach cost %d; want a positive multiple of ProbeVerifyInstr (%d)", cost, verify)
+	}
+	var sysDelta sim.Cycles
+	p := s.Spawn("ctl", func(pr *sys.Proc) error {
+		_, s0, _ := pr.P.Times()
+		if _, err := pr.ProbeAttach(spec); err == nil {
+			t.Error("looping probe attached")
+		}
+		_, s1, _ := pr.P.Times()
+		sysDelta = s1 - s0
+		return nil
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if p.Err() != nil {
+		t.Fatalf("process: %v", p.Err())
+	}
+	if sysDelta <= cost {
+		t.Fatalf("sys time across the rejected probe_attach %d does not cover its verification %d", sysDelta, cost)
+	}
+}
+
+// TestProbeAttachModuleCopiesBytesIn: a pre-compiled module crosses
+// the boundary like source does, so probe_attach's copyin counts its
+// bytes.
+func TestProbeAttachModuleCopiesBytesIn(t *testing.T) {
+	s := boot(t, core.Options{})
+	mod, err := kprobe.BuildModule(kprobe.Spec{Source: aggSrc, Maps: aggMaps})
+	if err != nil {
+		t.Fatalf("build module: %v", err)
+	}
+	enc := minic.EncodeModule(mod)
+	p := s.Spawn("ctl", func(pr *sys.Proc) error {
+		before := s.K.BytesIn
+		if _, err := pr.ProbeAttach(kprobe.Spec{Tracepoint: kprobe.TpSyscallExit, Module: enc, Maps: aggMaps}); err != nil {
+			return err
+		}
+		if got := s.K.BytesIn - before; got < int64(len(enc)) {
+			t.Errorf("probe_attach of a %d-byte module copied in %d bytes", len(enc), got)
+		}
+		return nil
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if p.Err() != nil {
+		t.Fatalf("process: %v", p.Err())
 	}
 }

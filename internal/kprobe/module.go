@@ -10,21 +10,22 @@ import (
 )
 
 // Module admission: the compile-and-verify half of Attach, split out
-// so user space can run it ahead of time (ktap/kucode -emit), ship the
-// encoded module, and so the manager's content-hash cache has a single
-// producer.
+// so user space can run it ahead of time (ktap -emit) and ship the
+// encoded module.
 
-// SpecKey derives the content-hash cache key for a source-based spec.
-// It covers everything that determines the compiled module — entry,
-// source text, and the declared map signature (map ids and kinds are
-// verified statically) — and deliberately excludes the tracepoint:
-// the same program attached at another site is the same module.
+// SpecKey derives the content-hash cache key for a spec, in either
+// form. It covers everything admission looks at — entry, the source
+// text or the module bytes, and the declared map signature (map ids
+// and kinds are verified statically) — because a cache hit skips
+// admission: the same bytes attached under a different entry are a
+// different admission that must re-verify. It deliberately excludes
+// the tracepoint: the same program attached at another site is the
+// same module. ktap names its -cachedir files by this key.
 func SpecKey(spec Spec) minic.CacheKey {
-	entry := spec.Entry
-	if entry == "" {
-		entry = "probe"
+	parts := []string{"kprobe-module-v1", spec.entry(), spec.Source}
+	if len(spec.Module) > 0 {
+		parts = []string{"kprobe-module-blob-v1", spec.entry(), string(spec.Module)}
 	}
-	parts := []string{"kprobe-module-v1", entry, spec.Source}
 	for _, ms := range spec.Maps {
 		parts = append(parts, fmt.Sprintf("%s:%s", ms.Name, ms.Kind))
 	}
@@ -39,50 +40,49 @@ func SpecKey(spec Spec) minic.CacheKey {
 // SrcInsns records the pre-instrumentation instruction count that
 // attach-time verification charges for.
 func BuildModule(spec Spec) (*minic.Module, error) {
-	entry := spec.Entry
-	if entry == "" {
-		entry = "probe"
+	a, err := admitSource(spec)
+	return a.Mod, err
+}
+
+// admit is Attach's admission function for either spec form. A
+// source rejection by the verifier carries the instructions it
+// analyzed; decode and module-verify rejections analyzed nothing.
+func admit(spec Spec) (kgcc.Admission, error) {
+	if len(spec.Module) == 0 {
+		return admitSource(spec)
 	}
+	mod, err := minic.DecodeModule(spec.Module)
+	if err != nil {
+		return kgcc.Admission{}, fmt.Errorf("kprobe: %w", err)
+	}
+	if err := verifyModule(mod, spec.entry(), spec.Maps); err != nil {
+		return kgcc.Admission{}, err
+	}
+	return kgcc.Admission{Mod: mod, Insns: mod.SrcInsns}, nil
+}
+
+func admitSource(spec Spec) (kgcc.Admission, error) {
+	entry := spec.entry()
 	unit, err := minic.CompileSource(spec.Source)
 	if err != nil {
-		return nil, fmt.Errorf("kprobe: compile: %w", err)
+		return kgcc.Admission{}, fmt.Errorf("kprobe: compile: %w", err)
 	}
 	fn := unit.Fn(entry)
 	if fn == nil {
-		return nil, fmt.Errorf("kprobe: entry function %q not defined", entry)
+		return kgcc.Admission{}, fmt.Errorf("kprobe: entry function %q not defined", entry)
 	}
 	minic.Optimize(fn)
-	if err := verify(fn, spec.Maps); err != nil {
-		return nil, err
-	}
 	insns := len(fn.Code)
+	if err := verify(fn, spec.Maps); err != nil {
+		return kgcc.Admission{Insns: insns}, err
+	}
 	kgcc.Instrument(fn, kgcc.FullChecks())
 	mod, err := minic.CompileUnit(unit)
 	if err != nil {
-		return nil, fmt.Errorf("kprobe: %w", err)
+		return kgcc.Admission{Insns: insns}, fmt.Errorf("kprobe: %w", err)
 	}
 	mod.SrcInsns = insns
-	mod.Key = SpecKey(spec)
-	return mod, nil
-}
-
-// moduleKey derives the cache key for a pre-compiled module spec. It
-// folds the entry name and the declared map signature in alongside
-// the blob hash: admission verifies the entry (and the entry alone)
-// against the bytes, so the same bytes attached under a different
-// entry are a different admission that must re-verify, never a cache
-// hit that skips the entry checks. Like SpecKey it excludes the
-// tracepoint.
-func moduleKey(spec Spec) minic.CacheKey {
-	entry := spec.Entry
-	if entry == "" {
-		entry = "probe"
-	}
-	parts := []string{"kprobe-module-blob-v1", entry, string(spec.Module)}
-	for _, ms := range spec.Maps {
-		parts = append(parts, fmt.Sprintf("%s:%s", ms.Name, ms.Kind))
-	}
-	return minic.HashParts(parts...)
+	return kgcc.Admission{Mod: mod, Insns: insns}, nil
 }
 
 // verifyModule structurally admits a pre-compiled module: the entry

@@ -221,9 +221,6 @@ type Module struct {
 	// SrcInsns is the pre-instrumentation instruction count the
 	// builder recorded (what attach-time verification charges for).
 	SrcInsns int
-	// Key is the content hash this module was cached under (zero when
-	// unknown).
-	Key CacheKey
 
 	index map[string]int
 }

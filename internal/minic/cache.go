@@ -4,17 +4,17 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sync"
 )
 
-// Content-hash module cache. A compiled module is keyed by the hash of
-// everything that determined its bytecode — source text, entry point,
-// instrumentation options — so the expensive admission pipeline
-// (parse, analyze, verify, instrument, compile) runs once per distinct
-// program and every later load of the same content is a cache hit that
-// skips both the host work and the simulated verification charge. This
-// is the eBPF "verify once, attach everywhere" economics from the
-// paper, made explicit.
+// Content-hash module keys. The kernel's extension loader (kgcc.Loader)
+// caches a compiled module under the hash of everything that
+// determined its bytecode — source text, entry point, instrumentation
+// options — so the expensive admission pipeline (parse, analyze,
+// verify, instrument, compile) runs once per distinct program and
+// every later load of the same content is a cache hit that skips both
+// the host work and the simulated verification charge. This is the
+// eBPF "verify once, attach everywhere" economics from the paper, made
+// explicit.
 
 // CacheKey is a content hash identifying a compiled module.
 type CacheKey [32]byte
@@ -35,67 +35,4 @@ func HashParts(parts ...string) CacheKey {
 	var k CacheKey
 	h.Sum(k[:0])
 	return k
-}
-
-// HashBytes derives a cache key directly from raw bytes (used for
-// pre-compiled module blobs).
-func HashBytes(data []byte) CacheKey { return sha256.Sum256(data) }
-
-// ModuleCache is a content-addressed store of compiled modules.
-// Modules are immutable, so a cached module is shared by every VM
-// attached to it. Individual Get/Put calls are safe for concurrent
-// use, but an admission (Get, compile on miss, Put) is not atomic:
-// two concurrent admitters of the same content may both compile, and
-// the last Put wins. That is benign — the entries are immutable and
-// content-addressed, so both results are interchangeable — and the
-// only current caller (the kprobe Manager) is single-threaded anyway.
-type ModuleCache struct {
-	mu     sync.Mutex
-	mods   map[CacheKey]*Module
-	hits   int64
-	misses int64
-}
-
-// Get looks up a module and counts the hit or miss.
-func (c *ModuleCache) Get(key CacheKey) (*Module, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m, ok := c.mods[key]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return m, ok
-}
-
-// Put stores a module under key.
-func (c *ModuleCache) Put(key CacheKey, m *Module) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.mods == nil {
-		c.mods = make(map[CacheKey]*Module)
-	}
-	c.mods[key] = m
-}
-
-// Hits returns the number of cache hits so far.
-func (c *ModuleCache) Hits() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits
-}
-
-// Misses returns the number of cache misses so far.
-func (c *ModuleCache) Misses() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.misses
-}
-
-// Len returns the number of cached modules.
-func (c *ModuleCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.mods)
 }

@@ -8,14 +8,12 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/kgcc"
 	"repro/internal/kperf"
-	"repro/internal/mem"
 	"repro/internal/minic"
-	"repro/internal/sim"
 )
 
 // ErrKuDead is returned when calling an extension that was killed by
 // a runtime violation.
-var ErrKuDead = errors.New("sys: kucode extension killed by a runtime violation")
+var ErrKuDead = kgcc.ErrDead
 
 // KuSpec is a ku_load request: the paper's "user-level code in the
 // kernel". The source is compiled, statically analyzed with kcheck,
@@ -43,98 +41,44 @@ type KuSpec struct {
 	Module []byte
 }
 
-// KuExt is one loaded kucode extension.
-type KuExt struct {
-	ID    int
-	Entry string
-	// Insns is the pre-instrumentation instruction count.
-	Insns int
-	// Stats and Report describe what instrumentation did: how many
-	// checks were inserted and how many each elimination layer elided.
-	Stats  kgcc.Stats
-	Report *kgcc.ElisionReport
-	// Calls counts invocations; Cycles accumulates their in-kernel
-	// cost.
-	Calls  int64
-	Cycles sim.Cycles
-	// Err is the first runtime violation; like a kprobe program, an
-	// extension that trips a check is dead and never runs again.
-	Err error
-	// CacheHit reports that ku_load found this program in the module
-	// cache and skipped compilation, analysis, and the verification
-	// charge.
-	CacheHit bool
-
-	vm *minic.VM
-	km *kgcc.Map
-	// entryIdx is Entry resolved to a module function index at load
-	// time; ku_call dispatches by index, skipping the name lookup.
-	entryIdx int
-	dead     bool
+// entry is the spec's entry function name, defaulted.
+func (spec KuSpec) entry() string {
+	if spec.Entry == "" {
+		return "main"
+	}
+	return spec.Entry
 }
 
-// ChecksRun reports the dynamic runtime checks this extension has
-// executed (bounds lookups plus pointer-arithmetic validations).
-func (e *KuExt) ChecksRun() int64 { return e.km.Checks + e.km.ArithOps }
+// KuExt is one loaded kucode extension. Like a kprobe program, an
+// extension that trips a check is dead and never runs again.
+type KuExt = kgcc.Prog[struct{}]
 
-// kuState is the kernel's kucode subsystem: the registry and the
-// kernel address space shared by source-admitted extensions, created
-// on first ku_load (quarantined module-admitted extensions get
-// private spaces in load instead).
-type kuState struct {
-	as      *mem.AddressSpace
-	pending sim.Cycles
-	exts    map[int]*KuExt
-	nextID  int
-	// cache holds admitted modules by content hash, along with the
-	// instrumentation metadata ku_load reports, so loading the same
-	// program twice compiles, analyzes, and verifies once.
-	cache     map[minic.CacheKey]*kuCached
-	cacheHits int64
-}
-
-// kuCached is one admitted program: the compiled module plus the
-// load-time metadata that must survive a cache hit.
-type kuCached struct {
-	mod   *minic.Module
-	insns int
-	stats kgcc.Stats
-	rep   *kgcc.ElisionReport
-	// quarantine marks a module admitted from pre-compiled bytes: the
-	// kernel could not run its own kcheck/instrumentation over it, so
-	// every extension created from it gets a private address space
-	// instead of the shared kucode space (see KuSpec.Module).
-	quarantine bool
-}
-
-func (k *Kernel) ku() *kuState {
+// ku is the kernel's kucode loader, created on first ku_load. Its
+// shared address space holds source-admitted extensions; quarantined
+// module-admitted ones get private spaces.
+func (k *Kernel) ku() *kgcc.Loader[struct{}] {
 	if k.Ku == nil {
-		ku := &kuState{
-			exts:   make(map[int]*KuExt),
-			nextID: 1,
-			cache:  make(map[minic.CacheKey]*kuCached),
-		}
-		ku.as = mem.NewAddressSpace("kucode", k.M.Phys, &k.M.Costs)
-		ku.as.Charge = func(c sim.Cycles) { ku.pending += c }
-		k.Ku = ku
+		k.Ku = kgcc.NewLoader[struct{}]("kucode", k.M.Phys, &k.M.Costs)
 	}
 	return k.Ku
 }
 
-// KuExt returns the loaded extension with the given id.
+// KuExt returns the loaded extension with the given id, whichever
+// process loaded it.
 func (k *Kernel) KuExt(id int) (*KuExt, bool) {
 	if k.Ku == nil {
 		return nil, false
 	}
-	e, ok := k.Ku.exts[id]
-	return e, ok
+	return k.Ku.Lookup(0, id)
 }
 
-// KuLoad is the ku_load system call: copy the extension source in,
-// compile + analyze + instrument it kernel-side, and install it. Load
-// time charges a per-instruction static-analysis cost (the same rate
-// the kprobe verifier charges) plus the interpreter setup; it is paid
-// once, never on the call path.
+// KuLoad is the ku_load system call: copy the extension source (or
+// module) in, compile + analyze + instrument it kernel-side, and
+// install it. The returned id names the extension for the calling
+// process only. Load time charges a per-instruction static-analysis
+// cost (the same rate the kprobe verifier charges) plus the
+// interpreter setup; it is paid once, never on the call path, and a
+// rejected extension still pays for the analysis it got.
 //
 // Loading rejects extensions the kcheck unit analysis proves unsafe
 // to host: recursive call cycles (unbounded kernel stack) and
@@ -143,9 +87,12 @@ func (k *Kernel) KuExt(id int) (*KuExt, bool) {
 // exactly the layering the paper prescribes ("static analysis should
 // be used to reduce runtime checking").
 func (pr *Proc) KuLoad(spec KuSpec) (int, error) {
-	in := len(spec.Source) + len(spec.Entry) + 8
+	in := len(spec.Source) + len(spec.Entry) + len(spec.Module) + 8
 	pr.enter(NrKuLoad, in)
-	id, cost, err := pr.K.ku().load(pr.K, spec)
+	e, cost, err := pr.K.ku().Load(KuSpecKey(spec), spec.entry(), func() (kgcc.Admission, error) { return admitKu(spec) })
+	if err == nil {
+		e.Owner = pr.P.PID
+	}
 	if cost > 0 {
 		pr.chargeExec(kperf.SubKu, cost)
 	}
@@ -153,74 +100,7 @@ func (pr *Proc) KuLoad(spec KuSpec) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	return id, nil
-}
-
-func (ku *kuState) load(k *Kernel, spec KuSpec) (int, sim.Cycles, error) {
-	entry := spec.Entry
-	if entry == "" {
-		entry = "main"
-	}
-
-	key := KuSpecKey(spec)
-	cached, hit := ku.cache[key]
-	if hit {
-		ku.cacheHits++
-	} else {
-		var err error
-		cached, err = admitKu(spec, entry)
-		if err != nil {
-			// Admission work was done (and charged by the caller via the
-			// returned cost) even though the program was rejected;
-			// rejections are not cached.
-			return -1, sim.Cycles(cached.insns) * k.M.Costs.ProbeVerifyInstr, err
-		}
-		ku.cache[key] = cached
-	}
-
-	ku.pending = 0
-	as := ku.as
-	if cached.quarantine {
-		// Pre-compiled bytecode carries no proofs the kernel can
-		// re-check, so it never shares an address space with other
-		// extensions: each load gets a fresh private space whose
-		// memory costs still land in the kucode charge.
-		as = mem.NewAddressSpace("kucode-ext", k.M.Phys, &k.M.Costs)
-		as.Charge = func(c sim.Cycles) { ku.pending += c }
-	}
-	vm, err := minic.NewVM(as, cached.mod)
-	if err != nil {
-		ku.pending = 0
-		return -1, 0, fmt.Errorf("sys: ku_load: %w", err)
-	}
-	vm.PerInstr = k.M.Costs.ProbeInstr
-	vm.Charge = func(c sim.Cycles) { ku.pending += c }
-	km := kgcc.NewMap(&k.M.Costs, func(c sim.Cycles) { ku.pending += c })
-	kgcc.Attach(vm, km)
-
-	e := &KuExt{
-		ID:       ku.nextID,
-		Entry:    entry,
-		Insns:    cached.insns,
-		Stats:    cached.stats,
-		Report:   cached.rep,
-		CacheHit: hit,
-		vm:       vm,
-		km:       km,
-		entryIdx: cached.mod.FnIndex(entry),
-	}
-	ku.nextID++
-	ku.exts[e.ID] = e
-
-	// A cache hit pays only VM setup: the verification charge covers
-	// admitting program content the kernel has already admitted.
-	cost := ku.pending
-	if !hit {
-		cost += sim.Cycles(cached.insns) * k.M.Costs.ProbeVerifyInstr
-	}
-	ku.pending = 0
-	e.Cycles += cost
-	return e.ID, cost, nil
+	return e.ID, nil
 }
 
 // KuSpecKey derives the content-hash cache key for a ku_load spec:
@@ -230,15 +110,12 @@ func (ku *kuState) load(k *Kernel, spec KuSpec) (int, sim.Cycles, error) {
 // entry is part of the key in both forms because a cache hit skips
 // admission, and admission verifies the entry against the content —
 // the same bytes under a different entry are a different admission.
+// kucode names its -cachedir files by this key.
 func KuSpecKey(spec KuSpec) minic.CacheKey {
-	entry := spec.Entry
-	if entry == "" {
-		entry = "main"
-	}
 	if len(spec.Module) > 0 {
-		return minic.HashParts("kucode-module-v1", entry, string(spec.Module))
+		return minic.HashParts("kucode-module-v1", spec.entry(), string(spec.Module))
 	}
-	return minic.HashParts("kucode-v1", entry, spec.Source, spec.Checks.CacheString())
+	return minic.HashParts("kucode-v1", spec.entry(), spec.Source, spec.Checks.CacheString())
 }
 
 // BuildKuModule runs the ku_load admission pipeline host-side —
@@ -247,22 +124,14 @@ func KuSpecKey(spec KuSpec) minic.CacheKey {
 // user space (kucode -emit) can pre-compile extensions and ship the
 // encoded artifact.
 func BuildKuModule(spec KuSpec) (*minic.Module, error) {
-	entry := spec.Entry
-	if entry == "" {
-		entry = "main"
-	}
-	cached, err := admitKu(spec, entry)
-	if err != nil {
-		return nil, err
-	}
-	return cached.mod, nil
+	a, err := admitKu(spec)
+	return a.Mod, err
 }
 
-// admitKu runs the admission pipeline on one spec: compile (or
-// decode), reject what the kcheck unit analysis proves unsafe to
-// host, instrument, and compile to bytecode. On rejection the
-// returned kuCached still carries the analyzed instruction count so
-// the caller can charge for the analysis work.
+// admitKu is ku_load's admission function: compile (or decode),
+// reject what the kcheck unit analysis proves unsafe to host,
+// instrument, and compile to bytecode. A rejection after analysis
+// carries the analyzed instruction count so the load charges for it.
 //
 // The two branches mirror the two safety stories. Source admission
 // runs the kernel's own analysis, so its rejections (recursion,
@@ -274,26 +143,27 @@ func BuildKuModule(spec KuSpec) (*minic.Module, error) {
 // and everything the kernel cannot re-prove is answered by
 // quarantine — the extension runs in a private address space where
 // an unchecked access can only hurt itself.
-func admitKu(spec KuSpec, entry string) (*kuCached, error) {
+func admitKu(spec KuSpec) (kgcc.Admission, error) {
+	entry := spec.entry()
 	if len(spec.Module) > 0 {
 		mod, err := minic.DecodeModule(spec.Module)
 		if err != nil {
-			return &kuCached{}, fmt.Errorf("sys: ku_load: %w", err)
+			return kgcc.Admission{}, fmt.Errorf("sys: ku_load: %w", err)
 		}
 		if mod.Fn(entry) == nil {
-			return &kuCached{}, fmt.Errorf("sys: ku_load: entry function %q not defined", entry)
+			return kgcc.Admission{}, fmt.Errorf("sys: ku_load: entry function %q not defined", entry)
 		}
 		if cyc := moduleCallCycle(mod); cyc != "" {
-			return &kuCached{}, fmt.Errorf("sys: ku_load rejected: pre-compiled module: recursion through %q (unbounded kernel stack)", cyc)
+			return kgcc.Admission{}, fmt.Errorf("sys: ku_load rejected: pre-compiled module: recursion through %q (unbounded kernel stack)", cyc)
 		}
-		return &kuCached{mod: mod, insns: mod.SrcInsns, quarantine: true}, nil
+		return kgcc.Admission{Mod: mod, Insns: mod.SrcInsns, Private: true}, nil
 	}
 	unit, err := minic.CompileSource(spec.Source)
 	if err != nil {
-		return &kuCached{}, fmt.Errorf("sys: ku_load compile: %w", err)
+		return kgcc.Admission{}, fmt.Errorf("sys: ku_load compile: %w", err)
 	}
 	if unit.Fn(entry) == nil {
-		return &kuCached{}, fmt.Errorf("sys: ku_load: entry function %q not defined", entry)
+		return kgcc.Admission{}, fmt.Errorf("sys: ku_load: entry function %q not defined", entry)
 	}
 	insns := 0
 	for _, name := range unit.Order {
@@ -303,7 +173,7 @@ func admitKu(spec KuSpec, entry string) (*kuCached, error) {
 	uf := kcheck.AnalyzeUnit(unit)
 	for _, w := range uf.Warnings {
 		if w.Code == "recursion" || w.Code == "oob" {
-			return &kuCached{insns: insns}, fmt.Errorf("sys: ku_load rejected: %s", w)
+			return kgcc.Admission{Insns: insns}, fmt.Errorf("sys: ku_load rejected: %s", w)
 		}
 	}
 	// The unit is already optimized above; Instrument per function so
@@ -311,11 +181,10 @@ func admitKu(spec KuSpec, entry string) (*kuCached, error) {
 	stats, rep := kgcc.InstrumentUnitReport(unit, spec.Checks)
 	mod, err := minic.CompileUnit(unit)
 	if err != nil {
-		return &kuCached{insns: insns}, fmt.Errorf("sys: ku_load: %w", err)
+		return kgcc.Admission{Insns: insns}, fmt.Errorf("sys: ku_load: %w", err)
 	}
 	mod.SrcInsns = insns
-	mod.Key = KuSpecKey(spec)
-	return &kuCached{mod: mod, insns: insns, stats: stats, rep: rep}, nil
+	return kgcc.Admission{Mod: mod, Insns: insns, Stats: stats, Report: rep}, nil
 }
 
 // moduleCallCycle detects recursion structurally on bytecode: it
@@ -383,44 +252,26 @@ func (pr *Proc) KuCall(id int, args ...int64) (int64, error) {
 	return ret, nil
 }
 
-// kuInvoke is the in-kernel core of ku_call: run extension id's entry
-// point and charge its accumulated interpreter cost. The ku_call trap
-// wraps it; ring drains invoke it directly for anycall entries, so an
-// extension costs the same whether it was reached by trap or by ring.
+// kuInvoke is the in-kernel core of ku_call: run the calling
+// process's extension id and charge its interpreter cost. The ku_call
+// trap wraps it; ring drains invoke it directly for anycall entries,
+// so an extension costs the same whether it was reached by trap or by
+// ring. Another process's extension is as unknown as one never loaded.
 func (pr *Proc) kuInvoke(id int, args ...int64) (int64, error) {
-	var ret int64
-	var err error
 	ku := pr.K.Ku
-	e := (*KuExt)(nil)
+	var e *KuExt
 	if ku != nil {
-		e = ku.exts[id]
+		e, _ = ku.Lookup(pr.P.PID, id)
 	}
-	switch {
-	case e == nil:
-		err = fmt.Errorf("sys: ku_call: no extension %d", id)
-	case e.dead:
-		err = ErrKuDead
-	default:
-		ku.pending = 0
-		e.vm.Steps = 0
-		if e.entryIdx >= 0 {
-			ret, err = e.vm.CallIndex(e.entryIdx, args...)
-		} else {
-			ret, err = e.vm.Call(e.Entry, args...)
-		}
-		if err != nil {
-			e.Err = err
-			e.dead = true
-			pr.K.M.Event(kernel.EventKuDead,
-				fmt.Sprintf("ext %d (%s): %v", id, e.Entry, err))
-		}
-		e.Calls++
-		cost := ku.pending
-		ku.pending = 0
-		e.Cycles += cost
-		if cost > 0 {
-			pr.chargeExec(kperf.SubKu, cost)
-		}
+	if e == nil {
+		return 0, fmt.Errorf("sys: ku_call: no extension %d", id)
+	}
+	ret, cost, err := ku.Run(e, args...)
+	if err != nil && !errors.Is(err, ErrKuDead) {
+		pr.K.M.Event(kernel.EventKuDead, fmt.Sprintf("ext %d (%s): %v", id, e.Entry, err))
+	}
+	if cost > 0 {
+		pr.chargeExec(kperf.SubKu, cost)
 	}
 	return ret, err
 }

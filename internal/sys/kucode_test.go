@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/kgcc"
+	"repro/internal/kprobe"
+	"repro/internal/kring"
 	"repro/internal/mem"
 	"repro/internal/minic"
 	"repro/internal/sim"
@@ -256,11 +259,11 @@ func TestKuLoadModuleQuarantine(t *testing.T) {
 		}
 		// Plant a sentinel in the shared kucode space, at an address the
 		// hostile module will aim its unchecked store at.
-		sentinel, err := k.Ku.as.MapRegion(1, mem.PermRW)
+		sentinel, err := k.Ku.AS.MapRegion(1, mem.PermRW)
 		if err != nil {
 			return err
 		}
-		if err := k.Ku.as.WriteU64(sentinel, 0xA5A5); err != nil {
+		if err := k.Ku.AS.WriteU64(sentinel, 0xA5A5); err != nil {
 			return err
 		}
 		hid, err := pr.KuLoad(KuSpec{Module: enc})
@@ -270,7 +273,7 @@ func TestKuLoadModuleQuarantine(t *testing.T) {
 		// The store either faults in the private space or lands there;
 		// either way the shared space must be unscathed.
 		_, _ = pr.KuCall(hid, int64(sentinel))
-		got, err := k.Ku.as.ReadU64(sentinel)
+		got, err := k.Ku.AS.ReadU64(sentinel)
 		if err != nil {
 			return err
 		}
@@ -305,5 +308,196 @@ func TestKuLoadModuleEntryNotSkippedByCache(t *testing.T) {
 			t.Errorf("rejection %q does not name the missing entry", err)
 		}
 		return nil
+	})
+}
+
+// TestKuCallForeignExtension pins per-process extension ids: a
+// process that names another process's extension gets the same error
+// as for an id never issued, and cannot kill it. Process B calls A's
+// off-by-one extension by trap with the argument that would trip its
+// runtime check, and by ring anycall with four arguments to its one
+// parameter; A's extension must survive for A's next call.
+func TestKuCallForeignExtension(t *testing.T) {
+	m, k := env()
+	const src = `
+	int main(int n) {
+		int a[4];
+		int i;
+		for (i = 0; i < n; i++) { a[i] = i; }
+		return a[0];
+	}`
+	var id int
+	var bDone bool
+	a := m.Spawn("a", func(p *kernel.Process) error {
+		pr := NewProc(k, p)
+		var err error
+		if id, err = pr.KuLoad(KuSpec{Source: src, Checks: kgcc.KcheckOptions()}); err != nil {
+			return err
+		}
+		for !bDone {
+			p.BlockFor(m.Costs.TimeSlice)
+		}
+		if _, err := pr.KuCall(id, 4); err != nil {
+			t.Errorf("owner's call after a foreign call: %v", err)
+		}
+		return nil
+	})
+	b := m.Spawn("b", func(p *kernel.Process) error {
+		defer func() { bDone = true }()
+		pr := NewProc(k, p)
+		for id == 0 {
+			p.BlockFor(m.Costs.TimeSlice)
+		}
+		if _, err := pr.KuCall(id, 5); err == nil || !strings.Contains(err.Error(), "no extension") {
+			t.Errorf("foreign ku_call: err = %v; want \"no extension\"", err)
+		}
+		h, err := pr.RingSetup(4, 512)
+		if err != nil {
+			return err
+		}
+		if err := pushAll(h, kring.SQE{Op: kring.OpAnycall, Ext: uint32(id), Args: [4]int64{5}}); err != nil {
+			return err
+		}
+		if _, err := h.Enter(); err != nil {
+			return err
+		}
+		if _, herr, err := h.Pop(); err != nil || herr == nil || !strings.Contains(herr.Error(), "no extension") {
+			t.Errorf("foreign anycall: entry error %v (pop %v); want \"no extension\"", herr, err)
+		}
+		return nil
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*kernel.Process{a, b} {
+		if p.Err() != nil {
+			t.Fatalf("process %s: %v", p.Name, p.Err())
+		}
+	}
+	if ext, _ := k.KuExt(id); ext.Err != nil || ext.Calls != 1 {
+		t.Errorf("extension after a foreign call: err %v, %d calls; want alive with the owner's one call", ext.Err, ext.Calls)
+	}
+}
+
+// TestKuLoadModuleCopiesBytesIn: a pre-compiled module crosses the
+// boundary like source does, so ku_load's copyin counts its bytes.
+func TestKuLoadModuleCopiesBytesIn(t *testing.T) {
+	m, k := env()
+	mod, err := BuildKuModule(KuSpec{Source: `int main() { return 1; }`, Checks: kgcc.FullChecks()})
+	if err != nil {
+		t.Fatalf("build ku module: %v", err)
+	}
+	enc := minic.EncodeModule(mod)
+	run(t, m, k, func(pr *Proc) error {
+		before := k.BytesIn
+		if _, err := pr.KuLoad(KuSpec{Module: enc}); err != nil {
+			return err
+		}
+		if got := k.BytesIn - before; got < int64(len(enc)) {
+			t.Errorf("ku_load of a %d-byte module copied in %d bytes", len(enc), got)
+		}
+		return nil
+	})
+}
+
+// FuzzModuleAdmission drives arbitrary bytes through both front ends
+// of the extension loader: as a ku_load module (then two ku_calls
+// aimed at a sentinel in the shared kucode space) and as a probe_attach
+// module at syscall_exit (then one fire and a probe_read). Every input
+// must end in a rejection, a value or a killed program; the process
+// must complete its next system call; and the sentinel, planted after
+// a source-loaded extension, must survive.
+func FuzzModuleAdmission(f *testing.F) {
+	const src = `
+	int main(int n) {
+		int a[4];
+		int i;
+		for (i = 0; i < n; i++) { a[i] = i; }
+		return a[0];
+	}`
+	for _, opts := range []kgcc.Options{kgcc.FullChecks(), kgcc.KcheckOptions()} {
+		mod, err := BuildKuModule(KuSpec{Source: src, Checks: opts})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(minic.EncodeModule(mod))
+	}
+	probeMaps := []kprobe.MapSpec{{Name: "lat", Kind: kprobe.MapHist}, {Name: "calls", Kind: kprobe.MapHash}}
+	mod, err := kprobe.BuildModule(kprobe.Spec{Source: `
+	int probe() {
+		int k;
+		k = ctx_pid() * 256 + ctx_nr();
+		map_hist(0, k, ctx_cycles());
+		map_add(1, k, 1);
+		return 0;
+	}`, Maps: probeMaps})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(minic.EncodeModule(mod))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		m, k := env()
+		// A hostile module may malloc up to the machine's whole 884 MB
+		// of frames; a small pool for everything the fuzzed process and
+		// the loaders map keeps a fuzz worker's host memory bounded.
+		m.Phys = mem.NewPhys(16 << 20)
+		k.Probes = kprobe.NewManager(m)
+		const magic = 0x5EA7_0F_C0DE
+		p := m.Spawn("fuzz", func(p *kernel.Process) error {
+			pr := NewProc(k, p)
+			if _, err := pr.KuLoad(KuSpec{Source: `int main() { return 7; }`, Checks: kgcc.KcheckOptions()}); err != nil {
+				return err
+			}
+			sentinel, err := k.Ku.AS.MapRegion(1, mem.PermRW)
+			if err != nil {
+				return err
+			}
+			if err := k.Ku.AS.WriteU64(sentinel, magic); err != nil {
+				return err
+			}
+			if id, err := pr.KuLoad(KuSpec{Module: raw}); err == nil {
+				var args []int64
+				if dec, err := minic.DecodeModule(raw); err == nil {
+					for range dec.Fn("main").NumParams {
+						args = append(args, int64(sentinel))
+					}
+				}
+				if _, err := pr.KuCall(id, args...); err != nil {
+					if _, err := pr.KuCall(id, args...); !errors.Is(err, ErrKuDead) {
+						t.Errorf("call after a failed call: err = %v; want ErrKuDead", err)
+					}
+				} else {
+					_, _ = pr.KuCall(id, args...)
+				}
+			}
+			pspec := kprobe.Spec{Tracepoint: kprobe.TpSyscallExit, Module: raw, Maps: probeMaps}
+			if id, err := pr.ProbeAttach(pspec); err == nil {
+				pr.Getpid()
+				buf, err := pr.Mmap(1 << 16)
+				if err != nil {
+					return err
+				}
+				if _, err := pr.ProbeRead(id, buf); err != nil {
+					t.Errorf("probe_read of an attached module: %v", err)
+				}
+			}
+			if pid := pr.Getpid(); pid != p.PID {
+				t.Errorf("getpid after admission = %d; want %d", pid, p.PID)
+			}
+			got, err := k.Ku.AS.ReadU64(sentinel)
+			if err != nil {
+				return err
+			}
+			if got != magic {
+				t.Errorf("module reached the shared kucode space: sentinel = %#x", got)
+			}
+			return nil
+		})
+		if err := m.Run(); err != nil {
+			t.Fatalf("module input crashed the kernel: %v", err)
+		}
+		if p.Err() != nil {
+			t.Fatalf("process did not complete: %v", p.Err())
+		}
 	})
 }

@@ -14,10 +14,10 @@ import (
 var ErrNoProbes = errors.New("sys: kprobe subsystem not available")
 
 // probeSpecBytes models the copyin size of an attach spec: the
-// program source, a fixed header (tracepoint, entry, counts), and the
-// map declarations.
+// program source or module, a fixed header (tracepoint, entry,
+// counts), and the map declarations.
 func probeSpecBytes(spec kprobe.Spec) int {
-	n := len(spec.Source) + len(spec.Entry) + 16
+	n := len(spec.Source) + len(spec.Module) + len(spec.Entry) + 16
 	for _, m := range spec.Maps {
 		n += len(m.Name) + 2
 	}
@@ -26,10 +26,10 @@ func probeSpecBytes(spec kprobe.Spec) int {
 
 // ProbeAttach is the probe_attach system call: copy in the spec,
 // compile + verify + instrument the program in the kernel, and attach
-// it at its tracepoint. The returned id names the program for
-// ProbeRead. Verification cost is charged to the calling process
-// under the probe subsystem; a rejected program costs only its
-// compile/verify time and attaches nothing.
+// it at its tracepoint. The returned id names the program for the
+// calling process's ProbeRead and ProbeDetach. Verification cost is
+// charged to the calling process under the probe subsystem; a rejected
+// program costs only its compile/verify time and attaches nothing.
 func (pr *Proc) ProbeAttach(spec kprobe.Spec) (int, error) {
 	in := probeSpecBytes(spec)
 	pr.enter(NrProbeAttach, in)
@@ -40,6 +40,10 @@ func (pr *Proc) ProbeAttach(spec kprobe.Spec) (int, error) {
 	} else {
 		var cost sim.Cycles
 		id, cost, err = pr.K.Probes.Attach(spec)
+		if err == nil {
+			pg, _ := pr.K.Probes.Prog(id)
+			pg.Owner = pr.P.PID
+		}
 		if cost > 0 {
 			pr.chargeExec(kperf.SubProbe, cost)
 		}
@@ -51,14 +55,22 @@ func (pr *Proc) ProbeAttach(spec kprobe.Spec) (int, error) {
 	return id, nil
 }
 
+// ownProbe checks that program id is one the calling process attached:
+// another process's probe is as unknown as one never attached.
+func (pr *Proc) ownProbe(id int) error {
+	if pr.K.Probes == nil {
+		return ErrNoProbes
+	}
+	_, err := pr.K.Probes.Lookup(pr.P.PID, id)
+	return err
+}
+
 // ProbeDetach removes an attached program; once a tracepoint has no
 // programs left it costs zero cycles again.
 func (pr *Proc) ProbeDetach(id int) error {
 	pr.enter(NrProbeAttach, 8)
-	var err error
-	if pr.K.Probes == nil {
-		err = ErrNoProbes
-	} else {
+	err := pr.ownProbe(id)
+	if err == nil {
 		err = pr.K.Probes.Detach(id)
 	}
 	pr.exit(NrProbeAttach, 8, 0)
@@ -71,10 +83,8 @@ func (pr *Proc) ProbeDetach(id int) error {
 func (pr *Proc) ProbeRead(id int, ub UserBuf) (int, error) {
 	pr.enter(NrProbeRead, 8)
 	var data []byte
-	var err error
-	if pr.K.Probes == nil {
-		err = ErrNoProbes
-	} else {
+	err := pr.ownProbe(id)
+	if err == nil {
 		var cost sim.Cycles
 		data, cost, err = pr.K.Probes.Read(id)
 		if cost > 0 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/kernel"
+	"repro/internal/kgcc"
 	"repro/internal/kperf"
 	"repro/internal/kprobe"
 	"repro/internal/mem"
@@ -39,9 +40,9 @@ type Kernel struct {
 	// it); enter/exit dispatch its syscall tracepoints.
 	Probes *kprobe.Manager
 
-	// Ku is the kucode extension subsystem, created lazily on the
-	// first ku_load.
-	Ku *kuState
+	// Ku is the kucode extension loader, created lazily on the first
+	// ku_load.
+	Ku *kgcc.Loader[struct{}]
 
 	// exitTaps observe syscall completion from kernel context with
 	// the span duration, before the kernel->user return. Unlike
