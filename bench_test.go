@@ -120,7 +120,7 @@ int f(void) {
 		b.Fatal(err)
 	}
 	s.Spawn("bench", func(pr *sys.Proc) error {
-		shm, err := e.NewShm(shmSize + 64)
+		shm, err := e.NewShm(pr, shmSize+64)
 		if err != nil {
 			return err
 		}

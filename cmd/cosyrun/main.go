@@ -54,7 +54,7 @@ func main() {
 	e := s.CosyEngine(m)
 	var result int64
 	s.Spawn("cosyrun", func(pr *sys.Proc) error {
-		shm, err := e.NewShm(comp.ShmSize + 64)
+		shm, err := e.NewShm(pr, comp.ShmSize+64)
 		if err != nil {
 			return err
 		}

@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -125,25 +124,17 @@ func main() {
 	} else if *cacheDir != "" {
 		// Disk-backed content-hash cache: a prior -emit or run already
 		// paid the compile+verify, this run just decodes the artifact.
-		path := filepath.Join(*cacheDir, kprobe.SpecKey(spec).String()+".kmod")
-		if b, err := os.ReadFile(path); err == nil {
-			fmt.Printf("module cache hit: %s\n", path)
-			spec = kprobe.Spec{Tracepoint: tracepoint, Module: b, Entry: *entry, Maps: maps}
-		} else {
-			mod, err := kprobe.BuildModule(spec)
-			if err != nil {
-				fatal(err)
-			}
-			enc := minic.EncodeModule(mod)
-			if err := os.MkdirAll(*cacheDir, 0o755); err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(path, enc, 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("module cache miss: wrote %s\n", path)
-			spec = kprobe.Spec{Tracepoint: tracepoint, Module: enc, Entry: *entry, Maps: maps}
+		enc, path, hit, err := minic.CachedModule(*cacheDir, kprobe.SpecKey(spec),
+			func() (*minic.Module, error) { return kprobe.BuildModule(spec) })
+		if err != nil {
+			fatal(err)
 		}
+		if hit {
+			fmt.Printf("module cache hit: %s\n", path)
+		} else {
+			fmt.Printf("module cache miss: wrote %s\n", path)
+		}
+		spec = kprobe.Spec{Tracepoint: tracepoint, Module: enc, Entry: *entry, Maps: maps}
 	}
 
 	s, err := core.New(core.Options{CacheBlocks: 1024})

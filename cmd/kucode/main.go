@@ -27,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -136,25 +135,17 @@ func extTool(srcFile, modFile, entry, checks, emit, callArgs, cacheDir string) {
 
 	key := sys.KuSpecKey(spec)
 	if cacheDir != "" && spec.Module == nil {
-		path := filepath.Join(cacheDir, key.String()+".kmod")
-		if b, err := os.ReadFile(path); err == nil {
-			fmt.Printf("module cache hit: %s\n", path)
-			spec = sys.KuSpec{Entry: entry, Checks: opts, Module: b}
-		} else {
-			mod, err := sys.BuildKuModule(spec)
-			if err != nil {
-				fatal(err)
-			}
-			enc := minic.EncodeModule(mod)
-			if err := os.MkdirAll(cacheDir, 0o755); err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(path, enc, 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("module cache miss: wrote %s\n", path)
-			spec = sys.KuSpec{Entry: entry, Checks: opts, Module: enc}
+		enc, path, hit, err := minic.CachedModule(cacheDir, key,
+			func() (*minic.Module, error) { return sys.BuildKuModule(spec) })
+		if err != nil {
+			fatal(err)
 		}
+		if hit {
+			fmt.Printf("module cache hit: %s\n", path)
+		} else {
+			fmt.Printf("module cache miss: wrote %s\n", path)
+		}
+		spec = sys.KuSpec{Entry: entry, Checks: opts, Module: enc}
 	}
 
 	if emit != "" {

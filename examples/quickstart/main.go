@@ -90,7 +90,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		shm, err := engine.NewShm(comp.ShmSize)
+		shm, err := engine.NewShm(pr, comp.ShmSize)
 		if err != nil {
 			return err
 		}

@@ -44,7 +44,7 @@ func E3(perf bool) (*Table, error) {
 			func(s *core.System) { e = s.CosyEngine(kext.ModeDataSeg) },
 			microSetup,
 			func(pr *sys.Proc) error {
-				shm, err := e.NewShm(shmSize)
+				shm, err := e.NewShm(pr, shmSize)
 				if err != nil {
 					return err
 				}

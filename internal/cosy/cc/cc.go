@@ -336,21 +336,7 @@ func (rc *regionCompiler) expr(e minic.Expr) (lang.Reg, error) {
 		return v.reg, nil
 	case *minic.Binary:
 		if x.Op == "&&" || x.Op == "||" {
-			a, err := rc.expr(x.X)
-			if err != nil {
-				return 0, err
-			}
-			bb, err := rc.expr(x.Y)
-			if err != nil {
-				return 0, err
-			}
-			zero := rc.b.Const(0)
-			na := rc.b.Bin("!=", a, zero)
-			nb := rc.b.Bin("!=", bb, zero)
-			if x.Op == "&&" {
-				return rc.b.Bin("&", na, nb), nil
-			}
-			return rc.b.Bin("|", na, nb), nil
+			return rc.logical(x)
 		}
 		a, err := rc.expr(x.X)
 		if err != nil {
@@ -389,6 +375,30 @@ func (rc *regionCompiler) expr(e minic.Expr) (lang.Reg, error) {
 		return rc.call(x)
 	}
 	return 0, fmt.Errorf("cosy-gcc: unsupported expression %T in region", e)
+}
+
+// logical lowers a && b and a || b as minic does: the result register
+// holds a != 0, and a branch skips b when a already decides the
+// result, so b's system calls and faults happen only when C's would.
+func (rc *regionCompiler) logical(x *minic.Binary) (lang.Reg, error) {
+	a, err := rc.expr(x.X)
+	if err != nil {
+		return 0, err
+	}
+	zero := rc.b.Const(0)
+	dst := rc.b.Bin("!=", a, zero)
+	decided := dst // &&: a == 0 decides
+	if x.Op == "||" {
+		decided = rc.b.Bin("==", a, zero) // ||: a != 0 decides
+	}
+	skip := rc.b.Brz(decided)
+	bb, err := rc.expr(x.Y)
+	if err != nil {
+		return 0, err
+	}
+	rc.b.BinInto(dst, "!=", bb, zero)
+	skip.Here()
+	return dst, nil
 }
 
 func (rc *regionCompiler) call(x *minic.Call) (lang.Reg, error) {

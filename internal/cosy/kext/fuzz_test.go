@@ -1,8 +1,11 @@
 package kext
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cosy/lang"
@@ -131,7 +134,7 @@ func TestSeedCompoundsRun(t *testing.T) {
 			if err := parityFixture(pr); err != nil {
 				return err
 			}
-			shm, err := e.NewShm(fuzzShmSize)
+			shm, err := e.NewShm(pr, fuzzShmSize)
 			if err != nil {
 				return err
 			}
@@ -146,11 +149,19 @@ func TestSeedCompoundsRun(t *testing.T) {
 	}
 }
 
-// FuzzCompound submits arbitrary bytes through ExecRing as an encoded
-// compound over the parity fixture. Every input must end in a value
-// or an error, or in a watchdog kill for compounds that outrun
-// MaxKernel — never a panic — and a process whose compound returned
-// must leave kernel mode and still complete a getpid.
+// FuzzCompound submits arbitrary bytes as an encoded compound over the
+// parity fixture. Every input must end in a value or an error, or in
+// a kill by the ring drain's watchdog for compounds that outrun
+// MaxKernelCycles — never a panic — and a process whose compounds
+// returned must leave kernel mode and still complete a getpid.
+//
+// Each input runs on two fresh machines that differ only in the byte
+// a second process fills its own buffer with. The fuzzed process
+// submits the compound twice: through ExecRing on its own buffer, and
+// in a hand-pushed NrCosy entry naming the other process's selector.
+// Results, errors and the fuzzed process's buffer must match across
+// the machines, and the other process's buffer must be unchanged: no
+// compound reaches another process's buffer.
 func FuzzCompound(f *testing.F) {
 	seeds, err := seedCompounds()
 	if err != nil {
@@ -160,31 +171,64 @@ func FuzzCompound(f *testing.F) {
 		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		m, k := env()
-		e := New(k, ModeDataSeg)
-		e.MaxKernel = 1_000_000
-		returned := false
-		rerr := run(t, m, func(p *kernel.Process) error {
-			pr := sys.NewProc(k, p)
-			if err := parityFixture(pr); err != nil {
-				return err
-			}
-			shm, err := e.NewShm(fuzzShmSize)
-			if err != nil {
-				return err
-			}
-			_, _ = e.ExecRing(pr, raw, shm)
-			returned = true
-			if p.InKernel() {
-				return errors.New("compound returned in kernel mode")
-			}
-			if pid := pr.Getpid(); pid != p.PID {
-				return fmt.Errorf("getpid after the compound = %d, want %d", pid, p.PID)
-			}
-			return nil
-		})
-		if rerr != nil && !(errors.Is(rerr, kernel.ErrKilled) && !returned) {
-			t.Fatal(rerr)
+		if a, b := fuzzRun(t, raw, 0x11), fuzzRun(t, raw, 0xee); a != b {
+			t.Fatalf("outcome depends on another process's buffer:\n%s\n%s", a, b)
 		}
 	})
+}
+
+// fuzzRun runs FuzzCompound's two submissions of raw on a fresh
+// machine whose other process fills its buffer with fill, and
+// describes what the fuzzed process saw.
+func fuzzRun(t *testing.T, raw []byte, fill byte) string {
+	m, k := env()
+	m.Costs.MaxKernelCycles = 1_000_000
+	e := New(k, ModeDataSeg)
+	var other, own *Shm
+	m.Spawn("other", func(p *kernel.Process) error {
+		var err error
+		other, err = fillShm(e, sys.NewProc(k, p), fuzzShmSize, fill)
+		return err
+	})
+	var out strings.Builder
+	returned := false
+	m.Spawn("fuzzed", func(p *kernel.Process) error {
+		pr := sys.NewProc(k, p)
+		if err := parityFixture(pr); err != nil {
+			return err
+		}
+		if other == nil {
+			return errors.New("the other process has not mapped its buffer")
+		}
+		var err error
+		if own, err = e.NewShm(pr, fuzzShmSize); err != nil {
+			return err
+		}
+		v, err := e.ExecRing(pr, raw, own)
+		fmt.Fprintf(&out, "own buffer: %d, %v\n", v, err)
+		v, err = pushCosy(e, pr, raw, int64(other.Selector()))
+		fmt.Fprintf(&out, "other's selector: %d, %v\n", v, err)
+		returned = true
+		if p.InKernel() {
+			return errors.New("compound returned in kernel mode")
+		}
+		if pid := pr.Getpid(); pid != p.PID {
+			return fmt.Errorf("getpid after the compounds = %d, want %d", pid, p.PID)
+		}
+		return nil
+	})
+	rerr := m.Run()
+	if rerr != nil && !(errors.Is(rerr, kernel.ErrKilled) && !returned) {
+		t.Fatal(rerr)
+	}
+	fmt.Fprintf(&out, "run: %v\n", rerr)
+	if got, err := other.Read(0, fuzzShmSize); err != nil || bytes.Count(got, []byte{fill}) != fuzzShmSize {
+		t.Fatalf("the other process's buffer changed (%v)", err)
+	}
+	mine, err := own.Read(0, fuzzShmSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&out, "own buffer bytes: %x\n", sha256.Sum256(mine))
+	return out.String()
 }

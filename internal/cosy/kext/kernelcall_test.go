@@ -173,7 +173,7 @@ func compoundCall(e *Engine, pr *sys.Proc, c parityCase) (int64, []byte, error) 
 	if err != nil {
 		return 0, nil, err
 	}
-	shm, err := e.NewShm(1024)
+	shm, err := e.NewShm(pr, 1024)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -373,7 +373,7 @@ func TestCompoundAllocsFlatInReads(t *testing.T) {
 		if err := parityFixture(pr); err != nil {
 			return err
 		}
-		shm, err := e.NewShm(256)
+		shm, err := e.NewShm(pr, 256)
 		if err != nil {
 			return err
 		}

@@ -8,23 +8,31 @@
 //     buffer and Validate rejects bad registers and jump targets;
 //   - x86 segmentation: every shared-buffer access runs through a
 //     segment descriptor; a reference outside the segment raises a
-//     protection fault that aborts the compound;
+//     protection fault that aborts the compound. Each process has its
+//     own descriptor table, like an x86 LDT, so a compound reaches
+//     only its own process's buffers;
 //   - kernel preemption: "we use a preemptive kernel that checks the
 //     running time of a Cosy process inside the kernel every time it
 //     is scheduled out. If this time has exceeded the maximum allowed
-//     kernel time then the process is terminated" — implemented on
-//     the scheduler's preemption hook.
+//     kernel time then the process is terminated". Every compound
+//     runs inside a ring drain, and the drain's watchdog
+//     (sim.Costs.MaxKernelCycles) is that check.
+//
+// Operators mean what they mean in minic: OpBin and OpUn carry
+// minic's operator codes and run through minic.EvalBinOp and
+// minic.EvalUnOp.
 package kext
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/cosy/lang"
-	"repro/internal/kernel"
 	"repro/internal/kperf"
 	"repro/internal/kring"
 	"repro/internal/mem"
+	"repro/internal/minic"
 	"repro/internal/seg"
 	"repro/internal/sim"
 	"repro/internal/sys"
@@ -63,33 +71,29 @@ type Stats struct {
 	Syscalls   int64
 	SegEntries int64 // far calls into the isolated segment (mode A)
 	Faults     int64
-	Kills      int64
 }
 
 // Engine is the loaded Cosy kernel extension.
 type Engine struct {
-	K     *sys.Kernel
-	Table *seg.Table
-	Mode  Mode
-	// MaxKernel overrides Costs.MaxKernelCycles when nonzero.
-	MaxKernel sim.Cycles
+	K    *sys.Kernel
+	Mode Mode
 
-	// shms indexes shared buffers by selector so ring SQEs can name
-	// them by scalar argument.
-	shms map[seg.Selector]*Shm
 	// procs holds each process's engine state by PID.
 	procs map[int]*procState
 
 	Stats Stats
 }
 
-// procState is the engine's state for one process: the submission
-// ring ExecRing uses, and the scratch its compounds are staged,
-// decoded and run in, reused from one compound to the next. The
+// procState is the engine's state for one process: the descriptor
+// table its shared buffers live in, the submission ring ExecRing
+// uses, and the scratch its compounds are staged, decoded and run in,
+// reused from one compound to the next. The table is per process,
+// like an x86 LDT: a selector names nothing in any other process. The
 // scratch must be per process, not per engine: a compound can be
 // preempted inside a Charge, and another process's compound can run
 // on the engine before it resumes.
 type procState struct {
+	table   *seg.Table
 	ring    *sys.RingHandle
 	encoded []byte        // staging copy of the compound bytes
 	c       lang.Compound // the decoded compound
@@ -104,7 +108,7 @@ type procState struct {
 func (e *Engine) state(pid int) *procState {
 	ps := e.procs[pid]
 	if ps == nil {
-		ps = &procState{}
+		ps = &procState{table: seg.NewTable()}
 		e.procs[pid] = ps
 	}
 	return ps
@@ -112,14 +116,10 @@ func (e *Engine) state(pid int) *procState {
 
 // New loads the extension into a kernel. Loading registers the NrCosy
 // ring op: a kring SQE naming NrCosy carries an encoded compound in
-// its data window and the shm selector in Args[0], so compounds ride
-// ring batches like any other submission.
+// its data window and the submitting process's shm selector in
+// Args[0], so compounds ride ring batches like any other submission.
 func New(k *sys.Kernel, mode Mode) *Engine {
-	e := &Engine{
-		K: k, Table: seg.NewTable(), Mode: mode,
-		shms:  make(map[seg.Selector]*Shm),
-		procs: make(map[int]*procState),
-	}
+	e := &Engine{K: k, Mode: mode, procs: make(map[int]*procState)}
 	k.RegisterRingOp(uint16(sys.NrCosy), e.ringExec)
 	return e
 }
@@ -130,14 +130,20 @@ func New(k *sys.Kernel, mode Mode) *Engine {
 // pages, so data moved by in-kernel syscalls never crosses the
 // boundary).
 type Shm struct {
-	eng  *Engine
-	base mem.Addr
-	size int
-	sel  seg.Selector
+	eng   *Engine
+	table *seg.Table // the owning process's descriptor table
+	size  int
+	sel   seg.Selector
 }
 
-// NewShm maps a shared buffer of at least size bytes.
-func (e *Engine) NewShm(size int) (*Shm, error) {
+// NewShm maps a shared buffer of at least size bytes for pr's process
+// and installs its descriptor in that process's table. A full table
+// fails with ErrBadCompound before any page is mapped.
+func (e *Engine) NewShm(pr *sys.Proc, size int) (*Shm, error) {
+	table := e.state(pr.P.PID).table
+	if table.Full() {
+		return nil, fmt.Errorf("%w: %v", ErrBadCompound, seg.ErrTableFull)
+	}
 	pages := mem.PagesFor(size)
 	if pages == 0 {
 		pages = 1
@@ -146,12 +152,13 @@ func (e *Engine) NewShm(size int) (*Shm, error) {
 	if err != nil {
 		return nil, err
 	}
-	sel := e.Table.Alloc(seg.Descriptor{
+	sel, err := table.Alloc(seg.Descriptor{
 		Name: "cosy-shm", Base: base, Limit: uint64(size), Perm: mem.PermRW,
 	})
-	s := &Shm{eng: e, base: base, size: size, sel: sel}
-	e.shms[sel] = s
-	return s, nil
+	if err != nil {
+		return nil, err
+	}
+	return &Shm{eng: e, table: table, size: size, sel: sel}, nil
 }
 
 // Selector names the buffer in ring submissions (SQE Args[0]).
@@ -163,7 +170,7 @@ func (s *Shm) Size() int { return s.size }
 // Write places data at off (user-side setup or test inspection; the
 // segment check still applies).
 func (s *Shm) Write(off int, data []byte) error {
-	addr, err := s.eng.Table.Check(s.sel, uint64(off), len(data), mem.AccessWrite)
+	addr, err := s.table.Check(s.sel, uint64(off), len(data), mem.AccessWrite)
 	if err != nil {
 		return err
 	}
@@ -172,7 +179,7 @@ func (s *Shm) Write(off int, data []byte) error {
 
 // Read returns n bytes at off.
 func (s *Shm) Read(off, n int) ([]byte, error) {
-	addr, err := s.eng.Table.Check(s.sel, uint64(off), n, mem.AccessRead)
+	addr, err := s.table.Check(s.sel, uint64(off), n, mem.AccessRead)
 	if err != nil {
 		return nil, err
 	}
@@ -265,16 +272,22 @@ func (e *Engine) ExecRing(pr *sys.Proc, encoded []byte, shm *Shm) (int64, error)
 	return cqe.Res, nil
 }
 
-// ringExec is the registered NrCosy ring op: Args[0] selects the shm,
-// the data window holds the encoded compound. The compound bytes are
-// read through the shared mapping without a copy charge; decoding is
-// charged per op inside.
+// ringExec is the registered NrCosy ring op: Args[0] selects the shm
+// in the caller's own descriptor table, the data window holds the
+// encoded compound. The compound bytes are read through the shared
+// mapping without a copy charge; decoding is charged per op inside.
 func (e *Engine) ringExec(pr *sys.Proc, args [4]int64, data mem.UserView) (int64, error) {
-	shm := e.shms[seg.Selector(args[0])]
-	if shm == nil {
-		return 0, fmt.Errorf("%w: no shm with selector %d", ErrBadCompound, args[0])
+	// Range-check before narrowing: a 16-bit cast would let
+	// selector + 65,536 name the same buffer.
+	if args[0] <= int64(seg.NullSelector) || args[0] > math.MaxUint16 {
+		return 0, fmt.Errorf("%w: selector %d out of range", ErrBadCompound, args[0])
 	}
 	ps := e.state(pr.P.PID)
+	d, err := ps.table.Get(seg.Selector(args[0]))
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrBadCompound, err)
+	}
+	shm := Shm{eng: e, table: ps.table, size: int(d.Limit), sel: seg.Selector(args[0])}
 	if cap(ps.encoded) < data.Len() {
 		ps.encoded = make([]byte, data.Len())
 	}
@@ -284,7 +297,7 @@ func (e *Engine) ringExec(pr *sys.Proc, args [4]int64, data mem.UserView) (int64
 			return 0, err
 		}
 	}
-	return e.execInKernel(pr, ps, shm)
+	return e.execInKernel(pr, ps, &shm)
 }
 
 // execInKernel decodes and runs the compound staged in ps.encoded.
@@ -309,25 +322,6 @@ func (e *Engine) execInKernel(pr *sys.Proc, ps *procState, shm *Shm) (int64, err
 		}
 		p.Charge(sim.Cycles(len(ini.Data)) * costs.CopyKernByte)
 	}
-
-	// Arm the preemption watchdog.
-	max := e.MaxKernel
-	if max == 0 {
-		max = costs.MaxKernelCycles
-	}
-	prev := p.OnPreempt
-	p.OnPreempt = func(p *kernel.Process) error {
-		if p.KernelStreak() > max {
-			e.Stats.Kills++
-			return fmt.Errorf("cosy: compound exceeded maximum kernel time (%v > %v)",
-				p.KernelStreak(), max)
-		}
-		if prev != nil {
-			return prev(p)
-		}
-		return nil
-	}
-	defer func() { p.OnPreempt = prev }()
 
 	e.Stats.Compounds++
 	if cap(ps.regs) < c.NRegs {
@@ -366,25 +360,14 @@ func (e *Engine) execInKernel(pr *sys.Proc, ps *procState, shm *Shm) (int64, err
 			regs[in.Dst] = regs[in.A]
 		case lang.OpBin:
 			enterUserFunc()
-			v, err := evalBin(in.Sub, regs[in.A], regs[in.B])
+			v, err := minic.EvalBinOp(minic.BinOp(in.Sub), regs[in.A], regs[in.B])
 			if err != nil {
 				return 0, err
 			}
 			regs[in.Dst] = v
 		case lang.OpUn:
 			enterUserFunc()
-			switch in.Sub {
-			case lang.UnNeg:
-				regs[in.Dst] = -regs[in.A]
-			case lang.UnNot:
-				if regs[in.A] == 0 {
-					regs[in.Dst] = 1
-				} else {
-					regs[in.Dst] = 0
-				}
-			case lang.UnBNot:
-				regs[in.Dst] = ^regs[in.A]
-			}
+			regs[in.Dst] = minic.EvalUnOp(minic.UnOp(in.Sub), regs[in.A])
 		case lang.OpLoad:
 			enterUserFunc()
 			v, err := e.shmLoad(shm, regs[in.A], int(in.Sub))
@@ -428,7 +411,7 @@ func (e *Engine) execInKernel(pr *sys.Proc, ps *procState, shm *Shm) (int64, err
 // segCheck translates a shm access through the compound's segment,
 // counting the protection faults it raises.
 func (e *Engine) segCheck(shm *Shm, off int64, size int, access mem.Access) (mem.Addr, error) {
-	addr, err := e.Table.Check(shm.sel, uint64(off), size, access)
+	addr, err := shm.table.Check(shm.sel, uint64(off), size, access)
 	if err != nil {
 		e.Stats.Faults++
 	}
@@ -468,7 +451,7 @@ func (e *Engine) shmStore(shm *Shm, off, val int64, size int) error {
 func (e *Engine) readShmString(shm *Shm, off int64) (string, error) {
 	var out [4096]byte
 	for n := 0; int(off)+n < shm.size && n < len(out); n++ {
-		addr, err := e.Table.Check(shm.sel, uint64(int(off)+n), 1, mem.AccessRead)
+		addr, err := shm.table.Check(shm.sel, uint64(int(off)+n), 1, mem.AccessRead)
 		if err != nil {
 			return "", err
 		}
@@ -577,55 +560,4 @@ func (e *Engine) window(shm *Shm, off int64, n int, access mem.Access) (mem.User
 		return mem.UserView{}, err
 	}
 	return e.K.M.KAS.View(addr, n), nil
-}
-
-func evalBin(code uint8, a, b int64) (int64, error) {
-	switch code {
-	case lang.BinAdd:
-		return a + b, nil
-	case lang.BinSub:
-		return a - b, nil
-	case lang.BinMul:
-		return a * b, nil
-	case lang.BinDiv:
-		if b == 0 {
-			return 0, errors.New("cosy: division by zero in compound")
-		}
-		return a / b, nil
-	case lang.BinMod:
-		if b == 0 {
-			return 0, errors.New("cosy: modulo by zero in compound")
-		}
-		return a % b, nil
-	case lang.BinAnd:
-		return a & b, nil
-	case lang.BinOr:
-		return a | b, nil
-	case lang.BinXor:
-		return a ^ b, nil
-	case lang.BinShl:
-		return a << (uint64(b) & 63), nil
-	case lang.BinShr:
-		return a >> (uint64(b) & 63), nil
-	case lang.BinEq:
-		return b2i(a == b), nil
-	case lang.BinNe:
-		return b2i(a != b), nil
-	case lang.BinLt:
-		return b2i(a < b), nil
-	case lang.BinLe:
-		return b2i(a <= b), nil
-	case lang.BinGt:
-		return b2i(a > b), nil
-	case lang.BinGe:
-		return b2i(a >= b), nil
-	}
-	return 0, fmt.Errorf("cosy: bad binop code %d", code)
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }

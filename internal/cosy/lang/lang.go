@@ -20,6 +20,8 @@ package lang
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/minic"
 )
 
 // Op is a compound operation code.
@@ -33,9 +35,9 @@ const (
 	OpConst
 	// OpMov: Dst = A.
 	OpMov
-	// OpBin: Dst = A <Sub> B (Sub is a BinOp code).
+	// OpBin: Dst = A <Sub> B (Sub is a minic.BinOp code).
 	OpBin
-	// OpUn: Dst = <Sub> A (Sub is a UnOp code).
+	// OpUn: Dst = <Sub> A (Sub is a minic.UnOp code).
 	OpUn
 	// OpLoad: Dst = shm[A], Sub is the size (1 or 8).
 	OpLoad
@@ -58,55 +60,6 @@ func (o Op) String() string {
 	}
 	return fmt.Sprintf("op%d", int(o))
 }
-
-// BinOp codes for OpBin's Sub field.
-const (
-	BinAdd uint8 = iota
-	BinSub
-	BinMul
-	BinDiv
-	BinMod
-	BinAnd
-	BinOr
-	BinXor
-	BinShl
-	BinShr
-	BinEq
-	BinNe
-	BinLt
-	BinLe
-	BinGt
-	BinGe
-	binCount
-)
-
-var binNames = [...]string{"+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>", "==", "!=", "<", "<=", ">", ">="}
-
-// BinOpCode maps a C operator to its code.
-func BinOpCode(op string) (uint8, bool) {
-	for i, n := range binNames {
-		if n == op {
-			return uint8(i), true
-		}
-	}
-	return 0, false
-}
-
-// BinOpName renders a code.
-func BinOpName(code uint8) string {
-	if int(code) < len(binNames) {
-		return binNames[code]
-	}
-	return "?"
-}
-
-// UnOp codes for OpUn's Sub field.
-const (
-	UnNeg uint8 = iota
-	UnNot
-	UnBNot
-	unCount
-)
 
 // Reg is a compound register index.
 type Reg uint16
@@ -131,9 +84,9 @@ func (in Instr) String() string {
 	case OpMov:
 		return fmt.Sprintf("r%d = r%d", in.Dst, in.A)
 	case OpBin:
-		return fmt.Sprintf("r%d = r%d %s r%d", in.Dst, in.A, BinOpName(in.Sub), in.B)
+		return fmt.Sprintf("r%d = r%d %v r%d", in.Dst, in.A, minic.BinOp(in.Sub), in.B)
 	case OpUn:
-		return fmt.Sprintf("r%d = un%d r%d", in.Dst, in.Sub, in.A)
+		return fmt.Sprintf("r%d = %v r%d", in.Dst, minic.UnOp(in.Sub), in.A)
 	case OpLoad:
 		return fmt.Sprintf("r%d = shm%d[r%d]", in.Dst, in.Sub, in.A)
 	case OpStore:
@@ -225,11 +178,11 @@ func (c *Compound) Validate() error {
 				return fmt.Errorf("cosy: instruction %d: jump target %d out of range", i, in.Imm)
 			}
 		case OpBin:
-			if in.Sub >= binCount {
+			if minic.BinOp(in.Sub) >= minic.NumBinOps {
 				return fmt.Errorf("cosy: instruction %d: bad binop %d", i, in.Sub)
 			}
 		case OpUn:
-			if in.Sub >= unCount {
+			if minic.UnOp(in.Sub) >= minic.NumUnOps {
 				return fmt.Errorf("cosy: instruction %d: bad unop %d", i, in.Sub)
 			}
 		case OpLoad, OpStore:

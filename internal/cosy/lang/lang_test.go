@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/minic"
 )
 
 func sample() *Compound {
@@ -16,7 +18,7 @@ func sample() *Compound {
 		Code: []Instr{
 			{Op: OpConst, Dst: 0, Imm: 42, A: NoReg, B: NoReg},
 			{Op: OpConst, Dst: 1, Imm: -7, A: NoReg, B: NoReg},
-			{Op: OpBin, Dst: 2, A: 0, B: 1, Sub: BinAdd},
+			{Op: OpBin, Dst: 2, A: 0, B: 1, Sub: uint8(minic.BinAdd)},
 			{Op: OpSys, Dst: 3, Imm: 2, Args: []Reg{2, 0, 1}, A: NoReg, B: NoReg},
 			{Op: OpBrz, A: 3, Imm: 5, Dst: NoReg, B: NoReg},
 			{Op: OpEnd, A: 2, Dst: NoReg, B: NoReg},
@@ -124,18 +126,21 @@ func TestValidateAcceptsSample(t *testing.T) {
 	}
 }
 
+// TestBinOpCodes pins the Sub bytes of OpBin and OpUn: minic numbers
+// its operators in the order the compound wire format has always used,
+// so every encoded compound keeps its meaning.
 func TestBinOpCodes(t *testing.T) {
-	for _, op := range []string{"+", "-", "*", "/", "%", "==", "<", "<=", ">>"} {
-		code, ok := BinOpCode(op)
-		if !ok {
-			t.Fatalf("no code for %q", op)
-		}
-		if BinOpName(code) != op {
-			t.Fatalf("round trip %q -> %d -> %q", op, code, BinOpName(code))
+	for i, op := range []string{"+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>", "==", "!=", "<", "<=", ">", ">="} {
+		code, ok := minic.ParseBinOp(op)
+		if !ok || int(code) != i || code.String() != op {
+			t.Fatalf("%q -> %d (%v), want code %d", op, code, ok, i)
 		}
 	}
-	if _, ok := BinOpCode("&&"); ok {
+	if _, ok := minic.ParseBinOp("&&"); ok {
 		t.Fatal("&& should not be a primitive binop")
+	}
+	if minic.UnNeg != 0 || minic.UnNot != 1 || minic.UnBnot != 2 || minic.NumUnOps != 3 {
+		t.Fatal("unary operator codes moved")
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"repro/internal/cosy/lang"
+	"repro/internal/minic"
 )
 
 // Builder incrementally constructs a compound.
@@ -57,23 +58,18 @@ func (b *Builder) Mov(dst, src lang.Reg) {
 
 // Bin emits dst = a op br and returns dst.
 func (b *Builder) Bin(op string, a, br lang.Reg) lang.Reg {
-	code, ok := lang.BinOpCode(op)
-	if !ok {
-		b.fail("cosy: unknown operator %q", op)
-		code = 0
-	}
 	dst := b.Reg()
-	b.emit(lang.Instr{Op: lang.OpBin, Dst: dst, A: a, B: br, Sub: code})
+	b.BinInto(dst, op, a, br)
 	return dst
 }
 
 // BinInto emits dst = a op bi into an existing register.
 func (b *Builder) BinInto(dst lang.Reg, op string, a, bi lang.Reg) {
-	code, ok := lang.BinOpCode(op)
+	code, ok := minic.ParseBinOp(op)
 	if !ok {
 		b.fail("cosy: unknown operator %q", op)
 	}
-	b.emit(lang.Instr{Op: lang.OpBin, Dst: dst, A: a, B: bi, Sub: code})
+	b.emit(lang.Instr{Op: lang.OpBin, Dst: dst, A: a, B: bi, Sub: uint8(code)})
 }
 
 // Sys emits a system-call operation and returns the result register.

@@ -27,7 +27,7 @@ const (
 )
 
 // ErrKilled is wrapped by the error of a process terminated by Kill
-// (e.g. the Cosy watchdog).
+// (e.g. the ring drain's watchdog).
 var ErrKilled = errors.New("kernel: process killed")
 
 // killPanic is the sentinel carried by the panic that unwinds a
@@ -50,11 +50,11 @@ type Process struct {
 	Perf *kperf.ProcState
 
 	// OnPreempt, if set, runs every time the process is about to be
-	// scheduled out (timeslice expiry). This is the hook the Cosy
-	// watchdog uses: "a preemptive kernel that checks the running
-	// time of a Cosy process inside the kernel every time it is
-	// scheduled out" (§2.3). Returning an error kills the process
-	// with that error.
+	// scheduled out (timeslice expiry). This is the hook the ring
+	// drain's watchdog uses, the one every Cosy compound runs under:
+	// "a preemptive kernel that checks the running time of a Cosy
+	// process inside the kernel every time it is scheduled out"
+	// (§2.3). Returning an error kills the process with that error.
 	OnPreempt func(p *Process) error
 
 	inKernel     int // kernel-mode nesting depth
@@ -110,8 +110,8 @@ func (p *Process) Times() (user, system, wait sim.Cycles) {
 func (p *Process) InKernel() bool { return p.inKernel > 0 }
 
 // KernelStreak reports kernel cycles accumulated since the outermost
-// EnterKernel. The Cosy watchdog compares this against
-// Costs.MaxKernelCycles.
+// EnterKernel. The ring drain's watchdog, which Cosy compounds run
+// under, compares this against Costs.MaxKernelCycles.
 func (p *Process) KernelStreak() sim.Cycles { return p.kernelStreak }
 
 // EnterKernel switches the process into kernel mode (nested calls

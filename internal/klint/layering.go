@@ -37,9 +37,9 @@ var layeringAllowed = map[string][]string{
 	"repro/internal/bench":           {"repro/internal/core", "repro/internal/cosy/kext", "repro/internal/cosy/lang", "repro/internal/cosy/lib", "repro/internal/disk", "repro/internal/kefence", "repro/internal/kernel", "repro/internal/kflight", "repro/internal/kgcc", "repro/internal/kmon", "repro/internal/kperf", "repro/internal/kprobe", "repro/internal/ktrace", "repro/internal/mem", "repro/internal/minic", "repro/internal/sim", "repro/internal/splay", "repro/internal/sys", "repro/internal/trace", "repro/internal/vfs", "repro/internal/vfs/memfs", "repro/internal/workload"},
 	"repro/internal/core":            {"repro/internal/alloc", "repro/internal/cosy/kext", "repro/internal/disk", "repro/internal/kefence", "repro/internal/kernel", "repro/internal/kflight", "repro/internal/kgcc", "repro/internal/kmon", "repro/internal/kperf", "repro/internal/kprobe", "repro/internal/ktrace", "repro/internal/sim", "repro/internal/sys", "repro/internal/trace", "repro/internal/vfs", "repro/internal/vfs/btfs", "repro/internal/vfs/memfs", "repro/internal/vfs/wrapfs"},
 	"repro/internal/cosy/cc":         {"repro/internal/cosy/lang", "repro/internal/cosy/lib", "repro/internal/minic", "repro/internal/sys"},
-	"repro/internal/cosy/kext":       {"repro/internal/cosy/lang", "repro/internal/kernel", "repro/internal/kperf", "repro/internal/kring", "repro/internal/mem", "repro/internal/seg", "repro/internal/sim", "repro/internal/sys", "repro/internal/vfs"},
-	"repro/internal/cosy/lang":       {},
-	"repro/internal/cosy/lib":        {"repro/internal/cosy/lang"},
+	"repro/internal/cosy/kext":       {"repro/internal/cosy/lang", "repro/internal/kperf", "repro/internal/kring", "repro/internal/mem", "repro/internal/minic", "repro/internal/seg", "repro/internal/sim", "repro/internal/sys", "repro/internal/vfs"},
+	"repro/internal/cosy/lang":       {"repro/internal/minic"},
+	"repro/internal/cosy/lib":        {"repro/internal/cosy/lang", "repro/internal/minic"},
 	"repro/internal/disk":            {"repro/internal/kperf", "repro/internal/sim"},
 	"repro/internal/kcheck":          {"repro/internal/minic"},
 	"repro/internal/kefence":         {"repro/internal/alloc", "repro/internal/klog", "repro/internal/mem", "repro/internal/sim"},

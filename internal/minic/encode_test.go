@@ -2,6 +2,8 @@ package minic_test
 
 import (
 	"bytes"
+	"errors"
+	"os"
 	"strings"
 	"testing"
 
@@ -131,5 +133,38 @@ func TestDecodeRejectsWildBranchTarget(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "jump target") {
 		t.Fatalf("rejection %q should come from Validate's jump-target check", err)
+	}
+}
+
+// TestCachedModule: the first lookup of a key builds the module and
+// writes <key>.kmod, creating the directory; the second reads the same
+// bytes back without building. A failed build writes nothing.
+func TestCachedModule(t *testing.T) {
+	dir := t.TempDir() + "/cache"
+	mod := compileCorpus(t, mctest.Corpus[0])
+	builds := 0
+	build := func() (*minic.Module, error) { builds++; return mod, nil }
+	key := minic.HashParts("cached-module")
+	miss, path, hit, err := minic.CachedModule(dir, key, build)
+	if err != nil || hit || builds != 1 {
+		t.Fatalf("first lookup: hit %v, %d builds, %v", hit, builds, err)
+	}
+	if want := dir + "/" + key.String() + ".kmod"; path != want {
+		t.Fatalf("path %s, want %s", path, want)
+	}
+	again, path2, hit, err := minic.CachedModule(dir, key, build)
+	if err != nil || !hit || builds != 1 || path2 != path || !bytes.Equal(again, miss) {
+		t.Fatalf("second lookup: hit %v, %d builds, %d vs %d bytes, %v", hit, builds, len(again), len(miss), err)
+	}
+	if !bytes.Equal(miss, minic.EncodeModule(mod)) {
+		t.Fatal("cached bytes are not the module's encoding")
+	}
+	bad := minic.HashParts("rejected")
+	if _, badPath, _, err := minic.CachedModule(dir, bad, func() (*minic.Module, error) {
+		return nil, errors.New("rejected")
+	}); err == nil {
+		t.Fatal("failed build returned no error")
+	} else if _, serr := os.Stat(badPath); serr == nil {
+		t.Fatal("failed build wrote a cache file")
 	}
 }

@@ -11,7 +11,9 @@
 package seg
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/mem"
 )
@@ -47,7 +49,8 @@ func (f *ProtFault) Error() string {
 		f.Name, f.Sel, f.Access, f.Size, f.Off, f.Reason)
 }
 
-// Table is a descriptor table (a GDT/LDT analog).
+// Table is a descriptor table (a GDT/LDT analog). Selectors are
+// handed out in order, each once, and never the null selector.
 type Table struct {
 	descs []Descriptor // index 0 is the null descriptor
 	// Checks counts segment limit checks performed, for the mode-A
@@ -60,10 +63,21 @@ func NewTable() *Table {
 	return &Table{descs: make([]Descriptor, 1)}
 }
 
-// Alloc installs a descriptor and returns its selector.
-func (t *Table) Alloc(d Descriptor) Selector {
+// ErrTableFull reports an Alloc on a table whose every selector is
+// in use.
+var ErrTableFull = errors.New("seg: descriptor table full")
+
+// Full reports whether every selector is in use.
+func (t *Table) Full() bool { return len(t.descs) > math.MaxUint16 }
+
+// Alloc installs a descriptor and returns its selector, or fails with
+// ErrTableFull.
+func (t *Table) Alloc(d Descriptor) (Selector, error) {
+	if t.Full() {
+		return NullSelector, ErrTableFull
+	}
 	t.descs = append(t.descs, d)
-	return Selector(len(t.descs) - 1)
+	return Selector(len(t.descs) - 1), nil
 }
 
 // Get returns the descriptor for sel.

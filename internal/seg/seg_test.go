@@ -2,15 +2,26 @@ package seg
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/mem"
 )
 
+// alloc installs d in tb; no test but the full-table one fills its
+// table.
+func alloc(tb *Table, d Descriptor) Selector {
+	sel, err := tb.Alloc(d)
+	if err != nil {
+		panic(err)
+	}
+	return sel
+}
+
 func table() (*Table, Selector) {
 	t := NewTable()
-	sel := t.Alloc(Descriptor{Name: "data", Base: 0x100000, Limit: 4096, Perm: mem.PermRW})
+	sel := alloc(t, Descriptor{Name: "data", Base: 0x100000, Limit: 4096, Perm: mem.PermRW})
 	return t, sel
 }
 
@@ -68,7 +79,7 @@ func TestOutOfRangeSelector(t *testing.T) {
 
 func TestPermissionEnforcement(t *testing.T) {
 	tb := NewTable()
-	ro := tb.Alloc(Descriptor{Name: "code", Base: 0, Limit: 100, Perm: mem.PermR})
+	ro := alloc(tb, Descriptor{Name: "code", Base: 0, Limit: 100, Perm: mem.PermR})
 	if _, err := tb.Check(ro, 0, 4, mem.AccessRead); err != nil {
 		t.Fatalf("read of r-- segment: %v", err)
 	}
@@ -88,8 +99,8 @@ func TestSelfModifyingCodeBlocked(t *testing.T) {
 	// vanish automatically". Code segment is read-only; a write
 	// through it faults.
 	tb := NewTable()
-	code := tb.Alloc(Descriptor{Name: "fn-code", Base: 0x200000, Limit: 512, Perm: mem.PermR})
-	data := tb.Alloc(Descriptor{Name: "fn-data", Base: 0x300000, Limit: 512, Perm: mem.PermRW})
+	code := alloc(tb, Descriptor{Name: "fn-code", Base: 0x200000, Limit: 512, Perm: mem.PermR})
+	data := alloc(tb, Descriptor{Name: "fn-data", Base: 0x300000, Limit: 512, Perm: mem.PermRW})
 	if _, err := tb.Check(code, 0, 1, mem.AccessWrite); err == nil {
 		t.Fatal("write to code segment must fault")
 	}
@@ -131,7 +142,7 @@ func TestCheckProperty(t *testing.T) {
 	// base+off.
 	tb := NewTable()
 	const limit = 1 << 16
-	sel := tb.Alloc(Descriptor{Name: "p", Base: 0x4000, Limit: limit, Perm: mem.PermRW})
+	sel := alloc(tb, Descriptor{Name: "p", Base: 0x4000, Limit: limit, Perm: mem.PermRW})
 	if err := quick.Check(func(off uint32, size uint16) bool {
 		o, s := uint64(off)%(2*limit), int(size)
 		addr, err := tb.Check(sel, o, s, mem.AccessRead)
@@ -156,5 +167,27 @@ func TestGetReturnsDescriptor(t *testing.T) {
 	}
 	if d.Name != "data" || d.Limit != 4096 {
 		t.Fatalf("descriptor = %+v", d)
+	}
+}
+
+// TestFullTableAllocatesNothing fills a table: selectors 1 to 65,535
+// are each handed out once, in order, and then Alloc fails instead of
+// wrapping to the null selector or to a selector in use.
+func TestFullTableAllocatesNothing(t *testing.T) {
+	tb := NewTable()
+	for want := 1; want <= math.MaxUint16; want++ {
+		sel, err := tb.Alloc(Descriptor{Name: "fill", Limit: uint64(want), Perm: mem.PermR})
+		if err != nil || int(sel) != want {
+			t.Fatalf("alloc %d: selector %d, %v", want, sel, err)
+		}
+	}
+	if !tb.Full() {
+		t.Fatal("table with every selector in use is not full")
+	}
+	if sel, err := tb.Alloc(Descriptor{Name: "extra", Limit: 1}); !errors.Is(err, ErrTableFull) {
+		t.Fatalf("alloc on a full table: selector %d, %v", sel, err)
+	}
+	if d, err := tb.Get(1); err != nil || d.Limit != 1 {
+		t.Fatalf("selector 1 after the failed alloc: %+v, %v", d, err)
 	}
 }

@@ -116,9 +116,10 @@ type Costs struct {
 	// per call and nothing else is hidden.
 	RingSqe Cycles
 
-	// MaxKernelCycles is the Cosy watchdog limit: a compound that has
-	// accumulated more kernel time than this when the process is
-	// scheduled out is terminated.
+	// MaxKernelCycles is the ring drain's watchdog limit, the one
+	// every Cosy compound runs under: a process whose drain has
+	// accumulated more kernel time than this when it is scheduled
+	// out is terminated.
 	MaxKernelCycles Cycles
 }
 

@@ -31,7 +31,7 @@ const (
 	MaxRingData = 4 << 20
 	maxRingData = MaxRingData
 	// maxDrainSteps bounds entries processed per ring_enter, the
-	// drain loop's anycall-emission backstop (the Cosy preemption
+	// drain loop's anycall-emission backstop (the drain's preemption
 	// watchdog bounds cycles; this bounds entries).
 	maxDrainSteps = 1 << 16
 	// pendingCap bounds anycall-staged entries queued in the kernel.
@@ -291,7 +291,7 @@ func (d *drain) resolveFd(e *kring.SQE, a *Args) error {
 // ringDrain is the kernel's batch dispatch loop: staged (anycall-
 // emitted) entries first, then the SQ, stopping on an empty queue,
 // CQ backpressure, the step backstop, or an anycall abort. The whole
-// drain runs under the ring kperf subsystem with the Cosy preemption
+// drain runs under the ring kperf subsystem with the preemption
 // watchdog armed; every entry gets a ktrace exec span.
 func (pr *Proc) ringDrain(rs *ringState) (int64, error) {
 	costs := &pr.K.M.Costs
@@ -299,7 +299,8 @@ func (pr *Proc) ringDrain(rs *ringState) (int64, error) {
 	p.Perf.Push(kperf.SubRing)
 	defer p.Perf.Pop()
 
-	// Arm the same watchdog Cosy compounds run under: a drain that
+	// Arm the preemption watchdog, the only one Cosy compounds run
+	// under (an NrCosy entry runs inside this drain): a drain that
 	// holds the kernel too long is terminated, batches or not.
 	max := costs.MaxKernelCycles
 	prev := p.OnPreempt

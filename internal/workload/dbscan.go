@@ -135,7 +135,7 @@ func SeqScanCosy(pr *sys.Proc, e *kext.Engine, cfg DBConfig) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	shm, err := compoundShm(e, raw)
+	shm, err := compoundShm(pr, e, raw)
 	if err != nil {
 		return 0, err
 	}
@@ -228,7 +228,7 @@ func RandScanCosyBatched(pr *sys.Proc, e *kext.Engine, cfg DBConfig) (int64, err
 		if err != nil {
 			return 0, err
 		}
-		shm, err := compoundShm(e, raw)
+		shm, err := compoundShm(pr, e, raw)
 		if err != nil {
 			return 0, err
 		}
@@ -253,7 +253,7 @@ func RandScanCosy(pr *sys.Proc, e *kext.Engine, cfg DBConfig) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	shm, err := compoundShm(e, raw)
+	shm, err := compoundShm(pr, e, raw)
 	if err != nil {
 		return 0, err
 	}

@@ -183,7 +183,7 @@ func (c *cosySub) End() error {
 	raw, err := b.Build(c.ret)
 	var shm *kext.Shm
 	if err == nil {
-		shm, err = compoundShm(c.e, raw)
+		shm, err = compoundShm(c.pr, c.e, raw)
 	}
 	if err == nil {
 		// The buffer is mapped before the request opens, as a program
@@ -201,13 +201,14 @@ func (c *cosySub) End() error {
 	return err
 }
 
-// compoundShm maps the shared buffer an encoded compound asks for.
-func compoundShm(e *kext.Engine, raw []byte) (*kext.Shm, error) {
+// compoundShm maps the shared buffer an encoded compound asks for in
+// pr's process.
+func compoundShm(pr *sys.Proc, e *kext.Engine, raw []byte) (*kext.Shm, error) {
 	size, err := lang.ShmSize(raw)
 	if err != nil {
 		return nil, err
 	}
-	return e.NewShm(size)
+	return e.NewShm(pr, size)
 }
 
 // OpPostmarkBatch is the traced request of the ring backend: one per
