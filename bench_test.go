@@ -115,18 +115,14 @@ int f(void) {
 	COSY_END;
 	return 0;
 }`
-	raw, shmSize, err := compileMarked(src)
+	raw, err := compileMarked(src)
 	if err != nil {
 		b.Fatal(err)
 	}
 	s.Spawn("bench", func(pr *sys.Proc) error {
-		shm, err := e.NewShm(pr, shmSize+64)
-		if err != nil {
-			return err
-		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.ExecRing(pr, raw, shm); err != nil {
+			if _, err := e.ExecRing(pr, raw); err != nil {
 				return err
 			}
 		}
@@ -182,12 +178,12 @@ func BenchmarkRingDrain(b *testing.B) {
 	}
 }
 
-func compileMarked(src string) ([]byte, int, error) {
+func compileMarked(src string) ([]byte, error) {
 	c, err := ccCompile(src)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return lang.Encode(c), c.ShmSize, nil
+	return lang.Encode(c), nil
 }
 
 // BenchmarkSplayMap measures object-map lookups under locality.

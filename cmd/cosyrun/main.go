@@ -54,11 +54,8 @@ func main() {
 	e := s.CosyEngine(m)
 	var result int64
 	s.Spawn("cosyrun", func(pr *sys.Proc) error {
-		shm, err := e.NewShm(pr, comp.ShmSize+64)
-		if err != nil {
-			return err
-		}
-		result, err = e.ExecRing(pr, lang.Encode(comp), shm)
+		var err error
+		result, err = e.ExecRing(pr, lang.Encode(comp))
 		return err
 	})
 	if err := s.Run(); err != nil {

@@ -90,11 +90,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		shm, err := engine.NewShm(pr, comp.ShmSize)
-		if err != nil {
-			return err
-		}
-		copied, err := engine.ExecRing(pr, lang.Encode(comp), shm)
+		copied, err := engine.ExecRing(pr, lang.Encode(comp))
 		if err != nil {
 			return err
 		}

@@ -20,7 +20,7 @@ func E3(perf bool) (*Table, error) {
 		name  string
 		iters int
 		plain func(pr *sys.Proc, iters int) error
-		comp  func(iters int) ([]byte, int, error) // encoded compound + shm size
+		comp  func(iters int) ([]byte, error)
 	}{
 		{name: "open-read-close x200", iters: 200, plain: plainORC, comp: compORC},
 		{name: "4KB read loop (256KB file)", iters: 64, plain: plainReadLoop, comp: compReadLoop},
@@ -35,7 +35,7 @@ func E3(perf bool) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s (plain): %w", m.name, err)
 		}
-		raw, shmSize, err := m.comp(m.iters)
+		raw, err := m.comp(m.iters)
 		if err != nil {
 			return nil, fmt.Errorf("%s (compile): %w", m.name, err)
 		}
@@ -44,11 +44,7 @@ func E3(perf bool) (*Table, error) {
 			func(s *core.System) { e = s.CosyEngine(kext.ModeDataSeg) },
 			microSetup,
 			func(pr *sys.Proc) error {
-				shm, err := e.NewShm(pr, shmSize)
-				if err != nil {
-					return err
-				}
-				_, err = e.ExecRing(pr, raw, shm)
+				_, err := e.ExecRing(pr, raw)
 				return err
 			})
 		if err != nil {
@@ -117,7 +113,7 @@ func plainORC(pr *sys.Proc, iters int) error {
 	return nil
 }
 
-func compORC(iters int) ([]byte, int, error) {
+func compORC(iters int) ([]byte, error) {
 	b := lib.New()
 	path := b.Const(int64(b.String("/small.dat")))
 	bufOff := b.Const(int64(b.Alloc(4096)))
@@ -129,7 +125,7 @@ func compORC(iters int) ([]byte, int, error) {
 		b.Sys(uint16(sys.NrClose), fd)
 		b.BinInto(total, "+", total, n)
 	})
-	return finish(b, total)
+	return b.Build(total)
 }
 
 func plainReadLoop(pr *sys.Proc, iters int) error {
@@ -153,7 +149,7 @@ func plainReadLoop(pr *sys.Proc, iters int) error {
 	return pr.Close(fd)
 }
 
-func compReadLoop(iters int) ([]byte, int, error) {
+func compReadLoop(iters int) ([]byte, error) {
 	b := lib.New()
 	path := b.Const(int64(b.String("/big.dat")))
 	bufOff := b.Const(int64(b.Alloc(4096)))
@@ -167,7 +163,7 @@ func compReadLoop(iters int) ([]byte, int, error) {
 	b.JmpTo(top)
 	exit.Here()
 	b.Sys(uint16(sys.NrClose), fd)
-	return finish(b, total)
+	return b.Build(total)
 }
 
 func plainSeekRead(pr *sys.Proc, iters int) error {
@@ -191,7 +187,7 @@ func plainSeekRead(pr *sys.Proc, iters int) error {
 	return pr.Close(fd)
 }
 
-func compSeekRead(iters int) ([]byte, int, error) {
+func compSeekRead(iters int) ([]byte, error) {
 	b := lib.New()
 	path := b.Const(int64(b.String("/big.dat")))
 	bufOff := b.Const(int64(b.Alloc(512)))
@@ -208,7 +204,7 @@ func compSeekRead(iters int) ([]byte, int, error) {
 		b.BinInto(total, "+", total, n)
 	})
 	b.Sys(uint16(sys.NrClose), fd)
-	return finish(b, total)
+	return b.Build(total)
 }
 
 func plainStat(pr *sys.Proc, iters int) error {
@@ -220,7 +216,7 @@ func plainStat(pr *sys.Proc, iters int) error {
 	return nil
 }
 
-func compStat(iters int) ([]byte, int, error) {
+func compStat(iters int) ([]byte, error) {
 	b := lib.New()
 	path := b.Const(int64(b.String("/small.dat")))
 	statOff := b.Const(int64(b.Alloc(vfs.StatSize)))
@@ -229,7 +225,7 @@ func compStat(iters int) ([]byte, int, error) {
 		r := b.Sys(uint16(sys.NrStat), path, statOff)
 		b.BinInto(ok, "+", ok, r)
 	})
-	return finish(b, ok)
+	return b.Build(ok)
 }
 
 func plainCWC(pr *sys.Proc, iters int) error {
@@ -252,7 +248,7 @@ func plainCWC(pr *sys.Proc, iters int) error {
 	return nil
 }
 
-func compCWC(iters int) ([]byte, int, error) {
+func compCWC(iters int) ([]byte, error) {
 	b := lib.New()
 	path := b.Const(int64(b.String("/out.tmp")))
 	bufOff := b.Const(int64(b.Alloc(1024)))
@@ -264,14 +260,5 @@ func compCWC(iters int) ([]byte, int, error) {
 		b.Sys(uint16(sys.NrClose), fd)
 		b.BinInto(total, "+", total, n)
 	})
-	return finish(b, total)
-}
-
-// finish seals a builder and returns the encoded bytes plus shm size.
-func finish(b *lib.Builder, result lang.Reg) ([]byte, int, error) {
-	c, err := b.End(result)
-	if err != nil {
-		return nil, 0, err
-	}
-	return lang.Encode(c), c.ShmSize, nil
+	return b.Build(total)
 }

@@ -3,6 +3,7 @@ package kext
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -15,8 +16,8 @@ import (
 	"repro/internal/vfs"
 )
 
-// fuzzShmSize is the shared buffer every fuzzed compound runs over.
-const fuzzShmSize = 4096
+// fuzzData is the data segment of FuzzCompound's hand-pushed entry.
+const fuzzData = 4096
 
 // seedCompounds returns well-formed compounds for FuzzCompound to
 // mutate: one making all ten calls compounds may make, the DB scans'
@@ -134,11 +135,7 @@ func TestSeedCompoundsRun(t *testing.T) {
 			if err := parityFixture(pr); err != nil {
 				return err
 			}
-			shm, err := e.NewShm(pr, fuzzShmSize)
-			if err != nil {
-				return err
-			}
-			if _, err := e.ExecRing(pr, raw, shm); err != nil {
+			if _, err := e.ExecRing(pr, raw); err != nil {
 				return fmt.Errorf("seed %d: %w", i, err)
 			}
 			return nil
@@ -156,12 +153,14 @@ func TestSeedCompoundsRun(t *testing.T) {
 // returned must leave kernel mode and still complete a getpid.
 //
 // Each input runs on two fresh machines that differ only in the byte
-// a second process fills its own buffer with. The fuzzed process
-// submits the compound twice: through ExecRing on its own buffer, and
-// in a hand-pushed NrCosy entry naming the other process's selector.
-// Results, errors and the fuzzed process's buffer must match across
-// the machines, and the other process's buffer must be unchanged: no
-// compound reaches another process's buffer.
+// a second process fills its own ring data area with. The fuzzed
+// process submits the bytes twice: through ExecRing, and in a
+// hand-pushed NrCosy entry with a 4,096-byte data segment whose split,
+// Args[0], is the input's last 8 bytes read as a little-endian int64
+// (0 for shorter inputs), so the fuzzer steers where the compound ends
+// and its data begins. Results, errors and the fuzzed process's ring
+// bytes must match across the machines, and the other process's ring
+// must be unchanged: no compound reaches another process's memory.
 func FuzzCompound(f *testing.F) {
 	seeds, err := seedCompounds()
 	if err != nil {
@@ -172,42 +171,49 @@ func FuzzCompound(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if a, b := fuzzRun(t, raw, 0x11), fuzzRun(t, raw, 0xee); a != b {
-			t.Fatalf("outcome depends on another process's buffer:\n%s\n%s", a, b)
+			t.Fatalf("outcome depends on another process's ring:\n%s\n%s", a, b)
 		}
 	})
 }
 
 // fuzzRun runs FuzzCompound's two submissions of raw on a fresh
-// machine whose other process fills its buffer with fill, and
+// machine whose other process fills its ring data area with fill, and
 // describes what the fuzzed process saw.
 func fuzzRun(t *testing.T, raw []byte, fill byte) string {
 	m, k := env()
 	m.Costs.MaxKernelCycles = 1_000_000
 	e := New(k, ModeDataSeg)
-	var other, own *Shm
-	m.Spawn("other", func(p *kernel.Process) error {
-		var err error
-		other, err = fillShm(e, sys.NewProc(k, p), fuzzShmSize, fill)
-		return err
+	filled := false
+	other := m.Spawn("other", func(p *kernel.Process) error {
+		h, err := e.ring(sys.NewProc(k, p), 0)
+		if err != nil {
+			return err
+		}
+		v, err := h.View(0, h.DataLen())
+		if err != nil {
+			return err
+		}
+		filled = true
+		return v.CopyOut(0, bytes.Repeat([]byte{fill}, h.DataLen()))
 	})
+	var split int64
+	if len(raw) >= 8 {
+		split = int64(binary.LittleEndian.Uint64(raw[len(raw)-8:]))
+	}
 	var out strings.Builder
 	returned := false
-	m.Spawn("fuzzed", func(p *kernel.Process) error {
+	fuzzed := m.Spawn("fuzzed", func(p *kernel.Process) error {
 		pr := sys.NewProc(k, p)
 		if err := parityFixture(pr); err != nil {
 			return err
 		}
-		if other == nil {
-			return errors.New("the other process has not mapped its buffer")
+		if !filled {
+			return errors.New("the other process has not filled its ring")
 		}
-		var err error
-		if own, err = e.NewShm(pr, fuzzShmSize); err != nil {
-			return err
-		}
-		v, err := e.ExecRing(pr, raw, own)
-		fmt.Fprintf(&out, "own buffer: %d, %v\n", v, err)
-		v, err = pushCosy(e, pr, raw, int64(other.Selector()))
-		fmt.Fprintf(&out, "other's selector: %d, %v\n", v, err)
+		v, err := e.ExecRing(pr, raw)
+		fmt.Fprintf(&out, "ExecRing: %d, %v\n", v, err)
+		v, err = pushCosy(e, pr, raw, fuzzData, split)
+		fmt.Fprintf(&out, "split at %d: %d, %v\n", split, v, err)
 		returned = true
 		if p.InKernel() {
 			return errors.New("compound returned in kernel mode")
@@ -222,13 +228,16 @@ func fuzzRun(t *testing.T, raw []byte, fill byte) string {
 		t.Fatal(rerr)
 	}
 	fmt.Fprintf(&out, "run: %v\n", rerr)
-	if got, err := other.Read(0, fuzzShmSize); err != nil || bytes.Count(got, []byte{fill}) != fuzzShmSize {
-		t.Fatalf("the other process's buffer changed (%v)", err)
+	theirs, err := ringData(e, other, 0, e.procs[other.PID].ring.DataLen())
+	if err != nil || bytes.Count(theirs, []byte{fill}) != len(theirs) {
+		t.Fatalf("the other process's ring changed (%v)", err)
 	}
-	mine, err := own.Read(0, fuzzShmSize)
-	if err != nil {
-		t.Fatal(err)
+	if ps := e.procs[fuzzed.PID]; ps != nil && ps.ring != nil {
+		mine, err := ringData(e, fuzzed, 0, ps.ring.DataLen())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&out, "own ring bytes: %x\n", sha256.Sum256(mine))
 	}
-	fmt.Fprintf(&out, "own buffer bytes: %x\n", sha256.Sum256(mine))
 	return out.String()
 }

@@ -173,20 +173,16 @@ func compoundCall(e *Engine, pr *sys.Proc, c parityCase) (int64, []byte, error) 
 	if err != nil {
 		return 0, nil, err
 	}
-	shm, err := e.NewShm(pr, 1024)
-	if err != nil {
-		return 0, nil, err
-	}
-	v, err := e.ExecRing(pr, raw, shm)
+	v, err := e.ExecRing(pr, raw)
 	if err != nil {
 		return 0, nil, err
 	}
 	switch c.nr {
 	case sys.NrRead:
-		out, err := shm.Read(bufOff, int(v))
+		out, err := ringData(e, pr.P, len(raw)+bufOff, int(v))
 		return v, out, err
 	case sys.NrStat, sys.NrFstat:
-		out, err := shm.Read(bufOff, vfs.StatSize)
+		out, err := ringData(e, pr.P, len(raw)+bufOff, vfs.StatSize)
 		return v, out, err
 	}
 	return v, nil, nil
@@ -373,14 +369,10 @@ func TestCompoundAllocsFlatInReads(t *testing.T) {
 		if err := parityFixture(pr); err != nil {
 			return err
 		}
-		shm, err := e.NewShm(pr, 256)
-		if err != nil {
-			return err
-		}
 		var execErr error
 		for i, raw := range [][]byte{few, many} {
 			allocs[i] = testing.AllocsPerRun(20, func() {
-				if _, err := e.ExecRing(pr, raw, shm); err != nil {
+				if _, err := e.ExecRing(pr, raw); err != nil {
 					execErr = err
 				}
 			})

@@ -6,11 +6,12 @@
 //
 //   - static checks: the decoder fully bounds-checks the compound
 //     buffer and Validate rejects bad registers and jump targets;
-//   - x86 segmentation: every shared-buffer access runs through a
-//     segment descriptor; a reference outside the segment raises a
-//     protection fault that aborts the compound. Each process has its
-//     own descriptor table, like an x86 LDT, so a compound reaches
-//     only its own process's buffers;
+//   - x86 segmentation: a compound's data segment is the rest of the
+//     ring entry that carries it, in the submitting process's own
+//     ring, and every load, store, path string and payload window
+//     runs through a segment descriptor over it. A reference outside
+//     the segment raises a protection fault that aborts the compound,
+//     and a compound has no way to name any other memory;
 //   - kernel preemption: "we use a preemptive kernel that checks the
 //     running time of a Cosy process inside the kernel every time it
 //     is scheduled out. If this time has exceeded the maximum allowed
@@ -26,7 +27,6 @@ package kext
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/cosy/lang"
 	"repro/internal/kperf"
@@ -84,16 +84,14 @@ type Engine struct {
 	Stats Stats
 }
 
-// procState is the engine's state for one process: the descriptor
-// table its shared buffers live in, the submission ring ExecRing
-// uses, and the scratch its compounds are staged, decoded and run in,
-// reused from one compound to the next. The table is per process,
-// like an x86 LDT: a selector names nothing in any other process. The
-// scratch must be per process, not per engine: a compound can be
-// preempted inside a Charge, and another process's compound can run
-// on the engine before it resumes.
+// procState is the engine's state for one process: the submission
+// ring ExecRing uses, whose data area carries each compound and its
+// data segment, and the scratch its compounds are decoded and run in,
+// reused from one compound to the next. The scratch must be per
+// process, not per engine: a compound can be preempted inside a
+// Charge, and another process's compound can run on the engine before
+// it resumes.
 type procState struct {
-	table   *seg.Table
 	ring    *sys.RingHandle
 	encoded []byte        // staging copy of the compound bytes
 	c       lang.Compound // the decoded compound
@@ -108,86 +106,21 @@ type procState struct {
 func (e *Engine) state(pid int) *procState {
 	ps := e.procs[pid]
 	if ps == nil {
-		ps = &procState{table: seg.NewTable()}
+		ps = &procState{}
 		e.procs[pid] = ps
 	}
 	return ps
 }
 
 // New loads the extension into a kernel. Loading registers the NrCosy
-// ring op: a kring SQE naming NrCosy carries an encoded compound in
-// its data window and the submitting process's shm selector in
-// Args[0], so compounds ride ring batches like any other submission.
+// ring op: a kring SQE naming NrCosy carries an encoded compound and
+// then its data segment in its data window, with Args[0] the window
+// offset where the data segment starts, so compounds ride ring batches
+// like any other submission.
 func New(k *sys.Kernel, mode Mode) *Engine {
 	e := &Engine{K: k, Mode: mode, procs: make(map[int]*procState)}
 	k.RegisterRingOp(uint16(sys.NrCosy), e.ringExec)
 	return e
-}
-
-// Shm is one shared buffer: mapped in the kernel, addressable by the
-// compound through a segment descriptor, and writable by user code
-// before the call (the "zero-copy" buffer: both sides see the same
-// pages, so data moved by in-kernel syscalls never crosses the
-// boundary).
-type Shm struct {
-	eng   *Engine
-	table *seg.Table // the owning process's descriptor table
-	size  int
-	sel   seg.Selector
-}
-
-// NewShm maps a shared buffer of at least size bytes for pr's process
-// and installs its descriptor in that process's table. A full table
-// fails with ErrBadCompound before any page is mapped.
-func (e *Engine) NewShm(pr *sys.Proc, size int) (*Shm, error) {
-	table := e.state(pr.P.PID).table
-	if table.Full() {
-		return nil, fmt.Errorf("%w: %v", ErrBadCompound, seg.ErrTableFull)
-	}
-	pages := mem.PagesFor(size)
-	if pages == 0 {
-		pages = 1
-	}
-	base, err := e.K.M.KAS.MapRegion(pages, mem.PermRW)
-	if err != nil {
-		return nil, err
-	}
-	sel, err := table.Alloc(seg.Descriptor{
-		Name: "cosy-shm", Base: base, Limit: uint64(size), Perm: mem.PermRW,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Shm{eng: e, table: table, size: size, sel: sel}, nil
-}
-
-// Selector names the buffer in ring submissions (SQE Args[0]).
-func (s *Shm) Selector() seg.Selector { return s.sel }
-
-// Size reports the buffer size.
-func (s *Shm) Size() int { return s.size }
-
-// Write places data at off (user-side setup or test inspection; the
-// segment check still applies).
-func (s *Shm) Write(off int, data []byte) error {
-	addr, err := s.table.Check(s.sel, uint64(off), len(data), mem.AccessWrite)
-	if err != nil {
-		return err
-	}
-	return s.eng.K.M.KAS.View(addr, len(data)).CopyOut(0, data)
-}
-
-// Read returns n bytes at off.
-func (s *Shm) Read(off, n int) ([]byte, error) {
-	addr, err := s.table.Check(s.sel, uint64(off), n, mem.AccessRead)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	if err := s.eng.K.M.KAS.View(addr, n).CopyIn(0, out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // ErrBadCompound wraps rejection errors.
@@ -230,32 +163,44 @@ func (e *Engine) ring(pr *sys.Proc, need int) (*sys.RingHandle, error) {
 const OpCosy = "cosy.compound"
 
 // ExecRing runs one encoded compound through the kring data plane:
-// the compound bytes are staged into the ring's shared data area, a
-// single NrCosy SQE names them plus the shm selector, and ring_enter
-// dispatches it — still one boundary crossing, now on the same path
-// that batches arbitrary submissions. Each compound is one ktrace
-// operation: a request of its own when the workload opened none, a
-// child span of the workload's request otherwise.
-func (e *Engine) ExecRing(pr *sys.Proc, encoded []byte, shm *Shm) (int64, error) {
+// the compound bytes are staged in the process's ring data area with
+// the ShmSize bytes its header asks for right after them, a single
+// NrCosy SQE covers both, and ring_enter dispatches it — still one
+// boundary crossing, now on the same path that batches arbitrary
+// submissions. Those bytes are the compound's data segment. It is
+// not cleared between compounds: bytes the compound's Init does not
+// cover hold whatever the process's previous submission left. A
+// compound too large for any ring fails with ErrBadCompound before
+// the ring is touched. Each compound is one ktrace operation: a
+// request of its own when the workload opened none, a child span of
+// the workload's request otherwise.
+func (e *Engine) ExecRing(pr *sys.Proc, encoded []byte) (int64, error) {
+	size, err := lang.ShmSize(encoded)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrBadCompound, err)
+	}
+	if size > sys.MaxRingData-len(encoded) {
+		return 0, fmt.Errorf("%w: %d compound bytes and %d data bytes exceed a %d-byte ring",
+			ErrBadCompound, len(encoded), size, sys.MaxRingData)
+	}
 	pr.BeginOp(OpCosy)
 	defer pr.EndOp()
-	h, err := e.ring(pr, len(encoded))
+	n := len(encoded) + size
+	h, err := e.ring(pr, n)
 	if err != nil {
 		return 0, err
 	}
-	if len(encoded) > 0 {
-		v, err := h.View(0, len(encoded))
-		if err != nil {
-			return 0, err
-		}
-		if err := v.CopyOut(0, encoded); err != nil {
-			return 0, err
-		}
+	v, err := h.View(0, len(encoded))
+	if err != nil {
+		return 0, err
+	}
+	if err := v.CopyOut(0, encoded); err != nil {
+		return 0, err
 	}
 	if err := h.Push(&kring.SQE{
 		Op:      uint16(sys.NrCosy),
-		Args:    [4]int64{int64(shm.sel)},
-		DataLen: uint32(len(encoded)),
+		Args:    [4]int64{int64(len(encoded))},
+		DataLen: uint32(n),
 	}); err != nil {
 		return 0, err
 	}
@@ -272,36 +217,42 @@ func (e *Engine) ExecRing(pr *sys.Proc, encoded []byte, shm *Shm) (int64, error)
 	return cqe.Res, nil
 }
 
-// ringExec is the registered NrCosy ring op: Args[0] selects the shm
-// in the caller's own descriptor table, the data window holds the
-// encoded compound. The compound bytes are read through the shared
-// mapping without a copy charge; decoding is charged per op inside.
+// ringExec is the registered NrCosy ring op. The data window holds
+// the encoded compound and then its data segment, which starts at
+// window offset Args[0]. The compound bytes are copied into the
+// process's scratch without a copy charge and decoded there (decoding
+// is charged per op inside); the rest of the window is reached only
+// through a segment descriptor over it.
 func (e *Engine) ringExec(pr *sys.Proc, args [4]int64, data mem.UserView) (int64, error) {
-	// Range-check before narrowing: a 16-bit cast would let
-	// selector + 65,536 name the same buffer.
-	if args[0] <= int64(seg.NullSelector) || args[0] > math.MaxUint16 {
-		return 0, fmt.Errorf("%w: selector %d out of range", ErrBadCompound, args[0])
+	// Range-check before any conversion, so no narrowing can alias a
+	// valid split (2^32 + n is not n).
+	if args[0] < 0 || args[0] > int64(data.Len()) {
+		return 0, fmt.Errorf("%w: data segment at %d of a %d-byte entry",
+			ErrBadCompound, args[0], data.Len())
 	}
+	split := int(args[0])
 	ps := e.state(pr.P.PID)
-	d, err := ps.table.Get(seg.Selector(args[0]))
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadCompound, err)
+	if cap(ps.encoded) < split {
+		ps.encoded = make([]byte, split)
 	}
-	shm := Shm{eng: e, table: ps.table, size: int(d.Limit), sel: seg.Selector(args[0])}
-	if cap(ps.encoded) < data.Len() {
-		ps.encoded = make([]byte, data.Len())
-	}
-	ps.encoded = ps.encoded[:data.Len()]
-	if len(ps.encoded) > 0 {
+	ps.encoded = ps.encoded[:split]
+	if split > 0 {
 		if err := data.CopyIn(0, ps.encoded); err != nil {
 			return 0, err
 		}
 	}
-	return e.execInKernel(pr, ps, &shm)
+	d := seg.Descriptor{
+		Name:  "cosy-data",
+		Base:  data.Base() + mem.Addr(split),
+		Limit: uint64(data.Len() - split),
+		Perm:  mem.PermRW,
+	}
+	return e.execInKernel(pr, ps, &d)
 }
 
-// execInKernel decodes and runs the compound staged in ps.encoded.
-func (e *Engine) execInKernel(pr *sys.Proc, ps *procState, shm *Shm) (int64, error) {
+// execInKernel decodes and runs the compound staged in ps.encoded over
+// the data segment d.
+func (e *Engine) execInKernel(pr *sys.Proc, ps *procState, d *seg.Descriptor) (int64, error) {
 	costs := &e.K.M.Costs
 	p := pr.P
 	p.Perf.Push(kperf.SubCosy)
@@ -312,12 +263,16 @@ func (e *Engine) execInKernel(pr *sys.Proc, ps *procState, shm *Shm) (int64, err
 		return 0, fmt.Errorf("%w: %v", ErrBadCompound, err)
 	}
 	p.Charge(sim.Cycles(len(c.Code)) * costs.CosyDecodeOp)
-	if c.ShmSize > shm.size {
-		return 0, fmt.Errorf("%w: compound wants %d shm bytes, buffer has %d",
-			ErrBadCompound, c.ShmSize, shm.size)
+	if uint64(c.ShmSize) > d.Limit {
+		return 0, fmt.Errorf("%w: compound wants %d data bytes, segment has %d",
+			ErrBadCompound, c.ShmSize, d.Limit)
 	}
 	for _, ini := range c.Init {
-		if err := shm.Write(ini.Off, ini.Data); err != nil {
+		w, err := e.window(d, int64(ini.Off), len(ini.Data), mem.AccessWrite)
+		if err == nil {
+			err = w.CopyOut(0, ini.Data)
+		}
+		if err != nil {
 			return 0, fmt.Errorf("%w: init: %v", ErrBadCompound, err)
 		}
 		p.Charge(sim.Cycles(len(ini.Data)) * costs.CopyKernByte)
@@ -370,14 +325,14 @@ func (e *Engine) execInKernel(pr *sys.Proc, ps *procState, shm *Shm) (int64, err
 			regs[in.Dst] = minic.EvalUnOp(minic.UnOp(in.Sub), regs[in.A])
 		case lang.OpLoad:
 			enterUserFunc()
-			v, err := e.shmLoad(shm, regs[in.A], int(in.Sub))
+			v, err := e.shmLoad(d, regs[in.A], int(in.Sub))
 			if err != nil {
 				return 0, err
 			}
 			regs[in.Dst] = v
 		case lang.OpStore:
 			enterUserFunc()
-			if err := e.shmStore(shm, regs[in.A], regs[in.B], int(in.Sub)); err != nil {
+			if err := e.shmStore(d, regs[in.A], regs[in.B], int(in.Sub)); err != nil {
 				return 0, err
 			}
 		case lang.OpJmp:
@@ -392,7 +347,7 @@ func (e *Engine) execInKernel(pr *sys.Proc, ps *procState, shm *Shm) (int64, err
 		case lang.OpSys:
 			inUserFunc = false
 			e.Stats.Syscalls++
-			v, err := e.dispatch(pr, shm, &ps.args, in, regs)
+			v, err := e.dispatch(pr, d, &ps.args, in, regs)
 			if err != nil {
 				regs[in.Dst] = -1
 				// System call errors terminate the compound, like an
@@ -408,19 +363,20 @@ func (e *Engine) execInKernel(pr *sys.Proc, ps *procState, shm *Shm) (int64, err
 	}
 }
 
-// segCheck translates a shm access through the compound's segment,
-// counting the protection faults it raises.
-func (e *Engine) segCheck(shm *Shm, off int64, size int, access mem.Access) (mem.Addr, error) {
-	addr, err := shm.table.Check(shm.sel, uint64(off), size, access)
+// segCheck translates a data-segment access through the descriptor,
+// counting the protection faults it raises. Every access a compound
+// makes to its data goes through here.
+func (e *Engine) segCheck(d *seg.Descriptor, off int64, size int, access mem.Access) (mem.Addr, error) {
+	addr, err := d.Check(uint64(off), size, access)
 	if err != nil {
 		e.Stats.Faults++
 	}
 	return addr, err
 }
 
-// shmLoad reads size bytes at shm offset off through the segment.
-func (e *Engine) shmLoad(shm *Shm, off int64, size int) (int64, error) {
-	addr, err := e.segCheck(shm, off, size, mem.AccessRead)
+// shmLoad reads size bytes at data offset off through the segment.
+func (e *Engine) shmLoad(d *seg.Descriptor, off int64, size int) (int64, error) {
+	addr, err := e.segCheck(d, off, size, mem.AccessRead)
 	if err != nil {
 		return 0, err
 	}
@@ -435,8 +391,8 @@ func (e *Engine) shmLoad(shm *Shm, off int64, size int) (int64, error) {
 	return int64(v), err
 }
 
-func (e *Engine) shmStore(shm *Shm, off, val int64, size int) error {
-	addr, err := e.segCheck(shm, off, size, mem.AccessWrite)
+func (e *Engine) shmStore(d *seg.Descriptor, off, val int64, size int) error {
+	addr, err := e.segCheck(d, off, size, mem.AccessWrite)
 	if err != nil {
 		return err
 	}
@@ -446,12 +402,12 @@ func (e *Engine) shmStore(shm *Shm, off, val int64, size int) error {
 	return e.K.M.KAS.WriteU64(addr, uint64(val))
 }
 
-// readShmString reads a NUL-terminated string at shm offset off, one
-// segment-checked byte at a time.
-func (e *Engine) readShmString(shm *Shm, off int64) (string, error) {
+// readShmString reads a NUL-terminated string at data offset off,
+// one segment-checked byte at a time.
+func (e *Engine) readShmString(d *seg.Descriptor, off int64) (string, error) {
 	var out [4096]byte
-	for n := 0; int(off)+n < shm.size && n < len(out); n++ {
-		addr, err := shm.table.Check(shm.sel, uint64(int(off)+n), 1, mem.AccessRead)
+	for n := 0; off+int64(n) < int64(d.Limit) && n < len(out); n++ {
+		addr, err := e.segCheck(d, off+int64(n), 1, mem.AccessRead)
 		if err != nil {
 			return "", err
 		}
@@ -462,7 +418,7 @@ func (e *Engine) readShmString(shm *Shm, off int64) (string, error) {
 			return string(out[:n]), nil
 		}
 	}
-	return "", fmt.Errorf("%w: unterminated string at shm offset %d", ErrBadCompound, off)
+	return "", fmt.Errorf("%w: unterminated string at data offset %d", ErrBadCompound, off)
 }
 
 // compoundArity is the set of system calls a compound may make, with
@@ -484,13 +440,13 @@ var compoundArity = [...]int{
 // dispatch executes one syscall operation through sys.KernelCall, the
 // registry body a trapping process runs: "the system call invocation
 // by the Cosy kernel module is the same as a normal process" (§2.3).
-// The operation's registers decode into a: paths are shm strings, and
-// payload and stat buffers are segment-checked windows of the shared
-// region, so data moved by read/write is copied once inside the
-// kernel (page cache <-> shm) and never crosses the boundary. Those
-// copies are charged at kernel rate: twice per payload byte (kernel
-// buffer and shm), once per stat byte.
-func (e *Engine) dispatch(pr *sys.Proc, shm *Shm, a *sys.Args, in *lang.Instr, regs []int64) (int64, error) {
+// The operation's registers decode into a: paths are strings in the
+// data segment d, and payload and stat buffers are segment-checked
+// windows of it, so data moved by read/write is copied once inside
+// the kernel (page cache <-> ring data area) and never crosses the
+// boundary. Those copies are charged at kernel rate: twice per
+// payload byte (kernel buffer and data segment), once per stat byte.
+func (e *Engine) dispatch(pr *sys.Proc, d *seg.Descriptor, a *sys.Args, in *lang.Instr, regs []int64) (int64, error) {
 	if in.Imm < 0 || in.Imm >= int64(len(compoundArity)) || compoundArity[in.Imm] == 0 {
 		return 0, fmt.Errorf("%w: syscall %v not permitted in compounds", ErrBadCompound, sys.Nr(in.Imm))
 	}
@@ -505,17 +461,17 @@ func (e *Engine) dispatch(pr *sys.Proc, shm *Shm, a *sys.Args, in *lang.Instr, r
 	var err error
 	switch nr {
 	case sys.NrOpen, sys.NrCreat, sys.NrUnlink, sys.NrMkdir:
-		a.Path, err = e.readShmString(shm, arg(0))
+		a.Path, err = e.readShmString(d, arg(0))
 		if nr == sys.NrOpen {
 			a.Flags = int(arg(1))
 		}
 	case sys.NrStat:
-		if a.Path, err = e.readShmString(shm, arg(0)); err == nil {
-			a.Buf, err = e.window(shm, arg(1), vfs.StatSize, mem.AccessWrite)
+		if a.Path, err = e.readShmString(d, arg(0)); err == nil {
+			a.Buf, err = e.window(d, arg(1), vfs.StatSize, mem.AccessWrite)
 		}
 	case sys.NrFstat:
 		a.Fd = int(arg(0))
-		a.Buf, err = e.window(shm, arg(1), vfs.StatSize, mem.AccessWrite)
+		a.Buf, err = e.window(d, arg(1), vfs.StatSize, mem.AccessWrite)
 	case sys.NrClose:
 		a.Fd = int(arg(0))
 	case sys.NrLseek:
@@ -523,14 +479,14 @@ func (e *Engine) dispatch(pr *sys.Proc, shm *Shm, a *sys.Args, in *lang.Instr, r
 	case sys.NrRead, sys.NrWrite:
 		a.Fd = int(arg(0))
 		count := arg(2)
-		if count < 0 || count > int64(shm.size) {
+		if count < 0 || count > int64(d.Limit) {
 			return 0, fmt.Errorf("%w: %v of %d bytes", ErrBadCompound, nr, count)
 		}
 		access := mem.AccessWrite
 		if nr == sys.NrWrite {
 			access = mem.AccessRead
 		}
-		a.Buf, err = e.window(shm, arg(1), int(count), access)
+		a.Buf, err = e.window(d, arg(1), int(count), access)
 	}
 	if err != nil {
 		return 0, err
@@ -552,10 +508,10 @@ func (e *Engine) dispatch(pr *sys.Proc, shm *Shm, a *sys.Args, in *lang.Instr, r
 	return v, nil
 }
 
-// window returns the segment-checked shm range [off, off+n) as a
+// window returns the segment-checked data range [off, off+n) as a
 // kernel view.
-func (e *Engine) window(shm *Shm, off int64, n int, access mem.Access) (mem.UserView, error) {
-	addr, err := e.segCheck(shm, off, n, access)
+func (e *Engine) window(d *seg.Descriptor, off int64, n int, access mem.Access) (mem.UserView, error) {
+	addr, err := e.segCheck(d, off, n, access)
 	if err != nil {
 		return mem.UserView{}, err
 	}

@@ -47,11 +47,7 @@ func TestComputeOnlyCompound(t *testing.T) {
 	var got int64
 	err = run(t, m, func(p *kernel.Process) error {
 		pr := sys.NewProc(k, p)
-		shm, err := e.NewShm(pr, 64)
-		if err != nil {
-			return err
-		}
-		got, err = e.ExecRing(pr, buf, shm)
+		got, err = e.ExecRing(pr, buf)
 		return err
 	})
 	if err != nil {
@@ -80,9 +76,8 @@ func TestCompoundLoop(t *testing.T) {
 	var got int64
 	err = run(t, m, func(p *kernel.Process) error {
 		pr := sys.NewProc(k, p)
-		shm, _ := e.NewShm(pr, 64)
 		var e2 error
-		got, e2 = e.ExecRing(pr, buf, shm)
+		got, e2 = e.ExecRing(pr, buf)
 		return e2
 	})
 	if err != nil || got != 4950 {
@@ -124,22 +119,18 @@ func TestCompoundSyscallsOpenWriteReadClose(t *testing.T) {
 	var calls int64
 	err = run(t, m, func(p *kernel.Process) error {
 		pr := sys.NewProc(k, p)
-		shm, err := e.NewShm(pr, 256)
-		if err != nil {
-			return err
-		}
 		// Warm the engine's submission ring so the measurement below
 		// sees the steady state, not the one-time ring_setup crossing.
 		if _, err := e.ring(pr, len(buf)); err != nil {
 			return err
 		}
 		before := k.TotalCalls()
-		got, err = e.ExecRing(pr, buf, shm)
+		got, err = e.ExecRing(pr, buf)
 		if err != nil {
 			return err
 		}
 		calls = k.TotalCalls() - before
-		data, err = shm.Read(readOffV, 8)
+		data, err = ringData(e, p, len(buf)+readOffV, 8)
 		return err
 	})
 	if err != nil {
@@ -152,7 +143,7 @@ func TestCompoundSyscallsOpenWriteReadClose(t *testing.T) {
 		t.Fatalf("boundary crossings = %d, want 1", calls)
 	}
 	if string(data) != "ABCDEFGH" {
-		t.Fatalf("shm data = %q", data)
+		t.Fatalf("data segment = %q", data)
 	}
 	if e.Stats.Syscalls != 6 {
 		t.Fatalf("in-kernel syscalls = %d", e.Stats.Syscalls)
@@ -182,11 +173,7 @@ int bulk(void) {
 	var got int64
 	err = run(t, m, func(p *kernel.Process) error {
 		pr := sys.NewProc(k, p)
-		shm, err := e.NewShm(pr, comp.ShmSize)
-		if err != nil {
-			return err
-		}
-		got, err = e.ExecRing(pr, lang.Encode(comp), shm)
+		got, err = e.ExecRing(pr, lang.Encode(comp))
 		if err != nil {
 			return err
 		}
@@ -249,11 +236,7 @@ int scan(void) {
 		}
 		_ = pr.Close(fd)
 
-		shm, err := e.NewShm(pr, comp.ShmSize)
-		if err != nil {
-			return err
-		}
-		got, err = e.ExecRing(pr, lang.Encode(comp), shm)
+		got, err = e.ExecRing(pr, lang.Encode(comp))
 		return err
 	})
 	if err != nil {
@@ -279,8 +262,7 @@ func TestWatchdogKillsInfiniteLoop(t *testing.T) {
 	}
 	err = run(t, m, func(p *kernel.Process) error {
 		pr := sys.NewProc(k, p)
-		shm, _ := e.NewShm(pr, 64)
-		_, err := e.ExecRing(pr, buf, shm)
+		_, err := e.ExecRing(pr, buf)
 		return err
 	})
 	if !errors.Is(err, kernel.ErrKilled) || !strings.Contains(err.Error(), "exceeded maximum kernel time") {
@@ -292,7 +274,7 @@ func TestSegmentationBlocksOutOfBoundsAccess(t *testing.T) {
 	m, k := env()
 	e := New(k, ModeDataSeg)
 	b := lib.New()
-	addr := b.Const(100000) // far outside the shm segment
+	addr := b.Const(100000) // far outside the data segment
 	val := b.Const(1)
 	b.Store(8, addr, val)
 	buf, err := b.Build(val)
@@ -301,8 +283,7 @@ func TestSegmentationBlocksOutOfBoundsAccess(t *testing.T) {
 	}
 	err = run(t, m, func(p *kernel.Process) error {
 		pr := sys.NewProc(k, p)
-		shm, _ := e.NewShm(pr, 64)
-		_, err := e.ExecRing(pr, buf, shm)
+		_, err := e.ExecRing(pr, buf)
 		var pf *seg.ProtFault
 		if !errors.As(err, &pf) {
 			t.Errorf("err = %v, want protection fault", err)
@@ -329,8 +310,7 @@ func TestSegmentationBlocksOOBRead(t *testing.T) {
 	}
 	_ = run(t, m, func(p *kernel.Process) error {
 		pr := sys.NewProc(k, p)
-		shm, _ := e.NewShm(pr, 64)
-		if _, err := e.ExecRing(pr, buf, shm); err == nil {
+		if _, err := e.ExecRing(pr, buf); err == nil {
 			t.Error("negative-offset load succeeded")
 		}
 		return nil
@@ -338,9 +318,11 @@ func TestSegmentationBlocksOOBRead(t *testing.T) {
 }
 
 func TestSyscallBufferBoundsChecked(t *testing.T) {
-	// A buffer running past the end of a small shm must fault, not
-	// scribble: read and write payloads, stat and fstat records. A
-	// count larger than the whole shm is rejected outright.
+	// A buffer running past the end of a 64-byte data segment must
+	// fault, not scribble: read and write payloads, stat and fstat
+	// records, and a path string before its start. Each fault is
+	// counted. A count larger than the whole segment is rejected
+	// outright.
 	for _, tc := range []struct {
 		name   string
 		nr     sys.Nr
@@ -352,12 +334,14 @@ func TestSyscallBufferBoundsChecked(t *testing.T) {
 		{"write", sys.NrWrite, 48, 32, true},
 		{"stat", sys.NrStat, 16, 0, true},
 		{"fstat", sys.NrFstat, 16, 0, true},
+		{"unlink-path", sys.NrUnlink, -1, 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, k := env()
 			e := New(k, ModeDataSeg)
 			b := lib.New()
 			path := b.Const(int64(b.String("/x")))
+			b.Alloc(56) // the rest of a 64-byte data segment
 			fd := b.Sys(uint16(sys.NrCreat), path)
 			var r lang.Reg
 			switch tc.nr {
@@ -365,6 +349,8 @@ func TestSyscallBufferBoundsChecked(t *testing.T) {
 				r = b.Sys(uint16(tc.nr), path, b.Const(tc.off))
 			case sys.NrFstat:
 				r = b.Sys(uint16(tc.nr), fd, b.Const(tc.off))
+			case sys.NrUnlink:
+				r = b.Sys(uint16(tc.nr), b.Const(tc.off))
 			default:
 				r = b.Sys(uint16(tc.nr), fd, b.Const(tc.off), b.Const(tc.n))
 			}
@@ -374,11 +360,7 @@ func TestSyscallBufferBoundsChecked(t *testing.T) {
 			}
 			rerr := run(t, m, func(p *kernel.Process) error {
 				pr := sys.NewProc(k, p)
-				shm, err := e.NewShm(pr, 64)
-				if err != nil {
-					return err
-				}
-				_, err = e.ExecRing(pr, buf, shm)
+				_, err := e.ExecRing(pr, buf)
 				var pf *seg.ProtFault
 				if tc.fault && !errors.As(err, &pf) {
 					t.Errorf("err = %v, want protection fault", err)
@@ -421,9 +403,8 @@ func TestIsolatedModeChargesSegEntries(t *testing.T) {
 		var sysCycles int64
 		_ = run(t, m, func(p *kernel.Process) error {
 			pr := sys.NewProc(k, p)
-			shm, _ := e.NewShm(pr, 64)
 			_, s0, _ := p.Times()
-			if _, err := e.ExecRing(pr, mkBuf(), shm); err != nil {
+			if _, err := e.ExecRing(pr, mkBuf()); err != nil {
 				return err
 			}
 			_, s1, _ := p.Times()
@@ -445,13 +426,16 @@ func TestIsolatedModeChargesSegEntries(t *testing.T) {
 	}
 }
 
+// TestHandcraftedCompoundRejected hand-pushes bytes that are no
+// compound, so the kernel's decoder, not ExecRing's header read,
+// rejects them.
 func TestHandcraftedCompoundRejected(t *testing.T) {
 	m, k := env()
 	e := New(k, ModeDataSeg)
 	_ = run(t, m, func(p *kernel.Process) error {
 		pr := sys.NewProc(k, p)
-		shm, _ := e.NewShm(pr, 64)
-		if _, err := e.ExecRing(pr, []byte{1, 2, 3, 4, 5}, shm); !errors.Is(err, ErrBadCompound) {
+		raw := []byte{1, 2, 3, 4, 5}
+		if _, err := pushCosy(e, pr, raw, 64, int64(len(raw))); !errors.Is(err, ErrBadCompound) {
 			t.Errorf("err = %v", err)
 		}
 		return nil
@@ -484,11 +468,7 @@ func TestForbiddenSyscallRejected(t *testing.T) {
 				if err := pr.Mkdir("/keep"); err != nil {
 					return err
 				}
-				shm, err := e.NewShm(pr, 64)
-				if err != nil {
-					return err
-				}
-				if _, err := e.ExecRing(pr, buf, shm); !errors.Is(err, ErrBadCompound) {
+				if _, err := e.ExecRing(pr, buf); !errors.Is(err, ErrBadCompound) {
 					t.Errorf("err = %v, want ErrBadCompound", err)
 				}
 				if _, err := pr.Stat("/keep"); err != nil {
@@ -530,11 +510,7 @@ func TestInvalidOperandsRejected(t *testing.T) {
 			e := New(k, ModeDataSeg)
 			rerr := run(t, m, func(p *kernel.Process) error {
 				pr := sys.NewProc(k, p)
-				shm, err := e.NewShm(pr, 64)
-				if err != nil {
-					return err
-				}
-				if _, err := e.ExecRing(pr, buf, shm); !errors.Is(err, ErrBadCompound) {
+				if _, err := e.ExecRing(pr, buf); !errors.Is(err, ErrBadCompound) {
 					t.Errorf("err = %v, want ErrBadCompound", err)
 				}
 				return nil
@@ -561,11 +537,10 @@ func TestStatThroughCompound(t *testing.T) {
 	}
 	_ = run(t, m, func(p *kernel.Process) error {
 		pr := sys.NewProc(k, p)
-		shm, _ := e.NewShm(pr, 256)
-		if _, err := e.ExecRing(pr, buf, shm); err != nil {
+		if _, err := e.ExecRing(pr, buf); err != nil {
 			return err
 		}
-		raw, err := shm.Read(statOff, vfs.StatSize)
+		raw, err := ringData(e, p, len(buf)+statOff, vfs.StatSize)
 		if err != nil {
 			return err
 		}
@@ -657,12 +632,8 @@ int scan(void) {
 		if err := setup(pr); err != nil {
 			return err
 		}
-		shm, err := e.NewShm(pr, comp.ShmSize)
-		if err != nil {
-			return err
-		}
 		u0, s0, _ := p.Times()
-		total, err = e.ExecRing(pr, lang.Encode(comp), shm)
+		total, err = e.ExecRing(pr, lang.Encode(comp))
 		u1, s1, _ := p.Times()
 		cosyTime = int64(u1 - u0 + s1 - s0)
 		return err
@@ -705,11 +676,7 @@ int f(void) {
 	e := New(k, ModeDataSeg)
 	rerr := run(t, m, func(p *kernel.Process) error {
 		pr := sys.NewProc(k, p)
-		shm, err := e.NewShm(pr, comp.ShmSize)
-		if err != nil {
-			return err
-		}
-		if got, err := e.ExecRing(pr, lang.Encode(comp), shm); got != 0 || err != nil {
+		if got, err := e.ExecRing(pr, lang.Encode(comp)); got != 0 || err != nil {
 			t.Errorf("cosy_return(0 && 1/0) = %d, %v; want 0", got, err)
 		}
 		for _, path := range []string{"/and-leak", "/or-leak"} {
@@ -763,10 +730,6 @@ func TestCompiledRegionMatchesMinic(t *testing.T) {
 	e := New(k, ModeDataSeg)
 	rerr := run(t, m, func(p *kernel.Process) error {
 		pr := sys.NewProc(k, p)
-		shm, err := e.NewShm(pr, 64)
-		if err != nil {
-			return err
-		}
 		for i, c := range cases {
 			comp, err := cc.CompileMarked(fmt.Sprintf(`
 int f(void) {
@@ -780,7 +743,7 @@ int f(void) {
 			if err != nil {
 				return fmt.Errorf("a = %s, b = %s, %s: %w", c.a, c.b, c.expr, err)
 			}
-			got, cerr := e.ExecRing(pr, lang.Encode(comp), shm)
+			got, cerr := e.ExecRing(pr, lang.Encode(comp))
 			want, merr := ip.Call(fmt.Sprintf("f%d", i))
 			if (cerr != nil) != (merr != nil) || got != want {
 				t.Errorf("a = %s, b = %s, %s: compound %d, %v; minic %d, %v",

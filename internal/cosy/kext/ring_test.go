@@ -5,20 +5,23 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/cosy/lang"
 	"repro/internal/cosy/lib"
 	"repro/internal/kernel"
 	"repro/internal/kring"
+	"repro/internal/mem"
 	"repro/internal/seg"
 	"repro/internal/sys"
 )
 
-// pushCosy hand-pushes one NrCosy entry that names selector sel and
-// carries the compound raw, and returns its completion.
-func pushCosy(e *Engine, pr *sys.Proc, raw []byte, sel int64) (int64, error) {
-	h, err := e.ring(pr, len(raw))
+// pushCosy hand-pushes one NrCosy entry whose data window holds raw
+// and then data bytes of data segment, with the segment starting at
+// window offset split, and returns its completion.
+func pushCosy(e *Engine, pr *sys.Proc, raw []byte, data int, split int64) (int64, error) {
+	h, err := e.ring(pr, len(raw)+data)
 	if err != nil {
 		return 0, err
 	}
@@ -33,8 +36,8 @@ func pushCosy(e *Engine, pr *sys.Proc, raw []byte, sel int64) (int64, error) {
 	}
 	if err := h.Push(&kring.SQE{
 		Op:      uint16(sys.NrCosy),
-		Args:    [4]int64{sel},
-		DataLen: uint32(len(raw)),
+		Args:    [4]int64{split},
+		DataLen: uint32(len(raw) + data),
 	}); err != nil {
 		return 0, err
 	}
@@ -49,6 +52,33 @@ func pushCosy(e *Engine, pr *sys.Proc, raw []byte, sel int64) (int64, error) {
 		return 0, herr
 	}
 	return cqe.Res, nil
+}
+
+// ringData copies n bytes at offset off of the data area of the ring
+// the engine keeps for p's process. After an ExecRing of raw, offset
+// len(raw)+x is byte x of that compound's data segment. It reads the
+// frames directly and charges no cycles, so it also serves after the
+// run.
+func ringData(e *Engine, p *kernel.Process, off, n int) ([]byte, error) {
+	ps := e.procs[p.PID]
+	if ps == nil || ps.ring == nil {
+		return nil, fmt.Errorf("process %d has no ring", p.PID)
+	}
+	v, err := ps.ring.View(off, n)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, n)
+	for va := v.Base(); len(out) < n; va = mem.PageDown(va) + mem.PageSize {
+		pte, ok := p.UAS.Lookup(va)
+		if !ok {
+			return nil, fmt.Errorf("ring page %#x unmapped", uint64(va))
+		}
+		po := int(va & mem.PageMask)
+		page := p.UAS.Phys().Data(pte.Frame)
+		out = append(out, page[po:min(mem.PageSize, po+n-len(out))]...)
+	}
+	return out, nil
 }
 
 // TestExecMatchesExplicitRingSubmission is the one-crossing gate:
@@ -69,6 +99,10 @@ func TestExecMatchesExplicitRingSubmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	data, err := lang.ShmSize(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const rounds = 5
 	runOnce := func(explicit bool) ([]int64, int64) {
@@ -77,16 +111,13 @@ func TestExecMatchesExplicitRingSubmission(t *testing.T) {
 		var results []int64
 		rerr := run(t, m, func(p *kernel.Process) error {
 			pr := sys.NewProc(k, p)
-			shm, err := e.NewShm(pr, 256)
-			if err != nil {
-				return err
-			}
 			for i := 0; i < rounds; i++ {
 				var got int64
+				var err error
 				if explicit {
-					got, err = pushCosy(e, pr, buf, int64(shm.Selector()))
+					got, err = pushCosy(e, pr, buf, data, int64(len(buf)))
 				} else {
-					got, err = e.ExecRing(pr, buf, shm)
+					got, err = e.ExecRing(pr, buf)
 				}
 				if err != nil {
 					return err
@@ -131,12 +162,8 @@ func TestExecRingReusesRing(t *testing.T) {
 	e := New(k, ModeDataSeg)
 	rerr := run(t, m, func(p *kernel.Process) error {
 		pr := sys.NewProc(k, p)
-		shm, err := e.NewShm(pr, 64)
-		if err != nil {
-			return err
-		}
 		for i := 0; i < 3; i++ {
-			if got, err := e.ExecRing(pr, buf, shm); err != nil || got != 42 {
+			if got, err := e.ExecRing(pr, buf); err != nil || got != 42 {
 				return fmt.Errorf("round %d: %d, %v", i, got, err)
 			}
 		}
@@ -151,13 +178,13 @@ func TestExecRingReusesRing(t *testing.T) {
 		// ignores padding past the encoded program).
 		big := make([]byte, ringDataMin+1)
 		copy(big, buf)
-		if got, err := e.ExecRing(pr, big, shm); err != nil || got != 42 {
+		if got, err := e.ExecRing(pr, big); err != nil || got != 42 {
 			return fmt.Errorf("oversized compound: %d, %v", got, err)
 		}
 		if n := k.Calls[sys.NrRingSetup]; n != 2 {
 			return fmt.Errorf("ring_setup called %d times after regrow", n)
 		}
-		if got, err := e.ExecRing(pr, buf, shm); err != nil || got != 42 {
+		if got, err := e.ExecRing(pr, buf); err != nil || got != 42 {
 			return fmt.Errorf("post-regrow compound: %d, %v", got, err)
 		}
 		return nil
@@ -204,12 +231,8 @@ func TestCompoundsInterleaveAcrossProcesses(t *testing.T) {
 		raw := build(c.adds)
 		m.Spawn(c.name, func(p *kernel.Process) error {
 			pr := sys.NewProc(k, p)
-			shm, err := e.NewShm(pr, 64)
-			if err != nil {
-				return err
-			}
 			for j := 0; j < 5; j++ {
-				v, err := e.ExecRing(pr, raw, shm)
+				v, err := e.ExecRing(pr, raw)
 				if err != nil {
 					return err
 				}
@@ -236,8 +259,8 @@ func TestCompoundsInterleaveAcrossProcesses(t *testing.T) {
 	}
 }
 
-// loadCompound is a compound that returns the 8 bytes at offset 0 of
-// the buffer its submission names.
+// loadCompound is a compound with an 8-byte data segment that returns
+// the word at offset 0 of it.
 func loadCompound(t *testing.T) []byte {
 	t.Helper()
 	b := lib.New()
@@ -249,55 +272,56 @@ func loadCompound(t *testing.T) []byte {
 	return raw
 }
 
-// fillShm maps a buffer of size bytes for pr's process and fills it
-// with fill.
-func fillShm(e *Engine, pr *sys.Proc, size int, fill byte) (*Shm, error) {
-	shm, err := e.NewShm(pr, size)
-	if err != nil {
-		return nil, err
-	}
-	return shm, shm.Write(0, bytes.Repeat([]byte{fill}, size))
-}
-
-// TestForeignSelectorReachesNothing: a selector indexes the submitting
-// process's own descriptor table. Process A maps two buffers full of a
-// sentinel; process B maps one full of a marker, then names each of
-// A's selectors in an NrCosy entry whose compound loads 8 bytes at
-// offset 0. B must read its own marker (selector 1 is its own buffer
-// too) or get ErrBadCompound (it has no selector 2), never A's
-// sentinel.
-func TestForeignSelectorReachesNothing(t *testing.T) {
-	const sentinel, marker = 0x5e, 0x0b
-	want := int64(binary.LittleEndian.Uint64(bytes.Repeat([]byte{marker}, 8)))
-	raw := loadCompound(t)
+// TestCompoundReachesOnlyItsOwnWindow: a compound's data segment is
+// the tail of its own ring entry. Process A fills its whole ring data
+// area with a sentinel. Process B then runs one compound per 8-byte
+// word from two rings' worth of bytes below to two rings' worth past a
+// 64-byte data segment, each loading that word. Loads inside the
+// segment never return A's sentinel, and every other load faults.
+func TestCompoundReachesOnlyItsOwnWindow(t *testing.T) {
+	const sentinel, segSize = 0x5e, 64
+	sentinelWord := int64(binary.LittleEndian.Uint64(bytes.Repeat([]byte{sentinel}, 8)))
+	span := int64(2 * kring.BytesFor(ringEntries, ringDataMin))
 	for _, mode := range []Mode{ModeIsolated, ModeDataSeg} {
 		t.Run(mode.String(), func(t *testing.T) {
 			m, k := env()
 			e := New(k, mode)
-			var aSels []seg.Selector
+			filled := false
 			m.Spawn("a", func(p *kernel.Process) error {
+				h, err := e.ring(sys.NewProc(k, p), 0)
+				if err != nil {
+					return err
+				}
+				v, err := h.View(0, h.DataLen())
+				if err != nil {
+					return err
+				}
+				filled = true
+				return v.CopyOut(0, bytes.Repeat([]byte{sentinel}, h.DataLen()))
+			})
+			var outside int64
+			m.Spawn("b", func(p *kernel.Process) error {
 				pr := sys.NewProc(k, p)
-				for i := 0; i < 2; i++ {
-					shm, err := fillShm(e, pr, 64, sentinel)
+				if !filled {
+					return errors.New("process a has not filled its ring")
+				}
+				for off := -span; off < segSize+span; off += 8 {
+					b := lib.New()
+					b.Alloc(segSize)
+					raw, err := b.Build(b.Load(8, b.Const(off)))
 					if err != nil {
 						return err
 					}
-					aSels = append(aSels, shm.Selector())
-				}
-				return nil
-			})
-			m.Spawn("b", func(p *kernel.Process) error {
-				pr := sys.NewProc(k, p)
-				if _, err := fillShm(e, pr, 64, marker); err != nil {
-					return err
-				}
-				if len(aSels) != 2 {
-					return errors.New("process a has not mapped its buffers")
-				}
-				for _, sel := range aSels {
-					v, err := pushCosy(e, pr, raw, int64(sel))
-					if !(err == nil && v == want) && !errors.Is(err, ErrBadCompound) {
-						t.Errorf("selector %d: read %#x, %v; want b's marker %#x or ErrBadCompound", sel, v, err, want)
+					v, err := e.ExecRing(pr, raw)
+					var pf *seg.ProtFault
+					switch inside := off >= 0 && off+8 <= segSize; {
+					case inside && (err != nil || v == sentinelWord):
+						t.Errorf("load at %d: %#x, %v", off, v, err)
+					case !inside:
+						outside++
+						if !errors.As(err, &pf) {
+							t.Errorf("load at %d: %#x, %v; want a protection fault", off, v, err)
+						}
 					}
 				}
 				return nil
@@ -305,31 +329,33 @@ func TestForeignSelectorReachesNothing(t *testing.T) {
 			if err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
+			if e.Stats.Faults != outside {
+				t.Errorf("faults = %d, want %d", e.Stats.Faults, outside)
+			}
 		})
 	}
 }
 
-// TestSelectorOutOfRangeRejected: an NrCosy selector is range-checked
-// before it is narrowed to 16 bits, so the process's own selector plus
-// 65,536 does not alias its buffer; the null selector, a negative one
-// and one the process never mapped are rejected too.
-func TestSelectorOutOfRangeRejected(t *testing.T) {
+// TestCosyEntrySplitRejected: Args[0] of an NrCosy entry, the offset
+// where its data segment starts, is range-checked before it is
+// converted, so 2^32 past the compound's end does not alias it, and a
+// split that cuts the compound short leaves the decoder a truncated
+// compound. Each fails with ErrBadCompound; a split at the compound's
+// end runs it.
+func TestCosyEntrySplitRejected(t *testing.T) {
+	const data = 64
 	raw := loadCompound(t)
+	n := int64(len(raw))
 	m, k := env()
 	e := New(k, ModeDataSeg)
 	rerr := run(t, m, func(p *kernel.Process) error {
 		pr := sys.NewProc(k, p)
-		shm, err := fillShm(e, pr, 64, 0x0b)
-		if err != nil {
-			return err
+		if _, err := pushCosy(e, pr, raw, data, n); err != nil {
+			return fmt.Errorf("split at the compound's end: %w", err)
 		}
-		sel := int64(shm.Selector())
-		if _, err := pushCosy(e, pr, raw, sel); err != nil {
-			return fmt.Errorf("own selector: %w", err)
-		}
-		for _, bad := range []int64{sel + 1<<16, sel - 1<<16, 0, -1, sel + 1} {
-			if v, err := pushCosy(e, pr, raw, bad); !errors.Is(err, ErrBadCompound) {
-				t.Errorf("selector %d: read %#x, %v; want ErrBadCompound", bad, v, err)
+		for _, split := range []int64{-1, n + data + 1, 1<<32 + n, 1 << 62, n - 1, 0} {
+			if v, err := pushCosy(e, pr, raw, data, split); !errors.Is(err, ErrBadCompound) {
+				t.Errorf("split %d: %#x, %v; want ErrBadCompound", split, v, err)
 			}
 		}
 		return nil
@@ -339,34 +365,67 @@ func TestSelectorOutOfRangeRejected(t *testing.T) {
 	}
 }
 
-// TestNewShmOnFullTable fills a process's descriptor table: NewShm
-// must then fail with ErrBadCompound without mapping a page, and the
-// buffer mapped before still serves compounds.
-func TestNewShmOnFullTable(t *testing.T) {
-	raw := loadCompound(t)
+// TestLongLivedProcessMapsNoPagePerCompound runs 70,000 compounds,
+// more than 2^16, in one process. Each stores its index in its data
+// segment and returns the word loaded back, and no compound after the
+// first maps a kernel page or takes a frame.
+func TestLongLivedProcessMapsNoPagePerCompound(t *testing.T) {
+	const compounds = 70_000
 	m, k := env()
 	e := New(k, ModeDataSeg)
 	rerr := run(t, m, func(p *kernel.Process) error {
 		pr := sys.NewProc(k, p)
-		shm, err := fillShm(e, pr, 64, 0x0b)
-		if err != nil {
-			return err
-		}
-		table := e.state(p.PID).table
-		for !table.Full() {
-			if _, err := table.Alloc(seg.Descriptor{Name: "filler", Limit: 1}); err != nil {
+		var mapped, frames int
+		for i := int64(0); i < compounds; i++ {
+			b := lib.New()
+			off := b.Const(int64(b.Alloc(8)))
+			b.Store(8, off, b.Const(i))
+			raw, err := b.Build(b.Load(8, off))
+			if err != nil {
 				return err
 			}
+			if v, err := e.ExecRing(pr, raw); err != nil || v != i {
+				return fmt.Errorf("compound %d returned %d, %v", i, v, err)
+			}
+			if i == 0 {
+				mapped, frames = k.M.KAS.Mapped(), k.M.Phys.InUse()
+			} else if k.M.KAS.Mapped() > mapped || k.M.Phys.InUse() > frames {
+				return fmt.Errorf("compound %d: %d kernel pages and %d frames, %d and %d after the first",
+					i, k.M.KAS.Mapped(), k.M.Phys.InUse(), mapped, frames)
+			}
 		}
-		mapped := k.M.KAS.Mapped()
-		if s, err := e.NewShm(pr, 64); !errors.Is(err, ErrBadCompound) {
-			t.Errorf("NewShm on a full table: %v, %v; want ErrBadCompound", s, err)
+		return nil
+	})
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+}
+
+// TestOversizedDataSegmentRejected: a header asking for more data
+// than a ring can carry fails with ErrBadCompound before ExecRing
+// touches the ring, so the process's working ring is neither closed
+// nor regrown and still serves the next compound.
+func TestOversizedDataSegmentRejected(t *testing.T) {
+	raw := loadCompound(t)
+	end := lang.Instr{Op: lang.OpEnd, Dst: lang.NoReg, A: lang.NoReg, B: lang.NoReg}
+	m, k := env()
+	e := New(k, ModeDataSeg)
+	rerr := run(t, m, func(p *kernel.Process) error {
+		pr := sys.NewProc(k, p)
+		if _, err := e.ExecRing(pr, raw); err != nil {
+			return err
 		}
-		if got := k.M.KAS.Mapped(); got != mapped {
-			t.Errorf("failed NewShm mapped %d pages", got-mapped)
+		for _, size := range []int{sys.MaxRingData, math.MaxUint32} {
+			huge := lang.Encode(&lang.Compound{NRegs: 1, ShmSize: size, Code: []lang.Instr{end}})
+			if v, err := e.ExecRing(pr, huge); !errors.Is(err, ErrBadCompound) {
+				t.Errorf("ShmSize %d: %d, %v; want ErrBadCompound", size, v, err)
+			}
 		}
-		if _, err := e.ExecRing(pr, raw, shm); err != nil {
-			return fmt.Errorf("compound on the first buffer: %w", err)
+		if setup, closed := k.Calls[sys.NrRingSetup], k.Calls[sys.NrRingClose]; setup != 1 || closed != 0 {
+			t.Errorf("ring_setup called %d times and ring_close %d; want 1 and 0", setup, closed)
+		}
+		if _, err := e.ExecRing(pr, raw); err != nil {
+			return fmt.Errorf("compound after the rejections: %w", err)
 		}
 		return nil
 	})

@@ -55,8 +55,9 @@ type Machine struct {
 	Clock sim.Clock
 	Costs sim.Costs
 	Phys  *mem.Phys
-	// KAS is the kernel address space: allocators carve from it, Cosy
-	// shared buffers are mapped into it.
+	// KAS is the kernel address space: allocators carve from it, and
+	// rings' shared frames, which also carry Cosy compounds and their
+	// data, are mapped into it.
 	KAS *mem.AddressSpace
 	Km  *alloc.Kmalloc
 	Vm  *alloc.Vmalloc

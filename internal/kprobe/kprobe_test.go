@@ -439,6 +439,32 @@ func TestDetachRestoresZeroCost(t *testing.T) {
 	}
 }
 
+// TestProbeDetachCountsAsItself: a detach is its own system call, so
+// one attach and one detach count once each.
+func TestProbeDetachCountsAsItself(t *testing.T) {
+	s := boot(t, core.Options{})
+	p := s.Spawn("ctl", func(pr *sys.Proc) error {
+		id, err := pr.ProbeAttach(kprobe.Spec{
+			Tracepoint: kprobe.TpSyscallExit,
+			Source:     aggSrc,
+			Maps:       aggMaps,
+		})
+		if err != nil {
+			return err
+		}
+		return pr.ProbeDetach(id)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if p.Err() != nil {
+		t.Fatalf("process: %v", p.Err())
+	}
+	if a, d := s.K.Calls[sys.NrProbeAttach], s.K.Calls[sys.NrProbeDetach]; a != 1 || d != 1 {
+		t.Fatalf("probe_attach counted %d times and probe_detach %d; want 1 and 1", a, d)
+	}
+}
+
 // TestProbeAttribution checks the kperf side: probe execution shows up
 // as a nonzero "probe" subsystem row and the attribution identity
 // (cells + setup + idle == elapsed) still holds with probes attached.

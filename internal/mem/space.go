@@ -63,9 +63,10 @@ type PTE struct {
 	// Shared marks a borrowed mapping of a frame owned by another
 	// address space (MapFrame). Unmapping a shared PTE drops the
 	// mapping but never frees the frame: the owner does that. This is
-	// the substrate of the zero-copy data plane — the kring region and
-	// Cosy shm frames appear in both the kernel and the user space and
-	// the borrower side must not release them on teardown.
+	// the substrate of the zero-copy data plane — the kring region,
+	// which also carries Cosy compounds and their data, appears in both
+	// the kernel and the user space, and the borrower side must not
+	// release it on teardown.
 	Shared bool
 }
 

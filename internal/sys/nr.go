@@ -56,6 +56,8 @@ const (
 	NrRingSetup
 	NrRingEnter
 	NrRingClose
+	// NrProbeDetach removes a kprobe program NrProbeAttach attached.
+	NrProbeDetach
 	nrCount
 )
 
@@ -64,7 +66,7 @@ var nrNames = [...]string{
 	"getdents", "creat", "unlink", "mkdir", "rmdir", "rename", "fsync",
 	"getpid", "readdirplus", "open_read_close", "open_write_close",
 	"open_fstat", "cosy", "probe_attach", "probe_read", "ku_load",
-	"ku_call", "ring_setup", "ring_enter", "ring_close",
+	"ku_call", "ring_setup", "ring_enter", "ring_close", "probe_detach",
 }
 
 func (n Nr) String() string {

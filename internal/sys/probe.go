@@ -65,15 +65,16 @@ func (pr *Proc) ownProbe(id int) error {
 	return err
 }
 
-// ProbeDetach removes an attached program; once a tracepoint has no
-// programs left it costs zero cycles again.
+// ProbeDetach is the probe_detach system call: remove an attached
+// program; once a tracepoint has no programs left it costs zero cycles
+// again.
 func (pr *Proc) ProbeDetach(id int) error {
-	pr.enter(NrProbeAttach, 8)
+	pr.enter(NrProbeDetach, 8)
 	err := pr.ownProbe(id)
 	if err == nil {
 		err = pr.K.Probes.Detach(id)
 	}
-	pr.exit(NrProbeAttach, 8, 0)
+	pr.exit(NrProbeDetach, 8, 0)
 	return err
 }
 

@@ -32,8 +32,9 @@ import (
 //
 // Payload buffers are mem.UserViews on every path: the classic path
 // views the caller's user buffer, the ring path the shared data
-// area, Cosy the compound's shared buffer, and the body cannot tell
-// the difference — one charging- and fault-correct data plane.
+// area, Cosy the compound's data segment in that same area, and the
+// body cannot tell the difference — one charging- and fault-correct
+// data plane.
 
 // Args is the decoded argument/result record a syscall body operates
 // on. Decoders fill the inputs; bodies fill Attr/Out and return the

@@ -135,11 +135,7 @@ func SeqScanCosy(pr *sys.Proc, e *kext.Engine, cfg DBConfig) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	shm, err := compoundShm(pr, e, raw)
-	if err != nil {
-		return 0, err
-	}
-	return e.ExecRing(pr, raw, shm)
+	return e.ExecRing(pr, raw)
 }
 
 // RandScanUser probes random records: lseek + read per lookup. Every
@@ -228,12 +224,8 @@ func RandScanCosyBatched(pr *sys.Proc, e *kext.Engine, cfg DBConfig) (int64, err
 		if err != nil {
 			return 0, err
 		}
-		shm, err := compoundShm(pr, e, raw)
-		if err != nil {
-			return 0, err
-		}
 		pr.BeginOp(OpRandScanBatch)
-		n, err := e.ExecRing(pr, raw, shm)
+		n, err := e.ExecRing(pr, raw)
 		pr.EndOp()
 		if err != nil {
 			return 0, err
@@ -253,11 +245,7 @@ func RandScanCosy(pr *sys.Proc, e *kext.Engine, cfg DBConfig) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	shm, err := compoundShm(pr, e, raw)
-	if err != nil {
-		return 0, err
-	}
-	return e.ExecRing(pr, raw, shm)
+	return e.ExecRing(pr, raw)
 }
 
 // lcgSeed is the Cosy random scan's initial generator state.

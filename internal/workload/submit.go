@@ -181,34 +181,18 @@ func (c *cosySub) End() error {
 		return c.err
 	}
 	raw, err := b.Build(c.ret)
-	var shm *kext.Shm
 	if err == nil {
-		shm, err = compoundShm(c.pr, c.e, raw)
-	}
-	if err == nil {
-		// The buffer is mapped before the request opens, as a program
-		// would prepare it before entering its critical section.
 		pr := c.pr
 		pr.BeginOp(OpPostmarkTxn)
 		if err = c.think(pr); err == nil {
 			var n int64
-			n, err = c.e.ExecRing(pr, raw, shm)
+			n, err = c.e.ExecRing(pr, raw)
 			c.read += n
 		}
 		pr.EndOp()
 	}
 	c.err = err
 	return err
-}
-
-// compoundShm maps the shared buffer an encoded compound asks for in
-// pr's process.
-func compoundShm(pr *sys.Proc, e *kext.Engine, raw []byte) (*kext.Shm, error) {
-	size, err := lang.ShmSize(raw)
-	if err != nil {
-		return nil, err
-	}
-	return e.NewShm(pr, size)
 }
 
 // OpPostmarkBatch is the traced request of the ring backend: one per
