@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/cosy/cc"
 	"repro/internal/cosy/kext"
 	"repro/internal/cosy/lang"
 	"repro/internal/kgcc"
@@ -179,7 +180,7 @@ func BenchmarkRingDrain(b *testing.B) {
 }
 
 func compileMarked(src string) ([]byte, error) {
-	c, err := ccCompile(src)
+	c, err := cc.CompileMarked(src, "f")
 	if err != nil {
 		return nil, err
 	}

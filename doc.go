@@ -5,13 +5,3 @@
 // EXPERIMENTS.md for the paper-versus-measured results; the public
 // entry point is internal/core.
 package repro
-
-import (
-	"repro/internal/cosy/cc"
-	"repro/internal/cosy/lang"
-)
-
-type compound = *lang.Compound
-
-// ccCompile is shared by the root benchmarks.
-func ccCompile(src string) (compound, error) { return cc.CompileMarked(src, "f") }

@@ -224,9 +224,9 @@ func E12(perf bool) (*Table, error) {
 
 	want := int64(dbCfg.Records) * int64(dbCfg.RecSize)
 	t.Add("dbscan seq results", "all variants read the full table",
-		fmt.Sprintf("plain/ring/anycall %d/%d/%d of %d bytes",
-			dbPlain.scanned, dbRing.scanned, dbAny.scanned, want),
-		dbPlain.scanned == want && dbRing.scanned == want && dbAny.scanned == want)
+		fmt.Sprintf("plain/cosy/ring/anycall %d/%d/%d/%d of %d bytes",
+			dbPlain.scanned, dbCosy.scanned, dbRing.scanned, dbAny.scanned, want),
+		dbPlain.scanned == want && dbCosy.scanned == want && dbRing.scanned == want && dbAny.scanned == want)
 	t.Add("dbscan scan crossings, ring b=64 vs plain", ">=10x fewer",
 		fmt.Sprintf("%d -> %d", dbPlain.scanCalls, dbRing.scanCalls),
 		float64(dbPlain.scanCalls) >= 10*float64(dbRing.scanCalls))

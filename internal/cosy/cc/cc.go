@@ -5,11 +5,13 @@
 // transparent to the user" (§2.3).
 //
 // Users bracket the bottleneck region with COSY_START; and COSY_END;
-// markers. The region may declare int/char scalars and char/int
-// arrays, use loops, conditionals and arithmetic, call sys_* system
-// calls, and finish with cosy_return(expr). Scalars compile to
-// compound registers; arrays and string literals are placed in the
-// shared buffer, so data flows between system calls without ever
+// markers. The region is mini-C: minic lowers it, and Cosy-GCC
+// translates minic's IR one instruction at a time, so a region means
+// what the same statements mean in a minic function. It may call the
+// sys_* system calls, and cosy_return(expr) ends it wherever it runs.
+// Register scalars compile to compound registers; arrays,
+// address-taken scalars and string literals live in the compound's
+// data segment, so data flows between system calls without ever
 // crossing the user/kernel boundary.
 //
 // Dependency resolution ("Cosy-GCC also resolves dependencies among
@@ -26,7 +28,6 @@ import (
 	"fmt"
 
 	"repro/internal/cosy/lang"
-	"repro/internal/cosy/lib"
 	"repro/internal/minic"
 	"repro/internal/sys"
 )
@@ -98,333 +99,128 @@ func extractRegion(body *minic.Block) ([]minic.Stmt, error) {
 	return body.Stmts[start+1 : end], nil
 }
 
-// CompileRegion compiles a statement list into a compound.
+// regionFn names the function a region is lowered as.
+const regionFn = "cosy_region"
+
+// CompileRegion compiles a statement list into a compound. minic
+// lowers the statements as the body of an int function, with no
+// optimization and no KGCC pass, and each IR instruction becomes the
+// compound operation that means the same thing. The function's frame
+// sits at data offset 0 and its string literals follow it, so frame
+// and string addresses are constants; calls to SyscallNames become
+// OpSys, and cosy_return(x) and the function's closing return become
+// OpEnd.
 func CompileRegion(stmts []minic.Stmt) (*lang.Compound, error) {
-	rc := &regionCompiler{
-		b:    lib.New(),
-		vars: map[string]*rvar{},
-	}
-	for _, s := range stmts {
-		if err := rc.stmt(s); err != nil {
-			return nil, err
-		}
-	}
-	result := rc.result
-	if !rc.hasResult {
-		result = rc.b.Const(0)
-	}
-	return rc.b.End(result)
-}
-
-// rvar is a region variable: a scalar in a register or a buffer in
-// the shared region.
-type rvar struct {
-	reg    lang.Reg // scalar value
-	isBuf  bool
-	off    int // shm offset for buffers
-	elem   int // element size for buffers
-	length int // element count for buffers
-}
-
-type regionCompiler struct {
-	b         *lib.Builder
-	vars      map[string]*rvar
-	result    lang.Reg
-	hasResult bool
-}
-
-func (rc *regionCompiler) stmt(s minic.Stmt) error {
-	switch st := s.(type) {
-	case *minic.Block:
-		for _, c := range st.Stmts {
-			if err := rc.stmt(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *minic.DeclStmt:
-		return rc.decl(st)
-	case *minic.AssignStmt:
-		return rc.assign(st)
-	case *minic.ExprStmt:
-		_, err := rc.expr(st.X)
-		return err
-	case *minic.IfStmt:
-		return rc.ifStmt(st)
-	case *minic.WhileStmt:
-		return rc.loop(nil, st.Cond, nil, st.Body)
-	case *minic.ForStmt:
-		if st.Init != nil {
-			if err := rc.stmt(st.Init); err != nil {
-				return err
-			}
-		}
-		return rc.loop(nil, st.Cond, st.Post, st.Body)
-	case *minic.MarkerStmt:
-		return nil
-	case *minic.ReturnStmt:
-		return errors.New("cosy-gcc: use cosy_return(expr) inside the region, not return")
-	}
-	return fmt.Errorf("cosy-gcc: unsupported statement %T in region", s)
-}
-
-func (rc *regionCompiler) decl(st *minic.DeclStmt) error {
-	if _, dup := rc.vars[st.Name]; dup {
-		return fmt.Errorf("cosy-gcc: redeclaration of %q", st.Name)
-	}
-	switch st.T.Kind {
-	case minic.TypeArr:
-		elem := st.T.Elem.Size()
-		off := rc.b.Alloc(st.T.Size())
-		rc.vars[st.Name] = &rvar{isBuf: true, off: off, elem: elem, length: st.T.ArrLen}
-		if st.Init != nil {
-			return fmt.Errorf("cosy-gcc: array initializers unsupported (%q)", st.Name)
-		}
-		return nil
-	case minic.TypeInt, minic.TypeChar:
-		r := rc.b.Reg()
-		rc.vars[st.Name] = &rvar{reg: r}
-		if st.Init != nil {
-			v, err := rc.expr(st.Init)
-			if err != nil {
-				return err
-			}
-			rc.b.Mov(r, v)
-		} else {
-			z := rc.b.Const(0)
-			rc.b.Mov(r, z)
-		}
-		return nil
-	case minic.TypePtr:
-		// char *p = "literal" or pointer into a buffer.
-		r := rc.b.Reg()
-		rc.vars[st.Name] = &rvar{reg: r}
-		if st.Init == nil {
-			z := rc.b.Const(0)
-			rc.b.Mov(r, z)
-			return nil
-		}
-		v, err := rc.expr(st.Init)
-		if err != nil {
-			return err
-		}
-		rc.b.Mov(r, v)
-		return nil
-	}
-	return fmt.Errorf("cosy-gcc: unsupported declaration type %v", st.T)
-}
-
-func (rc *regionCompiler) assign(st *minic.AssignStmt) error {
-	rhs, err := rc.expr(st.RHS)
+	unit, err := minic.Compile(&minic.Program{Funcs: []*minic.FuncDecl{
+		{Name: regionFn, Ret: minic.IntType, Body: &minic.Block{Stmts: stmts}},
+	}})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	switch lhs := st.LHS.(type) {
-	case *minic.VarRef:
-		v, ok := rc.vars[lhs.Name]
-		if !ok || v.isBuf {
-			return fmt.Errorf("cosy-gcc: cannot assign to %q", lhs.Name)
-		}
-		if st.Op == "=" {
-			rc.b.Mov(v.reg, rhs)
-			return nil
-		}
-		rc.b.BinInto(v.reg, st.Op[:len(st.Op)-1], v.reg, rhs)
-		return nil
-	case *minic.Index:
-		addr, size, err := rc.indexAddr(lhs)
-		if err != nil {
-			return err
-		}
-		val := rhs
-		if st.Op != "=" {
-			cur := rc.b.Load(size, addr)
-			val = rc.b.Bin(st.Op[:len(st.Op)-1], cur, rhs)
-		}
-		rc.b.Store(size, addr, val)
-		return nil
-	}
-	return fmt.Errorf("cosy-gcc: unsupported assignment target %T", st.LHS)
-}
+	fn := unit.Fn(regionFn)
+	fold(fn)
 
-// indexAddr computes the shm address register for buf[i].
-func (rc *regionCompiler) indexAddr(ix *minic.Index) (lang.Reg, int, error) {
-	ref, ok := ix.X.(*minic.VarRef)
-	if !ok {
-		return 0, 0, fmt.Errorf("cosy-gcc: only direct buffer indexing supported")
+	c := &lang.Compound{NRegs: fn.NumRegs, ShmSize: fn.FrameSize}
+	strAt := make([]int64, len(fn.Strings))
+	for i, s := range fn.Strings {
+		strAt[i] = int64(c.ShmSize)
+		c.Init = append(c.Init, lang.ShmInit{Off: c.ShmSize, Data: append([]byte(s), 0)})
+		c.ShmSize += len(s) + 1
 	}
-	v, ok := rc.vars[ref.Name]
-	if !ok || !v.isBuf {
-		return 0, 0, fmt.Errorf("cosy-gcc: %q is not a buffer", ref.Name)
-	}
-	idx, err := rc.expr(ix.I)
-	if err != nil {
-		return 0, 0, err
-	}
-	base := rc.b.Const(int64(v.off))
-	scaled := idx
-	if v.elem != 1 {
-		c := rc.b.Const(int64(v.elem))
-		scaled = rc.b.Bin("*", idx, c)
-	}
-	return rc.b.Bin("+", base, scaled), v.elem, nil
-}
-
-func (rc *regionCompiler) ifStmt(st *minic.IfStmt) error {
-	cond, err := rc.expr(st.Cond)
-	if err != nil {
-		return err
-	}
-	els := rc.b.Brz(cond)
-	if err := rc.stmt(st.Then); err != nil {
-		return err
-	}
-	if st.Else == nil {
-		els.Here()
-		return nil
-	}
-	end := rc.b.Jmp()
-	els.Here()
-	if err := rc.stmt(st.Else); err != nil {
-		return err
-	}
-	end.Here()
-	return nil
-}
-
-func (rc *regionCompiler) loop(init minic.Stmt, cond minic.Expr, post minic.Stmt, body *minic.Block) error {
-	top := rc.b.Here()
-	var exit lib.Patch
-	hasCond := cond != nil
-	if hasCond {
-		c, err := rc.expr(cond)
-		if err != nil {
-			return err
-		}
-		exit = rc.b.Brz(c)
-	}
-	if err := rc.stmt(body); err != nil {
-		return err
-	}
-	if post != nil {
-		if err := rc.stmt(post); err != nil {
-			return err
+	// at[i] is the index of IR instruction i's compound operation:
+	// OpNop and OpMarker emit none.
+	at := make([]int64, len(fn.Code)+1)
+	for i, in := range fn.Code {
+		at[i+1] = at[i]
+		if in.Op != minic.OpNop && in.Op != minic.OpMarker {
+			at[i+1]++
 		}
 	}
-	rc.b.JmpTo(top)
-	if hasCond {
-		exit.Here()
-	}
-	return nil
-}
-
-func (rc *regionCompiler) expr(e minic.Expr) (lang.Reg, error) {
-	switch x := e.(type) {
-	case *minic.NumLit:
-		return rc.b.Const(x.Val), nil
-	case *minic.StrLit:
-		off := rc.b.String(x.Val)
-		return rc.b.Const(int64(off)), nil
-	case *minic.VarRef:
-		v, ok := rc.vars[x.Name]
-		if !ok {
-			return 0, fmt.Errorf("cosy-gcc: undefined variable %q", x.Name)
-		}
-		if v.isBuf {
-			return rc.b.Const(int64(v.off)), nil
-		}
-		return v.reg, nil
-	case *minic.Binary:
-		if x.Op == "&&" || x.Op == "||" {
-			return rc.logical(x)
-		}
-		a, err := rc.expr(x.X)
-		if err != nil {
-			return 0, err
-		}
-		bb, err := rc.expr(x.Y)
-		if err != nil {
-			return 0, err
-		}
-		return rc.b.Bin(x.Op, a, bb), nil
-	case *minic.Unary:
-		switch x.Op {
-		case "-":
-			v, err := rc.expr(x.X)
-			if err != nil {
-				return 0, err
+	for i, in := range fn.Code {
+		op := lang.Instr{Dst: lang.NoReg, A: lang.NoReg, B: lang.NoReg}
+		switch in.Op {
+		case minic.OpNop, minic.OpMarker:
+			continue
+		case minic.OpConst, minic.OpFrameAddr:
+			op.Op, op.Dst, op.Imm = lang.OpConst, lang.Reg(in.Dst), in.Imm
+		case minic.OpStrAddr:
+			op.Op, op.Dst, op.Imm = lang.OpConst, lang.Reg(in.Dst), strAt[in.Imm]
+		case minic.OpMov:
+			op.Op, op.Dst, op.A = lang.OpMov, lang.Reg(in.Dst), lang.Reg(in.A)
+		case minic.OpBin:
+			op.Op, op.Dst, op.A, op.B, op.Sub = lang.OpBin, lang.Reg(in.Dst), lang.Reg(in.A), lang.Reg(in.B), uint8(in.BinOp)
+		case minic.OpUn:
+			op.Op, op.Dst, op.A, op.Sub = lang.OpUn, lang.Reg(in.Dst), lang.Reg(in.A), uint8(in.UnOp)
+		case minic.OpLoad:
+			op.Op, op.Dst, op.A, op.Sub = lang.OpLoad, lang.Reg(in.Dst), lang.Reg(in.A), uint8(in.Size)
+		case minic.OpStore:
+			op.Op, op.A, op.B, op.Sub = lang.OpStore, lang.Reg(in.A), lang.Reg(in.B), uint8(in.Size)
+		case minic.OpJump:
+			op.Op, op.Imm = lang.OpJmp, at[in.Imm]
+		case minic.OpBranchZ:
+			op.Op, op.A, op.Imm = lang.OpBrz, lang.Reg(in.A), at[in.Imm]
+		case minic.OpRet:
+			// Only the closing return is minic's own; any other is
+			// the region's.
+			if i != len(fn.Code)-1 {
+				return nil, errors.New("cosy-gcc: use cosy_return(expr) inside the region, not return")
 			}
-			z := rc.b.Const(0)
-			return rc.b.Bin("-", z, v), nil
-		case "!":
-			v, err := rc.expr(x.X)
-			if err != nil {
-				return 0, err
+			op.Op = lang.OpEnd
+		case minic.OpCall:
+			if in.Sym == "cosy_return" {
+				if len(in.Args) != 1 {
+					return nil, errors.New("cosy-gcc: cosy_return takes one argument")
+				}
+				op.Op, op.A = lang.OpEnd, lang.Reg(in.Args[0])
+				break
 			}
-			z := rc.b.Const(0)
-			return rc.b.Bin("==", v, z), nil
+			nr, ok := SyscallNames[in.Sym]
+			if !ok {
+				return nil, fmt.Errorf("cosy-gcc: %q is not a Cosy-callable system call", in.Sym)
+			}
+			op.Op, op.Dst, op.Imm = lang.OpSys, lang.Reg(in.Dst), int64(nr)
+			for _, a := range in.Args {
+				op.Args = append(op.Args, lang.Reg(a))
+			}
+		default:
+			return nil, fmt.Errorf("cosy-gcc: no compound operation for %v", in.Op)
 		}
-		return 0, fmt.Errorf("cosy-gcc: unsupported unary %q in region", x.Op)
-	case *minic.Index:
-		addr, size, err := rc.indexAddr(x)
-		if err != nil {
-			return 0, err
-		}
-		return rc.b.Load(size, addr), nil
-	case *minic.Call:
-		return rc.call(x)
+		c.Code = append(c.Code, op)
 	}
-	return 0, fmt.Errorf("cosy-gcc: unsupported expression %T in region", e)
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
-// logical lowers a && b and a || b as minic does: the result register
-// holds a != 0, and a branch skips b when a already decides the
-// result, so b's system calls and faults happen only when C's would.
-func (rc *regionCompiler) logical(x *minic.Binary) (lang.Reg, error) {
-	a, err := rc.expr(x.X)
-	if err != nil {
-		return 0, err
-	}
-	zero := rc.b.Const(0)
-	dst := rc.b.Bin("!=", a, zero)
-	decided := dst // &&: a == 0 decides
-	if x.Op == "||" {
-		decided = rc.b.Bin("==", a, zero) // ||: a != 0 decides
-	}
-	skip := rc.b.Brz(decided)
-	bb, err := rc.expr(x.Y)
-	if err != nil {
-		return 0, err
-	}
-	rc.b.BinInto(dst, "!=", bb, zero)
-	skip.Here()
-	return dst, nil
-}
-
-func (rc *regionCompiler) call(x *minic.Call) (lang.Reg, error) {
-	if x.Name == "cosy_return" {
-		if len(x.Args) != 1 {
-			return 0, errors.New("cosy-gcc: cosy_return takes one argument")
+// fold drops what minic's lowering leaves for a general back end and
+// a compound does not need, turning each dropped instruction into
+// OpNop so jump targets keep their IR indices:
+//   - a move x = t on which no jump lands, whose source t has no other
+//     reader and is defined by the instruction just before it: that
+//     instruction writes x instead (minic lowers x += y as t = x + y;
+//     x = t);
+//   - the closing return after a final cosy_return, which no path
+//     reaches.
+func fold(fn *minic.Fn) {
+	code := fn.Code
+	reads := make([]int, fn.NumRegs)
+	target := make([]bool, len(code))
+	count := func(r minic.Reg) { reads[r]++ }
+	for i, in := range code {
+		if in.Op == minic.OpJump || in.Op == minic.OpBranchZ {
+			target[in.Imm] = true
 		}
-		v, err := rc.expr(x.Args[0])
-		if err != nil {
-			return 0, err
+		code[i].EachRead(count)
+	}
+	for i := 1; i < len(code); i++ {
+		def, mov := &code[i-1], &code[i]
+		if mov.Op == minic.OpMov && !target[i] && reads[mov.A] == 1 && def.Op.WritesDst() && def.Dst == mov.A {
+			def.Dst, *mov = mov.Dst, minic.Instr{Op: minic.OpNop}
 		}
-		rc.result = v
-		rc.hasResult = true
-		return v, nil
 	}
-	nr, ok := SyscallNames[x.Name]
-	if !ok {
-		return 0, fmt.Errorf("cosy-gcc: %q is not a Cosy-callable system call", x.Name)
+	if last := len(code) - 1; last > 0 && !target[last] &&
+		code[last-1].Op == minic.OpCall && code[last-1].Sym == "cosy_return" {
+		code[last] = minic.Instr{Op: minic.OpNop}
 	}
-	var args []lang.Reg
-	for _, a := range x.Args {
-		r, err := rc.expr(a)
-		if err != nil {
-			return 0, err
-		}
-		args = append(args, r)
-	}
-	return rc.b.Sys(uint16(nr), args...), nil
 }

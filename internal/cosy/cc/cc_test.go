@@ -172,3 +172,23 @@ int f(void) {
 		t.Fatalf("shm = %d", c.ShmSize)
 	}
 }
+
+// TestRegionErrors: return, at any depth, is not how a region ends;
+// cosy_return is. Calls other than Cosy's system calls and variables
+// the region never declared are errors too.
+func TestRegionErrors(t *testing.T) {
+	for _, c := range []struct{ body, want string }{
+		{`int x = 1; if (x) { while (x) { return x; } }`, "not return"},
+		{`for (int i = 0; i < 3; i++) { return; }`, "not return"},
+		{`return 0;`, "not return"},
+		{`sys_close(other(3));`, "not a Cosy-callable"},
+		{`cosy_return(1, 2);`, "takes one argument"},
+		{`cosy_return(y);`, "undefined variable"},
+		{`int a = 1; { int b = 2; } cosy_return(b);`, "undefined variable"},
+	} {
+		src := "int other(int v) { return v; }\nint f(void) { COSY_START; " + c.body + " COSY_END; return 0; }"
+		if _, err := CompileMarked(src, "f"); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.body, err, c.want)
+		}
+	}
+}

@@ -691,30 +691,90 @@ int f(void) {
 	}
 }
 
+// TestCosyReturnEndsRegion: cosy_return ends the compound where it
+// runs, as return ends a C function. The branch taken decides the
+// result, and a system call after cosy_return never runs.
+func TestCosyReturnEndsRegion(t *testing.T) {
+	for _, c := range []struct {
+		body string
+		want int64
+	}{
+		{`if (1) { cosy_return(7); } else { cosy_return(9); }`, 7},
+		{`if (0) { cosy_return(7); } else { cosy_return(9); }`, 9},
+		{`cosy_return(5); sys_creat("/after");`, 5},
+	} {
+		comp, err := cc.CompileMarked("int f(void) { COSY_START; "+c.body+" COSY_END; return 0; }", "f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, k := env()
+		e := New(k, ModeDataSeg)
+		rerr := run(t, m, func(p *kernel.Process) error {
+			pr := sys.NewProc(k, p)
+			if got, err := e.ExecRing(pr, lang.Encode(comp)); got != c.want || err != nil {
+				t.Errorf("%s = %d, %v; want %d", c.body, got, err, c.want)
+			}
+			if _, err := pr.Stat("/after"); err == nil {
+				t.Errorf("%s: /after exists: the compound ran past cosy_return", c.body)
+			}
+			return nil
+		})
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+	}
+}
+
 // TestCompiledRegionMatchesMinic checks Cosy-GCC against minic: each
-// expression runs as a marked region compiled to a compound and as a
-// plain minic function under the interpreter. Both must give the same
-// value, or both must fail.
+// case runs as a marked region compiled to a compound and as a plain
+// minic function under the interpreter. Both must give the same
+// value, or both must fail. The operator cases bind a and b and
+// evaluate one expression; the statement cases exercise loops,
+// break and continue, compound assignment through an array element
+// and through a pointer, and copies Cosy-GCC must not fold away: one
+// after an instruction that writes no register, one whose source is
+// read again and one a branch jumps to.
 func TestCompiledRegionMatchesMinic(t *testing.T) {
 	operands := []string{"0", "1", "-1", "63", "64", "9223372036854775807", "-9223372036854775807 - 1"}
-	type tc struct{ a, b, expr string }
+	type tc struct{ body, result string }
 	var cases []tc
 	for op := minic.BinOp(0); op < minic.NumBinOps; op++ {
 		for _, a := range operands {
 			for _, b := range operands {
-				cases = append(cases, tc{a, b, fmt.Sprintf("a %v b", op)})
+				cases = append(cases, tc{fmt.Sprintf("int a = %s; int b = %s;", a, b), fmt.Sprintf("a %v b", op)})
 			}
 		}
 	}
 	for _, a := range operands {
-		for _, expr := range []string{"-a", "!a", "a && 1/0", "a || 1/0"} {
-			cases = append(cases, tc{a, "0", expr})
+		for _, expr := range []string{"-a", "!a", "~a", "a && 1/0", "a || 1/0"} {
+			cases = append(cases, tc{fmt.Sprintf("int a = %s;", a), expr})
 		}
 	}
+	cases = append(cases,
+		tc{`int s = 0;
+	for (int i = 0; i < 100; i++) {
+		if (i % 3 == 0) { continue; }
+		if (i > 50) { break; }
+		s += i;
+	}
+	int n = 0;
+	while (1) { n++; if (n == 7) { break; } }`, "s * 1000 + n"},
+		tc{`int v[4]; v[0] = 5; v[1] = 7; v[2] = 3;
+	v[1] += v[0]; v[2] *= v[1]; v[0] *= 8; v[0] -= 1;
+	char c[2]; c[0] = 200; c[0] += 100; c[1] = 9; c[1] ^= 12;`,
+			"v[0] * 1000000 + v[1] * 10000 + v[2] * 100 + c[0] + c[1]"},
+		tc{`int x = 3; int *p = &x; *p += 4; *p *= 4; *p ^= 5;
+	int w[3]; w[0] = 1; w[1] = 2; w[2] = 3;
+	int *q = w; q += 2; *q *= 5; q--; *q |= 8;`,
+			"x * 10000 + w[0] * 100 + w[1] * 10 + w[2]"},
+		tc{`int x = 5; int y = x;`, "y"},
+		tc{`int a = 5; int x = a; int y = x;`, "a + x * 10 + y * 100"},
+		tc{`int c = 0; int a = 5; int x = 3; if (c) { x = a; } int y = x;`, "y + a"},
+	)
 
 	var plain strings.Builder
 	for i, c := range cases {
-		fmt.Fprintf(&plain, "int f%d(void) { int a = %s; int b = %s; return %s; }\n", i, c.a, c.b, c.expr)
+		fmt.Fprintf(&plain, "int f%d(void) { %s return %s; }\n", i, c.body, c.result)
 	}
 	unit, err := minic.CompileSource(plain.String())
 	if err != nil {
@@ -734,20 +794,19 @@ func TestCompiledRegionMatchesMinic(t *testing.T) {
 			comp, err := cc.CompileMarked(fmt.Sprintf(`
 int f(void) {
 	COSY_START;
-	int a = %s;
-	int b = %s;
+	%s
 	cosy_return(%s);
 	COSY_END;
 	return 0;
-}`, c.a, c.b, c.expr), "f")
+}`, c.body, c.result), "f")
 			if err != nil {
-				return fmt.Errorf("a = %s, b = %s, %s: %w", c.a, c.b, c.expr, err)
+				return fmt.Errorf("%s %s: %w", c.body, c.result, err)
 			}
 			got, cerr := e.ExecRing(pr, lang.Encode(comp))
 			want, merr := ip.Call(fmt.Sprintf("f%d", i))
 			if (cerr != nil) != (merr != nil) || got != want {
-				t.Errorf("a = %s, b = %s, %s: compound %d, %v; minic %d, %v",
-					c.a, c.b, c.expr, got, cerr, want, merr)
+				t.Errorf("%s %s: compound %d, %v; minic %d, %v",
+					c.body, c.result, got, cerr, want, merr)
 			}
 		}
 		return nil

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -21,42 +22,9 @@ import (
 
 const magic = 0x31595343 // "CSY1"
 
-func putU16(b []byte, v uint16) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-}
+var le = binary.LittleEndian
 
-func putU32(b []byte, v uint32) {
-	for i := 0; i < 4; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getU16(b []byte) uint16 { return uint16(b[0]) | uint16(b[1])<<8 }
-
-func getU32(b []byte) uint32 {
-	var v uint32
-	for i := 3; i >= 0; i-- {
-		v = v<<8 | uint32(b[i])
-	}
-	return v
-}
-
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
-
-// instrSize is the fixed portion of one encoded instruction.
+// instrFixed is the fixed portion of one encoded instruction.
 const instrFixed = 1 + 1 + 2 + 2 + 2 + 8 + 1
 
 // Encode serializes the compound into the compound-buffer format.
@@ -70,20 +38,20 @@ func Encode(c *Compound) []byte {
 	}
 	out := make([]byte, size)
 	o := 0
-	putU32(out[o:], magic)
+	le.PutUint32(out[o:], magic)
 	o += 4
-	putU16(out[o:], uint16(c.NRegs))
+	le.PutUint16(out[o:], uint16(c.NRegs))
 	o += 2
-	putU32(out[o:], uint32(c.ShmSize))
+	le.PutUint32(out[o:], uint32(c.ShmSize))
 	o += 4
-	putU16(out[o:], uint16(len(c.Init)))
+	le.PutUint16(out[o:], uint16(len(c.Init)))
 	o += 2
-	putU32(out[o:], uint32(len(c.Code)))
+	le.PutUint32(out[o:], uint32(len(c.Code)))
 	o += 4
 	for _, ini := range c.Init {
-		putU32(out[o:], uint32(ini.Off))
+		le.PutUint32(out[o:], uint32(ini.Off))
 		o += 4
-		putU32(out[o:], uint32(len(ini.Data)))
+		le.PutUint32(out[o:], uint32(len(ini.Data)))
 		o += 4
 		copy(out[o:], ini.Data)
 		o += len(ini.Data)
@@ -91,14 +59,14 @@ func Encode(c *Compound) []byte {
 	for _, in := range c.Code {
 		out[o] = byte(in.Op)
 		out[o+1] = in.Sub
-		putU16(out[o+2:], uint16(in.Dst))
-		putU16(out[o+4:], uint16(in.A))
-		putU16(out[o+6:], uint16(in.B))
-		putU64(out[o+8:], uint64(in.Imm))
+		le.PutUint16(out[o+2:], uint16(in.Dst))
+		le.PutUint16(out[o+4:], uint16(in.A))
+		le.PutUint16(out[o+6:], uint16(in.B))
+		le.PutUint64(out[o+8:], uint64(in.Imm))
 		out[o+16] = byte(len(in.Args))
 		o += instrFixed
 		for _, a := range in.Args {
-			putU16(out[o:], uint16(a))
+			le.PutUint16(out[o:], uint16(a))
 			o += 2
 		}
 	}
@@ -117,19 +85,19 @@ func checkHeader(buf []byte) error {
 	if len(buf) < hdrSize {
 		return fmt.Errorf("%w: truncated at offset 0", ErrMalformed)
 	}
-	if getU32(buf) != magic {
+	if le.Uint32(buf) != magic {
 		return fmt.Errorf("%w: bad magic", ErrMalformed)
 	}
 	return nil
 }
 
-// ShmSize reads the shared-buffer size an encoded compound's header
+// ShmSize reads the data-segment size an encoded compound's header
 // asks for, without decoding the rest.
 func ShmSize(buf []byte) (int, error) {
 	if err := checkHeader(buf); err != nil {
 		return 0, err
 	}
-	return int(getU32(buf[6:])), nil
+	return int(le.Uint32(buf[6:])), nil
 }
 
 // Decode parses an encoded compound into a new Compound; see
@@ -159,13 +127,13 @@ func DecodeInto(c *Compound, buf []byte) error {
 		return err
 	}
 	o := 4
-	c.NRegs = int(getU16(buf[o:]))
+	c.NRegs = int(le.Uint16(buf[o:]))
 	o += 2
-	c.ShmSize = int(getU32(buf[o:]))
+	c.ShmSize = int(le.Uint32(buf[o:]))
 	o += 4
-	ninit := int(getU16(buf[o:]))
+	ninit := int(le.Uint16(buf[o:]))
 	o += 2
-	ninstr := int(getU32(buf[o:]))
+	ninstr := int(le.Uint32(buf[o:]))
 	o += 4
 	if ninstr > 1<<20 {
 		return fmt.Errorf("%w: unreasonable instruction count %d", ErrMalformed, ninstr)
@@ -175,8 +143,8 @@ func DecodeInto(c *Compound, buf []byte) error {
 		if err := need(8, o); err != nil {
 			return err
 		}
-		off := int(getU32(buf[o:]))
-		n := int(getU32(buf[o+4:]))
+		off := int(le.Uint32(buf[o:]))
+		n := int(le.Uint32(buf[o+4:]))
 		o += 8
 		if n > len(buf) {
 			return fmt.Errorf("%w: init blob of %d bytes", ErrMalformed, n)
@@ -205,10 +173,10 @@ func DecodeInto(c *Compound, buf []byte) error {
 		in := Instr{
 			Op:  Op(buf[o]),
 			Sub: buf[o+1],
-			Dst: Reg(getU16(buf[o+2:])),
-			A:   Reg(getU16(buf[o+4:])),
-			B:   Reg(getU16(buf[o+6:])),
-			Imm: int64(getU64(buf[o+8:])),
+			Dst: Reg(le.Uint16(buf[o+2:])),
+			A:   Reg(le.Uint16(buf[o+4:])),
+			B:   Reg(le.Uint16(buf[o+6:])),
+			Imm: int64(le.Uint64(buf[o+8:])),
 		}
 		nargs := int(buf[o+16])
 		o += instrFixed
@@ -218,7 +186,7 @@ func DecodeInto(c *Compound, buf []byte) error {
 		if nargs > 0 {
 			start := len(c.args)
 			for j := 0; j < nargs; j++ {
-				c.args = append(c.args, Reg(getU16(buf[o:])))
+				c.args = append(c.args, Reg(le.Uint16(buf[o:])))
 				o += 2
 			}
 			in.Args = c.args[start:len(c.args):len(c.args)]

@@ -9,7 +9,8 @@
 //
 // A compound is a small register program: constants, arithmetic,
 // branches (bounded loops), system-call operations, and loads/stores
-// into the shared buffer (shm) that user and kernel both map. The
+// into its data segment (shm), the rest of the ring entry that
+// carries the compound. The
 // language is deliberately a restricted subset: "We limited Cosy to
 // the execution of only a subset of C in the kernel. One of the main
 // reasons is safety. Another concern is that extending the language
@@ -103,8 +104,8 @@ func (in Instr) String() string {
 	return in.Op.String()
 }
 
-// ShmInit is initial data the compound wants placed in the shared
-// buffer before execution (path strings and the like).
+// ShmInit is initial data the compound wants placed in its data
+// segment before execution (path strings and the like).
 type ShmInit struct {
 	Off  int
 	Data []byte

@@ -212,8 +212,8 @@ func TestDecodeIntoReuses(t *testing.T) {
 	}
 
 	hostile := make([]byte, hdrSize)
-	putU32(hostile, magic)
-	putU32(hostile[12:], 1<<20)
+	le.PutUint32(hostile, magic)
+	le.PutUint32(hostile[12:], 1<<20)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	errFresh := DecodeInto(&Compound{}, hostile)

@@ -2,10 +2,12 @@
 // Statements in the user-marked code segment are changed by the
 // Cosy-GCC to call these utility functions. The functioning of
 // Cosy-Lib and the internal structure of the compound buffer are
-// entirely transparent to the user." (§2.3)
+// entirely transparent to the user." (§2.3) Here Cosy-GCC (cosy/cc)
+// translates minic's IR instead, and Cosy-Lib serves the code that
+// builds compounds directly: workloads, experiments and tests.
 //
 // It is a small assembler for the compound language: allocate
-// registers and shared-buffer space, emit operations, patch forward
+// registers and data-segment space, emit operations, patch forward
 // branches, and seal the compound.
 package lib
 
@@ -51,11 +53,6 @@ func (b *Builder) Const(v int64) lang.Reg {
 	return r
 }
 
-// Mov copies src into dst.
-func (b *Builder) Mov(dst, src lang.Reg) {
-	b.emit(lang.Instr{Op: lang.OpMov, Dst: dst, A: src, B: lang.NoReg})
-}
-
 // Bin emits dst = a op br and returns dst.
 func (b *Builder) Bin(op string, a, br lang.Reg) lang.Reg {
 	dst := b.Reg()
@@ -92,7 +89,7 @@ func (b *Builder) Store(size int, addr, val lang.Reg) {
 	b.emit(lang.Instr{Op: lang.OpStore, A: addr, B: val, Sub: uint8(size)})
 }
 
-// Alloc reserves n bytes of shared-buffer space and returns the
+// Alloc reserves n bytes of data-segment space and returns the
 // offset.
 func (b *Builder) Alloc(n int) int {
 	off := (b.shmCursor + 7) &^ 7
@@ -103,9 +100,8 @@ func (b *Builder) Alloc(n int) int {
 	return off
 }
 
-// String places a NUL-terminated string in the shared buffer and
-// returns its offset; identical to what Cosy-GCC does for path
-// literals.
+// String places a NUL-terminated string in the data segment and
+// returns its offset, as Cosy-GCC does for string literals.
 func (b *Builder) String(s string) int {
 	off := b.Alloc(len(s) + 1)
 	b.c.Init = append(b.c.Init, lang.ShmInit{Off: off, Data: append([]byte(s), 0)})
@@ -121,17 +117,8 @@ type Patch struct {
 	idx int
 }
 
-// To points the branch at target.
-func (p Patch) To(target int) { p.b.c.Code[p.idx].Imm = int64(target) }
-
 // Here points the branch at the next instruction.
-func (p Patch) Here() { p.To(p.b.Here()) }
-
-// Jmp emits an unconditional branch to be patched.
-func (b *Builder) Jmp() Patch {
-	idx := b.emit(lang.Instr{Op: lang.OpJmp, Dst: lang.NoReg, A: lang.NoReg, B: lang.NoReg})
-	return Patch{b, idx}
-}
+func (p Patch) Here() { p.b.c.Code[p.idx].Imm = int64(p.b.Here()) }
 
 // JmpTo emits an unconditional branch to a known target.
 func (b *Builder) JmpTo(target int) {

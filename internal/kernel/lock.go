@@ -43,6 +43,3 @@ func (l *SpinLock) Unlock(p *Process) {
 		l.Probe(p, false, l)
 	}
 }
-
-// Held reports whether the lock is currently held.
-func (l *SpinLock) Held() bool { return l.held }

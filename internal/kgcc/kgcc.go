@@ -151,6 +151,3 @@ func (rt *Runtime) builtinFree(env minic.Env, args []int64) (int64, error) {
 	}
 	return 0, nil
 }
-
-// LiveHeap reports outstanding malloc allocations (leak checking).
-func (rt *Runtime) LiveHeap() int { return len(rt.heap) }

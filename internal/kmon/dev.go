@@ -1,6 +1,8 @@
 package kmon
 
 import (
+	"encoding/binary"
+
 	"repro/internal/kernel"
 	"repro/internal/vfs"
 )
@@ -34,51 +36,25 @@ func (d *Dev) DevWrite(p *kernel.Process, data []byte) (int, error) {
 
 // encodeEvent serializes ev into 24 bytes, little endian.
 func encodeEvent(b []byte, ev Event) {
-	putU64(b[0:], ev.Obj)
-	putU32(b[8:], uint32(ev.Type))
-	putU32(b[12:], uint32(ev.File)|uint32(uint16(ev.Line))<<16)
-	putU64(b[16:], uint64(ev.Time))
+	le := binary.LittleEndian
+	le.PutUint64(b[0:], ev.Obj)
+	le.PutUint32(b[8:], uint32(ev.Type))
+	le.PutUint32(b[12:], uint32(ev.File)|uint32(uint16(ev.Line))<<16)
+	le.PutUint64(b[16:], uint64(ev.Time))
 }
 
 // DecodeEvent is the inverse of the device's serialization; user
 // space (libkernevents) uses it.
 func DecodeEvent(b []byte) Event {
-	fl := getU32(b[12:])
+	le := binary.LittleEndian
+	fl := le.Uint32(b[12:])
 	return Event{
-		Obj:  getU64(b[0:]),
-		Type: EventType(getU32(b[8:])),
+		Obj:  le.Uint64(b[0:]),
+		Type: EventType(le.Uint32(b[8:])),
 		File: FileID(fl & 0xFFFF),
 		Line: int32(fl >> 16),
-		Time: simCycles(getU64(b[16:])),
+		Time: simCycles(le.Uint64(b[16:])),
 	}
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func putU32(b []byte, v uint32) {
-	for i := 0; i < 4; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
-
-func getU32(b []byte) uint32 {
-	var v uint32
-	for i := 3; i >= 0; i-- {
-		v = v<<8 | uint32(b[i])
-	}
-	return v
 }
 
 var _ vfs.Device = (*Dev)(nil)

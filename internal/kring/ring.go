@@ -33,6 +33,7 @@
 package kring
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -325,55 +326,33 @@ func (r *Ring) Dropped() (uint32, error) { return r.u32(offSqDropped) }
 // Entry codecs. Little-endian, fixed offsets; the encoded forms ARE
 // the ABI documented in DESIGN.md §12.
 
-func put16(b []byte, off int, x uint16) {
-	b[off] = byte(x)
-	b[off+1] = byte(x >> 8)
-}
-func put32(b []byte, off int, x uint32) {
-	b[off] = byte(x)
-	b[off+1] = byte(x >> 8)
-	b[off+2] = byte(x >> 16)
-	b[off+3] = byte(x >> 24)
-}
-func put64(b []byte, off int, x uint64) {
-	put32(b, off, uint32(x))
-	put32(b, off+4, uint32(x>>32))
-}
-func get16(b []byte, off int) uint16 {
-	return uint16(b[off]) | uint16(b[off+1])<<8
-}
-func get32(b []byte, off int) uint32 {
-	return uint32(b[off]) | uint32(b[off+1])<<8 | uint32(b[off+2])<<16 | uint32(b[off+3])<<24
-}
-func get64(b []byte, off int) uint64 {
-	return uint64(get32(b, off)) | uint64(get32(b, off+4))<<32
-}
+var le = binary.LittleEndian
 
 func encodeSQE(b []byte, e *SQE) {
-	put16(b, 0, e.Op)
-	put16(b, 2, e.Flags)
-	put32(b, 4, e.Ext)
+	le.PutUint16(b[0:], e.Op)
+	le.PutUint16(b[2:], e.Flags)
+	le.PutUint32(b[4:], e.Ext)
 	for i, a := range e.Args {
-		put64(b, 8+i*8, uint64(a))
+		le.PutUint64(b[8+i*8:], uint64(a))
 	}
-	put32(b, 40, e.DataOff)
-	put32(b, 44, e.DataLen)
-	put64(b, 48, e.UserTag)
+	le.PutUint32(b[40:], e.DataOff)
+	le.PutUint32(b[44:], e.DataLen)
+	le.PutUint64(b[48:], e.UserTag)
 	for i := 56; i < SQESize; i++ {
 		b[i] = 0
 	}
 }
 
 func decodeSQE(b []byte, e *SQE) {
-	e.Op = get16(b, 0)
-	e.Flags = get16(b, 2)
-	e.Ext = get32(b, 4)
+	e.Op = le.Uint16(b[0:])
+	e.Flags = le.Uint16(b[2:])
+	e.Ext = le.Uint32(b[4:])
 	for i := range e.Args {
-		e.Args[i] = int64(get64(b, 8+i*8))
+		e.Args[i] = int64(le.Uint64(b[8+i*8:]))
 	}
-	e.DataOff = get32(b, 40)
-	e.DataLen = get32(b, 44)
-	e.UserTag = get64(b, 48)
+	e.DataOff = le.Uint32(b[40:])
+	e.DataLen = le.Uint32(b[44:])
+	e.UserTag = le.Uint64(b[48:])
 }
 
 // EncodeSQE serializes e into a 64-byte slot; exported for anycall
@@ -385,18 +364,18 @@ func EncodeSQE(b []byte, e *SQE) { encodeSQE(b, e) }
 func DecodeSQE(b []byte, e *SQE) { decodeSQE(b, e) }
 
 func encodeCQE(b []byte, e *CQE) {
-	put64(b, 0, e.UserTag)
-	put64(b, 8, uint64(e.Res))
-	put32(b, 16, e.Err)
-	put32(b, 20, e.Copied)
+	le.PutUint64(b[0:], e.UserTag)
+	le.PutUint64(b[8:], uint64(e.Res))
+	le.PutUint32(b[16:], e.Err)
+	le.PutUint32(b[20:], e.Copied)
 	for i := 24; i < CQESize; i++ {
 		b[i] = 0
 	}
 }
 
 func decodeCQE(b []byte, e *CQE) {
-	e.UserTag = get64(b, 0)
-	e.Res = int64(get64(b, 8))
-	e.Err = get32(b, 16)
-	e.Copied = get32(b, 20)
+	e.UserTag = le.Uint64(b[0:])
+	e.Res = int64(le.Uint64(b[8:]))
+	e.Err = le.Uint32(b[16:])
+	e.Copied = le.Uint32(b[20:])
 }

@@ -4,7 +4,7 @@
 // path with pluggable handlers.
 //
 // This is the substrate Kefence (guard-page overflow detection) and
-// the Cosy shared buffers are built on. Accesses go through
+// the rings carrying Cosy data segments are built on. Accesses go through
 // AddressSpace.ReadBytes/WriteBytes, which walk the page table,
 // consult the TLB, charge the cost model, and deliver faults to the
 // installed handler exactly the way the Linux page-fault path the
@@ -14,8 +14,6 @@ package mem
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/sim"
 )
 
 // Page geometry. 4 KiB pages, like the i386 target the paper used.
@@ -131,8 +129,3 @@ func (p *Phys) Data(f Frame) []byte {
 
 // InUse reports the number of allocated frames.
 func (p *Phys) InUse() int { return p.inUse }
-
-// MaxFrames reports the pool bound.
-func (p *Phys) MaxFrames() int { return p.maxFrames }
-
-var _ = sim.Cycles(0) // mem charges via ChargeFunc; see space.go

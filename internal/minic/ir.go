@@ -69,6 +69,15 @@ func (o OpCode) String() string {
 	return fmt.Sprintf("op%d", int(o))
 }
 
+// WritesDst reports whether an instruction of op writes its Dst.
+func (o OpCode) WritesDst() bool {
+	switch o {
+	case OpConst, OpStrAddr, OpMov, OpBin, OpUn, OpLoad, OpFrameAddr, OpCall, OpArithCheck:
+		return true
+	}
+	return false
+}
+
 // Instr is one IR instruction. Operator fields are integer codes
 // (BinOp/UnOp); the string spellings exist only at the parse and
 // print boundaries.
@@ -132,6 +141,26 @@ func (in Instr) String() string {
 		return "marker " + in.Sym
 	}
 	return in.Op.String()
+}
+
+// EachRead calls f with each register the instruction reads, in
+// operand order; a void return reads none.
+func (in *Instr) EachRead(f func(Reg)) {
+	switch in.Op {
+	case OpMov, OpUn, OpLoad, OpBranchZ, OpCheck:
+		f(in.A)
+	case OpBin, OpStore, OpArithCheck:
+		f(in.A)
+		f(in.B)
+	case OpRet:
+		if in.A != NoReg {
+			f(in.A)
+		}
+	case OpCall:
+		for _, a := range in.Args {
+			f(a)
+		}
+	}
 }
 
 // Local is a stack variable.

@@ -144,18 +144,6 @@ func EvalBinOp(op BinOp, a, b int64) (int64, error) {
 	return 0, fmt.Errorf("minic: unknown operator %q", op)
 }
 
-// EvalBin evaluates a binary operator given its source spelling, with
-// the interpreter's exact semantics. Static analyses that fold
-// constants use this (or EvalBinOp directly) so their folding can
-// never disagree with execution.
-func EvalBin(op string, a, b int64) (int64, error) {
-	code, ok := ParseBinOp(op)
-	if !ok {
-		return 0, fmt.Errorf("minic: unknown operator %q", op)
-	}
-	return EvalBinOp(code, a, b)
-}
-
 // UnOp is an integer unary-operator code.
 type UnOp uint8
 

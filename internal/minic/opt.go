@@ -91,20 +91,12 @@ func foldConstants(fn *Fn, leaders map[int]bool) int {
 			}
 			delete(consts, in.Dst)
 		default:
-			if in.Dst != NoReg && writesDst(in.Op) {
+			if in.Dst != NoReg && in.Op.WritesDst() {
 				delete(consts, in.Dst)
 			}
 		}
 	}
 	return folded
-}
-
-func writesDst(op OpCode) bool {
-	switch op {
-	case OpConst, OpStrAddr, OpMov, OpBin, OpUn, OpLoad, OpFrameAddr, OpCall, OpArithCheck:
-		return true
-	}
-	return false
 }
 
 // localCSE replaces recomputed pure expressions within a basic block
@@ -175,7 +167,7 @@ func localCSE(fn *Fn, leaders map[int]bool) int {
 			kill(in.Dst)
 			avail[key] = in.Dst
 		default:
-			if in.Dst != NoReg && writesDst(in.Op) {
+			if in.Dst != NoReg && in.Op.WritesDst() {
 				kill(in.Dst)
 			}
 			// Stores invalidate loads; we never CSE loads, so nothing
@@ -190,30 +182,9 @@ func deadCode(fn *Fn) int {
 	removed := 0
 	for {
 		used := map[Reg]bool{}
-		mark := func(r Reg) {
-			if r != NoReg {
-				used[r] = true
-			}
-		}
-		for _, in := range fn.Code {
-			switch in.Op {
-			case OpMov, OpUn, OpLoad:
-				mark(in.A)
-			case OpBin, OpArithCheck:
-				mark(in.A)
-				mark(in.B)
-			case OpStore:
-				mark(in.A)
-				mark(in.B)
-			case OpBranchZ, OpRet:
-				mark(in.A)
-			case OpCheck:
-				mark(in.A)
-			case OpCall:
-				for _, a := range in.Args {
-					mark(a)
-				}
-			}
+		mark := func(r Reg) { used[r] = true }
+		for i := range fn.Code {
+			fn.Code[i].EachRead(mark)
 		}
 		changed := 0
 		for i := range fn.Code {

@@ -51,9 +51,6 @@ func New[T any](capacity int) *Buffer[T] {
 	return b
 }
 
-// Cap reports the ring capacity.
-func (b *Buffer[T]) Cap() int { return len(b.slots) }
-
 // TryPush enqueues v without blocking. It returns false (and counts a
 // drop) if the ring is full.
 func (b *Buffer[T]) TryPush(v T) bool {

@@ -23,7 +23,7 @@ type Costs struct {
 	CopyUserByte Cycles
 
 	// CopyKernByte is the per-byte cost of a copy that stays inside
-	// the kernel (e.g. page cache to a Cosy shared buffer). It is
+	// the kernel (e.g. page cache to a Cosy data segment). It is
 	// cheaper than a boundary copy: no access_ok checks, no fixups.
 	CopyKernByte Cycles
 

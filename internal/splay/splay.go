@@ -227,20 +227,3 @@ func (t *Tree[V]) Min() (uint64, V, bool) {
 	}
 	return cur.key, cur.val, true
 }
-
-// Height returns the tree height (0 for empty); used to observe
-// locality-driven restructuring in tests.
-func (t *Tree[V]) Height() int {
-	var rec func(n *node[V]) int
-	rec = func(n *node[V]) int {
-		if n == nil {
-			return 0
-		}
-		l, r := rec(n.left), rec(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return rec(t.root)
-}

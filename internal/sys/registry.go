@@ -26,7 +26,7 @@ import (
 //     + kernel-rate copy charges — the whole batch shares one trap.
 //
 //   - Cosy compounds: cosy/kext decodes each OpSys operation's
-//     registers and shared-buffer strings and windows into Args and
+//     registers and data-segment strings and windows into Args and
 //     runs it through the same KernelCall — one crossing for the
 //     whole compound.
 //
@@ -50,8 +50,8 @@ type Args struct {
 	// Flags are open's flags.
 	Flags int
 	// Buf is the payload window: the user buffer on the classic path,
-	// a data-area window on the ring path, a shared-buffer window in a
-	// Cosy compound. Zero (invalid) when the call carries no payload
+	// a data-area window on the ring path, a window on the compound's
+	// data segment in a Cosy compound. Zero (invalid) when the call carries no payload
 	// or the caller wants none materialized.
 	Buf mem.UserView
 	// Attr receives stat results.

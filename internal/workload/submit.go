@@ -130,8 +130,9 @@ func NewCosy(e *kext.Engine) Submitter { return &cosySub{e: e} }
 type cosySub struct {
 	trapSub
 	e *kext.Engine
-	// The open transaction: its compound (nil outside one), the shm
-	// payload buffer, the register summing reads, and its think time.
+	// The open transaction: its compound (nil outside one), the
+	// payload buffer's data-segment offset, the register summing
+	// reads, and its think time.
 	b      *lib.Builder
 	bufOff int
 	ret    lang.Reg
