@@ -102,14 +102,19 @@ func extractRegion(body *minic.Block) ([]minic.Stmt, error) {
 // regionFn names the function a region is lowered as.
 const regionFn = "cosy_region"
 
+// frameBase is the data offset of a region's frame. It is nonzero, so
+// no local and no string literal has address 0 and compares equal to a
+// null pointer, and 8-aligned, so the frame's own alignment holds.
+const frameBase = 8
+
 // CompileRegion compiles a statement list into a compound. minic
 // lowers the statements as the body of an int function, with no
 // optimization and no KGCC pass, and each IR instruction becomes the
 // compound operation that means the same thing. The function's frame
-// sits at data offset 0 and its string literals follow it, so frame
-// and string addresses are constants; calls to SyscallNames become
-// OpSys, and cosy_return(x) and the function's closing return become
-// OpEnd.
+// sits at data offset frameBase and its string literals follow it, so
+// frame and string addresses are constants; calls to SyscallNames
+// become OpSys, and cosy_return(x) and the function's closing return
+// become OpEnd.
 func CompileRegion(stmts []minic.Stmt) (*lang.Compound, error) {
 	unit, err := minic.Compile(&minic.Program{Funcs: []*minic.FuncDecl{
 		{Name: regionFn, Ret: minic.IntType, Body: &minic.Block{Stmts: stmts}},
@@ -120,7 +125,7 @@ func CompileRegion(stmts []minic.Stmt) (*lang.Compound, error) {
 	fn := unit.Fn(regionFn)
 	fold(fn)
 
-	c := &lang.Compound{NRegs: fn.NumRegs, ShmSize: fn.FrameSize}
+	c := &lang.Compound{NRegs: fn.NumRegs, ShmSize: frameBase + fn.FrameSize}
 	strAt := make([]int64, len(fn.Strings))
 	for i, s := range fn.Strings {
 		strAt[i] = int64(c.ShmSize)
@@ -141,8 +146,10 @@ func CompileRegion(stmts []minic.Stmt) (*lang.Compound, error) {
 		switch in.Op {
 		case minic.OpNop, minic.OpMarker:
 			continue
-		case minic.OpConst, minic.OpFrameAddr:
+		case minic.OpConst:
 			op.Op, op.Dst, op.Imm = lang.OpConst, lang.Reg(in.Dst), in.Imm
+		case minic.OpFrameAddr:
+			op.Op, op.Dst, op.Imm = lang.OpConst, lang.Reg(in.Dst), frameBase+in.Imm
 		case minic.OpStrAddr:
 			op.Op, op.Dst, op.Imm = lang.OpConst, lang.Reg(in.Dst), strAt[in.Imm]
 		case minic.OpMov:

@@ -770,6 +770,9 @@ func TestCompiledRegionMatchesMinic(t *testing.T) {
 		tc{`int x = 5; int y = x;`, "y"},
 		tc{`int a = 5; int x = a; int y = x;`, "a + x * 10 + y * 100"},
 		tc{`int c = 0; int a = 5; int x = 3; if (c) { x = a; } int y = x;`, "y + a"},
+		// No local and no string literal sits at address 0.
+		tc{`char buf[8]; char *p = buf;`, "p != 0"},
+		tc{`char *s = "ab";`, "s != 0"},
 	)
 
 	var plain strings.Builder

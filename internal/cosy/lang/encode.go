@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Wire format of an encoded compound, all little-endian:
@@ -28,7 +29,13 @@ var le = binary.LittleEndian
 const instrFixed = 1 + 1 + 2 + 2 + 2 + 8 + 1
 
 // Encode serializes the compound into the compound-buffer format.
-func Encode(c *Compound) []byte {
+func Encode(c *Compound) []byte { return AppendEncode(nil, c) }
+
+// AppendEncode appends the encoded compound to dst and returns the
+// extended buffer. A caller that encodes compound after compound into
+// one buffer (AppendEncode(buf[:0], c)) allocates only when a compound
+// outgrows every earlier one.
+func AppendEncode(dst []byte, c *Compound) []byte {
 	size := hdrSize
 	for _, ini := range c.Init {
 		size += 8 + len(ini.Data)
@@ -36,8 +43,9 @@ func Encode(c *Compound) []byte {
 	for _, in := range c.Code {
 		size += instrFixed + 2*len(in.Args)
 	}
-	out := make([]byte, size)
-	o := 0
+	dst = slices.Grow(dst, size)
+	o := len(dst)
+	out := dst[:o+size]
 	le.PutUint32(out[o:], magic)
 	o += 4
 	le.PutUint16(out[o:], uint16(c.NRegs))

@@ -54,6 +54,19 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if string(got.Init[0].Data) != "/etc/passwd\x00" {
 		t.Fatalf("init = %q", got.Init[0].Data)
 	}
+
+	// Encoding into a reused buffer that held a longer compound yields
+	// Encode's bytes exactly: nothing of the old compound survives.
+	long := sample()
+	long.Init = append(long.Init, ShmInit{Off: 64, Data: bytes.Repeat([]byte{0xAB}, 40)})
+	long.Code = append([]Instr{{Op: OpSys, Dst: 3, Imm: 1, Args: []Reg{0, 1, 2, 3}, A: NoReg, B: NoReg}}, long.Code...)
+	reused := AppendEncode(nil, long)
+	if len(reused) <= len(buf) {
+		t.Fatalf("the longer compound encodes in %d bytes, the sample in %d", len(reused), len(buf))
+	}
+	if again := AppendEncode(reused[:0], c); !bytes.Equal(again, buf) || &again[0] != &reused[0] {
+		t.Errorf("AppendEncode into a used buffer: % x, want % x (buffer reused: %v)", again, buf, &again[0] == &reused[0])
+	}
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {

@@ -324,6 +324,11 @@ func (pr *Proc) ringDrain(rs *ringState) (int64, error) {
 	if d == nil {
 		d = &drain{}
 	}
+	// A drain completes at most one CQ's worth of entries (CqPush
+	// refuses the rest), so a log of that capacity never grows.
+	if cqCap := 2 * rs.entries; cap(d.cqes) < cqCap {
+		d.cqes = make([]kring.CQE, 0, cqCap)
+	}
 	*d = drain{pr: pr, rs: rs, cqes: d.cqes[:0]}
 	defer func() { pr.freeDrain = d }()
 

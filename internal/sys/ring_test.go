@@ -940,10 +940,13 @@ func TestRingDrainDeterminism(t *testing.T) {
 	}
 }
 
-// TestRingDrainAllocsFlat pins the drain's host cost: after a warm-up
-// crossing, one ring_enter of 1,024 entries (getpids, reads of a cached
-// file pumped by anycalls that stage a [read, anycall] block per
-// record, and one failing open) allocates no more than 16 heap objects.
+// TestRingDrainAllocsFlat pins the drain's host cost: one ring_enter
+// of 1,024 entries (getpids, reads of a cached file pumped by anycalls
+// that stage a [read, anycall] block per record, and one failing open)
+// allocates no more than 16 heap objects after a warm-up crossing. The
+// process's first crossing also makes its drain context, completion
+// log, error mirror and pending queue once, and may allocate 20: a log
+// grown by append instead of sized once costs 11 more.
 func TestRingDrainAllocsFlat(t *testing.T) {
 	const (
 		recSize = 64
@@ -952,7 +955,7 @@ func TestRingDrainAllocsFlat(t *testing.T) {
 		pathOff = tmplOff + 256 // "/ghost"
 	)
 	m, k := env()
-	var allocs uint64
+	var first, allocs uint64
 	run(t, m, k, func(pr *Proc) error {
 		fd, err := pr.Creat("/table")
 		if err != nil {
@@ -1034,15 +1037,24 @@ func TestRingDrainAllocsFlat(t *testing.T) {
 			}
 			return ms.Mallocs - before, nil
 		}
-		if _, err := enter(); err != nil {
+		// Two collections empty every sync.Pool, so the first crossing
+		// counts the same objects however recently the runtime last
+		// collected: the failing open formats its error with fmt's
+		// pooled printers.
+		runtime.GC()
+		runtime.GC()
+		if first, err = enter(); err != nil {
 			return err
 		}
 		allocs, err = enter()
 		return err
 	})
-	t.Logf("a 1,024-entry ring_enter allocated %d heap objects", allocs)
+	t.Logf("a 1,024-entry ring_enter allocated %d heap objects, %d the first time", allocs, first)
 	if allocs > 16 {
 		t.Errorf("a 1,024-entry ring_enter allocated %d heap objects, want at most 16", allocs)
+	}
+	if first > 20 {
+		t.Errorf("the first 1,024-entry ring_enter allocated %d heap objects, want at most 20", first)
 	}
 }
 

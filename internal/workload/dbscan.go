@@ -174,18 +174,21 @@ func RandScanUser(pr *sys.Proc, cfg DBConfig) (int64, error) {
 	return total, pr.Close(fd)
 }
 
-// randScanBatchCompound builds the Cosy random scan: count probes
-// whose record sequence comes from an in-compound linear congruential
+// randScanCompound assembles the Cosy random scan: count probes whose
+// record sequence comes from an in-compound linear congruential
 // generator starting at state x0, so the probe loop never leaves the
-// kernel. RandScanCosy runs every lookup in one compound; the batched
-// variant replicates the LCG on the host across batches so its full
-// probe sequence is identical.
-func randScanBatchCompound(cfg DBConfig, x0 int64, count int) ([]byte, error) {
+// kernel. It also returns the index of the OpConst that loads x0, so
+// a caller can rebind the compound to another starting state.
+// RandScanCosy runs every lookup in one compound; the batched variant
+// replicates the LCG on the host across batches so its full probe
+// sequence is identical.
+func randScanCompound(cfg DBConfig, x0 int64, count int) (*lang.Compound, int, error) {
 	b := lib.New()
 	pathOff := b.String(cfg.Path)
 	recOff := b.Alloc(cfg.RecSize)
 	fd := b.Sys(uint16(sys.NrOpen), b.Const(int64(pathOff)), b.Const(0))
 	total := b.Const(0)
+	xAt := b.Here()
 	x := b.Const(x0)
 	a := b.Const(1103515245)
 	c := b.Const(12345)
@@ -206,35 +209,69 @@ func randScanBatchCompound(cfg DBConfig, x0 int64, count int) ([]byte, error) {
 		b.Bin("&", hdr, hdr)
 	})
 	b.Sys(uint16(sys.NrClose), fd)
-	return b.Build(total)
+	comp, err := b.End(total)
+	return comp, xAt, err
+}
+
+// randScanBatchCompound encodes randScanCompound's compound.
+func randScanBatchCompound(cfg DBConfig, x0 int64, count int) ([]byte, error) {
+	comp, _, err := randScanCompound(cfg, x0, count)
+	if err != nil {
+		return nil, err
+	}
+	return lang.Encode(comp), nil
+}
+
+// randScanBatches calls run with the encoded compound of each
+// RandBatch-lookup batch of the random scan, in order. The compound
+// is assembled once per batch length and rebound for every batch:
+// only its starting generator state changes, and each batch is
+// encoded into one reused buffer, so raw is valid only until run
+// returns.
+func randScanBatches(cfg DBConfig, run func(raw []byte) error) error {
+	x := lcgSeed(cfg)
+	var (
+		comp  *lang.Compound
+		xAt   int
+		built int // the lookup count comp was assembled for, 0 before the first
+		raw   []byte
+	)
+	for start := 0; start < cfg.Lookups; start += RandBatch {
+		count := min(RandBatch, cfg.Lookups-start)
+		if count != built {
+			var err error
+			if comp, xAt, err = randScanCompound(cfg, x, count); err != nil {
+				return err
+			}
+			built = count
+		}
+		comp.Code[xAt].Imm = x
+		raw = lang.AppendEncode(raw[:0], comp)
+		if err := run(raw); err != nil {
+			return err
+		}
+		// Advance the host's mirror of the in-compound generator.
+		for j := 0; j < count; j++ {
+			x = (1103515245*x + 12345) % (1 << 31)
+		}
+	}
+	return nil
 }
 
 // RandScanCosyBatched runs the random scan as one compound per
 // RandBatch lookups, each a traced request, so its per-request
 // latency distribution is directly comparable to RandScanUser's.
 func RandScanCosyBatched(pr *sys.Proc, e *kext.Engine, cfg DBConfig) (int64, error) {
-	x := lcgSeed(cfg)
 	var total int64
-	for start := 0; start < cfg.Lookups; start += RandBatch {
-		count := RandBatch
-		if cfg.Lookups-start < count {
-			count = cfg.Lookups - start
-		}
-		raw, err := randScanBatchCompound(cfg, x, count)
-		if err != nil {
-			return 0, err
-		}
+	err := randScanBatches(cfg, func(raw []byte) error {
 		pr.BeginOp(OpRandScanBatch)
 		n, err := e.ExecRing(pr, raw)
 		pr.EndOp()
-		if err != nil {
-			return 0, err
-		}
 		total += n
-		// Advance the host's mirror of the in-compound generator.
-		for j := 0; j < count; j++ {
-			x = (1103515245*x + 12345) % (1 << 31)
-		}
+		return err
+	})
+	if err != nil {
+		return 0, err
 	}
 	return total, nil
 }

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -300,6 +302,91 @@ func TestCosyScansFaster(t *testing.T) {
 	})
 	if randCosy >= randUser {
 		t.Fatalf("cosy rand scan not faster: %d vs %d", randCosy, randUser)
+	}
+}
+
+// TestRandScanBatchesRebind requires every compound the batched
+// random scan submits, assembled once per batch length and rebound, to
+// be byte for byte a fresh assembly for the batch's generator state
+// and lookup count, with and without a shorter last batch.
+func TestRandScanBatchesRebind(t *testing.T) {
+	for _, lookups := range []int{RandBatch - 1, RandBatch, 3*RandBatch + 5, 1500} {
+		cfg := DefaultDB()
+		cfg.Lookups = lookups
+		x, done, batches := lcgSeed(cfg), 0, 0
+		err := randScanBatches(cfg, func(raw []byte) error {
+			count := min(RandBatch, lookups-done)
+			want, err := randScanBatchCompound(cfg, x, count)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(raw, want) {
+				return fmt.Errorf("batch %d: %d bytes differ from a fresh compound's %d", batches, len(raw), len(want))
+			}
+			for j := 0; j < count; j++ {
+				x = (1103515245*x + 12345) % (1 << 31)
+			}
+			done += count
+			batches++
+			return nil
+		})
+		if err != nil {
+			t.Errorf("%d lookups: %v", lookups, err)
+		} else if done != lookups || batches != (lookups+RandBatch-1)/RandBatch {
+			t.Errorf("%d lookups: %d batches covered %d", lookups, batches, done)
+		}
+	}
+}
+
+// TestRandScanCosyBatchedAllocsFlat pins the host cost of assembling
+// a batch at zero heap objects: a batched random scan of 40 batches
+// may allocate more than one of 4 only by what the 36 extra compounds
+// cost to submit when prebuilt (the kernel's own objects, such as the
+// file each compound opens).
+func TestRandScanCosyBatchedAllocsFlat(t *testing.T) {
+	s := newSys(t, core.Options{})
+	e := s.CosyEngine(kext.ModeDataSeg)
+	cfg := DefaultDB()
+	cfg.Records = 64
+	var submit float64
+	var scans [2]float64
+	s.Spawn("db", func(pr *sys.Proc) error {
+		if err := DBSetup(pr, cfg); err != nil {
+			return err
+		}
+		raw, err := randScanBatchCompound(cfg, lcgSeed(cfg), RandBatch)
+		if err != nil {
+			return err
+		}
+		var runErr error
+		submit = testing.AllocsPerRun(10, func() {
+			if _, err := e.ExecRing(pr, raw); err != nil {
+				runErr = err
+			}
+		})
+		for i, batches := range []int{4, 40} {
+			c := cfg
+			c.Lookups = batches * RandBatch
+			scans[i] = testing.AllocsPerRun(10, func() {
+				n, err := RandScanCosyBatched(pr, e, c)
+				if err == nil && n != int64(c.Lookups*c.RecSize) {
+					err = fmt.Errorf("%d lookups read %d bytes", c.Lookups, n)
+				}
+				if err != nil {
+					runErr = err
+				}
+			})
+		}
+		return runErr
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("a prebuilt batch compound allocates %.0f objects; a batched scan %.0f at 4 batches and %.0f at 40",
+		submit, scans[0], scans[1])
+	if scans[1]-scans[0] > 36*submit {
+		t.Errorf("36 more batches allocate %.0f more objects, want at most %.0f (%.0f per prebuilt compound)",
+			scans[1]-scans[0], 36*submit, submit)
 	}
 }
 
