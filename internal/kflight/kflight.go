@@ -275,8 +275,10 @@ type Recorder struct {
 	// callsSearched is how many gauges the last search for it saw.
 	callsIdx, callsSearched int
 
-	// ring holds the retained epochs.
-	ring kperf.Window[storedEpoch]
+	// ring holds the retained epochs; their rows live in the logs.
+	ring              kperf.Window[storedEpoch]
+	gaugeLog, attrLog rowLog[row]
+	histLog           rowLog[histRow]
 
 	dumps        []Postmortem
 	dumpsSkipped int64
@@ -295,10 +297,9 @@ const callsGauge = "sys.calls.total"
 // storedEpoch is a closed epoch as the ring keeps it. Each row pairs
 // an index with a value: a metric's registration index, or for
 // attribution process*attrCells + cell. Histogram rows carry their
-// quantiles, computed at close. A slot's row slices are reused by the
-// epoch that evicts it, so closing into a full ring allocates nothing.
-// An epoch's sequence number is not stored: it is the epoch's position
-// among all the epochs written to the ring.
+// quantiles, computed at close. The row slices are sub-slices of the
+// recorder's row logs. An epoch's sequence number is not stored: it is
+// the epoch's position among all the epochs written to the ring.
 type storedEpoch struct {
 	start, end sim.Cycles
 	ticks      int64
@@ -315,6 +316,86 @@ type row struct {
 type histRow struct {
 	i int
 	d HistDelta
+}
+
+// blockRows is how many rows a row log's block holds.
+const blockRows = 4096
+
+// rowLog keeps one kind of row of the closed epochs, oldest first, in
+// blocks of blockRows rows, filled in epoch order. An epoch's rows are
+// contiguous in one block, and its ring slot holds them as a
+// sub-slice. A block is recycled once every epoch with rows in it has
+// been evicted, so the log holds about the rows the ring retains plus
+// two blocks, and a close into recycled blocks allocates nothing. An
+// epoch that alone outgrows a block gets a larger one.
+type rowLog[T any] struct {
+	// tail is the block rows are added to; the open epoch's rows begin
+	// at start. newest is the sequence number of the newest closed
+	// epoch with rows in it.
+	tail   []T
+	start  int
+	newest int64
+	// full holds the earlier blocks, oldest first; free the recycled.
+	full []logBlock[T]
+	free [][]T
+	// evicted is the ring's Overwritten count once the open epoch has
+	// its slot: older epochs' rows are garbage.
+	evicted int64
+}
+
+type logBlock[T any] struct {
+	rows   []T
+	newest int64
+}
+
+// open starts an epoch's rows.
+func (l *rowLog[T]) open(evicted int64) {
+	l.start, l.evicted = len(l.tail), evicted
+}
+
+// add appends a row to the open epoch.
+func (l *rowLog[T]) add(v T) {
+	if len(l.tail) == cap(l.tail) {
+		l.grow()
+	}
+	l.tail = append(l.tail, v)
+}
+
+// close ends the open epoch, sequence number seq, and returns its rows.
+func (l *rowLog[T]) close(seq int64) []T {
+	if len(l.tail) == l.start {
+		return nil
+	}
+	l.newest = seq
+	return l.tail[l.start:len(l.tail):len(l.tail)]
+}
+
+// grow moves the open epoch's rows to a new tail with room for one
+// more: a recycled block if one is that large once the blocks holding
+// only evicted epochs are recycled, else a new one.
+func (l *rowLog[T]) grow() {
+	moved := l.tail[l.start:]
+	if l.start > 0 { // else the open epoch alone filled it: drop it
+		l.full = append(l.full, logBlock[T]{l.tail[:l.start], l.newest})
+	}
+	k := 0
+	for k < len(l.full) && l.full[k].newest < l.evicted {
+		l.free = append(l.free, l.full[k].rows[:0])
+		k++
+	}
+	l.full = l.full[:copy(l.full, l.full[k:])]
+
+	// The recycled block may be the one moved is in; append copies
+	// the overlapping rows correctly.
+	need := len(moved) + 1
+	var rows []T
+	if f := len(l.free); f > 0 && cap(l.free[f-1]) >= need {
+		rows, l.free = l.free[f-1], l.free[:f-1]
+	} else {
+		rows = make([]T, 0, max(blockRows, 2*need))
+	}
+	l.tail = append(rows, moved...)
+	l.start = 0
 }
 
 // NewRecorder creates a recorder sampling set. The set must be the
@@ -420,18 +501,21 @@ func (r *Recorder) closeEpoch(now sim.Cycles) {
 		return
 	}
 	// The slot Next hands out holds the evicted epoch once the ring is
-	// full; its row slices are emptied and reused.
+	// full; the rows it pointed at are evicted with it.
 	e := r.ring.Next()
 	e.start, e.end, e.ticks = r.prevSample, now, r.ticks
-	e.gauges, e.hists, e.attr = e.gauges[:0], e.hists[:0], e.attr[:0]
 	r.ticks = 0
+	evicted := r.ring.Overwritten()
+	r.gaugeLog.open(evicted)
+	r.histLog.open(evicted)
+	r.attrLog.open(evicted)
 
 	reg := r.set.Reg
 	reg.Sample(&r.cur)
 	for i, v := range r.cur.Gauges {
 		// A gauge is recorded at the first close that sees it, even at 0.
 		if i >= len(r.last.Gauges) || v != r.last.Gauges[i] {
-			e.gauges = append(e.gauges, row{i, v})
+			r.gaugeLog.add(row{i, v})
 		}
 	}
 	for i, h := range r.cur.Hists {
@@ -440,7 +524,7 @@ func (r *Recorder) closeEpoch(now sim.Cycles) {
 			prev = r.last.Hists[i]
 		}
 		if h.Count != prev.Count || h.Sum != prev.Sum {
-			e.hists = append(e.hists, histRow{i, HistDelta{
+			r.histLog.add(histRow{i, HistDelta{
 				Count: h.Count - prev.Count, Sum: h.Sum - prev.Sum,
 				P50: h.P50, P90: h.P90, P99: h.P99,
 			}})
@@ -456,11 +540,15 @@ func (r *Recorder) closeEpoch(now sim.Cycles) {
 		last := r.lastAttr[p*attrCells : (p+1)*attrCells]
 		for cell, v := range r.scratch {
 			if d := v - last[cell]; d != 0 {
-				e.attr = append(e.attr, row{p*attrCells + cell, d})
+				r.attrLog.add(row{p*attrCells + cell, d})
 				last[cell] = v
 			}
 		}
 	}
+	seq := r.ring.Written() - 1
+	e.gauges = r.gaugeLog.close(seq)
+	e.hists = r.histLog.close(seq)
+	e.attr = r.attrLog.close(seq)
 
 	if r.callsIdx < 0 && len(r.cur.Gauges) > r.callsSearched {
 		r.callsIdx = slices.Index(reg.Names().Gauges, callsGauge)

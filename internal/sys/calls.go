@@ -1,6 +1,10 @@
 package sys
 
-import "repro/internal/vfs"
+import (
+	"fmt"
+
+	"repro/internal/vfs"
+)
 
 // Open flags.
 const (
@@ -24,12 +28,14 @@ func (pr *Proc) Open(path string, flags int) (int, error) {
 // bodies and the consolidated calls.
 func (pr *Proc) openInternal(path string, flags int) (int, error) {
 	if dev, ok := pr.K.NS.LookupDevice(path); ok {
-		return pr.installFD(&file{dev: dev, path: path})
+		return pr.installFD(file{dev: dev})
 	}
-	fs, node, err := pr.K.NS.Resolve(pr.P, path)
+	// A creat of a new name discards the miss, so Lookup's error
+	// comes bare and only one that is returned gets Resolve's text.
+	fs, node, err := pr.K.NS.Lookup(pr.P, path)
 	if err != nil {
 		if flags&OCreate == 0 {
-			return -1, err
+			return -1, fmt.Errorf("%w: %s", err, path)
 		}
 		pfs, parent, name, perr := pr.K.NS.ResolveParent(pr.P, path)
 		if perr != nil {
@@ -46,7 +52,7 @@ func (pr *Proc) openInternal(path string, flags int) (int, error) {
 			return -1, err
 		}
 	}
-	return pr.installFD(&file{fs: fs, node: node, path: path})
+	return pr.installFD(file{fs: fs, node: node})
 }
 
 // Creat creates (or truncates) path and opens it for writing.
@@ -68,10 +74,11 @@ func (pr *Proc) Close(fd int) error {
 }
 
 func (pr *Proc) closeInternal(fd int) error {
-	if _, err := pr.file(fd); err != nil {
+	f, err := pr.file(fd)
+	if err != nil {
 		return err
 	}
-	pr.fds[fd] = nil
+	*f = file{}
 	return nil
 }
 

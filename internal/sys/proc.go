@@ -86,13 +86,14 @@ var (
 // maxFDs bounds the per-process descriptor table.
 const maxFDs = 256
 
-// file is an open file description.
+// file is an open file description: a slot of the descriptor table,
+// in use while open is set.
 type file struct {
 	fs   vfs.FS
 	node vfs.NodeID
 	off  int64
-	path string
 	dev  vfs.Device
+	open bool
 }
 
 // Proc is a process's view of the syscall layer: its descriptor
@@ -101,7 +102,9 @@ type Proc struct {
 	K *Kernel
 	P *kernel.Process
 
-	fds [maxFDs]*file
+	// fds is the descriptor table. Open descriptions live in it, so
+	// opening a file allocates nothing.
+	fds [maxFDs]file
 
 	// scratch is the kernel-side staging buffer for the boundary
 	// copies in Read/Write, reused across syscalls so the host does
@@ -244,10 +247,11 @@ func (pr *Proc) BeginOp(op string) { pr.K.M.BeginOp(pr.P.PID, op) }
 // EndOp closes the process's innermost open operation.
 func (pr *Proc) EndOp() { pr.K.M.EndOp(pr.P.PID) }
 
-// installFD grabs the lowest free descriptor.
-func (pr *Proc) installFD(f *file) (int, error) {
-	for i := 0; i < maxFDs; i++ {
-		if pr.fds[i] == nil {
+// installFD puts f in the lowest free descriptor.
+func (pr *Proc) installFD(f file) (int, error) {
+	for i := range pr.fds {
+		if !pr.fds[i].open {
+			f.open = true
 			pr.fds[i] = f
 			return i, nil
 		}
@@ -255,18 +259,19 @@ func (pr *Proc) installFD(f *file) (int, error) {
 	return -1, ErrTooMany
 }
 
+// file returns the open description of fd, in place in the table.
 func (pr *Proc) file(fd int) (*file, error) {
-	if fd < 0 || fd >= maxFDs || pr.fds[fd] == nil {
+	if fd < 0 || fd >= maxFDs || !pr.fds[fd].open {
 		return nil, ErrBadFD
 	}
-	return pr.fds[fd], nil
+	return &pr.fds[fd], nil
 }
 
 // OpenFDs reports the number of open descriptors (leak tests).
 func (pr *Proc) OpenFDs() int {
 	n := 0
-	for _, f := range pr.fds {
-		if f != nil {
+	for i := range pr.fds {
+		if pr.fds[i].open {
 			n++
 		}
 	}

@@ -206,6 +206,26 @@ type drain struct {
 	// cost a heap object each.
 	e kring.SQE
 	a Args
+	// watchdog is d.overrun, bound once when the context is made, so
+	// arming it as the process's OnPreempt allocates nothing. max is
+	// the drain's kernel-time budget and prev the handler it
+	// displaced, which the drain restores on exit.
+	watchdog func(*kernel.Process) error
+	max      sim.Cycles
+	prev     func(*kernel.Process) error
+}
+
+// overrun is the drain's preemption watchdog: a drain that holds the
+// kernel past max is terminated, batches or not.
+func (d *drain) overrun(p *kernel.Process) error {
+	if p.KernelStreak() > d.max {
+		return fmt.Errorf("sys: ring drain exceeded maximum kernel time (%v > %v)",
+			p.KernelStreak(), d.max)
+	}
+	if d.prev != nil {
+		return d.prev(p)
+	}
+	return nil
 }
 
 // pathString reads a pathname from the data area window [off, off+n).
@@ -299,23 +319,6 @@ func (pr *Proc) ringDrain(rs *ringState) (int64, error) {
 	p.Perf.Push(kperf.SubRing)
 	defer p.Perf.Pop()
 
-	// Arm the preemption watchdog, the only one Cosy compounds run
-	// under (an NrCosy entry runs inside this drain): a drain that
-	// holds the kernel too long is terminated, batches or not.
-	max := costs.MaxKernelCycles
-	prev := p.OnPreempt
-	p.OnPreempt = func(p *kernel.Process) error {
-		if p.KernelStreak() > max {
-			return fmt.Errorf("sys: ring drain exceeded maximum kernel time (%v > %v)",
-				p.KernelStreak(), max)
-		}
-		if prev != nil {
-			return prev(p)
-		}
-		return nil
-	}
-	defer func() { p.OnPreempt = prev }()
-
 	// Take the process's drain context. A nested drain (none exists
 	// today: no ring op enters a ring) would find the slot empty and
 	// get a fresh one.
@@ -323,14 +326,21 @@ func (pr *Proc) ringDrain(rs *ringState) (int64, error) {
 	pr.freeDrain = nil
 	if d == nil {
 		d = &drain{}
+		d.watchdog = d.overrun
 	}
 	// A drain completes at most one CQ's worth of entries (CqPush
 	// refuses the rest), so a log of that capacity never grows.
 	if cqCap := 2 * rs.entries; cap(d.cqes) < cqCap {
 		d.cqes = make([]kring.CQE, 0, cqCap)
 	}
-	*d = drain{pr: pr, rs: rs, cqes: d.cqes[:0]}
+	*d = drain{pr: pr, rs: rs, cqes: d.cqes[:0], watchdog: d.watchdog,
+		max: costs.MaxKernelCycles, prev: p.OnPreempt}
 	defer func() { pr.freeDrain = d }()
+
+	// Arm the preemption watchdog, the only one Cosy compounds run
+	// under (an NrCosy entry runs inside this drain).
+	p.OnPreempt = d.watchdog
+	defer func() { p.OnPreempt = d.prev }()
 
 	var completed int64
 	abort := false

@@ -943,10 +943,13 @@ func TestRingDrainDeterminism(t *testing.T) {
 // TestRingDrainAllocsFlat pins the drain's host cost: one ring_enter
 // of 1,024 entries (getpids, reads of a cached file pumped by anycalls
 // that stage a [read, anycall] block per record, and one failing open)
-// allocates no more than 16 heap objects after a warm-up crossing. The
-// process's first crossing also makes its drain context, completion
-// log, error mirror and pending queue once, and may allocate 20: a log
-// grown by append instead of sized once costs 11 more.
+// allocates 4 heap objects after a warm-up crossing, all the failing
+// open's: its path string and its formatted error (a boxed argument,
+// the text, the wrapper). The watchdog is bound once per drain
+// context; a closure per crossing costs one more. The process's first
+// crossing also makes its drain context, completion log, error mirror
+// and pending queue once, and may allocate 20: a log grown by append
+// instead of sized once costs 11 more.
 func TestRingDrainAllocsFlat(t *testing.T) {
 	const (
 		recSize = 64
@@ -1050,13 +1053,18 @@ func TestRingDrainAllocsFlat(t *testing.T) {
 		return err
 	})
 	t.Logf("a 1,024-entry ring_enter allocated %d heap objects, %d the first time", allocs, first)
-	if allocs > 16 {
-		t.Errorf("a 1,024-entry ring_enter allocated %d heap objects, want at most 16", allocs)
+	if allocs > 4+fmtPoolSlack {
+		t.Errorf("a 1,024-entry ring_enter allocated %d heap objects, want at most %d", allocs, 4+fmtPoolSlack)
 	}
 	if first > 20 {
 		t.Errorf("the first 1,024-entry ring_enter allocated %d heap objects, want at most 20", first)
 	}
 }
+
+// fmtPoolSlack is how many more objects a warm crossing may allocate
+// when fmt's pooled printer is gone; only the race detector, which
+// drops pooled objects at random, takes it away (race_test.go).
+var fmtPoolSlack uint64
 
 // FuzzRingEnter feeds hostile SQE bytes straight into the submission
 // queue and corrupts the shared header (as a malicious process would)

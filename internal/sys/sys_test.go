@@ -84,6 +84,83 @@ func TestOpenMissing(t *testing.T) {
 	})
 }
 
+// TestOpenCloseAllocFree pins the descriptor table and creat's miss
+// at zero heap objects in a warm process: an open description lives
+// in its table slot, and the miss a creat of a new name discards is
+// never formatted.
+func TestOpenCloseAllocFree(t *testing.T) {
+	m, k := env()
+	run(t, m, k, func(pr *Proc) error {
+		fd, err := pr.Creat("/old")
+		if err != nil {
+			return err
+		}
+		if err := pr.Close(fd); err != nil {
+			return err
+		}
+		var runErr error
+		steps := []struct {
+			name string
+			fn   func() error
+		}{
+			{"open+close of an existing file", func() error {
+				fd, err := pr.Open("/old", ORdonly)
+				if err != nil {
+					return err
+				}
+				return pr.Close(fd)
+			}},
+			{"creat+close+unlink of a new name", func() error {
+				fd, err := pr.Creat("/new")
+				if err != nil {
+					return err
+				}
+				if err := pr.Close(fd); err != nil {
+					return err
+				}
+				return pr.Unlink("/new")
+			}},
+		}
+		for _, s := range steps {
+			n := testing.AllocsPerRun(100, func() {
+				if err := s.fn(); err != nil {
+					runErr = err
+				}
+			})
+			if n != 0 {
+				t.Errorf("%s allocates %v objects", s.name, n)
+			}
+		}
+		if pr.OpenFDs() != 0 {
+			t.Errorf("%d descriptors leaked", pr.OpenFDs())
+		}
+		return runErr
+	})
+}
+
+// TestOpenErrorText pins what open and creat return on a miss: the
+// walk's error with the path, as Resolve words it, whether the walk
+// failed on the last component or on a missing parent.
+func TestOpenErrorText(t *testing.T) {
+	m, k := env()
+	run(t, m, k, func(pr *Proc) error {
+		_, serr := pr.Stat("/ghost")
+		_, oerr := pr.Open("/ghost", ORdonly)
+		if oerr == nil || serr == nil || oerr.Error() != serr.Error() ||
+			oerr.Error() != "vfs: no such file or directory: /ghost" {
+			t.Errorf("open miss %q, stat miss %q", oerr, serr)
+		}
+		_, cerr := pr.Creat("/nodir/f")
+		if !errors.Is(cerr, vfs.ErrNotExist) || cerr.Error() != "vfs: no such file or directory: /nodir/f" {
+			t.Errorf("creat under a missing directory: %v", cerr)
+		}
+		if pr.OpenFDs() != 0 {
+			t.Errorf("%d descriptors open after failed opens", pr.OpenFDs())
+		}
+		return nil
+	})
+}
+
 func TestBadFD(t *testing.T) {
 	m, k := env()
 	run(t, m, k, func(pr *Proc) error {

@@ -131,12 +131,22 @@ func (ns *Namespace) mountFor(path string) (FS, string) {
 	panic("vfs: no root mount")
 }
 
-// Resolve walks path to its inode.
+// Resolve walks path to its inode. Its error names the path.
 func (ns *Namespace) Resolve(p *kernel.Process, path string) (FS, NodeID, error) {
+	fs, id, err := ns.Lookup(p, path)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: %s", err, path)
+	}
+	return fs, id, nil
+}
+
+// Lookup is Resolve with the file system's error as is: a caller that
+// expects a miss, such as creat of a new name, formats nothing.
+func (ns *Namespace) Lookup(p *kernel.Process, path string) (FS, NodeID, error) {
 	fs, rest := ns.mountFor(path)
 	id, err := ns.walk(p, fs, rest)
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %s", err, path)
+		return nil, 0, err
 	}
 	return fs, id, nil
 }

@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/disk"
@@ -293,6 +294,12 @@ func TestPathWalkAllocFree(t *testing.T) {
 			{"Resolve", func() error { _, _, err := ns.Resolve(p, "/a/b"); return err }},
 			{"Resolve under a mount", func() error { _, _, err := ns.Resolve(p, "/mnt/x"); return err }},
 			{"ResolveParent", func() error { _, _, _, err := ns.ResolveParent(p, "/a/b/new"); return err }},
+			{"Lookup of a missing name", func() error {
+				if _, _, err := ns.Lookup(p, "/a/b/new"); err != ErrNotExist {
+					return fmt.Errorf("Lookup of a missing name: %v, want the bare ErrNotExist", err)
+				}
+				return nil
+			}},
 			{"LookupDevice", func() error {
 				if _, ok := ns.LookupDevice("/dev/kernevents"); !ok {
 					return ErrNoDev

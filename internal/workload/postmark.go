@@ -9,7 +9,7 @@
 package workload
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/sim"
 	"repro/internal/sys"
@@ -106,7 +106,7 @@ func RunPostMark(pr *sys.Proc, cfg PostMarkConfig, sub Submitter) (st PostMarkSt
 	var files []string
 	nextID := 0
 	create := func() {
-		name := fmt.Sprintf("%s/f%06d", cfg.Dir, nextID)
+		name := postmarkName(cfg.Dir, nextID)
 		nextID++
 		size := rng.Range(cfg.MinSize, cfg.MaxSize)
 		fd := sub.Do(Op{Nr: sys.NrCreat, Path: name})
@@ -170,4 +170,12 @@ func RunPostMark(pr *sys.Proc, cfg PostMarkConfig, sub Submitter) (st PostMarkSt
 		return st, err
 	}
 	return st, pr.Rmdir(cfg.Dir)
+}
+
+// postmarkName is file id's path under dir, fmt's "%s/f%06d" built
+// without boxing either argument.
+func postmarkName(dir string, id int) string {
+	var num [20]byte
+	d := strconv.AppendInt(num[:0], int64(id), 10)
+	return dir + "/f" + "000000"[min(len(d), 6):] + string(d)
 }

@@ -69,6 +69,16 @@ func TestPostMarkDeterministic(t *testing.T) {
 	}
 }
 
+// TestPostMarkNames pins PostMark's file names to fmt's "%s/f%06d",
+// below and past six digits.
+func TestPostMarkNames(t *testing.T) {
+	for _, id := range []int{0, 7, 999_999, 1_000_000} {
+		if got, want := postmarkName("/pm", id), fmt.Sprintf("%s/f%06d", "/pm", id); got != want {
+			t.Errorf("postmarkName(%d) = %q, want %q", id, got, want)
+		}
+	}
+}
+
 func TestPostMarkOnBtfs(t *testing.T) {
 	s := newSys(t, core.Options{FS: core.FSBtfs})
 	cfg := DefaultPostMark()
@@ -341,8 +351,9 @@ func TestRandScanBatchesRebind(t *testing.T) {
 // TestRandScanCosyBatchedAllocsFlat pins the host cost of assembling
 // a batch at zero heap objects: a batched random scan of 40 batches
 // may allocate more than one of 4 only by what the 36 extra compounds
-// cost to submit when prebuilt (the kernel's own objects, such as the
-// file each compound opens).
+// cost to submit when prebuilt: the kernel's own objects, now only the
+// path string each compound's open copies in, which the dcache and the
+// file system may keep as a name.
 func TestRandScanCosyBatchedAllocsFlat(t *testing.T) {
 	s := newSys(t, core.Options{})
 	e := s.CosyEngine(kext.ModeDataSeg)
