@@ -7,9 +7,6 @@
 //
 //	ktap -tx 500
 //	ktap -t syscall_exit -f myprobe.mc -m lat:hist,calls:hash -json
-//	ktap -f myprobe.mc -emit myprobe.kmod      # verify+compile once
-//	ktap -module myprobe.kmod                  # attach the artifact
-//	ktap -cachedir ~/.ktap-cache               # both, keyed by content hash
 //	ktap -list
 //
 // The probe source is minic; it may only call the helper ABI
@@ -29,7 +26,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kprobe"
-	"repro/internal/minic"
 	"repro/internal/sys"
 	"repro/internal/workload"
 )
@@ -58,9 +54,6 @@ func main() {
 	decode := flag.String("decode", "pidnr", "render map keys as pid:syscall (pidnr) or raw integers (raw)")
 	jsonOut := flag.Bool("json", false, "emit JSON instead of text")
 	list := flag.Bool("list", false, "list tracepoints, map kinds, and helpers, then exit")
-	emit := flag.String("emit", "", "compile and verify the probe program, write the encoded module to this file, and exit")
-	modFile := flag.String("module", "", "attach a pre-compiled module file instead of compiling source")
-	cacheDir := flag.String("cachedir", "", "content-hash module cache directory: reuse <hash>.kmod when present, write it after a fresh compile")
 	flag.Parse()
 
 	if *list {
@@ -101,41 +94,6 @@ func main() {
 	}
 
 	spec := kprobe.Spec{Tracepoint: tracepoint, Source: program, Entry: *entry, Maps: maps}
-
-	if *emit != "" {
-		mod, err := kprobe.BuildModule(spec)
-		if err != nil {
-			fatal(err)
-		}
-		enc := minic.EncodeModule(mod)
-		if err := os.WriteFile(*emit, enc, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s: %d bytes, key %s\n", *emit, len(enc), kprobe.SpecKey(spec))
-		return
-	}
-
-	if *modFile != "" {
-		b, err := os.ReadFile(*modFile)
-		if err != nil {
-			fatal(err)
-		}
-		spec = kprobe.Spec{Tracepoint: tracepoint, Module: b, Entry: *entry, Maps: maps}
-	} else if *cacheDir != "" {
-		// Disk-backed content-hash cache: a prior -emit or run already
-		// paid the compile+verify, this run just decodes the artifact.
-		enc, path, hit, err := minic.CachedModule(*cacheDir, kprobe.SpecKey(spec),
-			func() (*minic.Module, error) { return kprobe.BuildModule(spec) })
-		if err != nil {
-			fatal(err)
-		}
-		if hit {
-			fmt.Printf("module cache hit: %s\n", path)
-		} else {
-			fmt.Printf("module cache miss: wrote %s\n", path)
-		}
-		spec = kprobe.Spec{Tracepoint: tracepoint, Module: enc, Entry: *entry, Maps: maps}
-	}
 
 	s, err := core.New(core.Options{CacheBlocks: 1024})
 	if err != nil {

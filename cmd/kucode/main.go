@@ -10,17 +10,14 @@
 // a per-subsystem cycle-attribution summary under each table; the
 // simulated results are bit-identical with or without it.
 //
-// It is also the kucode-extension tool: -src compiles a minic file
-// through the ku_load admission pipeline (kcheck analysis + KGCC
-// instrumentation + bytecode compilation) and either writes the
-// encoded module (-emit) or boots a system, loads it, and calls the
-// entry function (-call). -module loads a pre-compiled artifact, and
-// -cachedir keeps artifacts in a content-hash cache directory so a
-// program is verified and compiled once across runs:
+// It is also the kucode-extension tool: -src boots a system and
+// ku_loads a minic file through the kernel's admission pipeline
+// (kcheck analysis + KGCC instrumentation + bytecode compilation),
+// reporting what admission did; -call then ku_calls the entry function
+// with the given arguments:
 //
-//	kucode -src filt.c -entry filt -emit filt.kmod
-//	kucode -module filt.kmod -entry filt -call 13,40
-//	kucode -src filt.c -entry filt -cachedir ~/.kucode-cache -call 13,40
+//	kucode -src filt.c -entry filt
+//	kucode -src filt.c -entry filt -call 13,40
 package main
 
 import (
@@ -34,7 +31,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/kgcc"
-	"repro/internal/minic"
 	"repro/internal/sys"
 )
 
@@ -43,16 +39,13 @@ func main() {
 	md := flag.Bool("md", false, "emit Markdown (the EXPERIMENTS.md body)")
 	perf := flag.Bool("perf", false, "enable kperf instrumentation and print cycle attribution per experiment")
 	srcFile := flag.String("src", "", "extension mode: compile this minic source file through the ku_load pipeline")
-	modFile := flag.String("module", "", "extension mode: load this pre-compiled module file")
 	entry := flag.String("entry", "main", "extension entry function")
 	checks := flag.String("checks", "kcheck", "KGCC check options: full or kcheck (proof-based elision)")
-	emit := flag.String("emit", "", "write the compiled module to this file and exit")
 	callArgs := flag.String("call", "", "ku_call the entry with these comma-separated integer arguments")
-	cacheDir := flag.String("cachedir", "", "content-hash module cache directory: reuse <hash>.kmod when present, write it after a fresh compile")
 	flag.Parse()
 
-	if *srcFile != "" || *modFile != "" {
-		extTool(*srcFile, *modFile, *entry, *checks, *emit, *callArgs, *cacheDir)
+	if *srcFile != "" {
+		extTool(*srcFile, *entry, *checks, *callArgs)
 		return
 	}
 
@@ -104,9 +97,9 @@ func main() {
 	}
 }
 
-// extTool is the extension workflow: build (or load) a module and
-// optionally emit it to disk or run it through ku_load/ku_call.
-func extTool(srcFile, modFile, entry, checks, emit, callArgs, cacheDir string) {
+// extTool is the extension workflow: boot a system, ku_load the
+// source, and with -call ku_call its entry.
+func extTool(srcFile, entry, checks, callArgs string) {
 	var opts kgcc.Options
 	switch checks {
 	case "full":
@@ -116,71 +109,20 @@ func extTool(srcFile, modFile, entry, checks, emit, callArgs, cacheDir string) {
 	default:
 		fatal(fmt.Errorf("unknown -checks %q (want full or kcheck)", checks))
 	}
-
-	spec := sys.KuSpec{Entry: entry, Checks: opts}
-	switch {
-	case modFile != "":
-		b, err := os.ReadFile(modFile)
-		if err != nil {
-			fatal(err)
-		}
-		spec.Module = b
-	default:
-		b, err := os.ReadFile(srcFile)
-		if err != nil {
-			fatal(err)
-		}
-		spec.Source = string(b)
+	b, err := os.ReadFile(srcFile)
+	if err != nil {
+		fatal(err)
 	}
-
-	key := sys.KuSpecKey(spec)
-	if cacheDir != "" && spec.Module == nil {
-		enc, path, hit, err := minic.CachedModule(cacheDir, key,
-			func() (*minic.Module, error) { return sys.BuildKuModule(spec) })
-		if err != nil {
-			fatal(err)
-		}
-		if hit {
-			fmt.Printf("module cache hit: %s\n", path)
-		} else {
-			fmt.Printf("module cache miss: wrote %s\n", path)
-		}
-		spec = sys.KuSpec{Entry: entry, Checks: opts, Module: enc}
-	}
-
-	if emit != "" {
-		var enc []byte
-		if spec.Module != nil {
-			enc = spec.Module
-		} else {
-			mod, err := sys.BuildKuModule(spec)
-			if err != nil {
-				fatal(err)
-			}
-			enc = minic.EncodeModule(mod)
-		}
-		if err := os.WriteFile(emit, enc, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s: %d bytes, key %s\n", emit, len(enc), key)
-		return
-	}
-
-	if callArgs == "" {
-		// Dry run: admission only.
-		if _, err := sys.BuildKuModule(spec); err != nil {
-			fatal(err)
-		}
-		fmt.Println("module admitted (use -call to execute, -emit to save)")
-		return
-	}
+	spec := sys.KuSpec{Source: string(b), Entry: entry, Checks: opts}
 	var args []int64
-	for _, f := range strings.Split(callArgs, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(f), 0, 64)
-		if err != nil {
-			fatal(fmt.Errorf("bad -call argument %q: %v", f, err))
+	if callArgs != "" {
+		for _, f := range strings.Split(callArgs, ",") {
+			v, err := strconv.ParseInt(strings.TrimSpace(f), 0, 64)
+			if err != nil {
+				fatal(fmt.Errorf("bad -call argument %q: %v", f, err))
+			}
+			args = append(args, v)
 		}
-		args = append(args, v)
 	}
 
 	s, err := core.New(core.Options{})
@@ -195,6 +137,9 @@ func extTool(srcFile, modFile, entry, checks, emit, callArgs, cacheDir string) {
 			return err
 		}
 		ext, _ = pr.K.KuExt(id)
+		if callArgs == "" {
+			return nil
+		}
 		ret, err = pr.KuCall(id, args...)
 		return err
 	})
@@ -204,11 +149,16 @@ func extTool(srcFile, modFile, entry, checks, emit, callArgs, cacheDir string) {
 	if err := p.Err(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("%s(%s) = %d\n", entry, callArgs, ret)
-	fmt.Printf("load: %d insns, cache hit %v; checks inserted %d (elided %d stack, %d cse, %d proven); call: %d cycles, %d checks run\n",
+	load := fmt.Sprintf("load: %d insns, cache hit %v; checks inserted %d (elided %d stack, %d cse, %d proven)",
 		ext.Insns, ext.CacheHit, ext.Stats.Inserted,
-		ext.Stats.ElidedStack, ext.Stats.ElidedCSE, ext.Stats.ElidedProven,
-		ext.Cycles, ext.ChecksRun())
+		ext.Stats.ElidedStack, ext.Stats.ElidedCSE, ext.Stats.ElidedProven)
+	if callArgs == "" {
+		fmt.Println("extension admitted (use -call to execute)")
+		fmt.Println(load)
+		return
+	}
+	fmt.Printf("%s(%s) = %d\n", entry, callArgs, ret)
+	fmt.Printf("%s; call: %d cycles, %d checks run\n", load, ext.Cycles, ext.ChecksRun())
 }
 
 func fatal(err error) {

@@ -29,7 +29,6 @@ type Loader[X any] struct {
 	// stacks and string literals live here, and its memory costs land
 	// in the accumulator like everything else a program does.
 	AS    *mem.AddressSpace
-	phys  *mem.Phys
 	costs *sim.Costs
 
 	// pending accumulates the simulated cost of the load or run in
@@ -55,11 +54,6 @@ type Admission struct {
 	// Stats and Report describe what instrumentation did.
 	Stats  Stats
 	Report *ElisionReport
-	// Private gives every program of this module a fresh address
-	// space of its own instead of the shared one: the quarantine for
-	// bytecode whose safety the kernel cannot re-derive. Its costs
-	// still land in the same accumulator.
-	Private bool
 
 	entry int
 }
@@ -107,7 +101,6 @@ func (p *Prog[X]) ChecksRun() int64 { return p.km.Checks + p.km.ArithOps }
 func NewLoader[X any](name string, phys *mem.Phys, costs *sim.Costs) *Loader[X] {
 	l := &Loader[X]{
 		AS:     mem.NewAddressSpace(name, phys, costs),
-		phys:   phys,
 		costs:  costs,
 		cache:  make(map[minic.CacheKey]*Admission),
 		progs:  make(map[int]*Prog[X]),
@@ -142,12 +135,7 @@ func (l *Loader[X]) Load(key minic.CacheKey, entry string, admit func() (Admissi
 	}
 
 	l.pending = 0
-	as := l.AS
-	if a.Private {
-		as = mem.NewAddressSpace(l.AS.Name+"-ext", l.phys, l.costs)
-		as.Charge = l.Charge
-	}
-	vm, err := minic.NewVM(as, a.Mod)
+	vm, err := minic.NewVM(l.AS, a.Mod)
 	if err != nil {
 		l.pending = 0
 		return nil, 0, fmt.Errorf("kgcc: load: %w", err)

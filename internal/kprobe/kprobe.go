@@ -96,17 +96,13 @@ type Ctx struct {
 }
 
 // Spec is a probe_attach request: where to attach, the program
-// source (or a pre-compiled module), its entry function, and the maps
-// it declares.
+// source, its entry function, and the maps it declares.
 type Spec struct {
 	Tracepoint Tracepoint `json:"tracepoint"`
 	Source     string     `json:"source"`
 	// Entry is the entry function name; empty selects "probe".
 	Entry string    `json:"entry,omitempty"`
 	Maps  []MapSpec `json:"maps,omitempty"`
-	// Module, when non-empty, is an encoded pre-compiled module
-	// (minic.EncodeModule output) attached instead of compiling Source.
-	Module []byte `json:"module,omitempty"`
 }
 
 // entry is the spec's entry function name, defaulted.
@@ -214,6 +210,49 @@ func (mgr *Manager) Attach(spec Spec) (int, sim.Cycles, error) {
 	mgr.progs[spec.Tracepoint] = append(mgr.progs[spec.Tracepoint], pg)
 	mgr.Attached++
 	return pg.ID, cost, nil
+}
+
+// SpecKey derives the content-hash cache key for a spec. It covers
+// everything admission looks at — entry, source text and the declared
+// map signature (map ids and kinds are verified statically) — because
+// a cache hit skips admission: the same source attached under a
+// different entry is a different admission that must re-verify. It
+// deliberately excludes the tracepoint: the same program attached at
+// another site is the same module.
+func SpecKey(spec Spec) minic.CacheKey {
+	parts := []string{"kprobe-module-v1", spec.entry(), spec.Source}
+	for _, ms := range spec.Maps {
+		parts = append(parts, fmt.Sprintf("%s:%s", ms.Name, ms.Kind))
+	}
+	return minic.HashParts(parts...)
+}
+
+// admit is Attach's admission function: parse, optimize (constant
+// folding feeds the verifier's map-id and frame-offset proofs),
+// statically verify the entry function, instrument with full KGCC
+// checks, and compile to bytecode. A verifier rejection carries the
+// instructions it analyzed, so the attach charges for them.
+func admit(spec Spec) (kgcc.Admission, error) {
+	entry := spec.entry()
+	unit, err := minic.CompileSource(spec.Source)
+	if err != nil {
+		return kgcc.Admission{}, fmt.Errorf("kprobe: compile: %w", err)
+	}
+	fn := unit.Fn(entry)
+	if fn == nil {
+		return kgcc.Admission{}, fmt.Errorf("kprobe: entry function %q not defined", entry)
+	}
+	minic.Optimize(fn)
+	insns := len(fn.Code)
+	if err := verify(fn, spec.Maps); err != nil {
+		return kgcc.Admission{Insns: insns}, err
+	}
+	kgcc.Instrument(fn, kgcc.FullChecks())
+	mod, err := minic.CompileUnit(unit)
+	if err != nil {
+		return kgcc.Admission{Insns: insns}, fmt.Errorf("kprobe: %w", err)
+	}
+	return kgcc.Admission{Mod: mod, Insns: insns}, nil
 }
 
 // installHelpers binds the helper ABI for one program. The builtins

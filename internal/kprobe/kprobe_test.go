@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/kprobe"
-	"repro/internal/minic"
 	"repro/internal/sim"
 	"repro/internal/sys"
 )
@@ -148,7 +147,7 @@ func TestVerifierRejections(t *testing.T) {
 }
 
 // TestVerifierAccepts checks that straight-line programs using the
-// full helper ABI and in-bounds locals attach cleanly.
+// full helper ABI and in-bounds locals attach and fire cleanly.
 func TestVerifierAccepts(t *testing.T) {
 	s := boot(t, core.Options{})
 	src := `
@@ -179,6 +178,12 @@ func TestVerifierAccepts(t *testing.T) {
 	}
 	if !s.Probes.AttachedAt(kprobe.TpSyscallExit) {
 		t.Fatal("program not attached")
+	}
+	// Its frame accesses carry FullChecks instrumentation, and a fire
+	// must pass every check.
+	s.Probes.SyscallExit(1, 0, 0, 5, 100)
+	if pg, _ := s.Probes.Prog(id); pg.Calls != 1 || pg.Err != nil {
+		t.Fatalf("fired %d, err %v; want one clean fire", pg.Calls, pg.Err)
 	}
 	if err := s.Probes.Detach(id); err != nil {
 		t.Fatalf("detach: %v", err)
@@ -333,10 +338,9 @@ func TestProbeDeterminism(t *testing.T) {
 
 // TestAttachCacheHitSkipsVerification pins "verify once, attach
 // everywhere": re-attaching byte-identical program content — at the
-// same tracepoint, at a different tracepoint, or as a pre-compiled
-// module blob — hits the content-hash module cache and skips the
-// per-instruction verification charge, while a different program
-// misses.
+// same tracepoint or at a different one — hits the content-hash module
+// cache and skips the per-instruction verification charge, while a
+// different program misses.
 func TestAttachCacheHitSkipsVerification(t *testing.T) {
 	s := boot(t, core.Options{})
 	spec := kprobe.Spec{Tracepoint: kprobe.TpSyscallExit, Source: aggSrc, Maps: aggMaps}
@@ -367,28 +371,13 @@ func TestAttachCacheHitSkipsVerification(t *testing.T) {
 		t.Fatalf("cross-tracepoint attach: hits = %d, cost %d (miss cost %d)",
 			s.Probes.CacheHits, cost3, cost1)
 	}
-	// A pre-compiled module blob is cached under its content hash too.
-	mod, err := kprobe.BuildModule(spec)
-	if err != nil {
-		t.Fatalf("build module: %v", err)
-	}
-	enc := minic.EncodeModule(mod)
-	mspec := kprobe.Spec{Tracepoint: kprobe.TpSyscallExit, Module: enc, Maps: aggMaps}
-	if _, _, err := s.Probes.Attach(mspec); err != nil {
-		t.Fatalf("module attach: %v", err)
-	}
-	if _, mcost, err := s.Probes.Attach(mspec); err != nil {
-		t.Fatalf("module re-attach: %v", err)
-	} else if s.Probes.CacheHits != 3 || mcost >= cost1 {
-		t.Fatalf("module re-attach: hits = %d, cost %d", s.Probes.CacheHits, mcost)
-	}
 	// Different program content misses.
 	diff := spec
 	diff.Source = strings.Replace(aggSrc, "* 256", "* 512", 1)
 	if _, _, err := s.Probes.Attach(diff); err != nil {
 		t.Fatalf("attach different program: %v", err)
 	}
-	if s.Probes.CacheHits != 3 {
+	if s.Probes.CacheHits != 2 {
 		t.Fatalf("different program content hit the cache")
 	}
 }
@@ -558,154 +547,25 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestModuleAttachRejectsUncheckedAccess pins the module-admission
-// memory-safety rule: the VM consults the KGCC object map only
-// through check opcodes, so pre-compiled bytecode whose loads/stores
-// do not carry their own checks must be rejected at attach — a
-// checkless module would otherwise read and write the shared probe
-// address space freely.
-func TestModuleAttachRejectsUncheckedAccess(t *testing.T) {
+// TestAttachEntryNotSkippedByCache pins the cache-key contract: the
+// entry name is part of the key, so attaching the same source under a
+// different entry re-verifies (and here fails) instead of hitting the
+// cache and dying at first fire.
+func TestAttachEntryNotSkippedByCache(t *testing.T) {
 	s := boot(t, core.Options{})
-	hostile := &minic.Module{
-		SrcInsns: 3,
-		Funcs: []*minic.Funcode{{
-			Name:    "probe",
-			NumRegs: 2,
-			Code: []minic.VInstr{
-				{Op: minic.VConst, Dst: 0, Imm: 0x4000},
-				{Op: minic.VLoad8, Sz: 8, Dst: 1, A: 0},
-				{Op: minic.VRet, A: 1},
-			},
-			Pos: make([]minic.Pos, 3),
-		}},
-	}
-	enc := minic.EncodeModule(hostile)
-	if _, err := minic.DecodeModule(enc); err != nil {
-		t.Fatalf("hostile module should be structurally valid, got: %v", err)
-	}
-	_, _, err := s.Probes.Attach(kprobe.Spec{Tracepoint: kprobe.TpSyscallExit, Module: enc})
-	if err == nil {
-		t.Fatal("checkless module attached")
-	}
-	var ve *kprobe.VerifyError
-	if !errors.As(err, &ve) || !strings.Contains(err.Error(), "unchecked") {
-		t.Fatalf("rejection %q is not an unchecked-access VerifyError", err)
-	}
-}
-
-// TestModuleAttachRejectsCheckBypass: a branch that jumps over a
-// check straight into the access it guards must also be rejected —
-// adjacency alone is not coverage.
-func TestModuleAttachRejectsCheckBypass(t *testing.T) {
-	s := boot(t, core.Options{})
-	hostile := &minic.Module{
-		SrcInsns: 4,
-		Funcs: []*minic.Funcode{{
-			Name:    "probe",
-			NumRegs: 2,
-			Code: []minic.VInstr{
-				{Op: minic.VJump, Imm: 2},
-				{Op: minic.VCheck, Sz: 8, A: 0, Imm: 0},
-				{Op: minic.VLoad8, Sz: 8, Dst: 1, A: 0},
-				{Op: minic.VRet, A: -1},
-			},
-			Pos: make([]minic.Pos, 4),
-		}},
-	}
-	enc := minic.EncodeModule(hostile)
-	_, _, err := s.Probes.Attach(kprobe.Spec{Tracepoint: kprobe.TpSyscallExit, Module: enc})
-	if err == nil {
-		t.Fatal("check-bypassing module attached")
-	}
-	if !strings.Contains(err.Error(), "bypass") {
-		t.Fatalf("rejection %q does not name the bypass", err)
-	}
-}
-
-// TestModuleAttachRejectsFusedBackEdge extends the no-back-edge rule
-// to the fused branch opcodes: a hostile module cannot smuggle a loop
-// in as a breqi whose target field lives in Dst.
-func TestModuleAttachRejectsFusedBackEdge(t *testing.T) {
-	s := boot(t, core.Options{})
-	hostile := &minic.Module{
-		SrcInsns: 2,
-		Funcs: []*minic.Funcode{{
-			Name:    "probe",
-			NumRegs: 1,
-			Code: []minic.VInstr{
-				{Op: minic.VBrEqI, A: 0, Imm: 1, Dst: 0},
-				{Op: minic.VRet, A: -1},
-			},
-			Pos: make([]minic.Pos, 2),
-		}},
-	}
-	enc := minic.EncodeModule(hostile)
-	_, _, err := s.Probes.Attach(kprobe.Spec{Tracepoint: kprobe.TpSyscallExit, Module: enc})
-	if err == nil {
-		t.Fatal("fused back-edge module attached")
-	}
-	if !strings.Contains(err.Error(), "back-edge") {
-		t.Fatalf("rejection %q does not name the back-edge", err)
-	}
-}
-
-// TestModuleAttachFullChecksArtifactRoundTrip: a legitimately built
-// artifact — including one with real memory accesses, which FullChecks
-// instruments — must pass the module-admission coverage rule, attach,
-// and fire without dying.
-func TestModuleAttachFullChecksArtifactRoundTrip(t *testing.T) {
-	s := boot(t, core.Options{})
-	const src = `
-	int probe() {
-		int buf[8];
-		int i;
-		i = ctx_nr() & 7;
-		buf[i] = ctx_cycles();
-		map_add(0, buf[i], 1);
-		return 0;
-	}`
-	maps := []kprobe.MapSpec{{Name: "m", Kind: kprobe.MapHash}}
-	spec := kprobe.Spec{Tracepoint: kprobe.TpSyscallExit, Source: src, Maps: maps}
-	mod, err := kprobe.BuildModule(spec)
-	if err != nil {
-		t.Fatalf("build module: %v", err)
-	}
-	enc := minic.EncodeModule(mod)
-	id, _, err := s.Probes.Attach(kprobe.Spec{Tracepoint: kprobe.TpSyscallExit, Module: enc, Maps: maps})
-	if err != nil {
-		t.Fatalf("module attach: %v", err)
-	}
-	s.Probes.SyscallExit(1, 0, 0, 0, 100)
-	pg, ok := s.Probes.Prog(id)
-	if !ok {
-		t.Fatal("attached program not registered")
-	}
-	if pg.Calls != 1 || pg.Err != nil {
-		t.Fatalf("fired %d, err %v; want one clean fire", pg.Calls, pg.Err)
-	}
-}
-
-// TestModuleAttachEntryNotSkippedByCache pins the cache-key contract
-// for module blobs: the entry name is part of the key, so attaching
-// the same bytes under a different entry re-verifies (and here fails)
-// instead of hitting the cache and dying at first fire.
-func TestModuleAttachEntryNotSkippedByCache(t *testing.T) {
-	s := boot(t, core.Options{})
-	mod, err := kprobe.BuildModule(kprobe.Spec{Source: aggSrc, Maps: aggMaps})
-	if err != nil {
-		t.Fatalf("build module: %v", err)
-	}
-	enc := minic.EncodeModule(mod)
-	spec := kprobe.Spec{Tracepoint: kprobe.TpSyscallExit, Module: enc, Maps: aggMaps}
+	spec := kprobe.Spec{Tracepoint: kprobe.TpSyscallExit, Source: aggSrc, Maps: aggMaps}
 	if _, _, err := s.Probes.Attach(spec); err != nil {
-		t.Fatalf("module attach: %v", err)
+		t.Fatalf("attach: %v", err)
 	}
 	bad := spec
 	bad.Entry = "nosuch"
 	if _, _, err := s.Probes.Attach(bad); err == nil {
-		t.Fatal("same module bytes with a bogus entry attached via cache hit")
+		t.Fatal("same source with a bogus entry attached via cache hit")
 	} else if !strings.Contains(err.Error(), "not defined") {
 		t.Fatalf("rejection %q does not name the missing entry", err)
+	}
+	if s.Probes.CacheHits != 0 {
+		t.Fatalf("bogus entry hit the cache (hits = %d)", s.Probes.CacheHits)
 	}
 }
 
@@ -799,23 +659,17 @@ func TestRejectedAttachChargesVerification(t *testing.T) {
 	}
 }
 
-// TestProbeAttachModuleCopiesBytesIn: a pre-compiled module crosses
-// the boundary like source does, so probe_attach's copyin counts its
-// bytes.
-func TestProbeAttachModuleCopiesBytesIn(t *testing.T) {
+// TestProbeAttachCopiesBytesIn: probe_attach's copyin counts the
+// program source it carries across the boundary.
+func TestProbeAttachCopiesBytesIn(t *testing.T) {
 	s := boot(t, core.Options{})
-	mod, err := kprobe.BuildModule(kprobe.Spec{Source: aggSrc, Maps: aggMaps})
-	if err != nil {
-		t.Fatalf("build module: %v", err)
-	}
-	enc := minic.EncodeModule(mod)
 	p := s.Spawn("ctl", func(pr *sys.Proc) error {
 		before := s.K.BytesIn
-		if _, err := pr.ProbeAttach(kprobe.Spec{Tracepoint: kprobe.TpSyscallExit, Module: enc, Maps: aggMaps}); err != nil {
+		if _, err := pr.ProbeAttach(kprobe.Spec{Tracepoint: kprobe.TpSyscallExit, Source: aggSrc, Maps: aggMaps}); err != nil {
 			return err
 		}
-		if got := s.K.BytesIn - before; got < int64(len(enc)) {
-			t.Errorf("probe_attach of a %d-byte module copied in %d bytes", len(enc), got)
+		if got := s.K.BytesIn - before; got < int64(len(aggSrc)) {
+			t.Errorf("probe_attach of %d bytes of source copied in %d bytes", len(aggSrc), got)
 		}
 		return nil
 	})

@@ -2,6 +2,8 @@ package kprobe
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
 	"repro/internal/kcheck"
 	"repro/internal/minic"
@@ -46,6 +48,16 @@ var helpers = map[string]helperSig{
 	"now":        {args: 0, mapID: -1},
 	"map_add":    {args: 3, mapID: 0, kind: MapHash},
 	"map_hist":   {args: 3, mapID: 0, kind: MapHist},
+}
+
+// helperNames lists the helper ABI, sorted, for diagnostics.
+func helperNames() string {
+	names := make([]string, 0, len(helpers))
+	for n := range helpers {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return strings.Join(names, ", ")
 }
 
 // verify statically checks fn against the probe sandbox rules:
@@ -95,7 +107,7 @@ func verify(fn *minic.Fn, maps []MapSpec) error {
 		case minic.OpCall:
 			h, ok := helpers[in.Sym]
 			if !ok {
-				return &VerifyError{fn.Name, pc, fmt.Sprintf("call to %q outside the helper ABI (allowed: ctx_pid, ctx_nr, ctx_arg, ctx_cycles, now, map_add, map_hist)", in.Sym)}
+				return &VerifyError{fn.Name, pc, fmt.Sprintf("call to %q outside the helper ABI (allowed: %s)", in.Sym, helperNames())}
 			}
 			if len(in.Args) != h.args {
 				return &VerifyError{fn.Name, pc, fmt.Sprintf("%s takes %d arguments, got %d", in.Sym, h.args, len(in.Args))}

@@ -58,7 +58,7 @@ func TestVerifierDiagnostics(t *testing.T) {
 			name: "call outside ABI",
 			src: `int other() { return 1; }
 			      int probe() { return other(); }`,
-			want: `call to "other" outside the helper ABI (allowed: ctx_pid, ctx_nr, ctx_arg, ctx_cycles, now, map_add, map_hist)`,
+			want: `call to "other" outside the helper ABI (allowed: ctx_arg, ctx_cycles, ctx_nr, ctx_pid, map_add, map_hist, now)`,
 		},
 		{
 			name: "helper arity",

@@ -9,8 +9,8 @@ import (
 // Module/Funcode containers and the compiler from IR. The design
 // follows the eBPF idiom the paper leans on — verify once at the IR
 // level, compile to a flat integer-opcode instruction array, execute
-// a tight dispatch loop (vm.go), serialize and cache the admitted
-// artifact (encode.go, cache.go).
+// a tight dispatch loop (vm.go), and cache the admitted module under
+// a content hash of its source (cache.go).
 //
 // Compilation is strictly 1:1: every IR instruction (nops and markers
 // included) becomes exactly one VInstr at the same index. That
@@ -128,9 +128,8 @@ const (
 )
 
 // vopWeight is the number of IR instructions each opcode stands for;
-// the VM advances Steps by this weight. Indexed by the full uint8
-// range so a hostile opcode byte can never index out of bounds.
-var vopWeight [256]uint8
+// the VM advances Steps by this weight.
+var vopWeight [NumVOps]uint8
 
 func init() {
 	for i := range vopWeight {
@@ -174,10 +173,8 @@ type VInstr struct {
 	Op VOp
 	Sz uint8 // access size for loads/stores/checks
 	// Wt caches vopWeight[Op] so the eval loop charges the step budget
-	// without a side-table load. It is derived state: buildIndex — the
-	// single funnel both CompileUnit and DecodeModule pass through —
-	// recomputes it, and the encoder never serializes it, so wire input
-	// cannot smuggle a bogus weight.
+	// without a side-table load. It is derived state: CompileUnit sets
+	// it from Op.
 	Wt  uint8
 	Dst int32
 	A   int32
@@ -211,16 +208,13 @@ type Funcode struct {
 	Objs []FrameObj
 }
 
-// Module is a compiled, serializable minic unit: the artifact a
-// content-hash cache stores and probe attach re-uses. A Module is
-// immutable once built — concurrent VMs may share one.
+// Module is a compiled minic unit: the artifact a content-hash cache
+// stores and probe attach re-uses. A Module is immutable once built —
+// concurrent VMs may share one.
 type Module struct {
 	Funcs []*Funcode
 	// Builtins are the builtin names VCall references by slot.
 	Builtins []string
-	// SrcInsns is the pre-instrumentation instruction count the
-	// builder recorded (what attach-time verification charges for).
-	SrcInsns int
 
 	index map[string]int
 }
@@ -250,16 +244,6 @@ func (m *Module) Names() []string {
 	return names
 }
 
-func (m *Module) buildIndex() {
-	m.index = make(map[string]int, len(m.Funcs))
-	for i, fc := range m.Funcs {
-		m.index[fc.Name] = i
-		for j := range fc.Code {
-			fc.Code[j].Wt = vopWeight[fc.Code[j].Op]
-		}
-	}
-}
-
 // CompileUnit compiles every function of an IR unit (typically
 // already optimized and KGCC-instrumented — elided checks simply do
 // not exist in the IR, and retained checks become explicit VCheck /
@@ -276,9 +260,12 @@ func CompileUnit(u *Unit) (*Module, error) {
 		if err != nil {
 			return nil, err
 		}
+		for j := range fc.Code {
+			fc.Code[j].Wt = vopWeight[fc.Code[j].Op]
+		}
 		m.Funcs = append(m.Funcs, fc)
 	}
-	m.buildIndex()
+	m.index = fidx
 	return m, nil
 }
 
@@ -494,228 +481,6 @@ func accessSize(size int) uint8 {
 		return 1
 	}
 	return 8
-}
-
-// Validate structurally checks a module: register and jump-target
-// bounds, callee and builtin-slot indices, argument-pool ranges, and
-// position-table shape. Decode calls it on every decoded module, so a
-// validated module can never make the VM index out of range.
-func (m *Module) Validate() error {
-	for fi, fc := range m.Funcs {
-		if fc == nil {
-			return fmt.Errorf("minic: module: nil function %d", fi)
-		}
-		if fc.Name == "" {
-			return fmt.Errorf("minic: module: function %d has no name", fi)
-		}
-		if fc.NumRegs < 0 || fc.NumRegs > maxRegs {
-			return fmt.Errorf("minic: module %s: %d registers out of range", fc.Name, fc.NumRegs)
-		}
-		if fc.FrameSize < 0 || fc.FrameSize > maxFrameSize {
-			return fmt.Errorf("minic: module %s: frame size %d out of range", fc.Name, fc.FrameSize)
-		}
-		if fc.NumParams != len(fc.ParamRegs) {
-			return fmt.Errorf("minic: module %s: %d params but %d param registers", fc.Name, fc.NumParams, len(fc.ParamRegs))
-		}
-		if len(fc.Pos) != len(fc.Code) {
-			return fmt.Errorf("minic: module %s: position table length %d != code length %d", fc.Name, len(fc.Pos), len(fc.Code))
-		}
-		reg := func(r int32) bool { return r >= 0 && int(r) < fc.NumRegs }
-		for _, r := range fc.ParamRegs {
-			if !reg(r) {
-				return fmt.Errorf("minic: module %s: param register r%d out of range", fc.Name, r)
-			}
-		}
-		for _, o := range fc.Objs {
-			if o.Off < 0 || o.Size < 0 || o.Off+o.Size > fc.FrameSize {
-				return fmt.Errorf("minic: module %s: frame object %q [%d,%d) outside frame of %d bytes",
-					fc.Name, o.Name, o.Off, o.Off+o.Size, fc.FrameSize)
-			}
-		}
-		for pc := range fc.Code {
-			in := &fc.Code[pc]
-			bad := func(what string) error {
-				return fmt.Errorf("minic: module %s pc=%d (%s): bad %s", fc.Name, pc, in.Op, what)
-			}
-			if in.Src < 0 || int(in.Src) > maxCodeLen {
-				return bad("source pc")
-			}
-			switch in.Op {
-			case VNop:
-			case VConst, VFrame:
-				if !reg(in.Dst) {
-					return bad("dst register")
-				}
-			case VStr:
-				if !reg(in.Dst) {
-					return bad("dst register")
-				}
-				if in.Imm < 0 || in.Imm >= int64(len(fc.Strings)) {
-					return bad("string index")
-				}
-			case VMov, VNeg, VNot, VBnot:
-				if !reg(in.Dst) || !reg(in.A) {
-					return bad("register")
-				}
-			case VAdd, VSub, VMul, VDiv, VMod, VAnd, VOr, VXor, VShl, VShr,
-				VEq, VNe, VLt, VLe, VGt, VGe, VArith:
-				if !reg(in.Dst) || !reg(in.A) || !reg(in.B) {
-					return bad("register")
-				}
-			case VLoad1, VLoad8:
-				if !reg(in.Dst) || !reg(in.A) {
-					return bad("register")
-				}
-			case VStore1, VStore8:
-				if !reg(in.A) || !reg(in.B) {
-					return bad("register")
-				}
-			case VCheck:
-				if !reg(in.A) {
-					return bad("register")
-				}
-				if in.Sz != 1 && in.Sz != 8 {
-					return bad("access size")
-				}
-			case VJump, VBrz:
-				if in.Op == VBrz && !reg(in.A) {
-					return bad("register")
-				}
-				// A jump to len(code) falls off the end (implicit return
-				// 0), matching the interpreter's loop condition.
-				if in.Imm < 0 || in.Imm > int64(len(fc.Code)) {
-					return bad("jump target")
-				}
-			case VRet:
-				if in.A >= 0 && !reg(in.A) {
-					return bad("register")
-				}
-			case VCall:
-				if in.Dst >= 0 && !reg(in.Dst) {
-					return bad("dst register")
-				}
-				if in.B < 0 || in.A < 0 || int(in.A)+int(in.B) > len(fc.Args) {
-					return bad("argument pool range")
-				}
-				for _, r := range fc.Args[in.A : in.A+in.B] {
-					if !reg(r) {
-						return bad("argument register")
-					}
-				}
-				if in.Imm >= 0 {
-					if in.Imm >= int64(len(m.Funcs)) {
-						return bad("callee index")
-					}
-				} else if -(in.Imm + 1) >= int64(len(m.Builtins)) {
-					return bad("builtin slot")
-				}
-			case VAddI, VSubI, VMulI, VAndI, VOrI, VXorI, VShlI, VShrI,
-				VEqI, VNeI, VLtI, VLeI, VGtI, VGeI:
-				if !reg(in.Dst) || !reg(in.A) {
-					return bad("register")
-				}
-			case VDivI, VModI:
-				if !reg(in.Dst) || !reg(in.A) {
-					return bad("register")
-				}
-				if in.Imm == 0 {
-					return bad("zero divisor immediate")
-				}
-			case VBrEq, VBrNe, VBrLt, VBrLe, VBrGt, VBrGe:
-				if !reg(in.A) || !reg(in.B) {
-					return bad("register")
-				}
-				if in.Imm < 0 || in.Imm > int64(len(fc.Code)) {
-					return bad("jump target")
-				}
-			case VBrEqI, VBrNeI, VBrLtI, VBrLeI, VBrGtI, VBrGeI:
-				if !reg(in.A) {
-					return bad("register")
-				}
-				if in.Dst < 0 || int(in.Dst) > len(fc.Code) {
-					return bad("jump target")
-				}
-			default:
-				return bad("opcode")
-			}
-		}
-	}
-	return nil
-}
-
-// CoverageGap reports the first memory access FirstUncheckedAccess
-// found that is not structurally protected by its own check opcode.
-type CoverageGap struct {
-	// PC is the bytecode index of the unprotected access.
-	PC int
-	// Reason describes why the access is unprotected.
-	Reason string
-}
-
-// FirstUncheckedAccess structurally verifies that every memory access
-// in the function carries its own guard: each VLoad*/VStore* must be
-// immediately preceded by a VCheck of the same address register with
-// the same access size and kind, and no branch may target the access
-// itself (which would enter the code after the check). It returns nil
-// when the function is fully covered, else the first gap.
-//
-// FullChecks instrumentation compiles to exactly this shape — the
-// check is inserted directly before each access, branch targets are
-// remapped onto the check, and fusion never separates the pair — so
-// every fully-instrumented module passes. Bytecode that arrives
-// without provenance (a shipped .kmod blob) can only be admitted
-// against a strict runtime object map if it passes this rule: the VM
-// itself does not consult the object map on loads and stores, only
-// VCheck opcodes do, so a module without them would read and write
-// the whole address space unchecked. Elided bytecode fails by design:
-// an elision proof lives in the kernel's own kcheck run over source
-// it compiled, not in the artifact.
-func (fc *Funcode) FirstUncheckedAccess() *CoverageGap {
-	n := len(fc.Code)
-	target := make([]bool, n+1)
-	for pc := range fc.Code {
-		in := &fc.Code[pc]
-		switch {
-		case in.Op == VJump || in.Op == VBrz || (in.Op >= VBrEq && in.Op <= VBrGe):
-			if in.Imm >= 0 && in.Imm <= int64(n) {
-				target[in.Imm] = true
-			}
-		case in.Op >= VBrEqI && in.Op <= VBrGeI:
-			if in.Dst >= 0 && int(in.Dst) <= n {
-				target[in.Dst] = true
-			}
-		}
-	}
-	for pc := range fc.Code {
-		in := &fc.Code[pc]
-		var size uint8
-		var kind int64
-		switch in.Op {
-		case VLoad1:
-			size, kind = 1, 0
-		case VLoad8:
-			size, kind = 8, 0
-		case VStore1:
-			size, kind = 1, 1
-		case VStore8:
-			size, kind = 8, 1
-		default:
-			continue
-		}
-		if pc == 0 {
-			return &CoverageGap{PC: pc, Reason: fmt.Sprintf("unchecked %s: no preceding check", in.Op)}
-		}
-		ck := &fc.Code[pc-1]
-		if ck.Op != VCheck || ck.A != in.A || ck.Sz != size || ck.Imm != kind {
-			return &CoverageGap{PC: pc, Reason: fmt.Sprintf(
-				"unchecked %s of r%d: every load/store must be immediately preceded by a matching check opcode", in.Op, in.A)}
-		}
-		if target[pc] {
-			return &CoverageGap{PC: pc, Reason: fmt.Sprintf(
-				"branch into %s at pc %d bypasses its check", in.Op, pc)}
-		}
-	}
-	return nil
 }
 
 // Disasm renders the module's bytecode with the position table, for

@@ -27,18 +27,6 @@ type KuSpec struct {
 	Entry string
 	// Checks are the KGCC instrumentation options.
 	Checks kgcc.Options
-	// Module, when non-empty, is an encoded pre-compiled module
-	// (minic.EncodeModule output) loaded instead of compiling Source.
-	// The kernel cannot re-derive kcheck's safety proofs from
-	// bytecode (an elided check simply does not exist in the
-	// artifact), so a pre-compiled extension is quarantined: it runs
-	// in its own private address space rather than the shared kucode
-	// space, its call graph is structurally checked for recursion,
-	// and whatever check opcodes it does carry still run against its
-	// object map. A module without checks can therefore corrupt only
-	// itself — an unchecked store lands in (or faults in) its private
-	// space and at worst kills the extension.
-	Module []byte
 }
 
 // entry is the spec's entry function name, defaulted.
@@ -53,9 +41,8 @@ func (spec KuSpec) entry() string {
 // extension that trips a check is dead and never runs again.
 type KuExt = kgcc.Prog[struct{}]
 
-// ku is the kernel's kucode loader, created on first ku_load. Its
-// shared address space holds source-admitted extensions; quarantined
-// module-admitted ones get private spaces.
+// ku is the kernel's kucode loader, created on first ku_load. Every
+// extension runs in its shared address space.
 func (k *Kernel) ku() *kgcc.Loader[struct{}] {
 	if k.Ku == nil {
 		k.Ku = kgcc.NewLoader[struct{}]("kucode", k.M.Phys, &k.M.Costs)
@@ -72,13 +59,13 @@ func (k *Kernel) KuExt(id int) (*KuExt, bool) {
 	return k.Ku.Lookup(0, id)
 }
 
-// KuLoad is the ku_load system call: copy the extension source (or
-// module) in, compile + analyze + instrument it kernel-side, and
-// install it. The returned id names the extension for the calling
-// process only. Load time charges a per-instruction static-analysis
-// cost (the same rate the kprobe verifier charges) plus the
-// interpreter setup; it is paid once, never on the call path, and a
-// rejected extension still pays for the analysis it got.
+// KuLoad is the ku_load system call: copy the extension source in,
+// compile + analyze + instrument it kernel-side, and install it. The
+// returned id names the extension for the calling process only. Load
+// time charges a per-instruction static-analysis cost (the same rate
+// the kprobe verifier charges) plus the interpreter setup; it is paid
+// once, never on the call path, and a rejected extension still pays
+// for the analysis it got.
 //
 // Loading rejects extensions the kcheck unit analysis proves unsafe
 // to host: recursive call cycles (unbounded kernel stack) and
@@ -87,7 +74,7 @@ func (k *Kernel) KuExt(id int) (*KuExt, bool) {
 // exactly the layering the paper prescribes ("static analysis should
 // be used to reduce runtime checking").
 func (pr *Proc) KuLoad(spec KuSpec) (int, error) {
-	in := len(spec.Source) + len(spec.Entry) + len(spec.Module) + 8
+	in := len(spec.Source) + len(spec.Entry) + 8
 	pr.enter(NrKuLoad, in)
 	e, cost, err := pr.K.ku().Load(KuSpecKey(spec), spec.entry(), func() (kgcc.Admission, error) { return admitKu(spec) })
 	if err == nil {
@@ -103,61 +90,22 @@ func (pr *Proc) KuLoad(spec KuSpec) (int, error) {
 	return e.ID, nil
 }
 
-// KuSpecKey derives the content-hash cache key for a ku_load spec:
-// entry plus module bytes when pre-compiled, otherwise a hash over
-// entry, source text, and the check options (different elision layers
-// produce different bytecode, so they are different modules). The
-// entry is part of the key in both forms because a cache hit skips
-// admission, and admission verifies the entry against the content —
-// the same bytes under a different entry are a different admission.
-// kucode names its -cachedir files by this key.
+// KuSpecKey derives the content-hash cache key for a ku_load spec: a
+// hash over entry, source text, and the check options (different
+// elision layers produce different bytecode, so they are different
+// modules). The entry is part of the key because a cache hit skips
+// admission, and admission verifies the entry against the source —
+// the same source under a different entry is a different admission.
 func KuSpecKey(spec KuSpec) minic.CacheKey {
-	if len(spec.Module) > 0 {
-		return minic.HashParts("kucode-module-v1", spec.entry(), string(spec.Module))
-	}
 	return minic.HashParts("kucode-v1", spec.entry(), spec.Source, spec.Checks.CacheString())
 }
 
-// BuildKuModule runs the ku_load admission pipeline host-side —
-// compile, kcheck safety analysis, KGCC instrumentation, bytecode
-// compilation — and returns the module the kernel would cache, so
-// user space (kucode -emit) can pre-compile extensions and ship the
-// encoded artifact.
-func BuildKuModule(spec KuSpec) (*minic.Module, error) {
-	a, err := admitKu(spec)
-	return a.Mod, err
-}
-
-// admitKu is ku_load's admission function: compile (or decode),
-// reject what the kcheck unit analysis proves unsafe to host,
-// instrument, and compile to bytecode. A rejection after analysis
-// carries the analyzed instruction count so the load charges for it.
-//
-// The two branches mirror the two safety stories. Source admission
-// runs the kernel's own analysis, so its rejections (recursion,
-// provable oob) and its elision proofs are trusted, and the
-// extension may share the kucode address space. Module admission
-// gets opaque bytecode: the decode is defensively validated, the
-// unbounded-kernel-stack rejection is re-derived structurally (a
-// call-graph cycle is visible in bytecode even if nothing else is),
-// and everything the kernel cannot re-prove is answered by
-// quarantine — the extension runs in a private address space where
-// an unchecked access can only hurt itself.
+// admitKu is ku_load's admission function: compile, reject what the
+// kcheck unit analysis proves unsafe to host, instrument, and compile
+// to bytecode. A rejection after analysis carries the analyzed
+// instruction count so the load charges for it.
 func admitKu(spec KuSpec) (kgcc.Admission, error) {
 	entry := spec.entry()
-	if len(spec.Module) > 0 {
-		mod, err := minic.DecodeModule(spec.Module)
-		if err != nil {
-			return kgcc.Admission{}, fmt.Errorf("sys: ku_load: %w", err)
-		}
-		if mod.Fn(entry) == nil {
-			return kgcc.Admission{}, fmt.Errorf("sys: ku_load: entry function %q not defined", entry)
-		}
-		if cyc := moduleCallCycle(mod); cyc != "" {
-			return kgcc.Admission{}, fmt.Errorf("sys: ku_load rejected: pre-compiled module: recursion through %q (unbounded kernel stack)", cyc)
-		}
-		return kgcc.Admission{Mod: mod, Insns: mod.SrcInsns, Private: true}, nil
-	}
 	unit, err := minic.CompileSource(spec.Source)
 	if err != nil {
 		return kgcc.Admission{}, fmt.Errorf("sys: ku_load compile: %w", err)
@@ -183,50 +131,7 @@ func admitKu(spec KuSpec) (kgcc.Admission, error) {
 	if err != nil {
 		return kgcc.Admission{Insns: insns}, fmt.Errorf("sys: ku_load: %w", err)
 	}
-	mod.SrcInsns = insns
 	return kgcc.Admission{Mod: mod, Insns: insns, Stats: stats, Report: rep}, nil
-}
-
-// moduleCallCycle detects recursion structurally on bytecode: it
-// returns the name of a function on a unit-internal call cycle, or ""
-// when the module's call graph is acyclic. This is the module-branch
-// analogue of the kcheck recursion rejection the source branch runs —
-// the one unit-level safety property that is still fully visible in
-// compiled code.
-func moduleCallCycle(m *minic.Module) string {
-	const (
-		white = iota // unvisited
-		grey         // on the current DFS path
-		black        // fully explored
-	)
-	color := make([]uint8, len(m.Funcs))
-	var cyc string
-	var visit func(i int) bool
-	visit = func(i int) bool {
-		color[i] = grey
-		for pc := range m.Funcs[i].Code {
-			in := &m.Funcs[i].Code[pc]
-			if in.Op != minic.VCall || in.Imm < 0 {
-				continue
-			}
-			j := int(in.Imm)
-			if color[j] == grey {
-				cyc = m.Funcs[j].Name
-				return true
-			}
-			if color[j] == white && visit(j) {
-				return true
-			}
-		}
-		color[i] = black
-		return false
-	}
-	for i := range m.Funcs {
-		if color[i] == white && visit(i) {
-			return cyc
-		}
-	}
-	return ""
 }
 
 // OpKuCall names the operation each ku_call opens: a request of its

@@ -10,7 +10,6 @@ import (
 	"repro/internal/kprobe"
 	"repro/internal/kring"
 	"repro/internal/mem"
-	"repro/internal/minic"
 	"repro/internal/sim"
 )
 
@@ -200,110 +199,21 @@ func TestKuCallUnknownExtension(t *testing.T) {
 	})
 }
 
-// TestKuLoadModuleRejectsRecursion: the structural call-graph check on
-// pre-compiled modules is the bytecode analogue of kcheck's recursion
-// rejection on source — a self-calling module must not load.
-func TestKuLoadModuleRejectsRecursion(t *testing.T) {
+// TestKuLoadEntryNotSkippedByCache pins the cache-key contract: the
+// entry name is folded into the key, so loading the same source under
+// a different entry re-runs admission (and fails on the missing
+// function) instead of hitting the cache.
+func TestKuLoadEntryNotSkippedByCache(t *testing.T) {
 	m, k := env()
-	rec := &minic.Module{
-		SrcInsns: 2,
-		Funcs: []*minic.Funcode{{
-			Name:    "main",
-			NumRegs: 1,
-			Code: []minic.VInstr{
-				{Op: minic.VCall, Dst: -1, A: 0, B: 0, Imm: 0},
-				{Op: minic.VRet, A: -1},
-			},
-			Pos: make([]minic.Pos, 2),
-		}},
-	}
-	enc := minic.EncodeModule(rec)
+	spec := KuSpec{Source: `int main() { return 1; }`, Checks: kgcc.FullChecks()}
 	run(t, m, k, func(pr *Proc) error {
-		if _, err := pr.KuLoad(KuSpec{Module: enc}); err == nil {
-			t.Error("recursive module loaded")
-		} else if !strings.Contains(err.Error(), "recursion") {
-			t.Errorf("rejection %q does not name the recursion", err)
-		}
-		return nil
-	})
-}
-
-// TestKuLoadModuleQuarantine pins the containment story for
-// pre-compiled modules: the kernel cannot re-derive KGCC proofs from
-// bytecode, so a decoded module runs in a private address space. A
-// hostile checkless store can corrupt only its own sandbox — memory
-// belonging to source-loaded extensions in the shared kucode space is
-// untouched and they keep working.
-func TestKuLoadModuleQuarantine(t *testing.T) {
-	m, k := env()
-	hostile := &minic.Module{
-		SrcInsns: 3,
-		Funcs: []*minic.Funcode{{
-			Name:      "main",
-			NumParams: 1,
-			ParamRegs: []int32{0},
-			NumRegs:   2,
-			Code: []minic.VInstr{
-				{Op: minic.VConst, Dst: 1, Imm: 0x55},
-				{Op: minic.VStore8, Sz: 8, A: 0, B: 1},
-				{Op: minic.VRet, A: -1},
-			},
-			Pos: make([]minic.Pos, 3),
-		}},
-	}
-	enc := minic.EncodeModule(hostile)
-	run(t, m, k, func(pr *Proc) error {
-		victim, err := pr.KuLoad(KuSpec{Source: `int main() { return 7; }`, Checks: kgcc.KcheckOptions()})
-		if err != nil {
+		if _, err := pr.KuLoad(spec); err != nil {
 			return err
 		}
-		// Plant a sentinel in the shared kucode space, at an address the
-		// hostile module will aim its unchecked store at.
-		sentinel, err := k.Ku.AS.MapRegion(1, mem.PermRW)
-		if err != nil {
-			return err
-		}
-		if err := k.Ku.AS.WriteU64(sentinel, 0xA5A5); err != nil {
-			return err
-		}
-		hid, err := pr.KuLoad(KuSpec{Module: enc})
-		if err != nil {
-			return err
-		}
-		// The store either faults in the private space or lands there;
-		// either way the shared space must be unscathed.
-		_, _ = pr.KuCall(hid, int64(sentinel))
-		got, err := k.Ku.AS.ReadU64(sentinel)
-		if err != nil {
-			return err
-		}
-		if got != 0xA5A5 {
-			t.Errorf("quarantined module reached the shared kucode space: sentinel = %#x", got)
-		}
-		if v, err := pr.KuCall(victim); err != nil || v != 7 {
-			t.Errorf("victim extension after hostile call: v=%d err=%v", v, err)
-		}
-		return nil
-	})
-}
-
-// TestKuLoadModuleEntryNotSkippedByCache pins the cache-key contract:
-// the entry name is folded into the module-blob key, so loading the
-// same bytes under a different entry re-runs admission (and fails on
-// the missing function) instead of hitting the cache.
-func TestKuLoadModuleEntryNotSkippedByCache(t *testing.T) {
-	m, k := env()
-	mod, err := BuildKuModule(KuSpec{Source: `int main() { return 1; }`, Checks: kgcc.FullChecks()})
-	if err != nil {
-		t.Fatalf("build ku module: %v", err)
-	}
-	enc := minic.EncodeModule(mod)
-	run(t, m, k, func(pr *Proc) error {
-		if _, err := pr.KuLoad(KuSpec{Module: enc}); err != nil {
-			return err
-		}
-		if _, err := pr.KuLoad(KuSpec{Module: enc, Entry: "nosuch"}); err == nil {
-			t.Error("same module bytes with a bogus entry loaded via cache hit")
+		bad := spec
+		bad.Entry = "nosuch"
+		if _, err := pr.KuLoad(bad); err == nil {
+			t.Error("same source with a bogus entry loaded via cache hit")
 		} else if !strings.Contains(err.Error(), "not defined") {
 			t.Errorf("rejection %q does not name the missing entry", err)
 		}
@@ -379,66 +289,89 @@ func TestKuCallForeignExtension(t *testing.T) {
 	}
 }
 
-// TestKuLoadModuleCopiesBytesIn: a pre-compiled module crosses the
-// boundary like source does, so ku_load's copyin counts its bytes.
-func TestKuLoadModuleCopiesBytesIn(t *testing.T) {
+// TestKuLoadCopiesBytesIn: ku_load's copyin counts the extension
+// source it carries across the boundary.
+func TestKuLoadCopiesBytesIn(t *testing.T) {
 	m, k := env()
-	mod, err := BuildKuModule(KuSpec{Source: `int main() { return 1; }`, Checks: kgcc.FullChecks()})
-	if err != nil {
-		t.Fatalf("build ku module: %v", err)
-	}
-	enc := minic.EncodeModule(mod)
+	const src = `int main() { return 1; }`
 	run(t, m, k, func(pr *Proc) error {
 		before := k.BytesIn
-		if _, err := pr.KuLoad(KuSpec{Module: enc}); err != nil {
+		if _, err := pr.KuLoad(KuSpec{Source: src, Checks: kgcc.FullChecks()}); err != nil {
 			return err
 		}
-		if got := k.BytesIn - before; got < int64(len(enc)) {
-			t.Errorf("ku_load of a %d-byte module copied in %d bytes", len(enc), got)
+		if got := k.BytesIn - before; got < int64(len(src)) {
+			t.Errorf("ku_load of %d bytes of source copied in %d bytes", len(src), got)
 		}
 		return nil
 	})
 }
 
-// FuzzModuleAdmission drives arbitrary bytes through both front ends
-// of the extension loader: as a ku_load module (then two ku_calls
-// aimed at a sentinel in the shared kucode space) and as a probe_attach
-// module at syscall_exit (then one fire and a probe_read). Every input
-// must end in a rejection, a value or a killed program; the process
-// must complete its next system call; and the sentinel, planted after
-// a source-loaded extension, must survive.
-func FuzzModuleAdmission(f *testing.F) {
-	const src = `
+// FuzzSourceAdmission drives arbitrary source text through both front
+// ends of the extension loader: as a ku_load extension under full
+// checks and under kcheck elision (each then called twice with every
+// argument aimed at a sentinel in the shared kucode space) and as a
+// probe_attach program with entry main at syscall_exit (then one fire
+// and a probe_read). Every input must end in a rejection, a value or
+// a killed program; the process must complete its next system call;
+// and the sentinel, planted after a first extension, must survive.
+func FuzzSourceAdmission(f *testing.F) {
+	for _, src := range []string{
+		`int main() { return 7; }`,
+		// Off-by-one: a runtime check kills it when n > 4.
+		`
 	int main(int n) {
 		int a[4];
 		int i;
 		for (i = 0; i < n; i++) { a[i] = i; }
 		return a[0];
-	}`
-	for _, opts := range []kgcc.Options{kgcc.FullChecks(), kgcc.KcheckOptions()} {
-		mod, err := BuildKuModule(KuSpec{Source: src, Checks: opts})
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(minic.EncodeModule(mod))
-	}
-	probeMaps := []kprobe.MapSpec{{Name: "lat", Kind: kprobe.MapHist}, {Name: "calls", Kind: kprobe.MapHash}}
-	mod, err := kprobe.BuildModule(kprobe.Spec{Source: `
-	int probe() {
+	}`,
+		// The latency-aggregation probe.
+		`
+	int main() {
 		int k;
 		k = ctx_pid() * 256 + ctx_nr();
 		map_hist(0, k, ctx_cycles());
 		map_add(1, k, 1);
 		return 0;
-	}`, Maps: probeMaps})
-	if err != nil {
-		f.Fatal(err)
+	}`,
+		// E10's packet filter.
+		`
+	int main(int seed, int rounds) {
+		int tab[64];
+		int pkt[32];
+		int i;
+		int r;
+		int sum = seed & 63;
+		for (i = 0; i < 64; i++) { tab[i] = 0; }
+		for (r = 0; r < rounds; r++) {
+			for (i = 0; i < 32; i++) { pkt[i] = (seed + r * 31 + i * 7) & 255; }
+			for (i = 0; i < 32; i++) { sum = sum + pkt[i]; }
+			tab[sum & 63] = tab[sum & 63] + 1;
+		}
+		int *acc = malloc(64);
+		for (i = 0; i < 8; i++) { acc[i] = tab[i * 8]; }
+		sum = 0;
+		for (i = 0; i < 8; i++) { sum = sum + acc[i]; }
+		free(acc);
+		return sum;
+	}`,
+		// The dbscan anycall pump.
+		`
+	int main(int pos, int prev, int err, int blk) {
+		if (prev > 0) { return (blk * 8) + 2; }
+		return 0;
+	}`,
+		// Pointer escapes the probe verifier rejects.
+		`int main() { int x; x = 7; map_add(0, &x, 1); return 0; }`,
+		`int main() { int x; x = 7; return &x; }`,
+	} {
+		f.Add(src)
 	}
-	f.Add(minic.EncodeModule(mod))
-	f.Fuzz(func(t *testing.T, raw []byte) {
+	probeMaps := []kprobe.MapSpec{{Name: "lat", Kind: kprobe.MapHist}, {Name: "calls", Kind: kprobe.MapHash}}
+	f.Fuzz(func(t *testing.T, src string) {
 		m, k := env()
-		// A hostile module may malloc up to the machine's whole 884 MB
-		// of frames; a small pool for everything the fuzzed process and
+		// An extension may malloc up to the machine's whole 884 MB of
+		// frames; a small pool for everything the fuzzed process and
 		// the loaders map keeps a fuzz worker's host memory bounded.
 		m.Phys = mem.NewPhys(16 << 20)
 		k.Probes = kprobe.NewManager(m)
@@ -455,12 +388,15 @@ func FuzzModuleAdmission(f *testing.F) {
 			if err := k.Ku.AS.WriteU64(sentinel, magic); err != nil {
 				return err
 			}
-			if id, err := pr.KuLoad(KuSpec{Module: raw}); err == nil {
-				var args []int64
-				if dec, err := minic.DecodeModule(raw); err == nil {
-					for range dec.Fn("main").NumParams {
-						args = append(args, int64(sentinel))
-					}
+			for _, opts := range []kgcc.Options{kgcc.FullChecks(), kgcc.KcheckOptions()} {
+				id, err := pr.KuLoad(KuSpec{Source: src, Checks: opts})
+				if err != nil {
+					continue
+				}
+				ext, _ := k.KuExt(id)
+				args := make([]int64, ext.VM.Mod.Fn("main").NumParams)
+				for i := range args {
+					args[i] = int64(sentinel)
 				}
 				if _, err := pr.KuCall(id, args...); err != nil {
 					if _, err := pr.KuCall(id, args...); !errors.Is(err, ErrKuDead) {
@@ -470,7 +406,7 @@ func FuzzModuleAdmission(f *testing.F) {
 					_, _ = pr.KuCall(id, args...)
 				}
 			}
-			pspec := kprobe.Spec{Tracepoint: kprobe.TpSyscallExit, Module: raw, Maps: probeMaps}
+			pspec := kprobe.Spec{Tracepoint: kprobe.TpSyscallExit, Source: src, Entry: "main", Maps: probeMaps}
 			if id, err := pr.ProbeAttach(pspec); err == nil {
 				pr.Getpid()
 				buf, err := pr.Mmap(1 << 16)
@@ -478,7 +414,7 @@ func FuzzModuleAdmission(f *testing.F) {
 					return err
 				}
 				if _, err := pr.ProbeRead(id, buf); err != nil {
-					t.Errorf("probe_read of an attached module: %v", err)
+					t.Errorf("probe_read of an attached program: %v", err)
 				}
 			}
 			if pid := pr.Getpid(); pid != p.PID {
@@ -489,12 +425,12 @@ func FuzzModuleAdmission(f *testing.F) {
 				return err
 			}
 			if got != magic {
-				t.Errorf("module reached the shared kucode space: sentinel = %#x", got)
+				t.Errorf("extension reached the shared kucode space: sentinel = %#x", got)
 			}
 			return nil
 		})
 		if err := m.Run(); err != nil {
-			t.Fatalf("module input crashed the kernel: %v", err)
+			t.Fatalf("source input crashed the kernel: %v", err)
 		}
 		if p.Err() != nil {
 			t.Fatalf("process did not complete: %v", p.Err())

@@ -14,10 +14,10 @@ import (
 var ErrNoProbes = errors.New("sys: kprobe subsystem not available")
 
 // probeSpecBytes models the copyin size of an attach spec: the
-// program source or module, a fixed header (tracepoint, entry,
-// counts), and the map declarations.
+// program source, a fixed header (tracepoint, entry, counts), and the
+// map declarations.
 func probeSpecBytes(spec kprobe.Spec) int {
-	n := len(spec.Source) + len(spec.Module) + len(spec.Entry) + 16
+	n := len(spec.Source) + len(spec.Entry) + 16
 	for _, m := range spec.Maps {
 		n += len(m.Name) + 2
 	}
