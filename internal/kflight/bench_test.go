@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"unsafe"
 
 	"repro/internal/kperf"
 	"repro/internal/sim"
@@ -68,9 +67,9 @@ func BenchmarkEpochClose(b *testing.B) {
 // TestRowLogsHoldRetainedRows closes 3·Retain epochs at the default
 // Retain, each moving a number of gauges, histograms and attribution
 // cells drawn from [0, 40], and bounds the bytes the closes allocate
-// by the most rows the ring retained at once plus two blocks per row
-// log: a block is recycled once every epoch with rows in it has been
-// evicted. Slots whose row arrays regrow per epoch exceed it. Every
+// by the most encoded row bytes the ring retained at once plus two
+// blocks: a block is recycled once every epoch with rows in it has
+// been evicted. Slots whose rows regrow per epoch exceed it. Every
 // retained epoch must still read its own rows afterwards.
 func TestRowLogsHoldRetainedRows(t *testing.T) {
 	const maxRows = 40
@@ -96,22 +95,14 @@ func TestRowLogsHoldRetainedRows(t *testing.T) {
 	tick()
 	tick()
 
-	// rows[k] are epoch k's gauge, histogram and attribution rows.
+	// rows[k] are epoch k's gauge, histogram and attribution rows, and
+	// size[k] the bytes they encode to.
 	rows := [][3]int{{maxRows, 0, 0}, {0, 0, 0}}
 	rng := sim.NewRand(1)
 	for range 3 * retain {
 		rows = append(rows, [3]int{rng.Intn(maxRows + 1), rng.Intn(maxRows + 1), rng.Intn(maxRows + 1)})
 	}
-	var peak, held [3]int
-	for k, n := range rows {
-		for log := range held {
-			held[log] += n[log]
-			if k >= retain {
-				held[log] -= rows[k-retain][log]
-			}
-			peak[log] = max(peak[log], held[log])
-		}
-	}
+	size := make([]int, len(rows))
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -131,18 +122,23 @@ func TestRowLogsHoldRetainedRows(t *testing.T) {
 			ps.Pop()
 		}
 		tick()
+		size[k] = len(r.ring.At(r.ring.Len() - 1).rows)
 	}
 	runtime.ReadMemStats(&after)
 
-	sizes := [3]int{int(unsafe.Sizeof(row{})), int(unsafe.Sizeof(histRow{})), int(unsafe.Sizeof(row{}))}
-	limit := 0
-	for log, size := range sizes {
-		limit += (peak[log] + 2*blockRows) * size
+	var peak, held int
+	for k, n := range size {
+		held += n
+		if k >= retain {
+			held -= size[k-retain]
+		}
+		peak = max(peak, held)
 	}
+	limit := peak + 2*blockBytes
 	got := int(after.TotalAlloc - before.TotalAlloc)
-	t.Logf("%d closes allocated %d bytes; peak retained rows %v, limit %d bytes", 3*retain, got, peak, limit)
+	t.Logf("%d closes allocated %d bytes; peak retained row bytes %d, limit %d bytes", 3*retain, got, peak, limit)
 	if got > limit {
-		t.Errorf("%d closes allocated %d bytes, want at most %d: peak retained rows %v plus two blocks per log",
+		t.Errorf("%d closes allocated %d bytes, want at most %d: peak retained row bytes %d plus two blocks",
 			3*retain, got, limit, peak)
 	}
 
@@ -175,42 +171,108 @@ func TestRowLogsHoldRetainedRows(t *testing.T) {
 	}
 }
 
+// TestRingFillAllocBound fills a fresh recorder's default ring with
+// PostMark's mix of rows, about 6 gauges, 2 histograms and 2
+// attribution cells an epoch at PostMark's magnitudes, and bounds what
+// the closes allocate: the rows, at a few bytes each, plus the blocks'
+// slack. The typed row logs took about 860 KB.
+func TestRingFillAllocBound(t *testing.T) {
+	const limit = 300 << 10
+	r, set := newTestRecorder(Config{})
+	var calls, reads, writes, hits, misses, switches int64
+	for name, v := range map[string]*int64{
+		"sys.calls.total": &calls, "sys.calls.read": &reads, "sys.calls.write": &writes,
+		"io.cache.hits": &hits, "io.cache.misses": &misses, "sched.ctx_switches": &switches,
+	} {
+		set.Reg.GaugeVar(name, v)
+	}
+	disk := set.Reg.Histogram("disk.access.cycles")
+	ps := set.NewProc(1, "postmark")
+	rng := sim.NewRand(1)
+	now := sim.Cycles(0)
+	step := func() {
+		calls += 2 + int64(rng.Intn(4))
+		reads += int64(rng.Intn(2))
+		writes += 1 + int64(rng.Intn(2))
+		hits += int64(rng.Intn(3))
+		misses++
+		switches += 2
+		ps.SyscallEnter(3, now)
+		ps.OnCycles(sim.Cycles(20_000+rng.Intn(40_000)), true)
+		ps.SyscallExit(now + 30_000)
+		disk.Observe(sim.Cycles(5_000_000 + rng.Intn(10_000_000)))
+		ps.OnCycles(sim.Cycles(2_000+rng.Intn(8_000)), false)
+		now += r.cfg.EpochCycles
+		r.Tick(now)
+	}
+	step() // sizes the recorder's samples
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range r.cfg.Retain - 1 {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	got := int(after.TotalAlloc - before.TotalAlloc)
+
+	var bytes int
+	for i := range r.ring.Len() {
+		bytes += len(r.ring.At(i).rows)
+	}
+	t.Logf("%d closes allocated %d bytes for %d bytes of rows", r.cfg.Retain-1, got, bytes)
+	if got > limit {
+		t.Errorf("filling the ring allocated %d bytes, want at most %d", got, limit)
+	}
+	e := r.Epochs()[r.ring.Len()-1]
+	if len(e.Gauges) != 6 || len(e.Hists) != 2 || len(e.Attr) != 2 {
+		t.Fatalf("epoch holds %d gauge, %d histogram and %d attribution rows, want 6, 2 and 2",
+			len(e.Gauges), len(e.Hists), len(e.Attr))
+	}
+}
+
 // TestRowLogOversizedEpoch gives one epoch more rows than a block
 // holds: it gets a larger block, and the epochs around it keep their
 // rows as blocks are recycled.
 func TestRowLogOversizedEpoch(t *testing.T) {
-	var l rowLog[row]
-	fill := func(seq, evicted int64, n int) []row {
+	// A gauge row of index gap 0 and a value below 64 encodes in two
+	// bytes, so a block holds at most perBlock of them.
+	const perBlock = blockBytes / 2
+	var l rowLog
+	fill := func(seq, evicted int64, n int) storedEpoch {
 		l.open(evicted)
 		for i := range n {
-			l.add(row{i, seq})
+			l.gauge(i, seq)
 		}
-		return l.close(seq)
+		var e storedEpoch
+		e.rows, e.n = l.close(seq)
+		return e
 	}
-	check := func(rs []row, seq int64, n int) {
+	check := func(e storedEpoch, seq int64, n int) {
 		t.Helper()
-		if len(rs) != n {
-			t.Fatalf("epoch %d holds %d rows, want %d", seq, len(rs), n)
+		if len(e.rows) != 2*n || e.n != [nRowKinds]int32{gaugeRow: int32(n)} {
+			t.Fatalf("epoch %d holds %d bytes in %v rows, want %d gauge rows", seq, len(e.rows), e.n, n)
 		}
-		for i, rw := range rs {
-			if rw != (row{i, seq}) {
-				t.Fatalf("epoch %d row %d = %+v", seq, i, rw)
+		read := 0
+		e.decode(func(i int, v int64) {
+			if i != read || v != seq {
+				t.Fatalf("epoch %d row %d = gauge %d at %d", seq, read, i, v)
 			}
-		}
+			read++
+		}, nil, nil)
 	}
 	small := fill(0, 0, 10)
-	big := fill(1, 0, 2*blockRows+1)
-	if fill(2, 0, 0) != nil {
+	big := fill(1, 0, 2*perBlock+1)
+	if e := fill(2, 0, 0); e.rows != nil {
 		t.Fatal("an epoch without rows holds some")
 	}
-	next := fill(3, 0, blockRows-1)
+	next := fill(3, 0, perBlock-maxRowBytes)
 	check(small, 0, 10)
-	check(big, 1, 2*blockRows+1)
-	check(next, 3, blockRows-1)
+	check(big, 1, 2*perBlock+1)
+	check(next, 3, perBlock-maxRowBytes)
 	// Epochs 0 to 2 are evicted: their blocks may be recycled, and
 	// epoch 3's rows must survive it.
 	for seq := int64(4); seq < 8; seq++ {
-		check(fill(seq, 3, blockRows/2), seq, blockRows/2)
-		check(next, 3, blockRows-1)
+		check(fill(seq, 3, perBlock/2), seq, perBlock/2)
+		check(next, 3, perBlock-maxRowBytes)
 	}
 }

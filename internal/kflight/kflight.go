@@ -28,9 +28,11 @@
 package kflight
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"sort"
 
@@ -102,7 +104,8 @@ func (c Config) withDefaults() Config {
 // HistDelta is one histogram's movement across an epoch: how many
 // observations it gained and what they summed to, plus the cumulative
 // quantile triple at epoch close (quantiles don't delta; the triple
-// comes with the registry's sample, computed by kperf.Quantiles).
+// comes with the registry's sample, from the marks each histogram
+// keeps, and equals what kperf.Quantiles computes from its buckets).
 type HistDelta struct {
 	Count int64 `json:"count"`
 	Sum   int64 `json:"sum"`
@@ -122,9 +125,10 @@ type AttrDelta struct {
 
 // Epoch is one closed sampling window as readers see it. All maps hold
 // only entries that changed during the window (delta encoding). The
-// recorder keeps closed epochs in a dense form, rows of (index, value),
-// and builds an Epoch from them each time one is read — by Epochs, by a
-// postmortem, or by Record — so every Epoch a caller gets owns its maps.
+// recorder keeps closed epochs in a dense form, varint rows of (index
+// gap, values), and builds an Epoch from them each time one is read —
+// by Epochs, by a postmortem, or by Record — so every Epoch a caller
+// gets owns its maps.
 type Epoch struct {
 	Seq   int64      `json:"seq"`
 	Start sim.Cycles `json:"start"`
@@ -204,13 +208,15 @@ type Summary struct {
 }
 
 // MergeSummaries folds b into a (multi-machine experiments report one
-// combined summary): counts sum, peaks take the max.
+// combined summary): counts sum, peaks take the max. With a nil, it
+// returns a copy of b that shares nothing with it.
 func MergeSummaries(a *Summary, b *Summary) *Summary {
 	if a == nil {
 		if b == nil {
 			return nil
 		}
 		cp := *b
+		cp.Events = maps.Clone(b.Events)
 		return &cp
 	}
 	if b == nil {
@@ -264,21 +270,20 @@ type Recorder struct {
 
 	// Close state, indexed by registration order (metrics) and spawn
 	// order (processes). last is the registry read at the previous
-	// close and cur the read being closed; they swap after each close.
+	// close, which the next read compares against and replaces;
 	// lastAttr holds each process's attrCells cycle totals at the
 	// previous close.
-	last, cur kperf.Sample
-	procs     []*kperf.ProcState
-	lastAttr  []int64
-	scratch   []int64
+	last     kperf.Sample
+	lastAttr []sim.Cycles
 	// callsIdx is the index of callsGauge, -1 until registered;
-	// callsSearched is how many gauges the last search for it saw.
+	// callsSearched is how many gauges the last search for it saw, and
+	// lastCalls its value at the previous close.
 	callsIdx, callsSearched int
+	lastCalls               int64
 
-	// ring holds the retained epochs; their rows live in the logs.
-	ring              kperf.Window[storedEpoch]
-	gaugeLog, attrLog rowLog[row]
-	histLog           rowLog[histRow]
+	// ring holds the retained epochs; their rows live in log.
+	ring kperf.Window[storedEpoch]
+	log  rowLog
 
 	dumps        []Postmortem
 	dumpsSkipped int64
@@ -294,89 +299,136 @@ const attrCells = kperf.NModes * kperf.NSubsys
 // callsGauge is the gauge whose per-epoch delta is the syscall rate.
 const callsGauge = "sys.calls.total"
 
-// storedEpoch is a closed epoch as the ring keeps it. Each row pairs
-// an index with a value: a metric's registration index, or for
-// attribution process*attrCells + cell. Histogram rows carry their
-// quantiles, computed at close. The row slices are sub-slices of the
-// recorder's row logs. An epoch's sequence number is not stored: it is
-// the epoch's position among all the epochs written to the ring.
+// storedEpoch is a closed epoch as the ring keeps it: its rows,
+// encoded in the recorder's row log and held as a sub-slice of it, and
+// how many rows of each kind they are. An epoch's sequence number is
+// not stored: it is the epoch's position among all the epochs written
+// to the ring.
 type storedEpoch struct {
 	start, end sim.Cycles
 	ticks      int64
-	gauges     []row // end value
-	hists      []histRow
-	attr       []row // cycle delta
+	rows       []byte
+	n          [nRowKinds]int32
 }
 
-type row struct {
-	i int
-	v int64
-}
+// rowKind is the kind of a row: what its index names and which values
+// follow it.
+type rowKind uint8
 
-type histRow struct {
-	i int
-	d HistDelta
-}
+// The row kinds, in the order an epoch's rows come in. Each row is the
+// gap from the previous row of its kind's index (or from -1) as a
+// uvarint, then its values:
+//
+//   - a gauge row, the gauge's end value as a zigzag varint;
+//   - a histogram row, the count and sum deltas as uvarints and the
+//     bucket of each of p50, p90 and p99 as a byte;
+//   - an attribution row, indexed process*attrCells + cell, the
+//     cycle delta as a uvarint.
+//
+// A delta that is negative round-trips as its two's complement bits.
+const (
+	gaugeRow rowKind = iota
+	histRow
+	attrRow
+	nRowKinds
+)
 
-// blockRows is how many rows a row log's block holds.
-const blockRows = 4096
+// maxRowBytes is the longest a row's encoding can be: a histogram row
+// of three full varints and three bytes.
+const maxRowBytes = 3*binary.MaxVarintLen64 + 3
 
-// rowLog keeps one kind of row of the closed epochs, oldest first, in
-// blocks of blockRows rows, filled in epoch order. An epoch's rows are
+// blockBytes is how many bytes a row log's block holds.
+const blockBytes = 32 << 10
+
+// rowLog keeps the closed epochs' rows, oldest first, in blocks of
+// blockBytes bytes, filled in epoch order. An epoch's rows are
 // contiguous in one block, and its ring slot holds them as a
 // sub-slice. A block is recycled once every epoch with rows in it has
-// been evicted, so the log holds about the rows the ring retains plus
+// been evicted, so the log holds about the bytes the ring retains plus
 // two blocks, and a close into recycled blocks allocates nothing. An
 // epoch that alone outgrows a block gets a larger one.
-type rowLog[T any] struct {
+type rowLog struct {
 	// tail is the block rows are added to; the open epoch's rows begin
-	// at start. newest is the sequence number of the newest closed
-	// epoch with rows in it.
-	tail   []T
+	// at start, and n counts them by kind. last is the index of the
+	// open epoch's newest row. newest is the sequence number of the
+	// newest closed epoch with rows in the log.
+	tail   []byte
 	start  int
+	n      [nRowKinds]int32
+	last   int
 	newest int64
 	// full holds the earlier blocks, oldest first; free the recycled.
-	full []logBlock[T]
-	free [][]T
+	full []logBlock
+	free [][]byte
 	// evicted is the ring's Overwritten count once the open epoch has
 	// its slot: older epochs' rows are garbage.
 	evicted int64
 }
 
-type logBlock[T any] struct {
-	rows   []T
+type logBlock struct {
+	rows   []byte
 	newest int64
 }
 
 // open starts an epoch's rows.
-func (l *rowLog[T]) open(evicted int64) {
+func (l *rowLog) open(evicted int64) {
 	l.start, l.evicted = len(l.tail), evicted
+	l.n = [nRowKinds]int32{}
 }
 
-// add appends a row to the open epoch.
-func (l *rowLog[T]) add(v T) {
-	if len(l.tail) == cap(l.tail) {
+// index starts a row of kind k for index i, after reserving room for
+// the longest row. An epoch's rows come kind by kind, in the rowKind
+// order, and in increasing index order within a kind.
+func (l *rowLog) index(k rowKind, i int) {
+	if cap(l.tail)-len(l.tail) < maxRowBytes {
 		l.grow()
 	}
-	l.tail = append(l.tail, v)
+	prev := l.last
+	if l.n[k] == 0 {
+		prev = -1
+	}
+	l.tail = binary.AppendUvarint(l.tail, uint64(i-prev-1))
+	l.last = i
+	l.n[k]++
 }
 
-// close ends the open epoch, sequence number seq, and returns its rows.
-func (l *rowLog[T]) close(seq int64) []T {
+// gauge adds a gauge row: gauge i ended the epoch at v.
+func (l *rowLog) gauge(i int, v int64) {
+	l.index(gaugeRow, i)
+	l.tail = binary.AppendVarint(l.tail, v)
+}
+
+// hist adds a histogram row.
+func (l *rowLog) hist(m kperf.HistMove) {
+	l.index(histRow, m.I)
+	l.tail = binary.AppendUvarint(l.tail, uint64(m.Count))
+	l.tail = binary.AppendUvarint(l.tail, uint64(m.Sum))
+	l.tail = append(l.tail, m.Quantiles[0], m.Quantiles[1], m.Quantiles[2])
+}
+
+// attr adds an attribution row: cell i gained cycles.
+func (l *rowLog) attr(i int, cycles int64) {
+	l.index(attrRow, i)
+	l.tail = binary.AppendUvarint(l.tail, uint64(cycles))
+}
+
+// close ends the open epoch, sequence number seq, and returns its rows
+// and their count by kind.
+func (l *rowLog) close(seq int64) ([]byte, [nRowKinds]int32) {
 	if len(l.tail) == l.start {
-		return nil
+		return nil, l.n
 	}
 	l.newest = seq
-	return l.tail[l.start:len(l.tail):len(l.tail)]
+	return l.tail[l.start:len(l.tail):len(l.tail)], l.n
 }
 
-// grow moves the open epoch's rows to a new tail with room for one
-// more: a recycled block if one is that large once the blocks holding
-// only evicted epochs are recycled, else a new one.
-func (l *rowLog[T]) grow() {
+// grow moves the open epoch's rows to a new tail with room for the
+// longest row after them: a recycled block if one is that large once
+// the blocks holding only evicted epochs are recycled, else a new one.
+func (l *rowLog) grow() {
 	moved := l.tail[l.start:]
 	if l.start > 0 { // else the open epoch alone filled it: drop it
-		l.full = append(l.full, logBlock[T]{l.tail[:l.start], l.newest})
+		l.full = append(l.full, logBlock{l.tail[:l.start], l.newest})
 	}
 	k := 0
 	for k < len(l.full) && l.full[k].newest < l.evicted {
@@ -387,15 +439,45 @@ func (l *rowLog[T]) grow() {
 
 	// The recycled block may be the one moved is in; append copies
 	// the overlapping rows correctly.
-	need := len(moved) + 1
-	var rows []T
+	need := len(moved) + maxRowBytes
+	var rows []byte
 	if f := len(l.free); f > 0 && cap(l.free[f-1]) >= need {
 		rows, l.free = l.free[f-1], l.free[:f-1]
 	} else {
-		rows = make([]T, 0, max(blockRows, 2*need))
+		rows = make([]byte, 0, max(blockBytes, 2*need))
 	}
 	l.tail = append(rows, moved...)
 	l.start = 0
+}
+
+// decode reads a stored epoch's rows back in order, calling the func
+// of each row's kind with its index and values.
+func (e *storedEpoch) decode(gauge func(i int, v int64), hist func(i int, d HistDelta), attr func(i int, cycles int64)) {
+	b := e.rows
+	uvarint := func() uint64 {
+		v, n := binary.Uvarint(b)
+		b = b[n:]
+		return v
+	}
+	for k, n := range e.n {
+		i := -1
+		for range n {
+			i += int(uvarint()) + 1
+			switch rowKind(k) {
+			case gaugeRow:
+				v, w := binary.Varint(b)
+				b = b[w:]
+				gauge(i, v)
+			case histRow:
+				d := HistDelta{Count: int64(uvarint()), Sum: int64(uvarint())}
+				d.P50, d.P90, d.P99 = 1<<b[0], 1<<b[1], 1<<b[2]
+				b = b[3:]
+				hist(i, d)
+			case attrRow:
+				attr(i, int64(uvarint()))
+			}
+		}
+	}
 }
 
 // NewRecorder creates a recorder sampling set. The set must be the
@@ -505,61 +587,42 @@ func (r *Recorder) closeEpoch(now sim.Cycles) {
 	e := r.ring.Next()
 	e.start, e.end, e.ticks = r.prevSample, now, r.ticks
 	r.ticks = 0
-	evicted := r.ring.Overwritten()
-	r.gaugeLog.open(evicted)
-	r.histLog.open(evicted)
-	r.attrLog.open(evicted)
+	r.log.open(r.ring.Overwritten())
 
-	reg := r.set.Reg
-	reg.Sample(&r.cur)
-	for i, v := range r.cur.Gauges {
-		// A gauge is recorded at the first close that sees it, even at 0.
-		if i >= len(r.last.Gauges) || v != r.last.Gauges[i] {
-			r.gaugeLog.add(row{i, v})
-		}
+	s := &r.last
+	r.set.Reg.Sample(s)
+	for _, i := range s.MovedGauges {
+		r.log.gauge(i, s.Gauges[i])
 	}
-	for i, h := range r.cur.Hists {
-		var prev kperf.HistSample
-		if i < len(r.last.Hists) {
-			prev = r.last.Hists[i]
-		}
-		if h.Count != prev.Count || h.Sum != prev.Sum {
-			r.histLog.add(histRow{i, HistDelta{
-				Count: h.Count - prev.Count, Sum: h.Sum - prev.Sum,
-				P50: h.P50, P90: h.P90, P99: h.P99,
-			}})
-		}
+	for _, m := range s.MovedHists {
+		r.log.hist(m)
 	}
 
-	r.procs = r.set.AppendProcs(r.procs)
-	if n := len(r.procs) * attrCells; n > len(r.lastAttr) {
-		r.lastAttr = append(r.lastAttr, make([]int64, n-len(r.lastAttr))...)
+	procs := r.set.Procs()
+	if n := len(procs) * attrCells; n > len(r.lastAttr) {
+		r.lastAttr = append(r.lastAttr, make([]sim.Cycles, n-len(r.lastAttr))...)
 	}
-	for p, ps := range r.procs {
-		r.scratch = ps.ModeSubsysCycles(r.scratch)
+	for p, ps := range procs {
 		last := r.lastAttr[p*attrCells : (p+1)*attrCells]
-		for cell, v := range r.scratch {
-			if d := v - last[cell]; d != 0 {
-				r.attrLog.add(row{p*attrCells + cell, d})
+		for cell, v := range ps.ModeSubsysCycles() {
+			if v != last[cell] {
+				r.log.attr(p*attrCells+cell, int64(v-last[cell]))
 				last[cell] = v
 			}
 		}
 	}
-	seq := r.ring.Written() - 1
-	e.gauges = r.gaugeLog.close(seq)
-	e.hists = r.histLog.close(seq)
-	e.attr = r.attrLog.close(seq)
+	e.rows, e.n = r.log.close(r.ring.Written() - 1)
 
-	if r.callsIdx < 0 && len(r.cur.Gauges) > r.callsSearched {
-		r.callsIdx = slices.Index(reg.Names().Gauges, callsGauge)
-		r.callsSearched = len(r.cur.Gauges)
+	if r.callsIdx < 0 && len(s.Gauges) > r.callsSearched {
+		r.callsIdx = slices.Index(r.set.Reg.Names().Gauges, callsGauge)
+		r.callsSearched = len(s.Gauges)
 	}
 	if i := r.callsIdx; i >= 0 {
-		if rate := r.cur.Gauges[i] - valueAt(r.last.Gauges, i); rate > r.peakEpochSyscalls {
+		if rate := s.Gauges[i] - r.lastCalls; rate > r.peakEpochSyscalls {
 			r.peakEpochSyscalls = rate
 		}
+		r.lastCalls = s.Gauges[i]
 	}
-	r.last, r.cur = r.cur, r.last
 
 	r.prevSample = now
 	// Align the next boundary past now; a long jump closes one long
@@ -567,42 +630,37 @@ func (r *Recorder) closeEpoch(now sim.Cycles) {
 	r.nextBoundary = (now/r.cfg.EpochCycles + 1) * r.cfg.EpochCycles
 }
 
-// valueAt reads entry i of an earlier sample: 0 for a metric
-// registered since.
-func valueAt(vs []int64, i int) int64 {
-	if i < len(vs) {
-		return vs[i]
-	}
-	return 0
-}
-
 // render builds the Epoch of the i-th retained epoch, oldest first.
-// The registry's names and the recorder's process list only grow, so
-// they cover every index an older epoch holds.
+// The registry's names and the set's process list only grow, so they
+// cover every index an older epoch holds.
 func (r *Recorder) render(i int, names kperf.MetricNames) Epoch {
 	s := r.ring.At(i)
 	e := Epoch{
-		Seq:    r.ring.Overwritten() + int64(i),
-		Start:  s.start,
-		End:    s.end,
-		Ticks:  s.ticks,
-		Gauges: namedRows(s.gauges, names.Gauges),
+		Seq:   r.ring.Overwritten() + int64(i),
+		Start: s.start,
+		End:   s.end,
+		Ticks: s.ticks,
 	}
-	if len(s.hists) > 0 {
-		e.Hists = make(map[string]HistDelta, len(s.hists))
-		for _, h := range s.hists {
-			e.Hists[names.Hists[h.i]] = h.d
-		}
+	// Empty maps stay nil, and so out of the JSON.
+	if n := s.n[gaugeRow]; n > 0 {
+		e.Gauges = make(map[string]int64, n)
 	}
-	for _, a := range s.attr {
-		cell := a.i % attrCells
-		e.Attr = append(e.Attr, AttrDelta{
-			Process: r.procs[a.i/attrCells].Label(),
-			Mode:    kperf.Mode(cell / kperf.NSubsys).String(),
-			Subsys:  kperf.Subsys(cell % kperf.NSubsys).String(),
-			Cycles:  a.v,
+	if n := s.n[histRow]; n > 0 {
+		e.Hists = make(map[string]HistDelta, n)
+	}
+	procs := r.set.Procs()
+	s.decode(
+		func(i int, v int64) { e.Gauges[names.Gauges[i]] = v },
+		func(i int, d HistDelta) { e.Hists[names.Hists[i]] = d },
+		func(i int, cycles int64) {
+			cell := i % attrCells
+			e.Attr = append(e.Attr, AttrDelta{
+				Process: procs[i/attrCells].Label(),
+				Mode:    kperf.Mode(cell / kperf.NSubsys).String(),
+				Subsys:  kperf.Subsys(cell % kperf.NSubsys).String(),
+				Cycles:  cycles,
+			})
 		})
-	}
 	sort.Slice(e.Attr, func(i, j int) bool {
 		a, b := e.Attr[i], e.Attr[j]
 		if a.Process != b.Process {
@@ -614,19 +672,6 @@ func (r *Recorder) render(i int, names kperf.MetricNames) Epoch {
 		return a.Subsys < b.Subsys
 	})
 	return e
-}
-
-// namedRows maps rows to the names of the readings they index; nil
-// when there are none, so empty maps stay out of the JSON.
-func namedRows(rows []row, names []string) map[string]int64 {
-	if len(rows) == 0 {
-		return nil
-	}
-	m := make(map[string]int64, len(rows))
-	for _, rw := range rows {
-		m[names[rw.i]] = rw.v
-	}
-	return m
 }
 
 // Epochs returns the retained epochs oldest-first.

@@ -200,14 +200,20 @@ func TestEventPostmortems(t *testing.T) {
 	}
 }
 
-// TestMergeSummaries covers nil handling and sum/max folding.
+// TestMergeSummaries covers nil handling and sum/max folding, and that
+// a fold into merge(nil, b)'s copy leaves b alone.
 func TestMergeSummaries(t *testing.T) {
 	if MergeSummaries(nil, nil) != nil {
 		t.Error("merge(nil,nil) != nil")
 	}
 	b := &Summary{Epochs: 2, Ticks: 5, PeakEpochSyscalls: 9, Events: map[string]int64{"kill": 1}}
-	if got := MergeSummaries(nil, b); got == b || got.Epochs != 2 {
-		t.Errorf("merge(nil,b) must copy: got %+v", got)
+	cp := MergeSummaries(nil, b)
+	if cp == b || cp.Epochs != 2 || cp.Events["kill"] != 1 {
+		t.Errorf("merge(nil,b) must copy: got %+v", cp)
+	}
+	MergeSummaries(cp, &Summary{Epochs: 1, Events: map[string]int64{"kill": 5}})
+	if b.Epochs != 2 || b.Events["kill"] != 1 || cp.Events["kill"] != 6 {
+		t.Errorf("folding into the copy changed b: b %+v, copy %+v", b, cp)
 	}
 	a := &Summary{Epochs: 3, Evicted: 1, Ticks: 7, DumpsSkipped: 2, PeakEpochSyscalls: 4,
 		Events: map[string]int64{"kill": 2, "trap": 1}}

@@ -2,7 +2,7 @@ package kperf
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -117,7 +117,7 @@ type ProcState struct {
 	// so the per-charge hot path is index arithmetic plus one add.
 	cells []sim.Cycles
 	// modeSub is the running total of cells over syscall slots, indexed
-	// by mode*nSubsys + subsys, so samplers copy it instead of summing
+	// by mode*nSubsys + subsys, so samplers read it instead of summing
 	// every slot.
 	modeSub [NModes * NSubsys]sim.Cycles
 
@@ -153,24 +153,15 @@ func (ps *ProcState) Label() string {
 	return fmt.Sprintf("%s-%d", ps.name, ps.pid)
 }
 
-// ModeSubsysCycles copies the process's attribution summed across
-// syscall slots into a dense [NModes*NSubsys]int64 array indexed by
-// mode*NSubsys+subsys. A correctly sized dst is reused (the kflight
-// sampler calls this every epoch for every process); otherwise a new
-// slice is allocated. Nil receiver returns dst zeroed, so epoch
-// deltas of a vanished process read as zero.
-func (ps *ProcState) ModeSubsysCycles(dst []int64) []int64 {
-	if len(dst) != NModes*NSubsys {
-		dst = make([]int64, NModes*NSubsys)
-	}
+// ModeSubsysCycles returns the process's attribution summed across
+// syscall slots, indexed by mode*NSubsys+subsys: the running totals
+// OnCycles keeps, not a copy, so a sampler (kflight) diffs them in
+// place. Nil receiver returns nil.
+func (ps *ProcState) ModeSubsysCycles() *[NModes * NSubsys]sim.Cycles {
 	if ps == nil {
-		clear(dst)
-		return dst
+		return nil
 	}
-	for cell, c := range ps.modeSub {
-		dst[cell] = int64(c)
-	}
-	return dst
+	return &ps.modeSub
 }
 
 // OnCycles attributes c charged cycles in the given mode. This is the
@@ -335,7 +326,6 @@ type Set struct {
 
 	nrSlots int // syscall slots: maxSyscalls + 1 for "none"
 
-	mu    sync.Mutex
 	procs []*ProcState
 
 	// Machine-level cycles that belong to no process: boot/setup
@@ -373,9 +363,7 @@ func (s *Set) NewProc(pid int, name string) *ProcState {
 		shard: s.Trace.Shard(pid, name),
 		cells: make([]sim.Cycles, int(nModes)*int(nSubsys)*s.nrSlots),
 	}
-	s.mu.Lock()
 	s.procs = append(s.procs, ps)
-	s.mu.Unlock()
 	return ps
 }
 
@@ -397,29 +385,15 @@ func (s *Set) OnIdle(c sim.Cycles) {
 	s.idleCycles += c
 }
 
-// Procs returns the registered process states in spawn order.
+// Procs returns the registered process states in spawn order. The
+// list shares the set's append-only storage and must not be modified;
+// a process keeps its position, so a sampler (kflight) can index dense
+// per-process state by it.
 func (s *Set) Procs() []*ProcState {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*ProcState, len(s.procs))
-	copy(out, s.procs)
-	return out
-}
-
-// AppendProcs extends dst, a slice an earlier call returned (or nil),
-// with the processes registered since, in spawn order. A sampler that
-// keeps its slice sees each process once and, while nothing spawns,
-// reads the list without allocating.
-func (s *Set) AppendProcs(dst []*ProcState) []*ProcState {
-	if s == nil {
-		return dst
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append(dst, s.procs[len(dst):]...)
+	return slices.Clip(s.procs)
 }
 
 // syscallName resolves nr for exporters, tolerating a missing

@@ -41,9 +41,11 @@ func TestCounterGaugeRegistry(t *testing.T) {
 		!slices.Equal(names.Hists, []string{"sys.calls"}) {
 		t.Fatalf("names = %+v", names)
 	}
-	// The sample carries each histogram's quantile triple.
-	if !slices.Equal(s.Gauges, []int64{-1, 42, 9}) ||
-		!slices.Equal(s.Hists, []HistSample{{Count: 1, Sum: 100, P50: 128, P90: 128, P99: 128}}) {
+	// The first read moves every gauge and each histogram that observed
+	// something, with its quantile buckets: 100 lands below 2^7.
+	if !slices.Equal(s.Gauges, []int64{-1, 42, 9}) || !slices.Equal(s.MovedGauges, []int{0, 1, 2}) ||
+		!slices.Equal(s.Hists, []HistSample{{Count: 1, Sum: 100}}) ||
+		!slices.Equal(s.MovedHists, []HistMove{{I: 0, Count: 1, Sum: 100, Quantiles: [3]uint8{7, 7, 7}}}) {
 		t.Fatalf("sample = %+v", s)
 	}
 
@@ -55,8 +57,9 @@ func TestCounterGaugeRegistry(t *testing.T) {
 	})
 	r.Sample(&s)
 	r.Sample(&s)
-	if walks != 2 || !slices.Equal(s.Gauges, []int64{-1, 42, 9, 2, 20}) {
-		t.Fatalf("after %d group walks, sample gauges %v", walks, s.Gauges)
+	if walks != 2 || !slices.Equal(s.Gauges, []int64{-1, 42, 9, 2, 20}) ||
+		!slices.Equal(s.MovedGauges, []int{3, 4}) || len(s.MovedHists) != 0 {
+		t.Fatalf("after %d group walks, sample %+v", walks, s)
 	}
 	if sn := r.Snapshot(); walks != 3 || sn.Gauges["grp.a"] != 3 || sn.Gauges["grp.b"] != 30 {
 		t.Fatalf("after %d group walks, snapshot gauges %v", walks, sn.Gauges)
@@ -303,31 +306,85 @@ func TestQuantilesOnePass(t *testing.T) {
 	}
 }
 
-// TestSampleRefreshesQuantiles checks the triple a Sample caches: a
-// Sample after an Observe reports the moved histogram's new quantiles,
-// as its Snapshot does.
+// TestSampleRefreshesQuantiles checks the moves a Sample lists: a
+// histogram that observed something since the previous read moves,
+// with the buckets of the triple its Snapshot scans for; one that did
+// not stays out.
 func TestSampleRefreshesQuantiles(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat")
 	var s Sample
 	r.Sample(&s)
-	if s.Hists[0] != (HistSample{}) {
-		t.Fatalf("empty histogram sampled as %+v", s.Hists[0])
+	if s.Hists[0] != (HistSample{}) || len(s.MovedHists) != 0 {
+		t.Fatalf("empty histogram sampled as %+v", s)
 	}
 	h.Observe(100)
 	r.Sample(&s)
-	if got := s.Hists[0]; got.P50 != 128 || got.P99 != 128 {
-		t.Fatalf("after one observation: %+v", got)
+	if !slices.Equal(s.MovedHists, []HistMove{{I: 0, Count: 1, Sum: 100, Quantiles: [3]uint8{7, 7, 7}}}) {
+		t.Fatalf("after one observation: %+v", s.MovedHists)
 	}
 	for i := 0; i < 10; i++ {
 		h.Observe(5000)
 	}
-	for range 2 { // the second read comes from the cache
-		r.Sample(&s)
-		sn := h.Snapshot()
-		want := HistSample{Count: sn.Count, Sum: sn.Sum, P50: sn.P50, P90: sn.P90, P99: sn.P99}
-		if got := s.Hists[0]; got != want || got.P50 != 8192 {
-			t.Fatalf("after the histogram moved: sample %+v, snapshot %+v", got, want)
+	r.Sample(&s)
+	sn := h.Snapshot()
+	if len(s.MovedHists) != 1 {
+		t.Fatalf("after the histogram moved: moves %+v", s.MovedHists)
+	}
+	m := s.MovedHists[0]
+	got := [3]int64{1 << m.Quantiles[0], 1 << m.Quantiles[1], 1 << m.Quantiles[2]}
+	if m.Count != 10 || m.Sum != 50_000 || got != [3]int64{sn.P50, sn.P90, sn.P99} || got[0] != 8192 {
+		t.Fatalf("after the histogram moved: move %+v (quantiles %v), snapshot %+v", m, got, sn)
+	}
+	r.Sample(&s)
+	if len(s.MovedHists) != 0 || s.Hists[0] != (HistSample{Count: sn.Count, Sum: sn.Sum}) {
+		t.Fatalf("a read with nothing observed: %+v", s)
+	}
+}
+
+// TestHistogramQuantilesMatchScan feeds random streams, from narrow to
+// spanning every bucket with clamped negatives and values past 2^47,
+// into fresh histograms, and compares the triple the marks give with a
+// scan of the buckets: in a third of the streams after every
+// observation, in the rest after runs of up to 1,000 observations, as
+// epochs read them.
+func TestHistogramQuantilesMatchScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	observations := 0
+	for stream := 0; observations < 600_000; stream++ {
+		var h Histogram
+		// Narrow streams pile into a few buckets, so the marks walk
+		// down past repeated counts; wide ones cross every bucket.
+		lo, hi := rng.Intn(HistBuckets+2), rng.Intn(HistBuckets+2)
+		lo, hi = min(lo, hi), max(lo, hi)
+		maxRun := 1
+		if rng.Intn(3) > 0 {
+			maxRun = 1 << rng.Intn(11)
+		}
+		run := 0
+		for n := 1 + rng.Intn(3000); n > 0; n-- {
+			var v int64
+			switch e := lo + rng.Intn(hi-lo+1); {
+			case e == 0:
+				v = -rng.Int63n(1 << 40) // clamps to 0
+			case e > HistBuckets:
+				v = 1<<HistBuckets + rng.Int63n(1<<62) // past the last bucket's bound
+			default:
+				v = 1<<(e-1) + rng.Int63n(1<<(e-1))
+			}
+			h.Observe(sim.Cycles(v))
+			observations++
+			if run--; run > 0 && n > 1 {
+				continue
+			}
+			run = 1 + rng.Intn(maxRun)
+			q := h.markBuckets()
+			got := [3]int64{1 << q[0], 1 << q[1], 1 << q[2]}
+			p50, p90, p99 := Quantiles(h.buckets[:], h.count, h.max)
+			if want := [3]int64{p50, p90, p99}; got != want {
+				t.Fatalf("stream %d, after observation %d of %d: marks give %v, scan %v (buckets %v)",
+					stream, h.count, v, got, want, h.buckets)
+			}
 		}
 	}
 }
@@ -366,18 +423,18 @@ func TestAttributionCellsAndFoldedSum(t *testing.T) {
 	}
 	// The running (mode, subsystem) totals equal the cells summed over
 	// syscall slots.
-	want := make([]int64, NModes*NSubsys)
+	want := make([]sim.Cycles, NModes*NSubsys)
 	for _, c := range []struct {
 		mode Mode
 		sub  Subsys
-		v    int64
+		v    sim.Cycles
 	}{
 		{ModeUser, SubUser, 100}, {ModeUser, SubBoundary, 50},
 		{ModeKernel, SubBoundary, 70}, {ModeKernel, SubKern, 200}, {ModeKernel, SubMem, 30},
 	} {
 		want[int(c.mode)*NSubsys+int(c.sub)] = c.v
 	}
-	if got := ps.ModeSubsysCycles(nil); !slices.Equal(got, want) {
+	if got := ps.ModeSubsysCycles(); !slices.Equal(got[:], want) {
 		t.Fatalf("ModeSubsysCycles = %v, want %v", got, want)
 	}
 	folded := sn.FoldedStacks(TraceFilter{})

@@ -21,6 +21,14 @@
 // experiment with kperf enabled and disabled and asserts bit-identical
 // user/sys/elapsed cycles.
 //
+// kperf takes no lock. Every metric is registered while the machine
+// is wired (New, core's wirePerf, kprobe's WirePerf), every process
+// state at its spawn, and every write and read (Observe, OnCycles,
+// trace records, Sample, Snapshot) happens on the goroutine that holds
+// the simulated CPU, or before or after the run. The machine's strict
+// goroutine hand-off orders all of them, so plain fields are
+// race-free; a caller outside that discipline must not touch a Set.
+//
 // kperf deliberately imports only internal/sim, so any layer of the
 // kernel (mem, disk, sys, cosy, kefence, kmon) can hold kperf handles
 // without import cycles.
@@ -30,7 +38,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -64,33 +71,72 @@ type Histogram struct {
 	min     int64
 	max     int64
 	buckets [histBuckets]int64
+	// marks follows the p50, p90 and p99 observations, so a Sample
+	// reads the triple without scanning the buckets.
+	marks [3]quantileMark
+}
+
+// tripleQs are the quantiles of the standard latency triple, p50, p90
+// and p99, which Quantiles computes and a Histogram's marks follow.
+var tripleQs = [3]float64{0.50, 0.90, 0.99}
+
+// quantileMark is a bucket and the number of observations in the
+// buckets below it. Observe keeps that count, and a read moves the
+// mark to the bucket holding its quantile's observation.
+type quantileMark struct {
+	bucket int
+	below  int64
 }
 
 // Observe records one cycle value. Negative values clamp to zero.
 func (h *Histogram) Observe(c sim.Cycles) {
-	v := int64(c)
-	if v < 0 {
-		v = 0
-	}
+	v := max(int64(c), 0)
 	if h.count == 0 || v < h.min {
 		h.min = v
 	}
-	if v > h.max {
-		h.max = v
-	}
+	h.max = max(h.max, v)
 	h.count++
 	h.sum += v
-	h.buckets[bucketFor(v)]++
+	b := bucketFor(v)
+	h.buckets[b]++
+	for k := range h.marks {
+		if b < h.marks[k].bucket {
+			h.marks[k].below++
+		}
+	}
+}
+
+// markBuckets moves the marks to the buckets of the p50, p90 and p99
+// observations and reports them; each quantile's upper bound is
+// 1 << its bucket, as Quantiles reports it. A mark walks only the
+// buckets its quantile crossed since the previous read, so a read
+// between epochs takes a step or two, not a scan. An empty histogram
+// reports bucket 0.
+func (h *Histogram) markBuckets() [3]uint8 {
+	var out [3]uint8
+	if h.count == 0 {
+		return out
+	}
+	for k := range h.marks {
+		m := &h.marks[k]
+		t := quantileTarget(h.count, tripleQs[k])
+		for t >= m.below+h.buckets[m.bucket] {
+			m.below += h.buckets[m.bucket]
+			m.bucket++
+		}
+		for t < m.below {
+			m.bucket--
+			m.below -= h.buckets[m.bucket]
+		}
+		out[k] = uint8(m.bucket)
+	}
+	return out
 }
 
 // bucketFor returns the bucket index of v: the number of bits needed
 // to represent it, clamped to the table.
 func bucketFor(v int64) int {
-	i := bits.Len64(uint64(v))
-	if i >= histBuckets {
-		i = histBuckets - 1
-	}
-	return i
+	return min(bits.Len64(uint64(v)), histBuckets-1)
 }
 
 // Count reports the number of observations.
@@ -132,10 +178,9 @@ func Quantiles(buckets []int64, count, max int64) (p50, p90, p99 int64) {
 	}
 	// The targets never decrease, so each one's bucket is at or past
 	// the previous one's and a single pass finds all three.
-	targets := [3]int64{
-		quantileTarget(count, 0.50),
-		quantileTarget(count, 0.90),
-		quantileTarget(count, 0.99),
+	var targets [3]int64
+	for k, q := range tripleQs {
+		targets[k] = quantileTarget(count, q)
 	}
 	out := [3]int64{max, max, max}
 	k := 0
@@ -192,7 +237,9 @@ type HistogramSnapshot struct {
 	Buckets []int64 `json:"-"`
 }
 
-// Snapshot summarizes the histogram.
+// Snapshot summarizes the histogram. Its quantiles come from a scan of
+// the buckets, not from the marks a Sample reads, so the two stay
+// independent.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	last := 0
 	for i, n := range h.buckets {
@@ -225,15 +272,11 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // position for the registry's lifetime and a sampler (kflight) can
 // hold dense per-metric state indexed by it.
 type Registry struct {
-	mu     sync.Mutex
 	reads  uint64            // Snapshot and Sample calls so far
 	index  map[metricKey]int // position within the kind
 	names  [nKinds][]string  // each kind's names in registration order
 	gauges []gaugeSlot
 	hists  []*Histogram
-	// histReads holds each histogram's reading at the last Sample; its
-	// quantiles are rescanned only once the count has moved.
-	histReads []HistSample
 }
 
 type metricKind uint8
@@ -271,7 +314,7 @@ func NewRegistry() *Registry {
 }
 
 // position returns name's index within its kind, appending the name
-// to the kind's list when it is new. Callers hold r.mu.
+// to the kind's list when it is new.
 func (r *Registry) position(kind metricKind, name string) (i int, isNew bool) {
 	k := metricKey{kind, name}
 	if i, ok := r.index[k]; ok {
@@ -284,7 +327,7 @@ func (r *Registry) position(kind metricKind, name string) (i int, isNew bool) {
 }
 
 // gaugeSlot returns the named gauge slot, creating it on first use.
-// The pointer is valid until the next registration. Callers hold r.mu.
+// The pointer is valid until the next registration.
 func (r *Registry) gaugeSlot(name string) *gaugeSlot {
 	i, isNew := r.position(kindGauge, name)
 	if isNew {
@@ -298,8 +341,6 @@ func (r *Registry) gaugeSlot(name string) *gaugeSlot {
 // maintains as a plain int64 field (cache hits, syscall counts):
 // nothing happens until someone asks, and a read is one load.
 func (r *Registry) GaugeVar(name string, v *int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.gaugeSlot(name).v = v
 }
 
@@ -308,8 +349,6 @@ func (r *Registry) GaugeVar(name string, v *int64) {
 // func registered under a variable's name replaces its value in every
 // later read.
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.gaugeSlot(name).fn = fn
 }
 
@@ -318,8 +357,6 @@ func (r *Registry) GaugeFunc(name string, fn func() int64) {
 // many of the names that read evaluates. It is for values that one
 // walk over subsystem state yields at once.
 func (r *Registry) GaugeFuncs(names []string, fn func(vals []int64)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	vals := make([]int64, len(names))
 	var filled uint64 // the read vals was computed for; reads start at 1
 	for k, name := range names {
@@ -335,12 +372,9 @@ func (r *Registry) GaugeFuncs(names []string, fn func(vals []int64)) {
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	i, isNew := r.position(kindHist, name)
 	if isNew {
 		r.hists = append(r.hists, &Histogram{})
-		r.histReads = append(r.histReads, HistSample{})
 	}
 	return r.hists[i]
 }
@@ -353,8 +387,6 @@ type RegistrySnapshot struct {
 
 // Snapshot evaluates every metric, including lazy gauges.
 func (r *Registry) Snapshot() RegistrySnapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.reads++
 	s := RegistrySnapshot{
 		Gauges:     make(map[string]int64, len(r.gauges)),
@@ -371,45 +403,73 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	return s
 }
 
-// Sample is a dense read of a registry's values: entry i of each list
-// belongs to the i-th metric of that kind in registration order, which
-// Names lists. Positions never change and the lists only grow, so a
-// longer list means metrics were registered since an earlier sample.
+// Sample is a dense read of a registry's values: entry i of Gauges and
+// Hists belongs to the i-th metric of that kind in registration order,
+// which Names lists. Positions never change and the lists only grow,
+// so a longer list means metrics were registered since an earlier
+// sample. MovedGauges and MovedHists list what the latest read changed.
 type Sample struct {
 	Gauges []int64
 	Hists  []HistSample
+	// MovedGauges holds, in index order, the gauges whose value the
+	// latest read changed, and the gauges it read first, even at 0.
+	MovedGauges []int
+	// MovedHists holds, in index order, the histograms that observed
+	// something since the read before.
+	MovedHists []HistMove
 }
 
 // HistSample is a histogram's reading in a Sample: its observation
-// count and sum, either of which moving means the histogram observed
-// something, and its p50/p90/p99 upper bounds as its Snapshot would
-// report them.
+// count and sum.
 type HistSample struct {
-	Count, Sum    int64
-	P50, P90, P99 int64
+	Count, Sum int64
 }
 
-// Sample reads every metric into s, evaluating lazy gauges. It reuses
-// s's slices, so a sampler that keeps its Sample between reads
-// allocates nothing once no metric is being registered. A histogram's
-// quantiles cost a bucket scan only when it observed something since
-// the previous Sample.
+// HistMove is one histogram's movement between two reads: its index,
+// the observations it gained and their sum, and the buckets of its
+// p50, p90 and p99 observations after them. Quantile k's upper bound,
+// as the histogram's Snapshot reports it, is 1 << Quantiles[k].
+type HistMove struct {
+	I          int
+	Count, Sum int64
+	Quantiles  [3]uint8
+}
+
+// Sample reads every metric, evaluating lazy gauges, in one pass: it
+// compares each reading with the one s holds, the caller's previous
+// sample, stores the new one in its place, and lists each metric that
+// moved. It reuses s's slices, so a sampler that keeps its Sample
+// between reads allocates nothing once no metric is being registered.
+// A moved histogram's quantiles come from the marks it keeps.
 func (r *Registry) Sample(s *Sample) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.reads++
-	s.Gauges = s.Gauges[:0]
+	s.MovedGauges, s.MovedHists = s.MovedGauges[:0], s.MovedHists[:0]
+	seen := len(s.Gauges)
 	for i := range r.gauges {
-		s.Gauges = append(s.Gauges, r.gauges[i].value())
-	}
-	s.Hists = s.Hists[:0]
-	for i, h := range r.hists {
-		hs := &r.histReads[i]
-		if hs.Count != h.count {
-			*hs = HistSample{Count: h.count, Sum: h.sum}
-			hs.P50, hs.P90, hs.P99 = Quantiles(h.buckets[:], h.count, h.max)
+		v := r.gauges[i].value()
+		switch {
+		case i >= seen:
+			s.Gauges = append(s.Gauges, v)
+		case v != s.Gauges[i]:
+			s.Gauges[i] = v
+		default:
+			continue
 		}
-		s.Hists = append(s.Hists, *hs)
+		s.MovedGauges = append(s.MovedGauges, i)
+	}
+	if n := len(r.hists) - len(s.Hists); n > 0 {
+		s.Hists = append(s.Hists, make([]HistSample, n)...)
+	}
+	for i, h := range r.hists {
+		prev := &s.Hists[i]
+		if h.count == prev.Count { // every observation counts
+			continue
+		}
+		s.MovedHists = append(s.MovedHists, HistMove{
+			I: i, Count: h.count - prev.Count, Sum: h.sum - prev.Sum,
+			Quantiles: h.markBuckets(),
+		})
+		*prev = HistSample{h.count, h.sum}
 	}
 }
 
@@ -422,8 +482,6 @@ type MetricNames struct {
 // every Sample of the registry, earlier or later. The lists share the
 // registry's append-only storage and must not be modified.
 func (r *Registry) Names() MetricNames {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return MetricNames{
 		Gauges: slices.Clip(r.names[kindGauge]),
 		Hists:  slices.Clip(r.names[kindHist]),

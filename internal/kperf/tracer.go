@@ -1,7 +1,7 @@
 package kperf
 
 import (
-	"sync"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -168,15 +168,14 @@ func (s *Shard) Tail(k int) []TraceEvent {
 const DefaultShardRecords = 1 << 16
 
 // Tracer owns the per-process shards. Shard creation happens at
-// process spawn (never on a hot path) under a mutex; record writes go
-// straight to the process's own shard with no locking, relying on the
-// machine's strict goroutine hand-off.
+// process spawn (never on a hot path); record writes go straight to
+// the process's own shard. Neither locks: both rely on the machine's
+// strict goroutine hand-off.
 type Tracer struct {
 	// ShardRecords caps each shard's record count (0 selects
 	// DefaultShardRecords).
 	ShardRecords int
 
-	mu     sync.Mutex
 	shards []*Shard
 }
 
@@ -193,19 +192,14 @@ func (t *Tracer) Shard(pid int, name string) *Shard {
 		n = DefaultShardRecords
 	}
 	s := &Shard{pid: pid, name: name, recs: NewWindow[record](n)}
-	t.mu.Lock()
 	t.shards = append(t.shards, s)
-	t.mu.Unlock()
 	return s
 }
 
-// Shards returns the shards in creation (pid) order.
+// Shards returns the shards in creation (pid) order. The list shares
+// the tracer's storage and must not be modified.
 func (t *Tracer) Shards() []*Shard {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]*Shard, len(t.shards))
-	copy(out, t.shards)
-	return out
+	return slices.Clip(t.shards)
 }
 
 // Totals reports records written and dropped across all shards.
