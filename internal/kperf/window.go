@@ -7,6 +7,15 @@ package kperf
 // oldest, and the loss is counted, so recording never blocks and never
 // reallocates. Like the rest of kperf it relies on the machine's
 // strict goroutine hand-off and takes no lock.
+//
+// A window is allocated whole when its owner is built, so what T holds
+// decides what building the owner costs. kperf's shard records and
+// ktrace's spans and request records are pointer-free (ktrace interns
+// its op names): the collector never scans those windows, and the
+// runtime need not zero the pages it takes fresh from the OS for them.
+// kflight's epoch slots keep a sub-slice of its row log, so its window
+// is zeroed and scanned; at its default 4,096 slots of 64 bytes it is
+// small.
 type Window[T any] struct {
 	buf     []T
 	next    int   // slot Next hands out

@@ -2,6 +2,7 @@ package kperf
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -51,5 +52,44 @@ func TestWindowMatchesSliceModel(t *testing.T) {
 			}
 			check()
 		}
+	}
+}
+
+// pointerField names the first field under typ that holds a pointer
+// (a string, slice, map, pointer, interface, func or chan), or "".
+func pointerField(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if p := pointerField(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+	case reflect.Array:
+		return pointerField(typ.Elem(), path+"[i]")
+	case reflect.String, reflect.Slice, reflect.Map, reflect.Pointer,
+		reflect.UnsafePointer, reflect.Interface, reflect.Func, reflect.Chan:
+		return path + " (" + typ.Kind().String() + ")"
+	}
+	return ""
+}
+
+// TestShardRecordHoldsNoPointers checks what a shard's window stores,
+// read off Shard's own field: each spawned process allocates
+// DefaultShardRecords of them, and a pointer anywhere in a record would
+// make the runtime zero and the collector scan them all.
+func TestShardRecordHoldsNoPointers(t *testing.T) {
+	f, ok := reflect.TypeOf(Shard{}).FieldByName("recs")
+	if !ok {
+		t.Fatal("Shard has no field recs")
+	}
+	at, _ := reflect.PointerTo(f.Type).MethodByName("At")
+	rec := at.Type.Out(0)
+	if p := pointerField(rec, rec.Name()); p != "" {
+		t.Errorf("Shard.recs keeps %s: %s holds a pointer", rec, p)
+	}
+	if rec.Size() != 32 {
+		t.Errorf("Shard.recs keeps %d-byte %s, want 32", rec.Size(), rec)
 	}
 }

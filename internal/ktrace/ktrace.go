@@ -112,7 +112,7 @@ func (k SpanKind) String() string {
 	return "?"
 }
 
-// Span is one closed span record.
+// Span is one closed span record as Spans returns it.
 type Span struct {
 	// ID is the span's trace-unique id; Parent links to the enclosing
 	// span (0 for a request root); Req is the owning request's id.
@@ -127,8 +127,9 @@ type Span struct {
 	Start, End sim.Cycles
 }
 
-// ReqRecord is the retained critical-path record of one closed
-// request: its wall interval and exact segment decomposition.
+// ReqRecord is the critical-path record of one closed request as
+// Requests returns it: its wall interval and exact segment
+// decomposition.
 type ReqRecord struct {
 	ID         uint64
 	PID        int
@@ -151,6 +152,30 @@ const (
 	reqRecords  = 1 << 15
 )
 
+// spanRec is a closed span as the tracer retains it: a Span whose op
+// name is an index into the tracer's name table and whose pid is
+// narrowed, 56 bytes with no pointer in it. Neither retained window
+// holds a pointer, so the collector never scans their 6 MiB, and the
+// runtime skips zeroing the pages it takes fresh from the OS for them.
+type spanRec struct {
+	id, parent, req uint64
+	start, end      sim.Cycles
+	pid             int32
+	op              uint32
+	arg             uint32
+	kind            SpanKind
+}
+
+// reqRec is a closed request as the tracer retains it, 80 bytes and
+// pointer-free like spanRec.
+type reqRec struct {
+	id         uint64
+	start, end sim.Cycles
+	segs       [NSegs]int64
+	pid        int32
+	op         uint32
+}
+
 // winKind is the off-CPU window state of one process.
 type winKind uint8
 
@@ -167,7 +192,7 @@ const maxOpenSpans = 32
 type openSpan struct {
 	id    uint64
 	kind  SpanKind
-	op    string
+	op    uint32 // name-table index (SpanOp)
 	arg   uint32
 	start sim.Cycles
 }
@@ -179,9 +204,8 @@ type procTrace struct {
 	pid int
 	ps  *kperf.ProcState
 
-	// Open request.
+	// Open request; agg names its op.
 	reqID    uint64
-	op       string
 	agg      *opAgg
 	reqStart sim.Cycles
 	segs     [NSegs]int64
@@ -201,8 +225,10 @@ type procTrace struct {
 	winCharges sim.Cycles
 }
 
-// opAgg aggregates closed requests of one operation type.
+// opAgg aggregates closed requests of one operation type; op is the
+// type's name-table index.
 type opAgg struct {
+	op   uint32
 	hist kperf.Histogram
 	segs [NSegs]int64
 }
@@ -224,24 +250,38 @@ type Tracer struct {
 	idViol    int64
 	firstViol string
 
-	aggs map[string]*opAgg
+	// names is the interned op-name table the retained records index
+	// (0 is the empty name), ops maps a name to its index, and aggs
+	// holds each index's request aggregate, nil while the name has
+	// opened no request.
+	names []string
+	ops   map[string]uint32
+	aggs  []*opAgg
 
-	spans kperf.Window[Span]
-	reqs  kperf.Window[ReqRecord]
+	spans kperf.Window[spanRec]
+	reqs  kperf.Window[reqRec]
 }
+
+// opNames is the name table's initial room: a workload traces a few
+// op types.
+const opNames = 8
 
 // NewTracer creates a tracer reading simulated time from clock and
 // stamping request context into set's per-process state (set may be
 // nil; request stamping is then skipped).
 func NewTracer(clock *sim.Clock, set *kperf.Set) *Tracer {
-	return &Tracer{
+	t := &Tracer{
 		clock: clock,
 		set:   set,
 		procs: make(map[int]*procTrace),
-		aggs:  make(map[string]*opAgg),
-		spans: kperf.NewWindow[Span](spanRecords),
-		reqs:  kperf.NewWindow[ReqRecord](reqRecords),
+		names: make([]string, 1, opNames),
+		ops:   make(map[string]uint32, opNames),
+		aggs:  make([]*opAgg, 1, opNames),
+		spans: kperf.NewWindow[spanRec](spanRecords),
+		reqs:  kperf.NewWindow[reqRec](reqRecords),
 	}
+	t.ops[""] = 0
+	return t
 }
 
 // proc returns pid's state, creating it lazily. The one-entry cache
@@ -346,9 +386,9 @@ func (t *Tracer) closeWindow(pt *procTrace, at sim.Cycles) {
 	}
 	if kind == winBlocked {
 		t.seq++
-		*t.spans.Next() = Span{
-			ID: t.seq, Parent: pt.topID(), Req: pt.reqID, PID: pt.pid,
-			Kind: SpanWait, Arg: uint32(sub), Start: start, End: at,
+		*t.spans.Next() = spanRec{
+			id: t.seq, parent: pt.topID(), req: pt.reqID, pid: int32(pt.pid),
+			kind: SpanWait, arg: uint32(sub), start: start, end: at,
 		}
 	}
 }
@@ -379,15 +419,15 @@ func (pt *procTrace) push(sp openSpan) {
 // opens one (the request root); otherwise it nests a child op span —
 // so a Cosy compound or ku_call traced inside a workload batch becomes
 // a child of the batch's request, and a standalone one becomes a
-// request of its own.
+// request of its own. Either way op is interned here, so closing the
+// span or request looks nothing up.
 func (t *Tracer) BeginOp(pid int, op string) {
 	pt := t.proc(pid)
 	now := t.clock.Now()
 	t.seq++
 	id := t.seq
 	if pt.reqID == 0 {
-		pt.reqID, pt.op, pt.reqStart = id, op, now
-		pt.agg = t.agg(op)
+		pt.reqID, pt.agg, pt.reqStart = id, t.agg(op), now
 		for i := range pt.segs {
 			pt.segs[i] = 0
 		}
@@ -395,7 +435,7 @@ func (t *Tracer) BeginOp(pid int, op string) {
 		pt.ps.SetRequest(id, op)
 		return
 	}
-	pt.push(openSpan{id: id, kind: SpanOp, op: op, start: now})
+	pt.push(openSpan{id: id, kind: SpanOp, op: t.intern(op), start: now})
 }
 
 // EndOp closes the innermost open operation: a child op span when one
@@ -407,9 +447,9 @@ func (t *Tracer) EndOp(pid int) {
 	if pt.depth > 0 && pt.stack[pt.depth-1].kind == SpanOp {
 		pt.depth--
 		sp := pt.stack[pt.depth]
-		*t.spans.Next() = Span{
-			ID: sp.id, Parent: pt.topID(), Req: pt.reqID, PID: pid,
-			Kind: SpanOp, Op: sp.op, Start: sp.start, End: now,
+		*t.spans.Next() = spanRec{
+			id: sp.id, parent: pt.topID(), req: pt.reqID, pid: int32(pid),
+			kind: SpanOp, op: sp.op, start: sp.start, end: now,
 		}
 		return
 	}
@@ -421,6 +461,7 @@ func (t *Tracer) EndOp(pid int) {
 
 // closeRequest finalizes pt's open request at time now.
 func (t *Tracer) closeRequest(pt *procTrace, now sim.Cycles) {
+	a := pt.agg
 	wall := int64(now - pt.reqStart)
 	var sum int64
 	for _, s := range pt.segs {
@@ -430,21 +471,21 @@ func (t *Tracer) closeRequest(pt *procTrace, now sim.Cycles) {
 		t.idViol++
 		if t.firstViol == "" {
 			t.firstViol = fmt.Sprintf("req %d op %q pid %d: segments sum %d != wall %d [%s]",
-				pt.reqID, pt.op, pt.pid, sum, wall, segList(pt.segs))
+				pt.reqID, t.names[a.op], pt.pid, sum, wall, segList(pt.segs))
 		}
 	}
-	pt.agg.hist.Observe(sim.Cycles(wall))
+	a.hist.Observe(sim.Cycles(wall))
 	for i, s := range pt.segs {
-		pt.agg.segs[i] += s
+		a.segs[i] += s
 	}
 
-	*t.reqs.Next() = ReqRecord{ID: pt.reqID, PID: pt.pid, Op: pt.op, Start: pt.reqStart, End: now, Segs: pt.segs}
-	*t.spans.Next() = Span{
-		ID: pt.reqID, Req: pt.reqID, PID: pt.pid,
-		Kind: SpanRequest, Op: pt.op, Start: pt.reqStart, End: now,
+	*t.reqs.Next() = reqRec{id: pt.reqID, pid: int32(pt.pid), op: a.op, start: pt.reqStart, end: now, segs: pt.segs}
+	*t.spans.Next() = spanRec{
+		id: pt.reqID, req: pt.reqID, pid: int32(pt.pid),
+		kind: SpanRequest, op: a.op, start: pt.reqStart, end: now,
 	}
 	pt.ps.SetRequest(0, "")
-	pt.reqID, pt.op, pt.agg = 0, "", nil
+	pt.reqID, pt.agg = 0, nil
 }
 
 // SyscallEnter opens a syscall span under pid's current request (also
@@ -467,9 +508,9 @@ func (t *Tracer) SyscallExit(pid int, nr uint16, in, out int) {
 	if pt.reqID == 0 {
 		return
 	}
-	*t.spans.Next() = Span{
-		ID: sp.id, Parent: pt.topID(), Req: pt.reqID, PID: pid,
-		Kind: SpanSyscall, Arg: sp.arg, Start: sp.start, End: t.clock.Now(),
+	*t.spans.Next() = spanRec{
+		id: sp.id, parent: pt.topID(), req: pt.reqID, pid: int32(pid),
+		kind: SpanSyscall, arg: sp.arg, start: sp.start, end: t.clock.Now(),
 	}
 }
 
@@ -482,18 +523,32 @@ func (t *Tracer) ExecSpan(pid int, sub kperf.Subsys, start, end sim.Cycles) {
 		return
 	}
 	t.seq++
-	*t.spans.Next() = Span{
-		ID: t.seq, Parent: pt.topID(), Req: pt.reqID, PID: pid,
-		Kind: SpanExec, Arg: uint32(sub), Start: start, End: end,
+	*t.spans.Next() = spanRec{
+		id: t.seq, parent: pt.topID(), req: pt.reqID, pid: int32(pid),
+		kind: SpanExec, arg: uint32(sub), start: start, end: end,
 	}
+}
+
+// intern returns op's index in the name table, adding the name on
+// first sight.
+func (t *Tracer) intern(op string) uint32 {
+	i, ok := t.ops[op]
+	if !ok {
+		i = uint32(len(t.names))
+		t.names = append(t.names, op)
+		t.aggs = append(t.aggs, nil)
+		t.ops[op] = i
+	}
+	return i
 }
 
 // agg returns (creating) the aggregate for op.
 func (t *Tracer) agg(op string) *opAgg {
-	a := t.aggs[op]
+	i := t.intern(op)
+	a := t.aggs[i]
 	if a == nil {
-		a = &opAgg{}
-		t.aggs[op] = a
+		a = &opAgg{op: i}
+		t.aggs[i] = a
 	}
 	return a
 }
@@ -504,18 +559,31 @@ func (t *Tracer) agg(op string) *opAgg {
 // retained first). Spans outside any request are never recorded.
 // Nil-safe.
 func (t *Tracer) Spans() []Span {
-	if t == nil {
+	if t == nil || t.spans.Len() == 0 {
 		return nil
 	}
-	return t.spans.Tail(t.spans.Len())
+	out := make([]Span, t.spans.Len())
+	for i := range out {
+		r := t.spans.At(i)
+		out[i] = Span{
+			ID: r.id, Parent: r.parent, Req: r.req, PID: int(r.pid), Kind: r.kind,
+			Op: t.names[r.op], Arg: r.arg, Start: r.start, End: r.end,
+		}
+	}
+	return out
 }
 
 // Requests returns the retained closed-request records in write order.
 func (t *Tracer) Requests() []ReqRecord {
-	if t == nil {
+	if t == nil || t.reqs.Len() == 0 {
 		return nil
 	}
-	return t.reqs.Tail(t.reqs.Len())
+	out := make([]ReqRecord, t.reqs.Len())
+	for i := range out {
+		r := t.reqs.At(i)
+		out[i] = ReqRecord{ID: r.id, PID: int(r.pid), Op: t.names[r.op], Start: r.start, End: r.end, Segs: r.segs}
+	}
+	return out
 }
 
 // segList renders a segment array for diagnostics.

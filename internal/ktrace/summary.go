@@ -3,7 +3,9 @@ package ktrace
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/kperf"
 )
@@ -96,42 +98,37 @@ func (t *Tracer) Summary() *Summary {
 		s.SpanOverflows += pt.overflow
 	}
 
-	// Tail decomposition from the retained records, grouped by op.
+	// Tail decomposition from the retained records, walked in place
+	// and indexed by op.
 	type tail struct {
 		segs  [NSegs]int64
 		count int64
 	}
-	tails := make(map[string]*tail, len(t.aggs))
-	p99 := make(map[string]int64, len(t.aggs))
+	snaps := make([]kperf.HistogramSnapshot, len(t.aggs))
+	tails := make([]tail, len(t.aggs))
+	ops := make([]uint32, 0, len(t.aggs))
 	for op, a := range t.aggs {
-		snap := a.hist.Snapshot()
-		p99[op] = snap.P99
-		tails[op] = &tail{}
-	}
-	for _, rec := range t.Requests() {
-		tl := tails[rec.Op]
-		if tl == nil {
-			continue
+		if a != nil {
+			snaps[op] = a.hist.Snapshot()
+			ops = append(ops, uint32(op))
 		}
-		if w := rec.Wall(); w >= p99[rec.Op]/2 {
+	}
+	for i := 0; i < t.reqs.Len(); i++ {
+		rec := t.reqs.At(i)
+		if int64(rec.end-rec.start) >= snaps[rec.op].P99/2 {
+			tl := &tails[rec.op]
 			tl.count++
-			for i, v := range rec.Segs {
-				tl.segs[i] += v
+			for j, v := range rec.segs {
+				tl.segs[j] += v
 			}
 		}
 	}
 
-	ops := make([]string, 0, len(t.aggs))
-	for op := range t.aggs {
-		ops = append(ops, op)
-	}
-	sort.Strings(ops)
+	slices.SortFunc(ops, func(a, b uint32) int { return strings.Compare(t.names[a], t.names[b]) })
 	for _, op := range ops {
-		a := t.aggs[op]
-		snap := a.hist.Snapshot()
-		tl := tails[op]
+		a, snap, tl := t.aggs[op], snaps[op], &tails[op]
 		sli := OpSLI{
-			Op:        op,
+			Op:        t.names[op],
 			Count:     snap.Count,
 			Sum:       snap.Sum,
 			Max:       snap.Max,
@@ -259,19 +256,20 @@ func (t *Tracer) FlowSpans(req uint64) []kperf.FlowSpan {
 		return nil
 	}
 	var out []kperf.FlowSpan
-	for _, sp := range t.Spans() {
-		if req != 0 && sp.Req != req {
+	for i := 0; i < t.spans.Len(); i++ {
+		sp := t.spans.At(i)
+		if req != 0 && sp.req != req {
 			continue
 		}
 		fs := kperf.FlowSpan{
 			Name:      t.spanName(sp),
-			PID:       sp.PID,
-			Flow:      sp.Req,
-			FlowStart: sp.Kind == SpanRequest,
-			Start:     sp.Start,
-			End:       sp.End,
+			PID:       int(sp.pid),
+			Flow:      sp.req,
+			FlowStart: sp.kind == SpanRequest,
+			Start:     sp.start,
+			End:       sp.end,
 			Args: map[string]any{
-				"span": sp.ID, "parent": sp.Parent, "req": sp.Req, "kind": sp.Kind.String(),
+				"span": sp.id, "parent": sp.parent, "req": sp.req, "kind": sp.kind.String(),
 			},
 		}
 		out = append(out, fs)
@@ -280,21 +278,21 @@ func (t *Tracer) FlowSpans(req uint64) []kperf.FlowSpan {
 }
 
 // spanName renders a span's display name.
-func (t *Tracer) spanName(sp Span) string {
-	switch sp.Kind {
+func (t *Tracer) spanName(sp spanRec) string {
+	switch sp.kind {
 	case SpanRequest:
-		return "req:" + sp.Op
+		return "req:" + t.names[sp.op]
 	case SpanOp:
-		return sp.Op
+		return t.names[sp.op]
 	case SpanSyscall:
 		if t.set != nil && t.set.SyscallName != nil {
-			return t.set.SyscallName(int(sp.Arg))
+			return t.set.SyscallName(int(sp.arg))
 		}
-		return fmt.Sprintf("sys_%d", sp.Arg)
+		return fmt.Sprintf("sys_%d", sp.arg)
 	case SpanWait:
-		return "wait:" + kperf.Subsys(sp.Arg).String()
+		return "wait:" + kperf.Subsys(sp.arg).String()
 	case SpanExec:
-		return "exec:" + kperf.Subsys(sp.Arg).String()
+		return "exec:" + kperf.Subsys(sp.arg).String()
 	}
 	return "?"
 }
