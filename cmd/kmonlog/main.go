@@ -67,7 +67,7 @@ func main() {
 	fmt.Printf("postmark: user %v, sys %v, wait %v\n", pu, ps, pw)
 	fmt.Printf("logger:   user %v, sys %v, wait %v\n", lu, ls, lw)
 	fmt.Printf("events: %d logged in kernel, %d delivered to user space, %d dropped (ring full)\n",
-		s.Mon.Logged, lst.Events, s.Mon.Ring.Drops.Load())
+		s.Mon.Logged, lst.Events, s.Mon.Dropped)
 	fmt.Printf("logger polls: %d (%d empty), %d bytes written to /log\n",
 		lst.Polls, lst.EmptyPolls, lst.BytesLogged)
 	fmt.Printf("dcache_lock acquisitions: %d\n", s.NS.Dc.Lock.Acquisitions)

@@ -139,7 +139,7 @@ func E9(perf bool) (*Table, error) {
 			return nil, err
 		}
 		streamLogged = s.Mon.Logged
-		streamDrops = int64(s.Mon.Ring.Drops.Load())
+		streamDrops = s.Mon.Dropped
 		t.ObservePerf(s)
 	}
 

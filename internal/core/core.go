@@ -210,10 +210,10 @@ func New(opts Options) (*System, error) {
 	return s, nil
 }
 
-// wirePerf attaches the lazy gauges and the disk-latency histogram.
-// Gauges read counters the subsystems already maintain and only at
-// snapshot time, so the wiring costs nothing during a run: a plain
-// field is read through its address, and a func computes the rest.
+// wirePerf attaches the gauges and the disk-latency histogram. Each
+// gauge is an int64 field a subsystem already keeps, read through its
+// address only when a snapshot or sample is taken, so the wiring costs
+// nothing during a run.
 func (s *System) wirePerf() {
 	reg := s.Perf.Reg
 	s.IO.Dev.Perf = reg.Histogram("disk.access.cycles")
@@ -224,14 +224,13 @@ func (s *System) wirePerf() {
 	reg.GaugeVar("io.cache.sync_writes", &s.IO.SyncWrites)
 	reg.GaugeVar("io.cache.throttles", &s.IO.Throttles)
 
-	// One MemTotals walk over the live processes serves all four.
-	reg.GaugeFuncs([]string{"mem.tlb.hits", "mem.tlb.misses", "mem.faults", "mem.guard.promotions"}, func(vals []int64) {
-		h, m, f, g := s.M.MemTotals()
-		vals[0], vals[1], vals[2], vals[3] = int64(h), int64(m), int64(f), int64(g)
-	})
+	reg.GaugeVar("mem.tlb.hits", &s.M.Mem.TLBHits)
+	reg.GaugeVar("mem.tlb.misses", &s.M.Mem.TLBMisses)
+	reg.GaugeVar("mem.faults", &s.M.Mem.Faults)
+	reg.GaugeVar("mem.guard.promotions", &s.M.Mem.GuardPromos)
 
 	reg.GaugeVar("sched.ctx_switches", &s.M.CtxSwitches)
-	reg.GaugeFunc("sys.calls.total", func() int64 { return s.K.TotalCalls() })
+	reg.GaugeVar("sys.calls.total", &s.K.CallsTotal)
 	reg.GaugeVar("sys.bytes.copyin", &s.K.BytesIn)
 	reg.GaugeVar("sys.bytes.copyout", &s.K.BytesOut)
 	// Ring data-plane activity: ops dispatched from ring_enter drains
@@ -248,9 +247,9 @@ func (s *System) wirePerf() {
 
 	reg.GaugeVar("kmon.logged", &s.Mon.Logged)
 	reg.GaugeVar("kmon.enqueued", &s.Mon.Enqueued)
-	reg.GaugeFunc("kmon.ring.drops", func() int64 { return int64(s.Mon.Ring.Drops.Load()) })
-	reg.GaugeFunc("klog.entries", func() int64 { return int64(s.M.Log.Len()) })
-	reg.GaugeFunc("klog.dropped", func() int64 { return int64(s.M.Log.Dropped()) })
+	reg.GaugeVar("kmon.ring.drops", &s.Mon.Dropped)
+	reg.GaugeVar("klog.entries", &s.M.Log.Retained)
+	reg.GaugeVar("klog.dropped", &s.M.Log.Discarded)
 }
 
 // Spawn starts a process whose body receives a syscall context.

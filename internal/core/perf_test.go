@@ -3,10 +3,15 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/cosy/kext"
+	"repro/internal/cosy/lib"
+	"repro/internal/kgcc"
 	"repro/internal/kperf"
+	"repro/internal/kring"
 	"repro/internal/sys"
 )
 
@@ -83,6 +88,99 @@ func TestPerfRegistryFedBySubsystems(t *testing.T) {
 	}
 	if sn.TraceRecords == 0 {
 		t.Error("tracer captured no records")
+	}
+}
+
+// TestCallsTotalIsSumOfCalls drives each path that counts a boundary
+// crossing (trap calls, a ring_enter draining several entries, a Cosy
+// compound through the ring, a ku_call) and requires the kernel's
+// running total to equal the per-call counts, in the kernel and in the
+// snapshot's gauges.
+func TestCallsTotalIsSumOfCalls(t *testing.T) {
+	s, err := New(Options{Perf: NewPerf(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := lib.New()
+	fd := b.Sys(uint16(sys.NrCreat), b.Const(int64(b.String("/cosy"))))
+	b.Sys(uint16(sys.NrClose), fd)
+	compound, err := b.Build(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cosy := s.CosyEngine(kext.ModeDataSeg)
+	s.Spawn("calls", func(pr *sys.Proc) error {
+		pr.Getpid()
+		fd, err := pr.Creat("/trap")
+		if err != nil {
+			return err
+		}
+		if err := pr.Close(fd); err != nil {
+			return err
+		}
+
+		h, err := pr.RingSetup(8, 4096)
+		if err != nil {
+			return err
+		}
+		path := []byte("/ring")
+		v, err := h.View(0, len(path))
+		if err != nil {
+			return err
+		}
+		if err := v.CopyOut(0, path); err != nil {
+			return err
+		}
+		for _, e := range []kring.SQE{
+			{Op: uint16(sys.NrCreat), DataOff: 0, DataLen: uint32(len(path))},
+			{Op: uint16(sys.NrClose), Flags: kring.FlagFDRel, Args: [4]int64{1}},
+			{Op: uint16(sys.NrStat), Args: [4]int64{128}, DataOff: 0, DataLen: uint32(len(path))},
+		} {
+			if err := h.Push(&e); err != nil {
+				return err
+			}
+		}
+		if n, err := h.Enter(); err != nil || n != 3 {
+			return fmt.Errorf("ring_enter completed %d entries: %v", n, err)
+		}
+
+		if _, err := cosy.ExecRing(pr, compound); err != nil {
+			return err
+		}
+
+		id, err := pr.KuLoad(sys.KuSpec{Source: "int twice(int x) { return 2 * x; }", Entry: "twice", Checks: kgcc.KcheckOptions()})
+		if err != nil {
+			return err
+		}
+		if v, err := pr.KuCall(id, 21); err != nil || v != 42 {
+			return fmt.Errorf("ku_call = %d, %v; want 42", v, err)
+		}
+		return nil
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Three entries and the compound's own ring entry, over two
+	// ring_enter crossings.
+	if s.K.RingOps != 3+1 || s.K.Calls[sys.NrRingEnter] != 2 || s.K.Calls[sys.NrKuCall] != 1 {
+		t.Fatalf("a path went unexercised: ring ops %d, ring_enter %d, ku_call %d",
+			s.K.RingOps, s.K.Calls[sys.NrRingEnter], s.K.Calls[sys.NrKuCall])
+	}
+
+	var sum int64
+	for _, c := range s.K.Calls {
+		sum += c
+	}
+	if s.K.CallsTotal != sum {
+		t.Errorf("CallsTotal = %d, sum of Calls = %d", s.K.CallsTotal, sum)
+	}
+	sn := s.Perf.Snapshot()
+	var gauges int64
+	for nr := 0; nr < sys.Count(); nr++ {
+		gauges += sn.Gauges["sys.calls."+sys.Nr(nr).String()]
+	}
+	if total := sn.Gauges["sys.calls.total"]; total != gauges || total != sum {
+		t.Errorf("sys.calls.total gauge = %d, sum of sys.calls.<name> gauges = %d, of Calls = %d", total, gauges, sum)
 	}
 }
 

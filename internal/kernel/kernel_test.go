@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -368,6 +369,74 @@ func TestUserAddressSpacesIsolated(t *testing.T) {
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMemTotalsCountExitedProcesses checks that an exited process's
+// translations and faults stay in MemTotals, and that a later
+// process's add to them.
+func TestMemTotalsCountExitedProcesses(t *testing.T) {
+	m := newMachine()
+	type totals struct{ hits, misses, faults, promos uint64 }
+	read := func() (tt totals) {
+		tt.hits, tt.misses, tt.faults, tt.promos = m.MemTotals()
+		return tt
+	}
+	touch := func(p *Process, pages int) error {
+		base, err := p.UAS.MapRegion(pages, mem.PermRW)
+		if err != nil {
+			return err
+		}
+		buf := make([]byte, 8)
+		for i := 0; i < pages; i++ {
+			va := base + mem.Addr(i*mem.PageSize)
+			if err := p.UAS.WriteBytes(va, buf); err != nil {
+				return err
+			}
+			if err := p.UAS.ReadBytes(va, buf); err != nil {
+				return err
+			}
+		}
+		if err := p.UAS.ReadBytes(0, buf); err == nil { // page 0 is never mapped
+			return errors.New("read of page 0 did not fault")
+		}
+		return nil
+	}
+
+	var endOfA totals
+	m.Spawn("a", func(p *Process) error {
+		if err := touch(p, 4); err != nil {
+			return err
+		}
+		endOfA = read()
+		return nil
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	afterA := read()
+	if afterA != endOfA {
+		t.Fatalf("totals after a exited = %+v, at the end of its body %+v", afterA, endOfA)
+	}
+	if afterA.hits == 0 || afterA.misses == 0 || afterA.faults == 0 {
+		t.Fatalf("a's touches counted nothing: %+v", afterA)
+	}
+
+	var startOfB, endOfB totals
+	m.Spawn("b", func(p *Process) error {
+		startOfB = read()
+		if err := touch(p, 2); err != nil {
+			return err
+		}
+		endOfB = read()
+		return nil
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if afterB := read(); startOfB != afterA || afterB != endOfB ||
+		afterB.hits <= afterA.hits || afterB.misses <= afterA.misses || afterB.faults <= afterA.faults {
+		t.Fatalf("totals: after a %+v, b's body %+v to %+v, after b %+v", afterA, startOfB, endOfB, afterB)
 	}
 }
 

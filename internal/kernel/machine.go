@@ -98,10 +98,9 @@ type Machine struct {
 	// IdleCycles accumulates time when no process was runnable.
 	IdleCycles sim.Cycles
 
-	// Memory stats of retired processes, folded in as each process
-	// exits so MemTotals covers the machine's whole life.
-	retiredTLBHits, retiredTLBMisses uint64
-	retiredFaults, retiredPromos     uint64
+	// Mem counts the MMU events of KAS and of every process's UAS,
+	// which all point at it, over the machine's whole life.
+	Mem mem.Stats
 }
 
 // Config controls machine creation.
@@ -127,6 +126,7 @@ func New(cfg Config) *Machine {
 	}
 	m.KAS = mem.NewAddressSpace("kernel", m.Phys, &m.Costs)
 	m.KAS.Charge = m.ChargeTagged(kperf.SubMem)
+	m.KAS.Stats = &m.Mem
 	m.Km = alloc.NewKmalloc(m.KAS, &m.Costs, m.ChargeTagged(kperf.SubAlloc))
 	m.Vm = alloc.NewVmalloc(m.KAS, &m.Costs, m.ChargeTagged(kperf.SubAlloc))
 	m.Log = klog.New(&m.Clock, 0)
@@ -231,6 +231,7 @@ func (m *Machine) Spawn(name string, fn func(*Process) error) *Process {
 	m.nextPID++
 	p.UAS = mem.NewAddressSpace(fmt.Sprintf("user-%s-%d", name, p.PID), m.Phys, &m.Costs)
 	p.UAS.Charge = p.Charge
+	p.UAS.Stats = &m.Mem
 	if m.Perf != nil {
 		p.Perf = m.Perf.NewProc(p.PID, name)
 		p.UAS.Charge = func(c sim.Cycles) {
@@ -274,7 +275,6 @@ func (m *Machine) Run() error {
 			if p.err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("process %s: %w", p.Name, p.err)
 			}
-			m.retireMemStats(p.UAS)
 			i := slices.Index(m.procs, p)
 			m.procs = slices.Delete(m.procs, i, i+1)
 		case stateReady:
@@ -400,28 +400,9 @@ func (m *Machine) deliverDue() {
 // Procs reports the number of live processes.
 func (m *Machine) Procs() int { return len(m.procs) }
 
-// retireMemStats folds an exiting process's address-space counters
-// into the machine totals before the process is forgotten.
-func (m *Machine) retireMemStats(as *mem.AddressSpace) {
-	m.retiredTLBHits += as.TLBHits
-	m.retiredTLBMisses += as.TLBMisses
-	m.retiredFaults += as.Faults
-	m.retiredPromos += as.GuardPromos
-}
-
-// MemTotals aggregates TLB/fault/guard-promotion counts over the
-// kernel address space and every user address space, including
-// processes that already exited.
+// MemTotals reports the machine's TLB hit, TLB miss, fault and
+// guard-promotion counts: those of the kernel address space and of
+// every user address space, including processes that already exited.
 func (m *Machine) MemTotals() (tlbHits, tlbMisses, faults, guardPromos uint64) {
-	tlbHits = m.retiredTLBHits + m.KAS.TLBHits
-	tlbMisses = m.retiredTLBMisses + m.KAS.TLBMisses
-	faults = m.retiredFaults + m.KAS.Faults
-	guardPromos = m.retiredPromos + m.KAS.GuardPromos
-	for _, p := range m.procs {
-		tlbHits += p.UAS.TLBHits
-		tlbMisses += p.UAS.TLBMisses
-		faults += p.UAS.Faults
-		guardPromos += p.UAS.GuardPromos
-	}
-	return tlbHits, tlbMisses, faults, guardPromos
+	return uint64(m.Mem.TLBHits), uint64(m.Mem.TLBMisses), uint64(m.Mem.Faults), uint64(m.Mem.GuardPromos)
 }

@@ -9,19 +9,20 @@ import (
 	"repro/internal/sim"
 )
 
-// epochStep returns a function that moves a gauge variable, a gauge
-// func, sys.span.cycles and one attribution cell, then ticks past the
-// next epoch boundary, so every call closes one epoch with a row of
-// each kind. The ring is already full when it returns.
+// epochStep returns a function that moves two gauges,
+// sys.span.cycles and one attribution cell, then ticks past the next
+// epoch boundary, so every call closes one epoch with a row of each
+// kind. The ring is already full when it returns.
 func epochStep(r *Recorder) func() {
 	set := r.set
-	var ops int64
+	var ops, depth int64
 	set.Reg.GaugeVar("test.ops", &ops)
-	set.Reg.GaugeFunc("test.depth", func() int64 { return 2 * ops })
+	set.Reg.GaugeVar("test.depth", &depth)
 	ps := set.NewProc(1, "proc")
 	now := sim.Cycles(0)
 	step := func() {
 		ops++
+		depth = 2 * ops
 		ps.SyscallEnter(2, now)
 		ps.OnCycles(100, true)
 		now += r.cfg.EpochCycles

@@ -18,10 +18,10 @@ import (
 // TestDenseCloseMatchesReference drives the dense Recorder and the
 // map-based reference with the same Tick/Event stream of a PostMark
 // run and requires byte-identical kflight/v1 records. The run
-// evicts from the ring (at the small config); mid-run it registers a
-// gauge func, a gauge variable and a histogram and spawns a third
-// process; it registers one name as both a GaugeVar and a GaugeFunc,
-// and cuts a kill postmortem.
+// evicts from the ring (at the small config); mid-run it registers
+// two gauges and a histogram and spawns a third process; it registers
+// a second variable under one gauge's name, and cuts a kill
+// postmortem.
 func TestDenseCloseMatchesReference(t *testing.T) {
 	for _, cfg := range []kflight.Config{
 		{EpochCycles: 1 << 16, Retain: 64},
@@ -52,16 +52,17 @@ func TestDenseCloseMatchesReference(t *testing.T) {
 		s.Spawn("pm-b", func(pr *sys.Proc) error {
 			c := pmConfig("/b", 2)
 			txns := 0
-			var lateOps int64
+			var late, negDual, lateOps int64
 			var lateCycles *kperf.Histogram
 			c.Think = func(pr *sys.Proc) error {
 				txns++
 				ops++
 				dual = int64(txns / 10)
+				late, negDual = s.K.CallsTotal/3, -dual
 				if txns == 150 {
 					// Metrics and a process that appear after many closes.
-					reg.GaugeFunc("test.late", func() int64 { return s.K.TotalCalls() / 3 })
-					reg.GaugeFunc("test.dual", func() int64 { return -int64(txns / 10) })
+					reg.GaugeVar("test.late", &late)
+					reg.GaugeVar("test.dual", &negDual)
 					reg.GaugeVar("test.late.ops", &lateOps)
 					lateCycles = reg.Histogram("test.late.cycles")
 					s.Spawn("pm-c", func(pr *sys.Proc) error {

@@ -60,26 +60,33 @@ type Config struct {
 	// (and counted) as new ones close. Their slots are allocated when
 	// the recorder is created. 0 selects DefaultRetain.
 	Retain int
-	// PostmortemEpochs is how many trailing epochs a postmortem copies.
-	// 0 selects DefaultPostmortemEpochs.
-	PostmortemEpochs int
-	// TailRecords is how many trace records per shard a postmortem
-	// copies. 0 selects DefaultTailRecords.
-	TailRecords int
-	// MaxDumps caps kill/trap/death postmortems (a kefence trap storm
-	// must not hoard host memory); skipped dumps are counted. The
-	// run-end dump is exempt. 0 selects DefaultMaxDumps.
-	MaxDumps int
 }
 
 // Default Config values.
 const (
-	DefaultEpochCycles      = sim.Cycles(1 << 24) // ~16.8M cycles ≈ 10ms at 1.7GHz
-	DefaultRetain           = 4096
-	DefaultPostmortemEpochs = 8
-	DefaultTailRecords      = 64
-	DefaultMaxDumps         = 8
+	DefaultEpochCycles = sim.Cycles(1 << 24) // ~16.8M cycles ≈ 10ms at 1.7GHz
+	DefaultRetain      = 4096
 )
+
+// Postmortem sizes.
+const (
+	// postmortemEpochs is how many trailing epochs a postmortem copies.
+	postmortemEpochs = 8
+	// tailRecords is how many trace records per shard a postmortem
+	// copies.
+	tailRecords = 64
+	// maxDumps caps kill/trap/death postmortems (a kefence trap storm
+	// must not hoard host memory); skipped dumps are counted. The
+	// run-end dump is exempt.
+	maxDumps = 8
+)
+
+// RecordConfig is a record's "config" object: the recorder's Config
+// and its fixed postmortem sizes, which kflight/v1 records carry.
+type RecordConfig struct {
+	Config
+	PostmortemEpochs, TailRecords, MaxDumps int
+}
 
 // withDefaults resolves zero fields.
 func (c Config) withDefaults() Config {
@@ -88,15 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Retain <= 0 {
 		c.Retain = DefaultRetain
-	}
-	if c.PostmortemEpochs <= 0 {
-		c.PostmortemEpochs = DefaultPostmortemEpochs
-	}
-	if c.TailRecords <= 0 {
-		c.TailRecords = DefaultTailRecords
-	}
-	if c.MaxDumps <= 0 {
-		c.MaxDumps = DefaultMaxDumps
 	}
 	return c
 }
@@ -242,7 +240,7 @@ func MergeSummaries(a *Summary, b *Summary) *Summary {
 // replays and kprof exports counter tracks from.
 type Record struct {
 	Schema      string       `json:"schema"`
-	Config      Config       `json:"config"`
+	Config      RecordConfig `json:"config"`
 	Epochs      []Epoch      `json:"epochs"`
 	Postmortems []Postmortem `json:"postmortems,omitempty"`
 	Summary     Summary      `json:"summary"`
@@ -513,7 +511,7 @@ func (r *Recorder) Tick(now sim.Cycles) {
 func (r *Recorder) Event(now sim.Cycles, kind, detail string) {
 	r.events[kind]++
 	runEnd := kind == "run_end"
-	if !runEnd && len(r.dumps) >= r.cfg.MaxDumps {
+	if !runEnd && len(r.dumps) >= maxDumps {
 		r.dumpsSkipped++
 		return
 	}
@@ -522,14 +520,14 @@ func (r *Recorder) Event(now sim.Cycles, kind, detail string) {
 		r.closeEpoch(now)
 	}
 	pm := Postmortem{Kind: kind, Detail: detail, At: now}
-	if n := min(r.ring.Len(), r.cfg.PostmortemEpochs); n > 0 {
+	if n := min(r.ring.Len(), postmortemEpochs); n > 0 {
 		pm.Epochs = make([]Epoch, n)
 		names := r.set.Reg.Names()
 		for i := range pm.Epochs {
 			pm.Epochs[i] = r.render(r.ring.Len()-n+i, names)
 		}
 	}
-	pm.Tail = traceTail(r.set, r.cfg.TailRecords)
+	pm.Tail = traceTail(r.set, tailRecords)
 	pm.Requests = openRequests(r.set)
 	r.dumps = append(r.dumps, pm)
 }
@@ -716,7 +714,7 @@ func (r *Recorder) Summary() *Summary {
 func (r *Recorder) Record() *Record {
 	return &Record{
 		Schema:      Schema,
-		Config:      r.cfg,
+		Config:      RecordConfig{r.cfg, postmortemEpochs, tailRecords, maxDumps},
 		Epochs:      r.Epochs(),
 		Postmortems: r.Postmortems(),
 		Summary:     *r.Summary(),

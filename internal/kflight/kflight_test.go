@@ -2,6 +2,7 @@ package kflight
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -141,45 +142,45 @@ func TestRetentionRingEviction(t *testing.T) {
 	}
 }
 
-// TestEventPostmortems checks dump contents, the MaxDumps cap, and the
-// run-end exemption.
+// TestEventPostmortems checks dump contents, the cap of 8 dumps, and
+// the run-end exemption, at the recorder's postmortem sizes.
 func TestEventPostmortems(t *testing.T) {
-	r, set := newTestRecorder(Config{Retain: 8, PostmortemEpochs: 2, MaxDumps: 2, TailRecords: 4})
+	r, set := newTestRecorder(Config{})
 	var ops int64
 	set.Reg.GaugeVar("test.ops", &ops)
 	ps := set.NewProc(1, "victim")
-	for i := 1; i <= 3; i++ {
+	for i := 1; i <= 8; i++ {
 		ops++
 		r.Tick(sim.Cycles(i) * 1000)
 	}
-	ps.SyscallEnter(1, 3000)
-	ps.SyscallExit(3100)
+	ps.SyscallEnter(1, 8000)
+	ps.SyscallExit(8100)
 
-	// Open window [3000,3500] flushes into the dump's epochs.
+	// Open window [8000,8500] flushes into the first dump's epochs.
 	ops++
-	r.Event(3500, "kill", "victim-1: oom")
-	r.Event(3600, "kill", "victim-1: again")
-	r.Event(3700, "kill", "victim-1: dropped") // over MaxDumps
-	r.Event(4000, "run_end", "")               // exempt from the cap
+	for k := range 9 { // the 9th kill is over the cap
+		r.Event(8500+sim.Cycles(100*k), "kill", fmt.Sprintf("victim-1: kill %d", k))
+	}
+	r.Event(10000, "run_end", "") // exempt from the cap
 
 	pms := r.Postmortems()
-	if len(pms) != 3 {
-		t.Fatalf("postmortems = %d, want 3 (2 kills + run_end)", len(pms))
+	if len(pms) != 9 {
+		t.Fatalf("postmortems = %d, want 9 (8 kills + run_end)", len(pms))
 	}
-	if pms[0].Kind != "kill" || pms[2].Kind != "run_end" {
-		t.Errorf("kinds = %s,%s,%s", pms[0].Kind, pms[1].Kind, pms[2].Kind)
+	if pms[0].Kind != "kill" || pms[7].Kind != "kill" || pms[8].Kind != "run_end" {
+		t.Errorf("kinds = %s,%s,%s", pms[0].Kind, pms[7].Kind, pms[8].Kind)
 	}
-	if n := len(pms[0].Epochs); n != 2 {
-		t.Fatalf("dump epochs = %d, want PostmortemEpochs = 2", n)
+	if n := len(pms[0].Epochs); n != 8 {
+		t.Fatalf("dump epochs = %d, want 8", n)
 	}
 	// The flushed open window is the newest epoch in the dump and
 	// reaches the event cycle.
-	last := pms[0].Epochs[1]
-	if last.End != 3500 {
-		t.Errorf("dump's newest epoch ends at %d, want the event cycle 3500", last.End)
+	last := pms[0].Epochs[7]
+	if last.End != 8500 {
+		t.Errorf("dump's newest epoch ends at %d, want the event cycle 8500", last.End)
 	}
-	if last.Gauges["test.ops"] != 4 {
-		t.Errorf("flushed window gauge = %d, want 4", last.Gauges["test.ops"])
+	if last.Gauges["test.ops"] != 9 {
+		t.Errorf("flushed window gauge = %d, want 9", last.Gauges["test.ops"])
 	}
 	// The tail names the syscall via the injected resolver.
 	var sawCall bool
@@ -195,8 +196,8 @@ func TestEventPostmortems(t *testing.T) {
 	if s.DumpsSkipped != 1 {
 		t.Errorf("dumps skipped = %d, want 1", s.DumpsSkipped)
 	}
-	if s.Events["kill"] != 3 || s.Events["run_end"] != 1 {
-		t.Errorf("events = %+v, want kill:3 run_end:1", s.Events)
+	if s.Events["kill"] != 9 || s.Events["run_end"] != 1 {
+		t.Errorf("events = %+v, want kill:9 run_end:1", s.Events)
 	}
 }
 

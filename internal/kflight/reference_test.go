@@ -68,7 +68,7 @@ func (r *ReferenceRecorder) Tick(now sim.Cycles) {
 // Event mirrors Recorder.Event.
 func (r *ReferenceRecorder) Event(now sim.Cycles, kind, detail string) {
 	r.events[kind]++
-	if kind != "run_end" && len(r.dumps) >= r.cfg.MaxDumps {
+	if kind != "run_end" && len(r.dumps) >= maxDumps {
 		r.dumpsSkipped++
 		return
 	}
@@ -76,10 +76,10 @@ func (r *ReferenceRecorder) Event(now sim.Cycles, kind, detail string) {
 		r.closeEpoch(now)
 	}
 	pm := Postmortem{Kind: kind, Detail: detail, At: now}
-	if n := min(len(r.ring), r.cfg.PostmortemEpochs); n > 0 {
+	if n := min(len(r.ring), postmortemEpochs); n > 0 {
 		pm.Epochs = r.epochs()[len(r.ring)-n:]
 	}
-	pm.Tail = traceTail(r.set, r.cfg.TailRecords)
+	pm.Tail = traceTail(r.set, tailRecords)
 	pm.Requests = openRequests(r.set)
 	r.dumps = append(r.dumps, pm)
 }
@@ -171,7 +171,7 @@ func (r *ReferenceRecorder) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", " ")
 	return enc.Encode(&Record{
 		Schema:      Schema,
-		Config:      r.cfg,
+		Config:      RecordConfig{r.cfg, postmortemEpochs, tailRecords, maxDumps},
 		Epochs:      r.epochs(),
 		Postmortems: r.dumps,
 		Summary:     s,

@@ -28,6 +28,7 @@ func systemCloser(tb testing.TB) (*core.System, func()) {
 	epoch := s.Flight.Config().EpochCycles
 	step := func() {
 		s.K.Calls[sys.NrRead]++
+		s.K.CallsTotal++
 		s.K.BytesIn += 64
 		disk.Observe(5000)
 		p.Perf.OnCycles(100, true)

@@ -98,20 +98,12 @@ var hookpureBannedFns = map[string]bool{
 // audited by eye and covered dynamically by the bit-identity gate
 // (identical simulated cycles with observability on vs off would
 // break if any of these charged or mutated). They are treated as
-// leaves — the proof trusts them and does not traverse their bodies,
-// which is what makes e.g. MemTotals (which walks kernel-owned CPU
-// state to sum counters) admissible.
+// leaves — the proof trusts them and does not traverse their bodies.
+// Every kperf gauge is a variable, so no gauge read needs an entry.
 var hookpureAllowedFns = map[string]bool{
-	// kperf gauge closures in core read these aggregate counters at
-	// snapshot time.
-	"repro/internal/kernel.(Machine).MemTotals": true,
-	"repro/internal/sys.(Kernel).TotalCalls":    true,
 	// Syscall-number formatting for exporter labels.
 	"repro/internal/sys.Count":       true,
 	"repro/internal/sys.(Nr).String": true,
-	// klog ring length/drop counters for the klog.* gauges.
-	"repro/internal/klog.(Log).Len":     true,
-	"repro/internal/klog.(Log).Dropped": true,
 }
 
 func runHookpure(pass *Pass) error {

@@ -60,11 +60,15 @@ type Log struct {
 	// the machine to the running process's kperf state).
 	Req func() uint64
 
+	// Retained counts the entries the log holds, and Discarded the
+	// entries the bound dropped. Printf and Clear set both under the
+	// log's lock.
+	Retained, Discarded int64
+
 	mu      sync.Mutex
 	clock   *sim.Clock
 	max     int
 	entries []Entry
-	dropped int
 }
 
 // New creates a log bounded to max entries; max <= 0 selects a
@@ -92,8 +96,9 @@ func (l *Log) Printf(level Level, format string, args ...any) {
 	if len(l.entries) > l.max {
 		over := len(l.entries) - l.max
 		l.entries = append(l.entries[:0:0], l.entries[over:]...)
-		l.dropped += over
+		l.Discarded += int64(over)
 	}
+	l.Retained = int64(len(l.entries))
 }
 
 // Entries returns a snapshot of the retained entries.
@@ -109,14 +114,14 @@ func (l *Log) Entries() []Entry {
 func (l *Log) Dropped() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.dropped
+	return int(l.Discarded)
 }
 
 // Len reports the retained entry count.
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.entries)
+	return int(l.Retained)
 }
 
 // Grep returns retained entries whose message contains substr.
@@ -137,5 +142,5 @@ func (l *Log) Clear() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.entries = nil
-	l.dropped = 0
+	l.Retained, l.Discarded = 0, 0
 }

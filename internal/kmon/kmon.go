@@ -91,8 +91,10 @@ type Monitor struct {
 	files     []string
 	fileIdx   map[string]FileID
 
-	// Logged counts LogEvent calls; Enqueued counts ring insertions.
-	Logged, Enqueued int64
+	// Logged counts LogEvent calls; Enqueued counts events offered to
+	// the ring, and Dropped those of them it refused because it was
+	// full.
+	Logged, Enqueued, Dropped int64
 
 	nextObj uint64
 }
@@ -148,7 +150,9 @@ func (mon *Monitor) LogEvent(p *kernel.Process, obj uint64, typ EventType, file 
 	}
 	if mon.RingEnabled {
 		p.ChargeSys(c.EventEnqueue)
-		mon.Ring.TryPush(ev)
+		if !mon.Ring.TryPush(ev) {
+			mon.Dropped++
+		}
 		mon.Enqueued++
 	}
 	p.Perf.Pop()

@@ -250,7 +250,7 @@ func TestReaderBulkCopyUnderWrapAndOverflow(t *testing.T) {
 			wantDrops += int64(n - ringCap)
 		}
 	}
-	drops := int64(mon.Ring.Drops.Load())
+	drops := mon.Dropped
 	if drops != wantDrops {
 		t.Fatalf("drops = %d, want exactly %d", drops, wantDrops)
 	}
@@ -377,7 +377,7 @@ func TestRingOverflowDropsNotBlocks(t *testing.T) {
 	if mon.Ring.Len() != 16 {
 		t.Fatalf("ring len = %d", mon.Ring.Len())
 	}
-	if mon.Ring.Drops.Load() != 84 {
-		t.Fatalf("drops = %d", mon.Ring.Drops.Load())
+	if mon.Dropped != 84 {
+		t.Fatalf("drops = %d", mon.Dropped)
 	}
 }

@@ -17,19 +17,20 @@ func TestCounterGaugeRegistry(t *testing.T) {
 	calls := int64(0)
 	r.GaugeVar("sys.calls", &calls)
 	calls += 5 // a variable is read when the registry is, not when registered
-	lazy := int64(0)
-	r.GaugeFunc("lazy.reads", func() int64 { return lazy })
-	lazy = 42
+	reads := int64(42)
+	r.GaugeVar("io.reads", &reads)
 	field := int64(9)
 	r.GaugeVar("field.reads", &field)
 	sn := r.Snapshot()
-	if sn.Gauges["sys.calls"] != 5 || sn.Gauges["lazy.reads"] != 42 || sn.Gauges["field.reads"] != 9 {
+	if sn.Gauges["sys.calls"] != 5 || sn.Gauges["io.reads"] != 42 || sn.Gauges["field.reads"] != 9 {
 		t.Fatalf("snapshot mismatch: %+v", sn)
 	}
 
-	// A func registered under a variable's name wins in both reads,
-	// keeping the gauge's position; a histogram may share a gauge's name.
-	r.GaugeFunc("sys.calls", func() int64 { return -1 })
+	// A variable registered under a gauge's name replaces its variable
+	// in both reads, keeping the gauge's position; a histogram may
+	// share a gauge's name.
+	replaced := int64(-1)
+	r.GaugeVar("sys.calls", &replaced)
 	r.Histogram("sys.calls").Observe(100)
 	if sn := r.Snapshot(); sn.Gauges["sys.calls"] != -1 || sn.Histograms["sys.calls"].Count != 1 {
 		t.Fatalf("snapshot after re-registration: %+v", sn)
@@ -37,7 +38,7 @@ func TestCounterGaugeRegistry(t *testing.T) {
 	var s Sample
 	r.Sample(&s)
 	names := r.Names()
-	if !slices.Equal(names.Gauges, []string{"sys.calls", "lazy.reads", "field.reads"}) ||
+	if !slices.Equal(names.Gauges, []string{"sys.calls", "io.reads", "field.reads"}) ||
 		!slices.Equal(names.Hists, []string{"sys.calls"}) {
 		t.Fatalf("names = %+v", names)
 	}
@@ -49,20 +50,15 @@ func TestCounterGaugeRegistry(t *testing.T) {
 		t.Fatalf("sample = %+v", s)
 	}
 
-	// A gauge group's func runs once per read and fills every member.
-	walks := 0
-	r.GaugeFuncs([]string{"grp.a", "grp.b"}, func(vals []int64) {
-		walks++
-		vals[0], vals[1] = int64(walks), int64(10*walks)
-	})
+	// A later read lists only what moved: a changed variable, and a
+	// gauge registered since, even at 0.
+	field = 10
+	var late int64
+	r.GaugeVar("late.reads", &late)
 	r.Sample(&s)
-	r.Sample(&s)
-	if walks != 2 || !slices.Equal(s.Gauges, []int64{-1, 42, 9, 2, 20}) ||
-		!slices.Equal(s.MovedGauges, []int{3, 4}) || len(s.MovedHists) != 0 {
-		t.Fatalf("after %d group walks, sample %+v", walks, s)
-	}
-	if sn := r.Snapshot(); walks != 3 || sn.Gauges["grp.a"] != 3 || sn.Gauges["grp.b"] != 30 {
-		t.Fatalf("after %d group walks, snapshot gauges %v", walks, sn.Gauges)
+	if !slices.Equal(s.Gauges, []int64{-1, 42, 10, 0}) || !slices.Equal(s.MovedGauges, []int{2, 3}) ||
+		len(s.MovedHists) != 0 {
+		t.Fatalf("second sample = %+v", s)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package kperf is the always-on, zero-simulated-cost observability
 // layer of the simulated kernel. It provides three things:
 //
-//   - a typed metric registry of gauges, read lazily from state the
-//     subsystems already keep, and cycle-bucketed histograms, whose
-//     hot-path handles the subsystems hold,
+//   - a typed metric registry of gauges, each an int64 variable a
+//     subsystem already keeps and a read loads, and cycle-bucketed
+//     histograms, whose hot-path handles the subsystems hold,
 //   - an event tracer with per-process shards, each a bounded Window
 //     of 32-byte records, that records scheduler spans, syscall spans,
 //     blocking spans and fault events stamped in simulated cycles, and
@@ -262,20 +262,19 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // Registry is the typed metric registry of one machine. It holds two
-// kinds. Gauges are lazy: a variable or func registered by name reads
-// an existing subsystem counter only when a snapshot or sample is
-// taken, making them literally free during the run. Histograms are
-// created (or found) by name; instrumented code resolves the handle
-// once at wiring time and then observes through the pointer, so the
-// name index is never touched on a hot path. Each kind lives in an
-// append-only list in registration order, so a metric keeps its
-// position for the registry's lifetime and a sampler (kflight) can
-// hold dense per-metric state indexed by it.
+// kinds. A gauge is a variable a subsystem already keeps as a plain
+// int64 field, registered by address; a snapshot or sample reads it
+// with one load, so the gauges cost nothing during the run.
+// Histograms are created (or found) by name; instrumented code
+// resolves the handle once at wiring time and then observes through
+// the pointer, so the name index is never touched on a hot path. Each
+// kind lives in an append-only list in registration order, so a metric
+// keeps its position for the registry's lifetime and a sampler
+// (kflight) can hold dense per-metric state indexed by it.
 type Registry struct {
-	reads  uint64            // Snapshot and Sample calls so far
 	index  map[metricKey]int // position within the kind
 	names  [nKinds][]string  // each kind's names in registration order
-	gauges []gaugeSlot
+	gauges []*int64
 	hists  []*Histogram
 }
 
@@ -292,20 +291,6 @@ const (
 type metricKey struct {
 	kind metricKind
 	name string
-}
-
-// gaugeSlot is one gauge name: a variable, a lazy func, or both when
-// both were registered under the name, in which case the func wins.
-type gaugeSlot struct {
-	v  *int64
-	fn func() int64
-}
-
-func (s *gaugeSlot) value() int64 {
-	if s.fn != nil {
-		return s.fn()
-	}
-	return *s.v
 }
 
 // NewRegistry creates an empty registry.
@@ -326,47 +311,16 @@ func (r *Registry) position(kind metricKind, name string) (i int, isNew bool) {
 	return i, true
 }
 
-// gaugeSlot returns the named gauge slot, creating it on first use.
-// The pointer is valid until the next registration.
-func (r *Registry) gaugeSlot(name string) *gaugeSlot {
-	i, isNew := r.position(kindGauge, name)
-	if isNew {
-		r.gauges = append(r.gauges, gaugeSlot{})
-	}
-	return &r.gauges[i]
-}
-
-// GaugeVar registers a gauge that reads *v at snapshot time. This is
-// the zero-overhead way to expose a counter a subsystem already
-// maintains as a plain int64 field (cache hits, syscall counts):
-// nothing happens until someone asks, and a read is one load.
+// GaugeVar registers a gauge that reads *v at snapshot time: a counter
+// a subsystem maintains as a plain int64 field (cache hits, syscall
+// counts). Nothing happens until someone asks, and a read is one load.
+// Registering a variable under an existing gauge's name replaces that
+// gauge's variable and keeps its position.
 func (r *Registry) GaugeVar(name string, v *int64) {
-	r.gaugeSlot(name).v = v
-}
-
-// GaugeFunc registers a lazy gauge computed at snapshot time, for a
-// value no single field holds (a sum, a locked or atomic read). A
-// func registered under a variable's name replaces its value in every
-// later read.
-func (r *Registry) GaugeFunc(name string, fn func() int64) {
-	r.gaugeSlot(name).fn = fn
-}
-
-// GaugeFuncs registers lazy gauges computed together: fn fills vals[k]
-// for names[k] and runs at most once per snapshot or sample, however
-// many of the names that read evaluates. It is for values that one
-// walk over subsystem state yields at once.
-func (r *Registry) GaugeFuncs(names []string, fn func(vals []int64)) {
-	vals := make([]int64, len(names))
-	var filled uint64 // the read vals was computed for; reads start at 1
-	for k, name := range names {
-		r.gaugeSlot(name).fn = func() int64 {
-			if filled != r.reads {
-				fn(vals)
-				filled = r.reads
-			}
-			return vals[k]
-		}
+	if i, isNew := r.position(kindGauge, name); isNew {
+		r.gauges = append(r.gauges, v)
+	} else {
+		r.gauges[i] = v
 	}
 }
 
@@ -385,15 +339,14 @@ type RegistrySnapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// Snapshot evaluates every metric, including lazy gauges.
+// Snapshot reads every metric.
 func (r *Registry) Snapshot() RegistrySnapshot {
-	r.reads++
 	s := RegistrySnapshot{
 		Gauges:     make(map[string]int64, len(r.gauges)),
 		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
 	}
-	for i := range r.gauges {
-		s.Gauges[r.names[kindGauge][i]] = r.gauges[i].value()
+	for i, v := range r.gauges {
+		s.Gauges[r.names[kindGauge][i]] = *v
 	}
 	for i, h := range r.hists {
 		if h.count > 0 {
@@ -435,18 +388,17 @@ type HistMove struct {
 	Quantiles  [3]uint8
 }
 
-// Sample reads every metric, evaluating lazy gauges, in one pass: it
-// compares each reading with the one s holds, the caller's previous
-// sample, stores the new one in its place, and lists each metric that
-// moved. It reuses s's slices, so a sampler that keeps its Sample
-// between reads allocates nothing once no metric is being registered.
-// A moved histogram's quantiles come from the marks it keeps.
+// Sample reads every metric in one pass: it compares each reading
+// with the one s holds, the caller's previous sample, stores the new
+// one in its place, and lists each metric that moved. It reuses s's
+// slices, so a sampler that keeps its Sample between reads allocates
+// nothing once no metric is being registered. A moved histogram's
+// quantiles come from the marks it keeps.
 func (r *Registry) Sample(s *Sample) {
-	r.reads++
 	s.MovedGauges, s.MovedHists = s.MovedGauges[:0], s.MovedHists[:0]
 	seen := len(s.Gauges)
-	for i := range r.gauges {
-		v := r.gauges[i].value()
+	for i, p := range r.gauges {
+		v := *p
 		switch {
 		case i >= seen:
 			s.Gauges = append(s.Gauges, v)

@@ -155,7 +155,7 @@ type Manager struct {
 	running bool
 	ctx     Ctx
 
-	// Stats (kperf exposes them as lazy gauges).
+	// Stats (kperf exposes them as gauges).
 	Attached  int64
 	Fired     int64
 	MapOps    int64
@@ -423,7 +423,7 @@ func (mgr *Manager) DiskWait(p *kernel.Process, d sim.Cycles) sim.Cycles {
 	return mgr.dispatch(TpDiskWait, Ctx{Pid: int64(p.PID), Nr: -1, Arg: int64(d), Cycles: int64(d)})
 }
 
-// WirePerf registers the manager's statistics as lazy kperf gauges.
+// WirePerf registers the manager's statistics as kperf gauges.
 func (mgr *Manager) WirePerf(reg *kperf.Registry) {
 	reg.GaugeVar("kprobe.attached", &mgr.Attached)
 	reg.GaugeVar("kprobe.fired", &mgr.Fired)

@@ -28,7 +28,7 @@ type refSpace struct {
 	tlb      [tlbSize]Addr
 	tlbValid [tlbSize]bool
 
-	hits, misses, faults uint64
+	hits, misses, faults int64
 	charged              sim.Cycles
 	costs                *sim.Costs
 
@@ -256,17 +256,17 @@ func TestTranslationTraceMatchesSeedModel(t *testing.T) {
 		}
 	}
 
-	if as.TLBHits != ref.hits || as.TLBMisses != ref.misses || as.Faults != ref.faults {
+	if as.Stats.TLBHits != ref.hits || as.Stats.TLBMisses != ref.misses || as.Stats.Faults != ref.faults {
 		t.Errorf("counters diverged: optimized hits/misses/faults %d/%d/%d, reference %d/%d/%d",
-			as.TLBHits, as.TLBMisses, as.Faults, ref.hits, ref.misses, ref.faults)
+			as.Stats.TLBHits, as.Stats.TLBMisses, as.Stats.Faults, ref.hits, ref.misses, ref.faults)
 	}
 	if *charged != ref.charged {
 		t.Errorf("charges diverged: optimized %d cycles, reference %d cycles",
 			*charged, ref.charged)
 	}
-	if as.Faults == 0 || as.TLBHits == 0 || as.TLBMisses == 0 {
+	if as.Stats.Faults == 0 || as.Stats.TLBHits == 0 || as.Stats.TLBMisses == 0 {
 		t.Errorf("degenerate trace (hits %d, misses %d, faults %d): counters not exercised",
-			as.TLBHits, as.TLBMisses, as.Faults)
+			as.Stats.TLBHits, as.Stats.TLBMisses, as.Stats.Faults)
 	}
 
 	// Final sweep: every page the reference still has mapped readable
@@ -352,8 +352,8 @@ func TestTranslationCacheGuardPromotion(t *testing.T) {
 	if b != ([16]byte{}) {
 		t.Fatalf("promoted guard page not zeroed: %x", b)
 	}
-	if as.Faults != 1 {
-		t.Fatalf("guard promotion: want exactly 1 fault, got %d", as.Faults)
+	if as.Stats.Faults != 1 {
+		t.Fatalf("guard promotion: want exactly 1 fault, got %d", as.Stats.Faults)
 	}
 	if err := as.WriteU64(va, 99); err != nil {
 		t.Fatalf("write to promoted page: %v", err)
@@ -379,15 +379,15 @@ func TestTranslationCacheTLBFlushAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if as.TLBMisses != 1 || as.TLBHits != 2 {
-		t.Fatalf("before flush: misses %d hits %d, want 1/2", as.TLBMisses, as.TLBHits)
+	if as.Stats.TLBMisses != 1 || as.Stats.TLBHits != 2 {
+		t.Fatalf("before flush: misses %d hits %d, want 1/2", as.Stats.TLBMisses, as.Stats.TLBHits)
 	}
 	as.TLBFlush()
 	if err := as.ReadBytes(base, b[:]); err != nil {
 		t.Fatal(err)
 	}
-	if as.TLBMisses != 2 || as.TLBHits != 2 {
-		t.Fatalf("after flush: misses %d hits %d, want 2/2", as.TLBMisses, as.TLBHits)
+	if as.Stats.TLBMisses != 2 || as.Stats.TLBHits != 2 {
+		t.Fatalf("after flush: misses %d hits %d, want 2/2", as.Stats.TLBMisses, as.Stats.TLBHits)
 	}
 }
 

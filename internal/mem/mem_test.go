@@ -264,20 +264,20 @@ func TestTLBCounting(t *testing.T) {
 	base, _ := as.MapRegion(1, PermRW)
 	buf := make([]byte, 8)
 	_ = as.ReadBytes(base, buf)
-	missesAfterFirst := as.TLBMisses
+	missesAfterFirst := as.Stats.TLBMisses
 	if missesAfterFirst == 0 {
 		t.Fatal("first access should miss TLB")
 	}
 	_ = as.ReadBytes(base, buf)
-	if as.TLBMisses != missesAfterFirst {
+	if as.Stats.TLBMisses != missesAfterFirst {
 		t.Fatal("second access to same page should hit TLB")
 	}
-	if as.TLBHits == 0 {
+	if as.Stats.TLBHits == 0 {
 		t.Fatal("no TLB hits recorded")
 	}
 	as.TLBFlush()
 	_ = as.ReadBytes(base, buf)
-	if as.TLBMisses != missesAfterFirst+1 {
+	if as.Stats.TLBMisses != missesAfterFirst+1 {
 		t.Fatal("post-flush access should miss")
 	}
 }
@@ -298,8 +298,8 @@ func TestTLBPressureFromManyPages(t *testing.T) {
 			_ = as.ReadBytes(base+Addr(i*PageSize), buf)
 		}
 	}
-	if as.TLBMisses < uint64(tlbSize*2*3) {
-		t.Fatalf("TLB misses = %d, want at least %d", as.TLBMisses, tlbSize*2*3)
+	if as.Stats.TLBMisses < tlbSize*2*3 {
+		t.Fatalf("TLB misses = %d, want at least %d", as.Stats.TLBMisses, tlbSize*2*3)
 	}
 }
 

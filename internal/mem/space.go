@@ -124,7 +124,7 @@ const tlbSize = 64
 // successful page walks fronting translate. A hit skips the radix
 // walk and the fault-path branches entirely. This cache is invisible
 // to the simulated machine — the simulated TLB (tlbLookup) still runs
-// on every successful translation, so TLBHits/TLBMisses/Faults and
+// on every successful translation, so the TLB and fault counts and
 // every cycle charge are bit-identical with or without it.
 const (
 	tcBits = 8
@@ -163,14 +163,21 @@ type AddressSpace struct {
 	// tc is the host-side translation cache; see tcBits.
 	tc [tcSize]tcEntry
 
-	// Stats.
-	TLBHits, TLBMisses uint64
-	Faults             uint64
-	// GuardPromos counts guard pages promoted to real mappings by
-	// SetPerm (Kefence's log-and-continue auto-map).
-	GuardPromos uint64
+	// Stats receives the space's MMU counts. NewAddressSpace gives
+	// each space its own; spaces that point at one Stats count
+	// together.
+	Stats *Stats
 
 	next Addr // region reservation cursor
+}
+
+// Stats are MMU counters, kept as plain fields so a reader loads them.
+type Stats struct {
+	TLBHits, TLBMisses int64
+	Faults             int64
+	// GuardPromos counts guard pages promoted to real mappings by
+	// SetPerm (Kefence's log-and-continue auto-map).
+	GuardPromos int64
 }
 
 // NewAddressSpace creates an empty space over the frame pool. costs
@@ -180,6 +187,7 @@ func NewAddressSpace(name string, phys *Phys, costs *sim.Costs) *AddressSpace {
 		Name:  name,
 		phys:  phys,
 		costs: costs,
+		Stats: &Stats{},
 		next:  0x1000 * 16, // keep page 0 and the low pages unmapped
 	}
 }
@@ -290,7 +298,7 @@ func (as *AddressSpace) SetPerm(va Addr, perm Perm) error {
 		}
 		pte.Frame = f
 		pte.Guard = false
-		as.GuardPromos++
+		as.Stats.GuardPromos++
 	}
 	pte.Perm = perm
 	as.pages.set(va, pte)
@@ -333,10 +341,10 @@ func tlbIndex(page Addr) int { return int((page >> PageShift) % tlbSize) }
 func (as *AddressSpace) tlbLookup(page Addr) bool {
 	i := tlbIndex(page)
 	if as.tlbValid[i] && as.tlb[i] == page {
-		as.TLBHits++
+		as.Stats.TLBHits++
 		return true
 	}
-	as.TLBMisses++
+	as.Stats.TLBMisses++
 	as.tlb[i] = page
 	as.tlbValid[i] = true
 	if as.costs != nil {
@@ -415,7 +423,7 @@ func (as *AddressSpace) translateSlow(va, page Addr, access Access) (PTE, error)
 			as.tlbLookup(page)
 			return pte, nil
 		}
-		as.Faults++
+		as.Stats.Faults++
 		if as.costs != nil {
 			as.chargeCost(as.costs.PageFault)
 		}

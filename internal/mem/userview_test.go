@@ -67,7 +67,7 @@ func TestUserViewBounds(t *testing.T) {
 // across page boundaries.
 func TestUserViewCopyIdentity(t *testing.T) {
 	type stats struct {
-		hits, misses, faults uint64
+		hits, misses, faults int64
 	}
 	run := func(useView bool) (sim.Cycles, stats, []byte) {
 		as, charged := chargedAS("uv")
@@ -99,7 +99,7 @@ func TestUserViewCopyIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return *charged, stats{as.TLBHits, as.TLBMisses, as.Faults}, dst
+		return *charged, stats{as.Stats.TLBHits, as.Stats.TLBMisses, as.Stats.Faults}, dst
 	}
 	vc, vs, vd := run(true)
 	rc, rs, rd := run(false)

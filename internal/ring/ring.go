@@ -10,9 +10,9 @@
 // The implementation is a Vyukov-style bounded MPMC queue using
 // per-slot sequence numbers: producers and consumers never block and
 // never take a lock, so an "interrupt handler" (any goroutine) can
-// always enqueue. When the buffer is full the event is dropped and
-// counted, which is the correct non-blocking behaviour for a tracing
-// ring.
+// always enqueue. When the buffer is full TryPush refuses the event and
+// the caller counts the drop, which is the correct non-blocking
+// behaviour for a tracing ring.
 package ring
 
 import (
@@ -25,9 +25,6 @@ type Buffer[T any] struct {
 	slots   []slot[T]
 	enqueue atomic.Uint64
 	dequeue atomic.Uint64
-
-	// Drops counts events discarded because the ring was full.
-	Drops atomic.Uint64
 }
 
 type slot[T any] struct {
@@ -51,8 +48,8 @@ func New[T any](capacity int) *Buffer[T] {
 	return b
 }
 
-// TryPush enqueues v without blocking. It returns false (and counts a
-// drop) if the ring is full.
+// TryPush enqueues v without blocking. It returns false if the ring
+// is full.
 func (b *Buffer[T]) TryPush(v T) bool {
 	pos := b.enqueue.Load()
 	for {
@@ -68,7 +65,6 @@ func (b *Buffer[T]) TryPush(v T) bool {
 			pos = b.enqueue.Load()
 		case seq < pos:
 			// Slot not yet consumed: ring full.
-			b.Drops.Add(1)
 			return false
 		default:
 			pos = b.enqueue.Load()

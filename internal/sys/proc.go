@@ -18,8 +18,10 @@ import (
 type Kernel struct {
 	M  *kernel.Machine
 	NS *vfs.Namespace
-	// Calls counts syscall invocations by number.
-	Calls [nrCount]int64
+	// Calls counts syscall invocations by number, and CallsTotal
+	// counts them all; enter bumps both.
+	Calls      [nrCount]int64
+	CallsTotal int64
 	// BytesIn/BytesOut count bytes copied across the user/kernel
 	// boundary in each direction (copyin/copyout).
 	BytesIn, BytesOut int64
@@ -68,13 +70,7 @@ func NewKernel(m *kernel.Machine, ns *vfs.Namespace) *Kernel {
 }
 
 // TotalCalls reports the total number of system calls served.
-func (k *Kernel) TotalCalls() int64 {
-	var total int64
-	for _, c := range &k.Calls {
-		total += c
-	}
-	return total
-}
+func (k *Kernel) TotalCalls() int64 { return k.CallsTotal }
 
 // Errors of the syscall layer.
 var (
@@ -196,6 +192,7 @@ func (pr *Proc) enter(nr Nr, in int) {
 	}
 	pr.P.Perf.Pop()
 	pr.K.Calls[nr]++
+	pr.K.CallsTotal++
 	if pr.K.Probes != nil {
 		if cost := pr.K.Probes.SyscallEnter(pr.P.PID, int(nr), in); cost > 0 {
 			pr.chargeExec(kperf.SubProbe, cost)
