@@ -18,8 +18,10 @@ import (
 	"repro/internal/cosy/cc"
 	"repro/internal/cosy/kext"
 	"repro/internal/cosy/lang"
+	"repro/internal/kflight"
 	"repro/internal/kgcc"
 	"repro/internal/kprobe"
+	"repro/internal/ktrace"
 	"repro/internal/mem"
 	"repro/internal/minic"
 	"repro/internal/ring"
@@ -375,11 +377,23 @@ func benchKuCall(b *testing.B, opts kgcc.Options) {
 }
 
 // BenchmarkPostMark measures a small PostMark run end to end.
-func BenchmarkPostMark(b *testing.B) {
+func BenchmarkPostMark(b *testing.B) { benchPostMark(b, false) }
+
+// BenchmarkPostMarkObserved is BenchmarkPostMark with kperf, kflight
+// and ktrace on, as perfbench's postmark workload runs: the difference
+// between the two is what the observer seam and its subscribers cost
+// the host, boot included.
+func BenchmarkPostMarkObserved(b *testing.B) { benchPostMark(b, true) }
+
+func benchPostMark(b *testing.B, observed bool) {
 	cfg := workload.DefaultPostMark()
 	cfg.InitialFiles, cfg.Transactions = 50, 200
 	for i := 0; i < b.N; i++ {
-		s, err := core.New(core.Options{})
+		var opts core.Options
+		if observed {
+			opts = core.Options{Perf: core.NewPerf(0), Flight: &kflight.Config{}, Trace: &ktrace.Config{}}
+		}
+		s, err := core.New(opts)
 		if err != nil {
 			b.Fatal(err)
 		}

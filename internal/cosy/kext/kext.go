@@ -112,14 +112,14 @@ func (e *Engine) state(pid int) *procState {
 	return ps
 }
 
-// New loads the extension into a kernel. Loading registers the NrCosy
-// ring op: a kring SQE naming NrCosy carries an encoded compound and
-// then its data segment in its data window, with Args[0] the window
-// offset where the data segment starts, so compounds ride ring batches
-// like any other submission.
+// New loads the extension into a kernel. Loading sets the kernel's
+// NrCosy ring handler: a kring SQE naming NrCosy carries an encoded
+// compound and then its data segment in its data window, with Args[0]
+// the window offset where the data segment starts, so compounds ride
+// ring batches like any other submission.
 func New(k *sys.Kernel, mode Mode) *Engine {
 	e := &Engine{K: k, Mode: mode, procs: make(map[int]*procState)}
-	k.RegisterRingOp(uint16(sys.NrCosy), e.ringExec)
+	k.Cosy = e.ringExec
 	return e
 }
 
@@ -217,7 +217,7 @@ func (e *Engine) ExecRing(pr *sys.Proc, encoded []byte) (int64, error) {
 	return cqe.Res, nil
 }
 
-// ringExec is the registered NrCosy ring op. The data window holds
+// ringExec is the kernel's NrCosy ring handler. The data window holds
 // the encoded compound and then its data segment, which starts at
 // window offset Args[0]. The compound bytes are copied into the
 // process's scratch without a copy charge and decoded there (decoding

@@ -361,7 +361,6 @@ func (m *Machine) chargeSwitch(p *Process, c sim.Cycles, sub kperf.Subsys) {
 	p.sysCycles += c
 	p.Perf.Push(sub)
 	p.Perf.OnCycles(c, true)
-	m.noteCharge(p, c, true)
 	p.Perf.Pop()
 }
 

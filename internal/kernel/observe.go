@@ -6,10 +6,12 @@ import (
 )
 
 // Observer is the machine's one host-side observation seam. The
-// machine announces every cycle charge, scheduling transition,
-// scheduler tick and notable event through it, and the syscall layer
-// announces syscall entry/exit, in-kernel execution slices and
-// workload operations. No method returns anything, so an observer has
+// machine announces every scheduling transition, scheduler tick and
+// notable event through it, and the syscall layer announces syscall
+// entry/exit, in-kernel execution slices and workload operations.
+// Charges are not announced: kperf attributes every one to a (process,
+// mode, subsystem, syscall) cell, and an observer that needs them reads
+// those cells. No method returns anything, so an observer has
 // no way to hand a cost back: a machine with observers attached is
 // bit-identical in simulated time to one without, by construction
 // (klint's hookpure proves every implementation transitively reaches
@@ -18,10 +20,6 @@ import (
 // kernel — and embed kperf.NopObserver, overriding only the events
 // they use.
 type Observer interface {
-	// OnCharge fires for every cycle charge attributed to a process,
-	// after kperf has attributed it, with the subsystem kperf's tag
-	// stack classified it under.
-	OnCharge(pid int, c sim.Cycles, kernelMode bool, sub kperf.Subsys)
 	// OnBlock fires when a process gives up the CPU to wait on an
 	// event; sub names what it waits on (SubDisk for block I/O).
 	OnBlock(pid int, sub kperf.Subsys, at sim.Cycles)
@@ -70,20 +68,6 @@ const (
 // Observe attaches o. Observers are called in the order they were
 // attached; with none attached each announcement is one length check.
 func (m *Machine) Observe(o Observer) { m.obs = append(m.obs, o) }
-
-// noteCharge announces a charge in the mode it was attributed in
-// (ChargeSys forces kernel mode even outside a syscall). The
-// subsystem is read off the live kperf tag stack, so an observer's
-// classification can never drift from the attribution's.
-func (m *Machine) noteCharge(p *Process, c sim.Cycles, kernelMode bool) {
-	if len(m.obs) == 0 {
-		return
-	}
-	sub := p.Perf.CurrentSub(kernelMode)
-	for _, o := range m.obs {
-		o.OnCharge(p.PID, c, kernelMode, sub)
-	}
-}
 
 func (m *Machine) noteBlock(p *Process, sub kperf.Subsys) {
 	for _, o := range m.obs {

@@ -148,7 +148,6 @@ func (p *Process) Charge(c sim.Cycles) {
 			p.userCycles += step
 		}
 		p.Perf.OnCycles(step, p.inKernel > 0)
-		p.M.noteCharge(p, step, p.inKernel > 0)
 		p.sliceLeft -= step
 		c -= step
 		if p.sliceLeft == 0 {
@@ -172,7 +171,6 @@ func (p *Process) ChargeSys(c sim.Cycles) {
 	p.M.Clock.Advance(c)
 	p.sysCycles += c
 	p.Perf.OnCycles(c, true)
-	p.M.noteCharge(p, c, true)
 	if p.inKernel > 0 {
 		p.kernelStreak += c
 	}

@@ -19,12 +19,11 @@ import (
 
 // seamEvent is one observer-seam announcement as seamLog received it.
 type seamEvent struct {
-	kind       string
-	pid        int
-	a, b       sim.Cycles
-	kernelMode bool
-	sub        kperf.Subsys
-	detail     string
+	kind   string
+	pid    int
+	a, b   sim.Cycles
+	sub    kperf.Subsys
+	detail string
 }
 
 // seamLog records every announcement in arrival order.
@@ -32,9 +31,6 @@ type seamLog struct{ seq []seamEvent }
 
 func (l *seamLog) add(e seamEvent) { l.seq = append(l.seq, e) }
 
-func (l *seamLog) OnCharge(pid int, c sim.Cycles, kernelMode bool, sub kperf.Subsys) {
-	l.add(seamEvent{kind: "charge", pid: pid, a: c, kernelMode: kernelMode, sub: sub})
-}
 func (l *seamLog) OnBlock(pid int, sub kperf.Subsys, at sim.Cycles) {
 	l.add(seamEvent{kind: "block", pid: pid, a: at, sub: sub})
 }

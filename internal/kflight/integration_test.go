@@ -25,31 +25,7 @@ func TestErrKuDeadPostmortem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The off-by-one depends on the argument, so load-time analysis
-	// cannot reject it; the retained runtime check kills the extension.
-	const src = `
-	int main(int n) {
-		int a[4];
-		int i;
-		for (i = 0; i < n; i++) { a[i] = i; }
-		return a[0];
-	}`
-	s.Spawn("victim", func(pr *sys.Proc) error {
-		id, err := pr.KuLoad(sys.KuSpec{Source: src, Checks: kgcc.KcheckOptions()})
-		if err != nil {
-			return err
-		}
-		if _, err := pr.KuCall(id, 4); err != nil {
-			t.Errorf("in-bounds call failed: %v", err)
-		}
-		if _, err := pr.KuCall(id, 5); !errors.Is(err, kgcc.ErrViolation) {
-			t.Errorf("out-of-bounds call: err = %v; want a kgcc violation", err)
-		}
-		if _, err := pr.KuCall(id, 4); !errors.Is(err, sys.ErrKuDead) {
-			t.Errorf("call after violation: err = %v; want ErrKuDead", err)
-		}
-		return nil
-	})
+	spawnVictim(t, s)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,6 +70,38 @@ func TestErrKuDeadPostmortem(t *testing.T) {
 	if pms[len(pms)-1].Kind != "run_end" {
 		t.Errorf("last postmortem is %q, want run_end", pms[len(pms)-1].Kind)
 	}
+}
+
+// spawnVictim spawns a process whose kucode extension is killed by a
+// retained bounds check on its second call, which cuts a "kudead"
+// postmortem; the calls around it check the errors the process sees.
+func spawnVictim(t *testing.T, s *core.System) {
+	t.Helper()
+	// The off-by-one depends on the argument, so load-time analysis
+	// cannot reject it; the retained runtime check kills the extension.
+	const src = `
+	int main(int n) {
+		int a[4];
+		int i;
+		for (i = 0; i < n; i++) { a[i] = i; }
+		return a[0];
+	}`
+	s.Spawn("victim", func(pr *sys.Proc) error {
+		id, err := pr.KuLoad(sys.KuSpec{Source: src, Checks: kgcc.KcheckOptions()})
+		if err != nil {
+			return err
+		}
+		if _, err := pr.KuCall(id, 4); err != nil {
+			t.Errorf("in-bounds call failed: %v", err)
+		}
+		if _, err := pr.KuCall(id, 5); !errors.Is(err, kgcc.ErrViolation) {
+			t.Errorf("out-of-bounds call: err = %v; want a kgcc violation", err)
+		}
+		if _, err := pr.KuCall(id, 4); !errors.Is(err, sys.ErrKuDead) {
+			t.Errorf("call after violation: err = %v; want ErrKuDead", err)
+		}
+		return nil
+	})
 }
 
 // TestFlightOnOffBitIdentity is the zero-simulated-cost gate at test

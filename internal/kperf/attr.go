@@ -108,6 +108,13 @@ type ProcState struct {
 
 	// sysNr is the current syscall slot (nr+1; 0 = none).
 	sysNr int
+	// inSys marks an open syscall span: call nr, entered at
+	// sysStart. Only the trap wrappers enter and exit, and ring
+	// entries and compounds run inside their ring_enter, so syscalls
+	// never nest and one open span is all a process has.
+	inSys    bool
+	sysCall  uint16
+	sysStart sim.Cycles
 
 	subStack [maxSubsysDepth]Subsys
 	subDepth int
@@ -155,8 +162,11 @@ func (ps *ProcState) Label() string {
 
 // ModeSubsysCycles returns the process's attribution summed across
 // syscall slots, indexed by mode*NSubsys+subsys: the running totals
-// OnCycles keeps, not a copy, so a sampler (kflight) diffs them in
-// place. Nil receiver returns nil.
+// OnCycles keeps, not a copy. kflight diffs them in place at each
+// epoch close, and ktrace reads them at the edges of each request and
+// of each off-CPU window inside one, splitting a request's on-CPU
+// cycles into user, kernel and boundary time. Nil receiver returns
+// nil.
 func (ps *ProcState) ModeSubsysCycles() *[NModes * NSubsys]sim.Cycles {
 	if ps == nil {
 		return nil
@@ -184,28 +194,6 @@ func (ps *ProcState) OnCycles(c sim.Cycles, kernelMode bool) {
 	cell := int(mode)*int(nSubsys) + int(sub)
 	ps.modeSub[cell] += c
 	ps.cells[cell*ps.set.nrSlots+ps.sysNr] += c
-}
-
-// CurrentSub reports the subsystem the next charge in the given mode
-// would attribute to: the top of the tag stack when one is pushed,
-// otherwise SubKern or SubUser by mode — the exact classification
-// OnCycles applies. ktrace uses this to split request wall cycles into
-// segments (boundary charges become the "copy" segment) without a
-// second source of truth.
-func (ps *ProcState) CurrentSub(kernelMode bool) Subsys {
-	if ps == nil {
-		if kernelMode {
-			return SubKern
-		}
-		return SubUser
-	}
-	if ps.subDepth > 0 {
-		return ps.subStack[ps.subDepth-1]
-	}
-	if kernelMode {
-		return SubKern
-	}
-	return SubUser
 }
 
 // SetRequest stamps the process with its currently open ktrace
@@ -262,19 +250,21 @@ func (ps *ProcState) SyscallEnter(nr uint16, at sim.Cycles) {
 		slot = noSyscall
 	}
 	ps.sysNr = slot
-	ps.shard.Begin(uint32(nr), at)
+	ps.inSys, ps.sysCall, ps.sysStart = true, nr, at
 }
 
-// SyscallExit closes the span and the attribution slot, observing the
-// span length in the set's syscall-latency histogram.
+// SyscallExit closes the attribution slot and the open span, writing
+// it to the shard and observing its length in the set's
+// syscall-latency histogram.
 func (ps *ProcState) SyscallExit(at sim.Cycles) {
 	if ps == nil {
 		return
 	}
-	if d := ps.shard.openDeep; d > 0 {
-		ps.set.SyscallSpans.Observe(at - ps.shard.open[d-1].start)
+	if ps.inSys {
+		ps.set.SyscallSpans.Observe(at - ps.sysStart)
+		ps.shard.Span(EvSyscallSpan, uint32(ps.sysCall), ps.sysStart, at)
+		ps.inSys = false
 	}
-	ps.shard.End(at)
 	ps.sysNr = noSyscall
 }
 

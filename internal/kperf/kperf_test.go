@@ -93,8 +93,7 @@ func TestTracerShardRecordsAndDrops(t *testing.T) {
 	sh := tr.Shard(7, "worker")
 	sh.Span(EvSchedSpan, 0, 10, 20)
 	sh.Instant(EvFault, 3, 15)
-	sh.Begin(2, 30)
-	sh.End(40)
+	sh.Span(EvSyscallSpan, 2, 30, 40)
 	sh.Span(EvBlockSpan, uint32(SubDisk), 50, 60)
 	// Ring is full (4 records); the next write wraps, overwriting the
 	// oldest record and counting it as a drop.

@@ -8,14 +8,13 @@ import "repro/internal/sim"
 // match is structural.
 type NopObserver struct{}
 
-func (NopObserver) OnCharge(pid int, c sim.Cycles, kernelMode bool, sub Subsys) {}
-func (NopObserver) OnBlock(pid int, sub Subsys, at sim.Cycles)                  {}
-func (NopObserver) OnReady(pid int, at sim.Cycles)                              {}
-func (NopObserver) OnRun(pid int, at sim.Cycles)                                {}
-func (NopObserver) Tick(now sim.Cycles)                                         {}
-func (NopObserver) Event(now sim.Cycles, kind, detail string)                   {}
-func (NopObserver) SyscallEnter(pid int, nr uint16)                             {}
-func (NopObserver) SyscallExit(pid int, nr uint16, in, out int)                 {}
-func (NopObserver) BeginOp(pid int, op string)                                  {}
-func (NopObserver) EndOp(pid int)                                               {}
-func (NopObserver) ExecSpan(pid int, sub Subsys, start, end sim.Cycles)         {}
+func (NopObserver) OnBlock(pid int, sub Subsys, at sim.Cycles)          {}
+func (NopObserver) OnReady(pid int, at sim.Cycles)                      {}
+func (NopObserver) OnRun(pid int, at sim.Cycles)                        {}
+func (NopObserver) Tick(now sim.Cycles)                                 {}
+func (NopObserver) Event(now sim.Cycles, kind, detail string)           {}
+func (NopObserver) SyscallEnter(pid int, nr uint16)                     {}
+func (NopObserver) SyscallExit(pid int, nr uint16, in, out int)         {}
+func (NopObserver) BeginOp(pid int, op string)                          {}
+func (NopObserver) EndOp(pid int)                                       {}
+func (NopObserver) ExecSpan(pid int, sub Subsys, start, end sim.Cycles) {}

@@ -70,29 +70,12 @@ type Shard struct {
 	name string
 
 	recs Window[record]
-	// spanDrops counts syscall spans dropped past maxOpenSpans.
-	spanDrops int64
 
 	// req is the ktrace request id currently open on the process
 	// (ProcState.SetRequest); every record written while it is nonzero
 	// is stamped with it.
 	req uint64
-
-	// Open-span bookkeeping for syscall spans: Begin pushes, End pops
-	// and writes the completed record.
-	open     [maxOpenSpans]openSpan
-	openDeep int
 }
-
-type openSpan struct {
-	arg   uint32
-	start sim.Cycles
-}
-
-// maxOpenSpans bounds syscall-span nesting per process. Syscalls do
-// not nest in this kernel (compounds run under a single NrCosy span),
-// so 8 is generous; deeper nesting drops the span.
-const maxOpenSpans = 8
 
 // PID reports the shard's process id.
 func (s *Shard) PID() int { return s.pid }
@@ -101,8 +84,8 @@ func (s *Shard) PID() int { return s.pid }
 func (s *Shard) Name() string { return s.name }
 
 // Drops reports records lost: overwritten by newer ones once the
-// shard was full, or syscall spans nested past maxOpenSpans.
-func (s *Shard) Drops() int64 { return s.recs.Overwritten() + s.spanDrops }
+// shard was full.
+func (s *Shard) Drops() int64 { return s.recs.Overwritten() }
 
 // Records reports the total records ever written, including those
 // later overwritten.
@@ -119,26 +102,6 @@ func (s *Shard) Span(kind EventKind, arg uint32, start, end sim.Cycles) {
 // Instant records a point event.
 func (s *Shard) Instant(kind EventKind, arg uint32, at sim.Cycles) {
 	s.write(kind, arg, at, at)
-}
-
-// Begin opens a span (syscall entry).
-func (s *Shard) Begin(arg uint32, at sim.Cycles) {
-	if s.openDeep >= maxOpenSpans {
-		s.spanDrops++
-		return
-	}
-	s.open[s.openDeep] = openSpan{arg: arg, start: at}
-	s.openDeep++
-}
-
-// End closes the innermost open span, writing the completed record.
-func (s *Shard) End(at sim.Cycles) {
-	if s.openDeep == 0 {
-		return
-	}
-	s.openDeep--
-	sp := s.open[s.openDeep]
-	s.write(EvSyscallSpan, sp.arg, sp.start, at)
 }
 
 func (s *Shard) write(kind EventKind, arg uint32, start, end sim.Cycles) {

@@ -13,21 +13,25 @@
 // bucket histograms.
 //
 // Like kperf and kflight, ktrace is host-side only and can never move
-// a simulated cycle: it observes charges, scheduling transitions,
-// syscalls and operations the kernel was making anyway through the
-// cost-free kernel.Observer seam (implemented structurally — ktrace
-// imports only kperf and sim, so the kernel stays ignorant of the
-// tracer and vice versa), and it rides the same on/off switch as
-// kperf, so the benchall gate that proves kperf costs nothing proves
-// the same for ktrace.
+// a simulated cycle: it observes scheduling transitions, syscalls and
+// operations the kernel was making anyway through the cost-free
+// kernel.Observer seam (implemented structurally — ktrace imports only
+// kperf and sim, so the kernel stays ignorant of the tracer and vice
+// versa), and it rides the same on/off switch as kperf, so the
+// benchall gate that proves kperf costs nothing proves the same for
+// ktrace. Charges are not announced on the seam: ktrace reads the
+// process's kperf attribution cells (ProcState.ModeSubsysCycles) at
+// the edges of each request and of each off-CPU window inside one, so
+// kperf stays the one place a charge is sorted into user, kernel and
+// boundary time.
 //
 // Request scoping is host-side only: BeginOp/EndOp arrive from
 // workload code (and from the Cosy/kucode entry points) while the
 // process is running, never from simulated kernel context. That is
 // what makes the decomposition exact — a request can never straddle
 // an off-CPU window, so every clock advance inside a request is
-// either a charge to the owning process (classified by the live kperf
-// subsystem tag) or wholly contained in one ready/blocked window.
+// either a charge to the owning process (the change in its kperf
+// cells) or wholly contained in one ready/blocked window.
 package ktrace
 
 import (
@@ -204,7 +208,9 @@ type procTrace struct {
 	pid int
 	ps  *kperf.ProcState
 
-	// Open request; agg names its op.
+	// Open request; agg names its op. segs holds the wait segments
+	// closed so far and, in the on-CPU ones, minus the process's
+	// on-CPU cycles at the open: closeRequest adds them at the close.
 	reqID    uint64
 	agg      *opAgg
 	reqStart sim.Cycles
@@ -215,14 +221,50 @@ type procTrace struct {
 	depth    int
 	overflow int64
 
-	// Off-CPU window. winCharges accumulates cycles charged to the
-	// process *while* off-CPU (context-switch and probe-ctx billing at
-	// re-dispatch): they land in SegKernel and are subtracted from the
-	// window's wall interval so every cycle counts exactly once.
+	// Off-CPU window. Inside a request, winCharged is the process's
+	// charged total at the window's open: what is charged to it while
+	// off-CPU (context-switch and probe billing at re-dispatch) is
+	// already in its kperf cells, so closeWindow subtracts it from the
+	// window's wall interval and every cycle counts exactly once.
 	winKind    winKind
 	winSub     kperf.Subsys
 	winStart   sim.Cycles
-	winCharges sim.Cycles
+	winCharged sim.Cycles
+}
+
+// onCPU adds the process's kperf cells to segs, each multiplied by
+// sign: a boundary cell in either mode is copy, any other kernel-mode
+// cell kernel and any other user-mode cell user.
+func (pt *procTrace) onCPU(segs *[NSegs]int64, sign int64) {
+	cells := pt.ps.ModeSubsysCycles()
+	for sub := 0; sub < kperf.NSubsys; sub++ {
+		user := sign * int64(cells[int(kperf.ModeUser)*kperf.NSubsys+sub])
+		kern := sign * int64(cells[int(kperf.ModeKernel)*kperf.NSubsys+sub])
+		if kperf.Subsys(sub) == kperf.SubBoundary {
+			segs[SegCopy] += user + kern
+		} else {
+			segs[SegUser] += user
+			segs[SegKernel] += kern
+		}
+	}
+}
+
+// charged reports the process's charged total: its kperf cells' sum.
+func (pt *procTrace) charged() sim.Cycles {
+	var sum sim.Cycles
+	for _, c := range pt.ps.ModeSubsysCycles() {
+		sum += c
+	}
+	return sum
+}
+
+// openWindow opens an off-CPU window of the given kind at cycle at,
+// recording the charged total when a request is open.
+func (pt *procTrace) openWindow(kind winKind, at sim.Cycles) {
+	pt.winKind, pt.winStart = kind, at
+	if pt.reqID != 0 {
+		pt.winCharged = pt.charged()
+	}
 }
 
 // opAgg aggregates closed requests of one operation type; op is the
@@ -266,9 +308,9 @@ type Tracer struct {
 // op types.
 const opNames = 8
 
-// NewTracer creates a tracer reading simulated time from clock and
-// stamping request context into set's per-process state (set may be
-// nil; request stamping is then skipped).
+// NewTracer creates a tracer reading simulated time from clock and the
+// machine's set: it stamps request context into the set's per-process
+// state and reads each process's charges from its attribution cells.
 func NewTracer(clock *sim.Clock, set *kperf.Set) *Tracer {
 	t := &Tracer{
 		clock: clock,
@@ -285,7 +327,7 @@ func NewTracer(clock *sim.Clock, set *kperf.Set) *Tracer {
 }
 
 // proc returns pid's state, creating it lazily. The one-entry cache
-// makes the per-charge hot path a pointer compare in the common
+// makes the per-announcement lookup a pointer compare in the common
 // single-process-running case.
 func (t *Tracer) proc(pid int) *procTrace {
 	if pt := t.last; pt != nil && pt.pid == pid {
@@ -294,12 +336,10 @@ func (t *Tracer) proc(pid int) *procTrace {
 	pt := t.procs[pid]
 	if pt == nil {
 		pt = &procTrace{pid: pid}
-		if t.set != nil {
-			for _, ps := range t.set.Procs() {
-				if ps.PID() == pid {
-					pt.ps = ps
-					break
-				}
+		for _, ps := range t.set.Procs() {
+			if ps.PID() == pid {
+				pt.ps = ps
+				break
 			}
 		}
 		t.procs[pid] = pt
@@ -310,37 +350,11 @@ func (t *Tracer) proc(pid int) *procTrace {
 
 // ---- kernel.Observer: scheduling ----
 
-// OnCharge classifies one cycle charge. While the process is on-CPU
-// the charge lands in user/copy/kernel by the live kperf subsystem
-// tag; while off-CPU (context-switch billing at re-dispatch) it lands
-// in SegKernel and shrinks the enclosing wait window by the same
-// amount, keeping the partition exact.
-func (t *Tracer) OnCharge(pid int, c sim.Cycles, kernelMode bool, sub kperf.Subsys) {
-	pt := t.proc(pid)
-	if pt.winKind != winNone {
-		pt.winCharges += c
-		if pt.reqID != 0 {
-			pt.segs[SegKernel] += int64(c)
-		}
-		return
-	}
-	if pt.reqID == 0 {
-		return
-	}
-	switch {
-	case sub == kperf.SubBoundary:
-		pt.segs[SegCopy] += int64(c)
-	case kernelMode:
-		pt.segs[SegKernel] += int64(c)
-	default:
-		pt.segs[SegUser] += int64(c)
-	}
-}
-
 // OnBlock opens a blocked window.
 func (t *Tracer) OnBlock(pid int, sub kperf.Subsys, at sim.Cycles) {
 	pt := t.proc(pid)
-	pt.winKind, pt.winSub, pt.winStart, pt.winCharges = winBlocked, sub, at, 0
+	pt.winSub = sub
+	pt.openWindow(winBlocked, at)
 }
 
 // OnReady marks the process runnable off-CPU: a fresh window after a
@@ -353,7 +367,7 @@ func (t *Tracer) OnReady(pid int, at sim.Cycles) {
 		t.closeWindow(pt, at)
 	}
 	if pt.winKind == winNone {
-		pt.winKind, pt.winStart, pt.winCharges = winReady, at, 0
+		pt.openWindow(winReady, at)
 	}
 }
 
@@ -365,17 +379,17 @@ func (t *Tracer) OnRun(pid int, at sim.Cycles) {
 	}
 }
 
-// closeWindow attributes the window's wall interval (minus in-window
-// charges, already classified) to the request's wait segments and
-// emits a wait span for blocked intervals.
+// closeWindow attributes the window's wall interval, minus what was
+// charged to the process inside it (on-CPU time its kperf cells
+// already hold), to the request's wait segments and emits a wait span
+// for blocked intervals.
 func (t *Tracer) closeWindow(pt *procTrace, at sim.Cycles) {
-	kind, sub := pt.winKind, pt.winSub
-	dur := int64(at - pt.winStart - pt.winCharges)
-	start := pt.winStart
+	kind, sub, start := pt.winKind, pt.winSub, pt.winStart
 	pt.winKind = winNone
 	if pt.reqID == 0 {
 		return
 	}
+	dur := int64(at - start - (pt.charged() - pt.winCharged))
 	switch {
 	case kind == winReady:
 		pt.segs[SegReady] += dur
@@ -428,9 +442,8 @@ func (t *Tracer) BeginOp(pid int, op string) {
 	id := t.seq
 	if pt.reqID == 0 {
 		pt.reqID, pt.agg, pt.reqStart = id, t.agg(op), now
-		for i := range pt.segs {
-			pt.segs[i] = 0
-		}
+		pt.segs = [NSegs]int64{}
+		pt.onCPU(&pt.segs, -1)
 		t.requests++
 		pt.ps.SetRequest(id, op)
 		return
@@ -462,6 +475,7 @@ func (t *Tracer) EndOp(pid int) {
 // closeRequest finalizes pt's open request at time now.
 func (t *Tracer) closeRequest(pt *procTrace, now sim.Cycles) {
 	a := pt.agg
+	pt.onCPU(&pt.segs, 1)
 	wall := int64(now - pt.reqStart)
 	var sum int64
 	for _, s := range pt.segs {

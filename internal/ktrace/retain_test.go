@@ -136,7 +136,7 @@ func (m *traceModel) summary(open int64) *Summary {
 }
 
 // flows renders the model's spans as FlowSpans(0) renders a tracer's
-// with no kperf set.
+// whose kperf set names no syscall.
 func (m *traceModel) flows() []kperf.FlowSpan {
 	var out []kperf.FlowSpan
 	for _, sp := range m.spans {
@@ -162,19 +162,25 @@ func (m *traceModel) flows() []kperf.FlowSpan {
 
 // wrapDriver feeds one tracer the events of a scripted run and its
 // model the records those events must close, numbering spans as the
-// tracer does.
+// tracer does. Charges go through the set's attribution, where the
+// tracer reads them.
 type wrapDriver struct {
 	clock sim.Clock
+	set   *kperf.Set
+	procs map[int]*kperf.ProcState
 	tr    *Tracer
 	m     traceModel
 	seq   uint64
 }
 
-// charge advances the clock by c cycles charged to pid on CPU and
+// charge advances the clock by c cycles charged to pid under sub and
 // books them in segs under seg.
 func (d *wrapDriver) charge(pid int, segs *[NSegs]int64, seg Seg, c sim.Cycles, kernelMode bool, sub kperf.Subsys) {
 	d.clock.Advance(c)
-	d.tr.OnCharge(pid, c, kernelMode, sub)
+	ps := d.procs[pid]
+	ps.Push(sub)
+	ps.OnCycles(c, kernelMode)
+	ps.Pop()
 	segs[seg] += int64(c)
 }
 
@@ -253,13 +259,20 @@ func (d *wrapDriver) check(t *testing.T, when string, open int64) {
 // wrapped. The run ends with a request left open on an op no request
 // has closed.
 func TestReadBackAcrossWrap(t *testing.T) {
-	d := &wrapDriver{m: traceModel{hist: map[string]*kperf.Histogram{}, segs: map[string]*[NSegs]int64{}}}
-	d.tr = NewTracer(&d.clock, nil)
+	d := &wrapDriver{
+		set:   kperf.New(0, 1),
+		procs: map[int]*kperf.ProcState{},
+		m:     traceModel{hist: map[string]*kperf.Histogram{}, segs: map[string]*[NSegs]int64{}},
+	}
+	pids := []int{1, 2, 1 << 20}
+	for _, pid := range pids {
+		d.procs[pid] = d.set.NewProc(pid, "p")
+	}
+	d.tr = NewTracer(&d.clock, d.set)
 	d.check(t, "empty", 0)
 
 	ops := []string{"alpha", "beta", "gamma", ""}
 	nested := []string{"inner", ""}
-	pids := []int{1, 2, 1 << 20}
 	const total = reqRecords + 6000
 	checks := map[int]bool{1: true, 100: true, reqRecords: true, reqRecords + 1: true}
 	lateSeen := 0

@@ -285,7 +285,7 @@ func (t *Tracer) spanName(sp spanRec) string {
 	case SpanOp:
 		return t.names[sp.op]
 	case SpanSyscall:
-		if t.set != nil && t.set.SyscallName != nil {
+		if t.set.SyscallName != nil {
 			return t.set.SyscallName(int(sp.arg))
 		}
 		return fmt.Sprintf("sys_%d", sp.arg)

@@ -34,9 +34,11 @@ type Kernel struct {
 	// staged blocks rejected) to a full CQ or pending queue.
 	RingOps, RingBytes, RingOverflows int64
 
-	// ringOps are kernel-extension ring op handlers (RegisterRingOp);
-	// consulted before the syscall registry during drains.
-	ringOps map[uint16]RingOpFunc
+	// Cosy runs an NrCosy ring entry: the Cosy extension sets it when
+	// it loads (kext.New), and a drain hands it the entry's scalar args
+	// and its data-area window. It charges its own cycles. While it is
+	// nil, an NrCosy entry fails like an unknown op.
+	Cosy func(pr *Proc, args [4]int64, data mem.UserView) (int64, error)
 
 	// Probes is the kprobe subsystem (nil on kernels booted without
 	// it); enter/exit dispatch its syscall tracepoints.

@@ -101,8 +101,8 @@ var sysTable = [nrCount]sysdef{
 	NrOpenReadClose:  {body: bodyOpenReadClose, decode: decOpenReadClose},
 	NrOpenWriteClose: {body: bodyOpenWriteClose, decode: decOpenWriteClose},
 	NrOpenFstat:      {body: bodyOpenFstat, decode: decOpenFstat},
-	// NrCosy is ring-invocable through the engine's RegisterRingOp
-	// registration, not this table; probe/ku/ring management calls
+	// NrCosy is ring-invocable through Kernel.Cosy, which the Cosy
+	// extension sets, not this table; probe/ku/ring management calls
 	// are classic-only (a ring cannot nest inside its own drain).
 }
 

@@ -38,22 +38,6 @@ const (
 	pendingCap = 2 * kring.MaxEntries
 )
 
-// RingOpFunc is a kernel-extension ring op (Cosy registers one for
-// NrCosy): it receives the SQE's scalar args and its data-area window
-// and is fully responsible for its own cycle charges.
-type RingOpFunc func(pr *Proc, args [4]int64, data mem.UserView) (int64, error)
-
-// RegisterRingOp installs fn as the handler for op. Extension ops are
-// consulted before the syscall registry, so an extension may also
-// shadow a syscall number it wants to reinterpret (Cosy uses its own
-// NrCosy slot, which has no registry decoder).
-func (k *Kernel) RegisterRingOp(op uint16, fn RingOpFunc) {
-	if k.ringOps == nil {
-		k.ringOps = make(map[uint16]RingOpFunc)
-	}
-	k.ringOps[op] = fn
-}
-
 // ringState is the kernel side of one mapped ring.
 type ringState struct {
 	id      int
@@ -376,12 +360,12 @@ func (pr *Proc) ringDrain(rs *ringState) (int64, error) {
 		switch {
 		case e.Op == kring.OpAnycall:
 			cqe.Res, skip, abort, herr = pr.ringAnycall(d, e)
-		case pr.K.ringOps[e.Op] != nil:
+		case e.Op == uint16(NrCosy) && pr.K.Cosy != nil:
 			data, derr := rs.kr.Data(int(e.DataOff), int(e.DataLen))
 			if derr != nil {
 				herr = fmt.Errorf("%w: ring-op window: %v", vfs.ErrInval, derr)
 			} else {
-				cqe.Res, herr = pr.K.ringOps[e.Op](pr, e.Args, data)
+				cqe.Res, herr = pr.K.Cosy(pr, e.Args, data)
 			}
 		case int(e.Op) < int(nrCount) && sysTable[e.Op].decode != nil:
 			a := &d.a

@@ -24,21 +24,17 @@ type Event struct {
 }
 
 // Recorder captures syscall activity. It implements kernel.Observer
-// structurally, overriding SyscallExit only.
+// structurally, overriding SyscallExit only. Events is the one record
+// of what happened; the counters read it.
 type Recorder struct {
 	kperf.NopObserver
 
 	clock *sim.Clock
 
-	// Events lists every recorded call; the savings estimator reads it.
+	// Events lists every recorded call in completion order; the
+	// counters and the savings estimator read it.
 	Events []Event
 	Graph  *sysgraph.Graph
-
-	calls       []int64
-	bytesIn     int64
-	bytesOut    int64
-	first, last sim.Cycles
-	any         bool
 }
 
 // NewRecorder creates a recorder stamping events from clock.
@@ -46,55 +42,45 @@ func NewRecorder(clock *sim.Clock) *Recorder {
 	return &Recorder{
 		clock: clock,
 		Graph: sysgraph.New(func(n sysgraph.Node) string { return sys.Nr(n).String() }),
-		calls: make([]int64, sys.Count()),
 	}
 }
 
 // SyscallExit records one completed system call.
 func (r *Recorder) SyscallExit(pid int, nr uint16, in, out int) {
-	t := r.clock.Now()
-	if !r.any {
-		r.first = t
-		r.any = true
-	}
-	r.last = t
-	r.Events = append(r.Events, Event{Time: t, PID: pid, Nr: sys.Nr(nr), In: in, Out: out})
+	r.Events = append(r.Events, Event{Time: r.clock.Now(), PID: pid, Nr: sys.Nr(nr), In: in, Out: out})
 	r.Graph.Observe(pid, sysgraph.Node(nr))
-	if int(nr) < len(r.calls) {
-		r.calls[nr]++
-	}
-	r.bytesIn += int64(in)
-	r.bytesOut += int64(out)
 }
 
 // TotalCalls reports the number of recorded calls.
-func (r *Recorder) TotalCalls() int64 {
-	var t int64
-	for _, c := range r.calls {
-		t += c
-	}
-	return t
-}
+func (r *Recorder) TotalCalls() int64 { return int64(len(r.Events)) }
 
-// Calls reports the count for one syscall. Out-of-range numbers
-// report zero rather than panicking (SyscallExit quietly ignores
-// them too, so the two stay consistent).
+// Calls reports the count for one syscall.
 func (r *Recorder) Calls(nr sys.Nr) int64 {
-	if int(nr) >= len(r.calls) {
-		return 0
+	var n int64
+	for _, e := range r.Events {
+		if e.Nr == nr {
+			n++
+		}
 	}
-	return r.calls[nr]
+	return n
 }
 
 // TotalBytes reports all bytes copied across the boundary.
-func (r *Recorder) TotalBytes() int64 { return r.bytesIn + r.bytesOut }
+func (r *Recorder) TotalBytes() int64 {
+	var n int64
+	for _, e := range r.Events {
+		n += int64(e.In + e.Out)
+	}
+	return n
+}
 
-// Duration reports the trace's time span.
+// Duration reports the trace's time span, from the first recorded
+// call to the last.
 func (r *Recorder) Duration() sim.Cycles {
-	if !r.any {
+	if len(r.Events) == 0 {
 		return 0
 	}
-	return r.last - r.first
+	return r.Events[len(r.Events)-1].Time - r.Events[0].Time
 }
 
 // TopPatterns mines the syscall graph for consolidation candidates.
