@@ -100,6 +100,9 @@ type procState struct {
 	// the registry's indirect call, so one per operation would cost a
 	// heap object each.
 	args sys.Args
+	// path is the last path string a compound of the process named,
+	// handed back while the next one names the same bytes.
+	path string
 }
 
 // state returns pid's engine state, creating it on first use.
@@ -347,7 +350,7 @@ func (e *Engine) execInKernel(pr *sys.Proc, ps *procState, d *seg.Descriptor) (i
 		case lang.OpSys:
 			inUserFunc = false
 			e.Stats.Syscalls++
-			v, err := e.dispatch(pr, d, &ps.args, in, regs)
+			v, err := e.dispatch(pr, ps, d, in, regs)
 			if err != nil {
 				regs[in.Dst] = -1
 				// System call errors terminate the compound, like an
@@ -403,8 +406,10 @@ func (e *Engine) shmStore(d *seg.Descriptor, off, val int64, size int) error {
 }
 
 // readShmString reads a NUL-terminated string at data offset off,
-// one segment-checked byte at a time.
-func (e *Engine) readShmString(d *seg.Descriptor, off int64) (string, error) {
+// one segment-checked byte at a time. When the bytes match the
+// process's previous path string it returns that string, so a process
+// that names one file compound after compound copies the name in once.
+func (e *Engine) readShmString(ps *procState, d *seg.Descriptor, off int64) (string, error) {
 	var out [4096]byte
 	for n := 0; off+int64(n) < int64(d.Limit) && n < len(out); n++ {
 		addr, err := e.segCheck(d, off+int64(n), 1, mem.AccessRead)
@@ -415,7 +420,10 @@ func (e *Engine) readShmString(d *seg.Descriptor, off int64) (string, error) {
 			return "", err
 		}
 		if out[n] == 0 {
-			return string(out[:n]), nil
+			if string(out[:n]) != ps.path {
+				ps.path = string(out[:n])
+			}
+			return ps.path, nil
 		}
 	}
 	return "", fmt.Errorf("%w: unterminated string at data offset %d", ErrBadCompound, off)
@@ -440,13 +448,13 @@ var compoundArity = [...]int{
 // dispatch executes one syscall operation through sys.KernelCall, the
 // registry body a trapping process runs: "the system call invocation
 // by the Cosy kernel module is the same as a normal process" (§2.3).
-// The operation's registers decode into a: paths are strings in the
-// data segment d, and payload and stat buffers are segment-checked
-// windows of it, so data moved by read/write is copied once inside
-// the kernel (page cache <-> ring data area) and never crosses the
-// boundary. Those copies are charged at kernel rate: twice per
+// The operation's registers decode into the process's ps.args: paths
+// are strings in the data segment d, and payload and stat buffers are
+// segment-checked windows of it, so data moved by read/write is copied
+// once inside the kernel (page cache <-> ring data area) and never
+// crosses the boundary. Those copies are charged at kernel rate: twice per
 // payload byte (kernel buffer and data segment), once per stat byte.
-func (e *Engine) dispatch(pr *sys.Proc, d *seg.Descriptor, a *sys.Args, in *lang.Instr, regs []int64) (int64, error) {
+func (e *Engine) dispatch(pr *sys.Proc, ps *procState, d *seg.Descriptor, in *lang.Instr, regs []int64) (int64, error) {
 	if in.Imm < 0 || in.Imm >= int64(len(compoundArity)) || compoundArity[in.Imm] == 0 {
 		return 0, fmt.Errorf("%w: syscall %v not permitted in compounds", ErrBadCompound, sys.Nr(in.Imm))
 	}
@@ -457,16 +465,17 @@ func (e *Engine) dispatch(pr *sys.Proc, d *seg.Descriptor, a *sys.Args, in *lang
 	arg := func(i int) int64 { return regs[in.Args[i]] }
 	copyCost := e.K.M.Costs.CopyKernByte
 
+	a := &ps.args
 	*a = sys.Args{}
 	var err error
 	switch nr {
 	case sys.NrOpen, sys.NrCreat, sys.NrUnlink, sys.NrMkdir:
-		a.Path, err = e.readShmString(d, arg(0))
+		a.Path, err = e.readShmString(ps, d, arg(0))
 		if nr == sys.NrOpen {
 			a.Flags = int(arg(1))
 		}
 	case sys.NrStat:
-		if a.Path, err = e.readShmString(d, arg(0)); err == nil {
+		if a.Path, err = e.readShmString(ps, d, arg(0)); err == nil {
 			a.Buf, err = e.window(d, arg(1), vfs.StatSize, mem.AccessWrite)
 		}
 	case sys.NrFstat:

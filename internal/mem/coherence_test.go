@@ -197,8 +197,24 @@ func tracedSpace(costs *sim.Costs, autoMap bool) (*AddressSpace, *sim.Cycles) {
 // outcome of every operation and the final TLBHits / TLBMisses /
 // Faults / charge totals / memory contents are identical. The slot
 // count exceeds both the translation cache (256) and the simulated
-// TLB (64), so the trace exercises conflict evictions in both.
+// TLB (64), so the trace exercises conflict evictions in both. It runs
+// over two slot layouts: adjacent pages, which share a few radix
+// leaves, and pages one leaf apart, so every slot has a leaf of its
+// own that empties on each unmap and is refilled, from the page
+// table's spare leaves, by a later map of any slot.
 func TestTranslationTraceMatchesSeedModel(t *testing.T) {
+	for _, layout := range []struct {
+		name   string
+		stride int // pages between neighbouring slots
+	}{
+		{"adjacent", 1},
+		{"leaf-apart", radixLeafSize},
+	} {
+		t.Run(layout.name, func(t *testing.T) { translationTrace(t, layout.stride) })
+	}
+}
+
+func translationTrace(t *testing.T, stride int) {
 	const (
 		slots = 320
 		ops   = 20000
@@ -208,8 +224,8 @@ func TestTranslationTraceMatchesSeedModel(t *testing.T) {
 	ref := newRefSpace(&costs)
 	ref.autoMapGuards = true
 
-	base := as.Reserve(slots)
-	pageAt := func(slot int) Addr { return base + Addr(slot)*PageSize }
+	base := as.Reserve(slots * stride)
+	pageAt := func(slot int) Addr { return base + Addr(slot*stride)*PageSize }
 
 	r := sim.NewRand(42)
 	var bufA, bufB [24]byte

@@ -15,6 +15,13 @@ package mem
 // indexable range (nothing in the simulator maps there — Reserve
 // hands out VA linearly from near zero) fall back to a map so
 // arbitrary 64-bit addresses stay correct.
+//
+// Reserve never reuses VA, so a space that maps and unmaps regions
+// over and over (a ring set up and closed per scan) keeps emptying
+// old leaves and needing new ones. del releases an empty leaf to a
+// spare list and set takes a spare before it allocates, so such a
+// space keeps at most the leaves it held at its peak, and the root
+// grows by append.
 
 const (
 	radixLeafBits = 9 // 512 PTEs per leaf: one leaf spans 2MiB of VA
@@ -32,7 +39,10 @@ type radixLeaf struct {
 }
 
 type pageTable struct {
-	root     []*radixLeaf
+	root []*radixLeaf
+	// spare holds leaves del emptied, for set to reuse. del clears a
+	// leaf entry by entry, so every spare leaf is all absent.
+	spare    []*radixLeaf
 	overflow map[Addr]PTE
 	count    int
 }
@@ -71,14 +81,17 @@ func (pt *pageTable) set(page Addr, pte PTE) {
 		pt.overflow[page] = pte
 		return
 	}
-	if ri >= uint64(len(pt.root)) {
-		grown := make([]*radixLeaf, ri+1)
-		copy(grown, pt.root)
-		pt.root = grown
+	for uint64(len(pt.root)) <= ri {
+		pt.root = append(pt.root, nil)
 	}
 	lf := pt.root[ri]
 	if lf == nil {
-		lf = &radixLeaf{}
+		if n := len(pt.spare); n > 0 {
+			lf = pt.spare[n-1]
+			pt.spare = pt.spare[:n-1]
+		} else {
+			lf = &radixLeaf{}
+		}
 		pt.root[ri] = lf
 	}
 	li := pn & radixLeafMask
@@ -91,8 +104,9 @@ func (pt *pageTable) set(page Addr, pte PTE) {
 }
 
 // del removes the PTE for a page-aligned address, reporting whether
-// it was present. Empty leaves are released so long-lived spaces with
-// churning mappings do not accrete dead tables.
+// it was present. A leaf it empties goes to the spare list, so
+// long-lived spaces with churning mappings neither accrete dead
+// tables nor allocate fresh ones.
 func (pt *pageTable) del(page Addr) bool {
 	pn := uint64(page) >> PageShift
 	ri := pn >> radixLeafBits
@@ -118,6 +132,7 @@ func (pt *pageTable) del(page Addr) bool {
 	pt.count--
 	if lf.used == 0 {
 		pt.root[ri] = nil
+		pt.spare = append(pt.spare, lf)
 	}
 	return true
 }

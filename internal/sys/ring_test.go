@@ -1061,6 +1061,51 @@ func TestRingDrainAllocsFlat(t *testing.T) {
 	}
 }
 
+// TestRingSetupCloseAllocsFlat pins the host cost of a ring's
+// lifetime: a warm 4,096-entry ring_setup + ring_close, with
+// SeqScanAnycall's data area, allocates at most 1 KB. The ring's 129
+// pages land on fresh VA in both address spaces every time, so each
+// cycle needs page-table leaves; they must be the ones earlier rings
+// emptied. What remains is the ring's handle and state and the two
+// kring attachments; two fresh 4.6 KB leaves per cycle cost 12 KB.
+func TestRingSetupCloseAllocsFlat(t *testing.T) {
+	const (
+		cycles    = 64
+		dataBytes = 256 + 8 + 2*kring.SQESize
+	)
+	m, k := env()
+	var perCycle uint64
+	run(t, m, k, func(pr *Proc) error {
+		cycle := func() error {
+			h, err := pr.RingSetup(kring.MaxEntries, dataBytes)
+			if err != nil {
+				return err
+			}
+			return h.Close()
+		}
+		for i := 0; i < 4; i++ {
+			if err := cycle(); err != nil {
+				return err
+			}
+		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		for i := 0; i < cycles; i++ {
+			if err := cycle(); err != nil {
+				return err
+			}
+		}
+		runtime.ReadMemStats(&ms)
+		perCycle = (ms.TotalAlloc - before) / cycles
+		return nil
+	})
+	t.Logf("a warm %d-entry ring_setup + ring_close allocates %d bytes", kring.MaxEntries, perCycle)
+	if perCycle > 1<<10 {
+		t.Errorf("a warm ring_setup + ring_close allocates %d bytes, want at most 1024", perCycle)
+	}
+}
+
 // fmtPoolSlack is how many more objects a warm crossing may allocate
 // when fmt's pooled printer is gone; only the race detector, which
 // drops pooled objects at random, takes it away (race_test.go).

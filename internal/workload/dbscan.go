@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"sync"
+
 	"repro/internal/cosy/kext"
 	"repro/internal/cosy/lang"
 	"repro/internal/cosy/lib"
@@ -46,11 +48,14 @@ func DBSetup(pr *sys.Proc, cfg DBConfig) error {
 	if err != nil {
 		return err
 	}
-	rec := make([]byte, cfg.RecSize)
+	// Byte i of record r is byte(r+i): record r is the window of one
+	// ramp starting at r mod 256.
+	ramp := make([]byte, 256+cfg.RecSize)
+	for i := range ramp {
+		ramp[i] = byte(i)
+	}
 	for r := 0; r < cfg.Records; r++ {
-		for i := range rec {
-			rec[i] = byte(r + i)
-		}
+		rec := ramp[r&255 : r&255+cfg.RecSize]
 		if err := pr.Poke(buf, rec); err != nil {
 			return err
 		}
@@ -222,32 +227,61 @@ func randScanBatchCompound(cfg DBConfig, x0 int64, count int) ([]byte, error) {
 	return lang.Encode(comp), nil
 }
 
+// randScanPlan is the batched random scan's host-side state for one
+// table shape (Path, Records, RecSize): the compound of a full
+// RandBatch-lookup batch, that of the shorter last batch, and the
+// buffer each batch is encoded into. A plan is built on a shape's
+// first scan and reused by later scans of the same shape, each of
+// which patches only the starting generator state per batch.
+type randScanPlan struct {
+	path             string
+	records, recSize int
+	full, tail       randScanComp
+	raw              []byte
+}
+
+// randScanComp is an assembled batch compound and the index of the
+// OpConst that loads its starting generator state.
+type randScanComp struct {
+	comp  *lang.Compound
+	xAt   int
+	count int // the lookup count comp was assembled for, 0 before the first
+}
+
+// randScanPlans keeps plans between scans. A scan owns the plan it
+// takes until it puts it back, so machines scanning from several
+// goroutines never share one.
+var randScanPlans sync.Pool
+
 // randScanBatches calls run with the encoded compound of each
-// RandBatch-lookup batch of the random scan, in order. The compound
-// is assembled once per batch length and rebound for every batch:
-// only its starting generator state changes, and each batch is
-// encoded into one reused buffer, so raw is valid only until run
-// returns.
+// RandBatch-lookup batch of the random scan, in order. The compounds
+// come from the shape's plan, assembled at most once per batch length
+// and rebound for every batch: only the starting generator state
+// changes, and each batch is encoded into the plan's buffer, so raw is
+// valid only until run returns.
 func randScanBatches(cfg DBConfig, run func(raw []byte) error) error {
+	p, _ := randScanPlans.Get().(*randScanPlan)
+	if p == nil || p.path != cfg.Path || p.records != cfg.Records || p.recSize != cfg.RecSize {
+		p = &randScanPlan{path: cfg.Path, records: cfg.Records, recSize: cfg.RecSize}
+	}
+	defer randScanPlans.Put(p)
 	x := lcgSeed(cfg)
-	var (
-		comp  *lang.Compound
-		xAt   int
-		built int // the lookup count comp was assembled for, 0 before the first
-		raw   []byte
-	)
 	for start := 0; start < cfg.Lookups; start += RandBatch {
 		count := min(RandBatch, cfg.Lookups-start)
-		if count != built {
-			var err error
-			if comp, xAt, err = randScanCompound(cfg, x, count); err != nil {
+		b := &p.full
+		if count < RandBatch {
+			b = &p.tail
+		}
+		if b.count != count {
+			comp, xAt, err := randScanCompound(cfg, x, count)
+			if err != nil {
 				return err
 			}
-			built = count
+			*b = randScanComp{comp: comp, xAt: xAt, count: count}
 		}
-		comp.Code[xAt].Imm = x
-		raw = lang.AppendEncode(raw[:0], comp)
-		if err := run(raw); err != nil {
+		b.comp.Code[b.xAt].Imm = x
+		p.raw = lang.AppendEncode(p.raw[:0], b.comp)
+		if err := run(p.raw); err != nil {
 			return err
 		}
 		// Advance the host's mirror of the in-compound generator.

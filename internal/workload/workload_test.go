@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/cosy/kext"
+	"repro/internal/cosy/lang"
 	"repro/internal/sys"
 	"repro/internal/vfs"
 )
@@ -348,18 +350,18 @@ func TestRandScanBatchesRebind(t *testing.T) {
 	}
 }
 
-// TestRandScanCosyBatchedAllocsFlat pins the host cost of assembling
-// a batch at zero heap objects: a batched random scan of 40 batches
-// may allocate more than one of 4 only by what the 36 extra compounds
-// cost to submit when prebuilt: the kernel's own objects, now only the
-// path string each compound's open copies in, which the dcache and the
-// file system may keep as a name.
+// TestRandScanCosyBatchedAllocsFlat pins the host cost of the batched
+// random scan at zero heap objects once its table shape has been
+// scanned: the plan keeps the assembled compounds and the encode
+// buffer, and the Cosy engine hands each compound's open the path
+// string it read last, so 4 and 40 batches allocate nothing, and
+// neither does a prebuilt compound's submission.
 func TestRandScanCosyBatchedAllocsFlat(t *testing.T) {
 	s := newSys(t, core.Options{})
 	e := s.CosyEngine(kext.ModeDataSeg)
 	cfg := DefaultDB()
 	cfg.Records = 64
-	var submit float64
+	var submit, rebuild float64
 	var scans [2]float64
 	s.Spawn("db", func(pr *sys.Proc) error {
 		if err := DBSetup(pr, cfg); err != nil {
@@ -375,6 +377,16 @@ func TestRandScanCosyBatchedAllocsFlat(t *testing.T) {
 				runErr = err
 			}
 		})
+		if poolDropsPlans {
+			rebuild = 1 + testing.AllocsPerRun(10, func() {
+				comp, _, err := randScanCompound(cfg, lcgSeed(cfg), RandBatch)
+				if err == nil {
+					_ = lang.AppendEncode(nil, comp)
+				} else {
+					runErr = err
+				}
+			})
+		}
 		for i, batches := range []int{4, 40} {
 			c := cfg
 			c.Lookups = batches * RandBatch
@@ -395,9 +407,156 @@ func TestRandScanCosyBatchedAllocsFlat(t *testing.T) {
 	}
 	t.Logf("a prebuilt batch compound allocates %.0f objects; a batched scan %.0f at 4 batches and %.0f at 40",
 		submit, scans[0], scans[1])
-	if scans[1]-scans[0] > 36*submit {
-		t.Errorf("36 more batches allocate %.0f more objects, want at most %.0f (%.0f per prebuilt compound)",
-			scans[1]-scans[0], 36*submit, submit)
+	if submit != 0 {
+		t.Errorf("a prebuilt batch compound allocates %.0f objects, want 0", submit)
+	}
+	for i, batches := range []int{4, 40} {
+		if scans[i] > rebuild {
+			t.Errorf("a batched scan of %d batches allocates %.0f objects, want at most %.0f", batches, scans[i], rebuild)
+		}
+	}
+}
+
+// poolDropsPlans is set under the race detector, whose sync.Pool drops
+// a quarter of what it is given: a scan may then find no plan for its
+// shape and build one, one assembly, one encode buffer and the plan.
+var poolDropsPlans bool
+
+// TestRandScanPlansConcurrent scans from two goroutines at once, each
+// on a machine of its own, with tables of the same shape and of
+// different shapes: the scans share randScanPlans, and every scan's
+// total and every batch's bytes must equal those of a serial run.
+func TestRandScanPlansConcurrent(t *testing.T) {
+	type result struct {
+		totals  []int64
+		batches []byte
+	}
+	// scan runs cfg's random scan three times on a fresh machine, once
+	// per seed, recording RandScanCosyBatched's totals and, through a
+	// second pass that submits the same batches, their bytes.
+	scan := func(cfg DBConfig) (result, error) {
+		var res result
+		s, err := core.New(core.Options{})
+		if err != nil {
+			return res, err
+		}
+		e := s.CosyEngine(kext.ModeDataSeg)
+		s.Spawn("db", func(pr *sys.Proc) error {
+			if err := DBSetup(pr, cfg); err != nil {
+				return err
+			}
+			for seed := uint64(0); seed < 3; seed++ {
+				c := cfg
+				c.Seed += seed
+				n, err := RandScanCosyBatched(pr, e, c)
+				if err != nil {
+					return err
+				}
+				res.totals = append(res.totals, n)
+				err = randScanBatches(c, func(raw []byte) error {
+					res.batches = append(res.batches, raw...)
+					_, err := e.ExecRing(pr, raw)
+					return err
+				})
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		return res, s.Run()
+	}
+	base := DefaultDB()
+	base.Records, base.Lookups = 96, 3*RandBatch+5
+	sameShape := base
+	sameShape.Seed, sameShape.Lookups = 101, 2*RandBatch+9
+	otherShape := base
+	otherShape.Path, otherShape.Records, otherShape.RecSize = "/other.tbl", 70, 300
+	for _, pair := range []struct {
+		name string
+		cfgs [2]DBConfig
+	}{
+		{"same shape", [2]DBConfig{base, sameShape}},
+		{"different shapes", [2]DBConfig{base, otherShape}},
+	} {
+		var serial, parallel [2]result
+		for i, cfg := range pair.cfgs {
+			var err error
+			if serial[i], err = scan(cfg); err != nil {
+				t.Fatalf("%s: serial scan %d: %v", pair.name, i, err)
+			}
+		}
+		var wg sync.WaitGroup
+		for i, cfg := range pair.cfgs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var err error
+				if parallel[i], err = scan(cfg); err != nil {
+					t.Errorf("%s: concurrent scan %d: %v", pair.name, i, err)
+				}
+			}()
+		}
+		wg.Wait()
+		for i := range pair.cfgs {
+			if fmt.Sprint(parallel[i].totals) != fmt.Sprint(serial[i].totals) {
+				t.Errorf("%s: scan %d totals %v concurrently, %v serially", pair.name, i, parallel[i].totals, serial[i].totals)
+			}
+			if !bytes.Equal(parallel[i].batches, serial[i].batches) {
+				t.Errorf("%s: scan %d submitted %d batch bytes concurrently that differ from the serial %d",
+					pair.name, i, len(parallel[i].batches), len(serial[i].batches))
+			}
+		}
+	}
+}
+
+// TestDBSetupWritesRamp reads the table back through the syscall
+// interface: byte i of record r must be byte(r+i), for records past
+// the ramp's 256-byte period and a record size that is not a power of
+// two.
+func TestDBSetupWritesRamp(t *testing.T) {
+	for _, recSize := range []int{256, 300} {
+		cfg := DefaultDB()
+		cfg.Records, cfg.RecSize = 300, recSize
+		s := newSys(t, core.Options{})
+		s.Spawn("db", func(pr *sys.Proc) error {
+			if err := DBSetup(pr, cfg); err != nil {
+				return err
+			}
+			fd, err := pr.Open(cfg.Path, sys.ORdonly)
+			if err != nil {
+				return err
+			}
+			buf, err := pr.Mmap(cfg.RecSize)
+			if err != nil {
+				return err
+			}
+			for r := 0; r < cfg.Records; r++ {
+				n, err := pr.Read(fd, buf)
+				if err != nil {
+					return err
+				}
+				rec, err := pr.Peek(buf, n)
+				if err != nil {
+					return err
+				}
+				if n != cfg.RecSize {
+					return fmt.Errorf("record %d: read %d bytes, want %d", r, n, cfg.RecSize)
+				}
+				for i, b := range rec {
+					if b != byte(r+i) {
+						return fmt.Errorf("record %d byte %d is %d, want %d", r, i, b, byte(r+i))
+					}
+				}
+			}
+			if n, err := pr.Read(fd, buf); err != nil || n != 0 {
+				return fmt.Errorf("read past the last record: %d bytes, %v", n, err)
+			}
+			return pr.Close(fd)
+		})
+		if err := s.Run(); err != nil {
+			t.Errorf("record size %d: %v", recSize, err)
+		}
 	}
 }
 
