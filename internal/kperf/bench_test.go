@@ -84,6 +84,12 @@ func TestHotPathsAllocFree(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Window.Next plus a record write allocates %v/op", n)
 	}
+	leased := LeaseWindow[record](4)
+	if n := testing.AllocsPerRun(1000, func() {
+		leased.Put(record{kind: EvSchedSpan, arg: 1, start: 2, end: 3})
+	}); n != 0 {
+		t.Fatalf("Window.Put of a record allocates %v/op", n)
+	}
 	var h Histogram
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(77) }); n != 0 {
 		t.Fatalf("Histogram.Observe allocates %v/op", n)

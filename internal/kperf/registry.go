@@ -21,13 +21,17 @@
 // experiment with kperf enabled and disabled and asserts bit-identical
 // user/sys/elapsed cycles.
 //
-// kperf takes no lock. Every metric is registered while the machine
-// is wired (New, core's wirePerf, kprobe's WirePerf), every process
-// state at its spawn, and every write and read (Observe, OnCycles,
-// trace records, Sample, Snapshot) happens on the goroutine that holds
-// the simulated CPU, or before or after the run. The machine's strict
-// goroutine hand-off orders all of them, so plain fields are
-// race-free; a caller outside that discipline must not touch a Set.
+// kperf takes no lock on a machine's state. Every metric is registered
+// while the machine is wired (New, core's wirePerf, kprobe's
+// WirePerf), every process state at its spawn, and every write and
+// read (Observe, OnCycles, trace records, Sample, Snapshot) happens on
+// the goroutine that holds the simulated CPU, or before or after the
+// run. The machine's strict goroutine hand-off orders all of them, so
+// plain fields are race-free; a caller outside that discipline must
+// not touch a Set. Its one lock guards the window spare table, which
+// machines share: it is taken when a leased window is made (a boot or
+// a spawn) and when a finalizer hands a collected window's buffer
+// back, never on a hot path.
 //
 // kperf deliberately imports only internal/sim, so any layer of the
 // kernel (mem, disk, sys, cosy, kefence, kmon) can hold kperf handles

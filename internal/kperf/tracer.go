@@ -61,8 +61,8 @@ type TraceEvent struct {
 	Req uint64
 }
 
-// Shard is one process's private slice of the tracer: a Window of
-// records. The retained records are always the most recent ones,
+// Shard is one process's private slice of the tracer: a leased Window
+// of records. The retained records are always the most recent ones,
 // which is exactly the tail a kflight postmortem wants. The hot path
 // writes one record in place.
 type Shard struct {
@@ -105,8 +105,7 @@ func (s *Shard) Instant(kind EventKind, arg uint32, at sim.Cycles) {
 }
 
 func (s *Shard) write(kind EventKind, arg uint32, start, end sim.Cycles) {
-	r := s.recs.Next()
-	r.kind, r.arg, r.start, r.end, r.req = kind, arg, start, end, s.req
+	s.recs.Put(record{kind: kind, arg: arg, start: start, end: end, req: s.req})
 }
 
 // Events returns the shard's retained records in write order (oldest
@@ -127,7 +126,9 @@ func (s *Shard) Tail(k int) []TraceEvent {
 }
 
 // DefaultShardRecords bounds each process shard; at 32 bytes a record
-// this is 2MB of host memory per busy process.
+// this is 2 MiB of host memory per process, leased from the spare
+// table: a process spawned after a collected machine's reuses that
+// machine's shard buffer instead of allocating one.
 const DefaultShardRecords = 1 << 16
 
 // Tracer owns the per-process shards. Shard creation happens at
@@ -154,7 +155,7 @@ func (t *Tracer) Shard(pid int, name string) *Shard {
 	if n <= 0 {
 		n = DefaultShardRecords
 	}
-	s := &Shard{pid: pid, name: name, recs: NewWindow[record](n)}
+	s := &Shard{pid: pid, name: name, recs: LeaseWindow[record](n)}
 	t.shards = append(t.shards, s)
 	return s
 }

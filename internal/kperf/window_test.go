@@ -3,8 +3,11 @@ package kperf
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestWindowMatchesSliceModel checks a Window against a naive model, a
@@ -92,4 +95,120 @@ func TestShardRecordHoldsNoPointers(t *testing.T) {
 	if rec.Size() != 32 {
 		t.Errorf("Shard.recs keeps %d-byte %s, want 32", rec.Size(), rec)
 	}
+}
+
+// TestShardReadsFreshOverRecycledStorage drives two shards the same
+// way, one over fresh storage and one over storage every byte of which
+// held a record before, as a leased buffer does, and requires the same
+// Tail, Records, Drops and Retained after every write: before the
+// shard fills, as it fills and once it has wrapped twice.
+func TestShardReadsFreshOverRecycledStorage(t *testing.T) {
+	const capacity = 8
+	stale := make([]record, capacity)
+	for i := range stale {
+		stale[i] = record{kind: EvFault, arg: 0xdead, start: 1 << 40, end: 1<<40 + sim.Cycles(i), req: 0xbeef}
+	}
+	fresh := &Shard{pid: 3, name: "p", recs: NewWindow[record](capacity)}
+	reused := &Shard{pid: 3, name: "p", recs: WindowOver(stale)}
+	for w := 0; w <= 3*capacity+3; w++ {
+		if w > 0 {
+			for _, s := range []*Shard{fresh, reused} {
+				s.req = uint64(w / 3)
+				s.Span(EvSyscallSpan, uint32(w), sim.Cycles(10*w), sim.Cycles(10*w+5))
+			}
+		}
+		if reused.Records() != fresh.Records() || reused.Drops() != fresh.Drops() || reused.Retained() != fresh.Retained() {
+			t.Fatalf("after %d writes: records %d drops %d retained %d over recycled storage, %d %d %d over fresh",
+				w, reused.Records(), reused.Drops(), reused.Retained(), fresh.Records(), fresh.Drops(), fresh.Retained())
+		}
+		for k := -1; k <= capacity+1; k++ {
+			if got, want := reused.Tail(k), fresh.Tail(k); !slices.Equal(got, want) {
+				t.Fatalf("after %d writes: Tail(%d) = %v over recycled storage, %v over fresh", w, k, got, want)
+			}
+		}
+	}
+}
+
+// leaseProbe is a record type only TestLeaseWindowRecyclesStorage
+// leases, so it owns that type's spare slots.
+type leaseProbe struct{ a, b uint64 }
+
+// leaseSlots reports which of leaseProbe's spare slots are leased and
+// the first element of each slot's buffer, nil for none.
+func leaseSlots() (leased [spareBufs]bool, bufs [spareBufs]*leaseProbe) {
+	spares.Lock()
+	defer spares.Unlock()
+	slots := spares.slots[reflect.TypeFor[leaseProbe]()]
+	if slots == nil {
+		return leased, bufs
+	}
+	for i, s := range slots {
+		leased[i] = s.leased
+		if b, _ := s.buf.([]leaseProbe); len(b) > 0 {
+			bufs[i] = &b[0]
+		}
+	}
+	return leased, bufs
+}
+
+// awaitProbeSlotsFree collects until no window holds one of
+// leaseProbe's spare slots.
+func awaitProbeSlotsFree(t *testing.T) {
+	t.Helper()
+	for i := 0; ; i++ {
+		leased, _ := leaseSlots()
+		if leased == [spareBufs]bool{} {
+			return
+		}
+		if i == 1000 {
+			t.Fatalf("dropped windows still hold leases after %d collections: %v", i, leased)
+		}
+		runtime.GC()
+		runtime.Gosched()
+	}
+}
+
+// TestLeaseWindowRecyclesStorage checks the spare table: spareBufs
+// windows of one type lease its slots and one more takes a fresh
+// buffer the table does not track; once the leased windows are
+// dropped and collected their slots are free again, and new windows of
+// the same capacity take the same buffers, reading empty.
+func TestLeaseWindowRecyclesStorage(t *testing.T) {
+	const capacity = 16
+	awaitProbeSlotsFree(t)
+	ws := make([]*Window[leaseProbe], spareBufs)
+	for i := range ws {
+		w := LeaseWindow[leaseProbe](capacity)
+		ws[i] = &w
+		for j := 0; j < capacity+i; j++ {
+			w.Put(leaseProbe{uint64(i), uint64(j)})
+		}
+	}
+	extra := LeaseWindow[leaseProbe](capacity)
+	if extra.lease != nil {
+		t.Fatalf("window %d of a %d-slot table holds a lease", spareBufs+1, spareBufs)
+	}
+	leased, kept := leaseSlots()
+	for i := range leased {
+		if !leased[i] || kept[i] != &ws[i].buf[0] {
+			t.Fatalf("slot %d: leased %v, buffer %p; window %d's buffer %p", i, leased[i], kept[i], i, &ws[i].buf[0])
+		}
+	}
+
+	clear(ws)
+	awaitProbeSlotsFree(t)
+	for i := range ws {
+		w := LeaseWindow[leaseProbe](capacity)
+		if w.lease == nil || &w.buf[0] != kept[i] {
+			t.Fatalf("window %d after the collection did not lease slot %d's buffer", i, i)
+		}
+		if w.Len() != 0 || w.Written() != 0 || w.Tail(capacity) != nil {
+			t.Fatalf("a window over recycled storage reads %d values", w.Len())
+		}
+		ws[i] = &w
+	}
+	if odd := LeaseWindow[leaseProbe](capacity + 1); odd.lease != nil {
+		t.Fatal("a window leased with every slot held")
+	}
+	runtime.KeepAlive(ws)
 }

@@ -159,8 +159,9 @@ const (
 // spanRec is a closed span as the tracer retains it: a Span whose op
 // name is an index into the tracer's name table and whose pid is
 // narrowed, 56 bytes with no pointer in it. Neither retained window
-// holds a pointer, so the collector never scans their 6 MiB, and the
-// runtime skips zeroing the pages it takes fresh from the OS for them.
+// holds a pointer, so the collector never scans their 6 MiB, and both
+// lease their storage (kperf.LeaseWindow): a tracer built after another
+// was collected reuses its buffers instead of allocating them.
 type spanRec struct {
 	id, parent, req uint64
 	start, end      sim.Cycles
@@ -319,8 +320,8 @@ func NewTracer(clock *sim.Clock, set *kperf.Set) *Tracer {
 		names: make([]string, 1, opNames),
 		ops:   make(map[string]uint32, opNames),
 		aggs:  make([]*opAgg, 1, opNames),
-		spans: kperf.NewWindow[spanRec](spanRecords),
-		reqs:  kperf.NewWindow[reqRec](reqRecords),
+		spans: kperf.LeaseWindow[spanRec](spanRecords),
+		reqs:  kperf.LeaseWindow[reqRec](reqRecords),
 	}
 	t.ops[""] = 0
 	return t
@@ -400,10 +401,10 @@ func (t *Tracer) closeWindow(pt *procTrace, at sim.Cycles) {
 	}
 	if kind == winBlocked {
 		t.seq++
-		*t.spans.Next() = spanRec{
+		t.spans.Put(spanRec{
 			id: t.seq, parent: pt.topID(), req: pt.reqID, pid: int32(pt.pid),
 			kind: SpanWait, arg: uint32(sub), start: start, end: at,
-		}
+		})
 	}
 }
 
@@ -460,10 +461,10 @@ func (t *Tracer) EndOp(pid int) {
 	if pt.depth > 0 && pt.stack[pt.depth-1].kind == SpanOp {
 		pt.depth--
 		sp := pt.stack[pt.depth]
-		*t.spans.Next() = spanRec{
+		t.spans.Put(spanRec{
 			id: sp.id, parent: pt.topID(), req: pt.reqID, pid: int32(pid),
 			kind: SpanOp, op: sp.op, start: sp.start, end: now,
-		}
+		})
 		return
 	}
 	if pt.reqID == 0 || pt.depth > 0 {
@@ -493,11 +494,11 @@ func (t *Tracer) closeRequest(pt *procTrace, now sim.Cycles) {
 		a.segs[i] += s
 	}
 
-	*t.reqs.Next() = reqRec{id: pt.reqID, pid: int32(pt.pid), op: a.op, start: pt.reqStart, end: now, segs: pt.segs}
-	*t.spans.Next() = spanRec{
+	t.reqs.Put(reqRec{id: pt.reqID, pid: int32(pt.pid), op: a.op, start: pt.reqStart, end: now, segs: pt.segs})
+	t.spans.Put(spanRec{
 		id: pt.reqID, req: pt.reqID, pid: int32(pt.pid),
 		kind: SpanRequest, op: a.op, start: pt.reqStart, end: now,
-	}
+	})
 	pt.ps.SetRequest(0, "")
 	pt.reqID, pt.agg = 0, nil
 }
@@ -522,10 +523,10 @@ func (t *Tracer) SyscallExit(pid int, nr uint16, in, out int) {
 	if pt.reqID == 0 {
 		return
 	}
-	*t.spans.Next() = spanRec{
+	t.spans.Put(spanRec{
 		id: sp.id, parent: pt.topID(), req: pt.reqID, pid: int32(pid),
 		kind: SpanSyscall, arg: sp.arg, start: sp.start, end: t.clock.Now(),
-	}
+	})
 }
 
 // ExecSpan records a completed in-kernel execution slice (probe or
@@ -537,10 +538,10 @@ func (t *Tracer) ExecSpan(pid int, sub kperf.Subsys, start, end sim.Cycles) {
 		return
 	}
 	t.seq++
-	*t.spans.Next() = spanRec{
+	t.spans.Put(spanRec{
 		id: t.seq, parent: pt.topID(), req: pt.reqID, pid: int32(pid),
 		kind: SpanExec, arg: uint32(sub), start: start, end: end,
-	}
+	})
 }
 
 // intern returns op's index in the name table, adding the name on

@@ -257,50 +257,68 @@ func (d *wrapDriver) check(t *testing.T, when string, open int64) {
 // past 16 bits), nested op spans under half the requests, and a
 // request op and a nested op first seen only after both windows
 // wrapped. The run ends with a request left open on an op no request
-// has closed.
+// has closed. It drives the windows over fresh storage and over
+// storage every slot of which holds a stale record, as a leased buffer
+// does; both must read as the model at every check, the first ones
+// before either window fills.
 func TestReadBackAcrossWrap(t *testing.T) {
-	d := &wrapDriver{
-		set:   kperf.New(0, 1),
-		procs: map[int]*kperf.ProcState{},
-		m:     traceModel{hist: map[string]*kperf.Histogram{}, segs: map[string]*[NSegs]int64{}},
-	}
-	pids := []int{1, 2, 1 << 20}
-	for _, pid := range pids {
-		d.procs[pid] = d.set.NewProc(pid, "p")
-	}
-	d.tr = NewTracer(&d.clock, d.set)
-	d.check(t, "empty", 0)
+	for _, storage := range []string{"fresh", "recycled"} {
+		t.Run(storage, func(t *testing.T) {
+			d := &wrapDriver{
+				set:   kperf.New(0, 1),
+				procs: map[int]*kperf.ProcState{},
+				m:     traceModel{hist: map[string]*kperf.Histogram{}, segs: map[string]*[NSegs]int64{}},
+			}
+			pids := []int{1, 2, 1 << 20}
+			for _, pid := range pids {
+				d.procs[pid] = d.set.NewProc(pid, "p")
+			}
+			d.tr = NewTracer(&d.clock, d.set)
+			if storage == "recycled" {
+				spans := make([]spanRec, spanRecords)
+				for i := range spans {
+					spans[i] = spanRec{id: uint64(i) + 1, parent: 7, req: 9, start: 1 << 40, end: 1<<40 + 1, pid: 2, op: 1, arg: 3, kind: SpanWait}
+				}
+				reqs := make([]reqRec, reqRecords)
+				for i := range reqs {
+					reqs[i] = reqRec{id: uint64(i) + 1, start: 1 << 40, end: 1<<40 + 6, segs: [NSegs]int64{1, 1, 1, 1, 1, 1}, pid: 2, op: 1}
+				}
+				d.tr.spans, d.tr.reqs = kperf.WindowOver(spans), kperf.WindowOver(reqs)
+			}
+			d.check(t, "empty", 0)
 
-	ops := []string{"alpha", "beta", "gamma", ""}
-	nested := []string{"inner", ""}
-	const total = reqRecords + 6000
-	checks := map[int]bool{1: true, 100: true, reqRecords: true, reqRecords + 1: true}
-	lateSeen := 0
-	for i := 1; i <= total; i++ {
-		wrapped := d.m.reqsDone > reqRecords && d.m.spansWritten > spanRecords
-		op, name := ops[i%len(ops)], nested[i%len(nested)]
-		if wrapped && i%5 == 0 {
-			op, name = "late", "late.inner"
-			lateSeen++
-		}
-		var inner *string
-		if i%2 == 0 {
-			inner = &name
-		}
-		d.request(pids[i%len(pids)], op, inner, uint16(i%7))
-		if checks[i] || lateSeen == 1 && op == "late" {
-			d.check(t, fmt.Sprintf("after %d requests", i), 0)
-		}
-	}
-	if lateSeen == 0 {
-		t.Fatal("no request ran after both windows wrapped")
-	}
-	if d.m.reqsDone <= reqRecords || d.m.spansWritten <= spanRecords {
-		t.Fatalf("%d requests and %d spans do not wrap %d and %d", d.m.reqsDone, d.m.spansWritten, reqRecords, spanRecords)
-	}
-	d.check(t, "after the run", 0)
+			ops := []string{"alpha", "beta", "gamma", ""}
+			nested := []string{"inner", ""}
+			const total = reqRecords + 6000
+			checks := map[int]bool{1: true, 100: true, reqRecords: true, reqRecords + 1: true}
+			lateSeen := 0
+			for i := 1; i <= total; i++ {
+				wrapped := d.m.reqsDone > reqRecords && d.m.spansWritten > spanRecords
+				op, name := ops[i%len(ops)], nested[i%len(nested)]
+				if wrapped && i%5 == 0 {
+					op, name = "late", "late.inner"
+					lateSeen++
+				}
+				var inner *string
+				if i%2 == 0 {
+					inner = &name
+				}
+				d.request(pids[i%len(pids)], op, inner, uint16(i%7))
+				if checks[i] || lateSeen == 1 && op == "late" {
+					d.check(t, fmt.Sprintf("after %d requests", i), 0)
+				}
+			}
+			if lateSeen == 0 {
+				t.Fatal("no request ran after both windows wrapped")
+			}
+			if d.m.reqsDone <= reqRecords || d.m.spansWritten <= spanRecords {
+				t.Fatalf("%d requests and %d spans do not wrap %d and %d", d.m.reqsDone, d.m.spansWritten, reqRecords, spanRecords)
+			}
+			d.check(t, "after the run", 0)
 
-	d.tr.BeginOp(2, "open.only")
-	d.m.open("open.only")
-	d.check(t, "with a request open", 1)
+			d.tr.BeginOp(2, "open.only")
+			d.m.open("open.only")
+			d.check(t, "with a request open", 1)
+		})
+	}
 }
