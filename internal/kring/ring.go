@@ -136,24 +136,26 @@ type Ring struct {
 
 // Attach opens a ring handle over a shared region previously sized
 // with BytesFor. It validates geometry only — no memory is touched,
-// so attaching is charge-free.
-func Attach(v mem.UserView, entries int) (*Ring, error) {
+// so attaching is charge-free. The handle is a value, for the caller
+// to keep wherever it keeps the ring's other state.
+func Attach(v mem.UserView, entries int) (Ring, error) {
 	if entries < 1 || entries > MaxEntries || entries&(entries-1) != 0 {
-		return nil, fmt.Errorf("%w: entries %d (want power of two in [1,%d])", ErrGeometry, entries, MaxEntries)
+		return Ring{}, fmt.Errorf("%w: entries %d (want power of two in [1,%d])", ErrGeometry, entries, MaxEntries)
 	}
 	min := BytesFor(entries, 0)
 	if !v.Valid() || v.Len() < min {
-		return nil, fmt.Errorf("%w: view %d bytes, need >= %d", ErrGeometry, v.Len(), min)
+		return Ring{}, fmt.Errorf("%w: view %d bytes, need >= %d", ErrGeometry, v.Len(), min)
 	}
-	r := &Ring{
+	cqOff := HdrSize + entries*SQESize
+	dataOff := cqOff + 2*entries*CQESize
+	return Ring{
 		v:       v,
 		entries: uint32(entries),
 		sqOff:   HdrSize,
-		cqOff:   HdrSize + entries*SQESize,
-	}
-	r.dataOff = r.cqOff + 2*entries*CQESize
-	r.dataLen = v.Len() - r.dataOff
-	return r, nil
+		cqOff:   cqOff,
+		dataOff: dataOff,
+		dataLen: v.Len() - dataOff,
+	}, nil
 }
 
 // Entries reports the submission-queue size.

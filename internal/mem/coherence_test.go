@@ -55,6 +55,18 @@ func (r *refSpace) mapPage(va Addr, perm Perm) error {
 	return nil
 }
 
+// mapShared is MapFrame: the page aliases d, another space's page.
+func (r *refSpace) mapShared(va Addr, d []byte, perm Perm) error {
+	if _, ok := r.pages[va]; ok {
+		return fmt.Errorf("ref: page %#x already mapped", uint64(va))
+	}
+	r.pages[va] = PTE{Perm: perm, Shared: true}
+	r.data[va] = d
+	r.tlbFlushPage(va)
+	r.charged += r.costs.MapPage
+	return nil
+}
+
 func (r *refSpace) mapGuard(va Addr) error {
 	if _, ok := r.pages[va]; ok {
 		return fmt.Errorf("ref: page %#x already mapped", uint64(va))
@@ -438,4 +450,148 @@ func TestTranslationCacheConflictEviction(t *testing.T) {
 			t.Fatalf("round %d: page 2 read %d, %v", i, v, err)
 		}
 	}
+}
+
+// fuzzSlots are FuzzAddressSpace's pages, as page offsets from a base:
+// neighbours, pages that share a simulated TLB slot (64 apart) or a
+// translation-cache slot (256 apart), and pages in other radix leaves.
+var fuzzSlots = []Addr{0, 1, 2, 63, 64, 65, 256, 257, 320, radixLeafSize, radixLeafSize + 256, 3*radixLeafSize - 1}
+
+// FuzzAddressSpace replays a trace decoded from the input against an
+// owner space and a borrower space over one frame pool, and against
+// two seed models whose borrowed pages alias the owner model's bytes.
+// Each step is three bytes: an operation, a slot of fuzzSlots and an
+// argument. The owner takes TestTranslationTraceMatchesSeedModel's
+// mix (map rw and read-only, guard, unmap, set-perm, read, write and
+// TLB flush, with a handler that promotes guard pages); the borrower
+// MapFrames the owner's page at the same slot, reads, writes, flushes
+// its TLB and unmaps, and an owner unmap of a borrowed slot unmaps the
+// borrow first. Every step's error must match the model's, faults
+// field for field; at the end both spaces' TLB, fault and charge
+// totals and every readable page must match, and the pool must hold
+// one frame per owner page that is not a guard.
+func FuzzAddressSpace(f *testing.F) {
+	f.Add([]byte{0, 0, 7, 13, 0, 1, 14, 0, 9, 10, 0, 3, 4, 0, 0})
+	// Borrow before any touch, write through the borrower, read through
+	// the owner, downgrade, flush, unmap with the borrow still mapped.
+	f.Add([]byte{0, 6, 0, 13, 6, 1, 14, 6, 200, 10, 6, 199, 6, 6, 0, 15, 6, 255, 12, 0, 0, 17, 0, 0, 8, 6, 5, 5, 6, 0, 15, 6, 1})
+	// Guards, promotion through a fault, conflicting slots.
+	f.Add([]byte{3, 3, 0, 10, 3, 40, 0, 4, 0, 0, 7, 0, 8, 3, 255, 8, 4, 0, 11, 7, 9, 13, 3, 1, 16, 3, 0, 4, 3, 0})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		costs := sim.DefaultCosts()
+		owner, ownerCharged := tracedSpace(&costs, true)
+		borrower := NewAddressSpace("borrower", owner.Phys(), &costs)
+		var borrowerCharged sim.Cycles
+		borrower.Charge = func(c sim.Cycles) { borrowerCharged += c }
+		ref, bref := newRefSpace(&costs), newRefSpace(&costs)
+		ref.autoMapGuards = true
+
+		span := int(fuzzSlots[len(fuzzSlots)-1]) + 1
+		oBase, bBase := owner.Reserve(span), borrower.Reserve(span)
+		var buf, want [24]byte
+		for i := 0; i+2 < len(in); i += 3 {
+			op, arg := in[i]%18, in[i+2]
+			slot := fuzzSlots[int(in[i+1])%len(fuzzSlots)] * PageSize
+			ova, bva := oBase+slot, bBase+slot
+			off := Addr(arg) * 16 // 255*16 + 24 straddles into the next page
+			for j := range buf {
+				buf[j] = arg ^ byte(i+j)
+			}
+			var errA, errB error
+			switch op {
+			case 0, 1:
+				errA, errB = owner.MapPage(ova, PermRW), ref.mapPage(ova, PermRW)
+			case 2:
+				errA, errB = owner.MapPage(ova, PermR), ref.mapPage(ova, PermR)
+			case 3:
+				errA, errB = owner.MapGuard(ova), ref.mapGuard(ova)
+			case 4, 5:
+				if _, ok := bref.pages[bva]; ok {
+					if errA, errB = borrower.Unmap(bva), bref.unmap(bva); errA != nil || errB != nil {
+						break
+					}
+				}
+				errA, errB = owner.Unmap(ova), ref.unmap(ova)
+			case 6:
+				errA, errB = owner.SetPerm(ova, PermR), ref.setPerm(ova, PermR)
+			case 7:
+				errA, errB = owner.SetPerm(ova, PermRW), ref.setPerm(ova, PermRW)
+			case 8, 9:
+				errA, errB = owner.WriteBytes(ova+off, buf[:]), ref.writeBytes(ova+off, buf[:])
+			case 10, 11:
+				errA, errB = owner.ReadBytes(ova+off, buf[:]), ref.readBytes(ova+off, want[:])
+			case 12:
+				owner.TLBFlush()
+				ref.tlbFlush()
+			case 13:
+				// Borrow the owner's page at this slot, if it has a frame.
+				pte, ok := owner.Lookup(ova)
+				if !ok || pte.Guard {
+					continue
+				}
+				perm := PermRW
+				if arg&1 != 0 {
+					perm = PermR
+				}
+				errA, errB = borrower.MapFrame(bva, pte.Frame, perm), bref.mapShared(bva, ref.data[ova], perm)
+			case 14:
+				errA, errB = borrower.WriteBytes(bva+off, buf[:]), bref.writeBytes(bva+off, buf[:])
+			case 15:
+				errA, errB = borrower.ReadBytes(bva+off, buf[:]), bref.readBytes(bva+off, want[:])
+			case 16:
+				errA, errB = borrower.Unmap(bva), bref.unmap(bva)
+			case 17:
+				borrower.TLBFlush()
+				bref.tlbFlush()
+			}
+			if (errA == nil) != (errB == nil) {
+				t.Fatalf("step %d (op %d at slot %#x): space err %v, model err %v", i/3, op, uint64(slot), errA, errB)
+			}
+			if fa, ok := errA.(*Fault); ok {
+				if fb, ok := errB.(*Fault); !ok || *fa != *fb {
+					t.Fatalf("step %d (op %d at slot %#x): space fault %v, model %v", i/3, op, uint64(slot), errA, errB)
+				}
+			}
+			if (op == 10 || op == 11 || op == 15) && errA == nil && buf != want {
+				t.Fatalf("step %d (op %d at slot %#x): read %x, model %x", i/3, op, uint64(slot), buf, want)
+			}
+		}
+
+		for _, c := range []struct {
+			name    string
+			as      *AddressSpace
+			charged sim.Cycles
+			ref     *refSpace
+		}{{"owner", owner, *ownerCharged, ref}, {"borrower", borrower, borrowerCharged, bref}} {
+			st := c.as.Stats
+			if st.TLBHits != c.ref.hits || st.TLBMisses != c.ref.misses || st.Faults != c.ref.faults || c.charged != c.ref.charged {
+				t.Fatalf("%s: hits/misses/faults/charged %d/%d/%d/%d, model %d/%d/%d/%d", c.name,
+					st.TLBHits, st.TLBMisses, st.Faults, c.charged, c.ref.hits, c.ref.misses, c.ref.faults, c.ref.charged)
+			}
+			var pa, pb [PageSize]byte
+			for va, pte := range c.ref.pages {
+				if pte.Guard || pte.Perm&PermR == 0 {
+					continue
+				}
+				if err := c.as.ReadBytes(va, pa[:]); err != nil {
+					t.Fatalf("%s: final read of %#x: %v", c.name, uint64(va), err)
+				}
+				if err := c.ref.readBytes(va, pb[:]); err != nil {
+					t.Fatalf("%s: final model read of %#x: %v", c.name, uint64(va), err)
+				}
+				if pa != pb {
+					t.Fatalf("%s: page %#x diverged from the model", c.name, uint64(va))
+				}
+			}
+		}
+		frames := 0
+		for _, pte := range ref.pages {
+			if !pte.Guard {
+				frames++
+			}
+		}
+		if p := owner.Phys(); p.InUse() != frames || p.Backed() > frames {
+			t.Fatalf("pool: InUse %d, Backed %d; the owner maps %d frames", p.InUse(), p.Backed(), frames)
+		}
+	})
 }

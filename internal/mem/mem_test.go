@@ -76,6 +76,161 @@ func TestPhysFrameZeroed(t *testing.T) {
 	}
 }
 
+// TestPhysBacksOnFirstTouch pins demand backing: allocating and mapping
+// a frame gives it no host page, its first access through any path and
+// either space gives it exactly one, and a page it takes from the pool
+// reads as zeros.
+func TestPhysBacksOnFirstTouch(t *testing.T) {
+	costs := sim.DefaultCosts()
+	p := NewPhys(64 << 20)
+	owner := NewAddressSpace("owner", p, &costs)
+
+	// Leave one dirty page in the pool for a later first touch.
+	dirty, err := owner.MapRegion(1, PermRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.WriteBytes(dirty, bytes.Repeat([]byte{0xAB}, PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.Unmap(dirty); err != nil {
+		t.Fatal(err)
+	}
+	if p.InUse() != 0 || p.Backed() != 0 || len(p.pool) != 1 {
+		t.Fatalf("after a dirty page's unmap: InUse %d, Backed %d, pool %d; want 0, 0, 1", p.InUse(), p.Backed(), len(p.pool))
+	}
+
+	// Alloc and MapPage reserve frames and back none; freeing an
+	// unbacked frame pools nothing.
+	bare, err := p.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := owner.MapRegion(4, PermRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.InUse() != 5 || p.Backed() != 0 {
+		t.Fatalf("after Alloc and MapRegion(4): InUse %d, Backed %d; want 5, 0", p.InUse(), p.Backed())
+	}
+	p.Free(bare)
+	if p.InUse() != 4 || len(p.pool) != 1 {
+		t.Fatalf("after freeing an unbacked frame: InUse %d, pool %d; want 4, 1", p.InUse(), len(p.pool))
+	}
+
+	frameAt := func(as *AddressSpace, va Addr) Frame {
+		t.Helper()
+		pte, ok := as.Lookup(va)
+		if !ok {
+			t.Fatalf("page %#x unmapped", uint64(va))
+		}
+		return pte.Frame
+	}
+	// Each first touch backs its own page's frame and no other; the
+	// first takes the dirty pooled page. Each touch writes at most the
+	// byte at offset 8, to 1, so the rest of the page must read zeros.
+	touches := []struct {
+		name  string
+		touch func(va Addr) error
+	}{
+		{"ReadBytes", func(va Addr) error { return owner.ReadBytes(va+8, make([]byte, 8)) }},
+		{"WriteBytes", func(va Addr) error { return owner.WriteBytes(va+8, []byte{1}) }},
+		{"Bytes", func(va Addr) error {
+			_, err := owner.View(va, PageSize).Bytes(8, 8, AccessRead)
+			return err
+		}},
+		{"Pages", func(va Addr) error {
+			return owner.View(va, PageSize).Pages(8, 1, AccessWrite, func(b []byte) error {
+				b[0] = 1
+				return nil
+			})
+		}},
+	}
+	for i, tc := range touches {
+		va := base + Addr(i*PageSize)
+		if err := tc.touch(va); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if p.Backed() != i+1 {
+			t.Fatalf("%s: Backed %d after %d first touches", tc.name, p.Backed(), i+1)
+		}
+		for j := range touches {
+			got := p.frames[frameAt(owner, base+Addr(j*PageSize))].page != nil
+			if got != (j <= i) {
+				t.Fatalf("%s on page %d: page %d backed %v", tc.name, i, j, got)
+			}
+		}
+		page := make([]byte, PageSize)
+		if err := owner.ReadBytes(va, page); err != nil {
+			t.Fatal(err)
+		}
+		page[8] = 0
+		if !bytes.Equal(page, make([]byte, PageSize)) {
+			t.Fatalf("%s: a first-touched page does not read as zeros", tc.name)
+		}
+	}
+	if len(p.pool) != 0 {
+		t.Fatalf("pool holds %d pages after four first touches, want 0", len(p.pool))
+	}
+
+	// MapFrame of an unbacked frame backs nothing; the frame's first
+	// touch through either side backs it once, and a write through one
+	// side is visible through the other.
+	shared, err := owner.MapRegion(2, PermRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	borrower := NewAddressSpace("borrower", p, &costs)
+	bBase := borrower.Reserve(2)
+	for i := 0; i < 2; i++ {
+		if err := borrower.MapFrame(bBase+Addr(i*PageSize), frameAt(owner, shared+Addr(i*PageSize)), PermRW); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.Backed() != 4 {
+		t.Fatalf("MapFrame of unbacked frames: Backed %d, want 4", p.Backed())
+	}
+	for i, first := range []*AddressSpace{owner, borrower} {
+		other, va, ova := borrower, shared, bBase
+		if first == borrower {
+			other, va, ova = owner, bBase, shared
+		}
+		va += Addr(i * PageSize)
+		ova += Addr(i * PageSize)
+		msg := []byte("from " + first.Name)
+		if err := first.WriteBytes(va+100, msg); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(msg))
+		if err := other.ReadBytes(ova+100, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, msg) {
+			t.Fatalf("%s wrote first: %s reads %q", first.Name, other.Name, got)
+		}
+		if err := other.WriteBytes(ova+200, []byte("reply")); err != nil {
+			t.Fatal(err)
+		}
+		if err := first.ReadBytes(va+200, got[:5]); err != nil || string(got[:5]) != "reply" {
+			t.Fatalf("%s wrote first: it reads %q, %v of %s's reply", first.Name, got[:5], err, other.Name)
+		}
+		if p.Backed() != 5+i {
+			t.Fatalf("%s touched first: Backed %d, want %d", first.Name, p.Backed(), 5+i)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if err := borrower.Unmap(bBase + Addr(i*PageSize)); err != nil {
+			t.Fatal(err)
+		}
+		if err := owner.Unmap(shared + Addr(i*PageSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.InUse() != 4 || p.Backed() != 4 || len(p.pool) != 2 {
+		t.Fatalf("after the shared pages' unmap: InUse %d, Backed %d, pool %d; want 4, 4, 2", p.InUse(), p.Backed(), len(p.pool))
+	}
+}
+
 func TestMapReadWrite(t *testing.T) {
 	as := newAS(t)
 	base, err := as.MapRegion(2, PermRW)

@@ -122,20 +122,30 @@ const tlbSize = 64
 
 // Translation-cache geometry: a direct-mapped, host-side cache of
 // successful page walks fronting translate. A hit skips the radix
-// walk and the fault-path branches entirely. This cache is invisible
-// to the simulated machine — the simulated TLB (tlbLookup) still runs
-// on every successful translation, so the TLB and fault counts and
-// every cycle charge are bit-identical with or without it.
+// walk, the fault-path branches and the frame pool: it hands back the
+// page's bytes directly. This cache is invisible to the simulated
+// machine — the simulated TLB (tlbLookup) still runs on every
+// successful translation, so the TLB and fault counts and every cycle
+// charge are bit-identical with or without it.
 const (
 	tcBits = 8
 	tcSize = 1 << tcBits
 	tcMask = tcSize - 1
 )
 
+// tcEntry is one cached walk: the page, its permissions and its
+// frame's host page, which the slow path's fill backs if the frame
+// had none; data == nil marks an empty entry. A PTE mutation in this
+// space drops the entry (tcInvalidate), so the bytes stay right while
+// the mapping does. For a Shared borrow (MapFrame) the owner's Unmap
+// frees the frame without reaching the borrower's cache, so the borrow
+// must be unmapped before its owner frees the frame, the order
+// ring_close and any other teardown of a borrowed region keep. Each
+// space carries 256 entries: keep one at 24 bytes.
 type tcEntry struct {
-	page  Addr
-	pte   PTE
-	valid bool
+	page Addr
+	data *[PageSize]byte
+	perm Perm
 }
 
 // AddressSpace is one virtual address space: a software page table, a
@@ -157,8 +167,9 @@ type AddressSpace struct {
 	// observability tap: it must not repair mappings or charge cycles.
 	FaultProbe func(f *Fault)
 
-	tlb      [tlbSize]Addr
-	tlbValid [tlbSize]bool
+	// tlb holds the simulated TLB's tags: a cached page's address with
+	// tlbValid set, so an empty slot is 0 and a hit is one compare.
+	tlb [tlbSize]Addr
 
 	// tc is the host-side translation cache; see tcBits.
 	tc [tcSize]tcEntry
@@ -228,11 +239,16 @@ func (as *AddressSpace) MapPage(va Addr, perm Perm) error {
 // existing frame owned elsewhere (typically by another address
 // space). The mapping is marked Shared: both spaces now alias the
 // same backing bytes — a store through either is immediately visible
-// through the other, with no copy — and unmapping here never frees
-// the frame. Coherent invalidation is per-space: this call, like
-// every PTE mutation, drops the page's cached walk and TLB entry in
-// this space; the owner's space is untouched (its PTE did not
-// change).
+// through the other, with no copy, whichever side touched the frame
+// first — and unmapping here never frees the frame. Coherent
+// invalidation is per-space: this call, like every PTE mutation,
+// drops the page's cached walk and TLB entry in this space; the
+// owner's space is untouched (its PTE did not change).
+//
+// The borrow must be unmapped before the owner frees the frame. The
+// owner's Unmap cannot reach this space's translation cache, which
+// keeps the frame's bytes, and a freed frame's page and number are
+// both reused.
 func (as *AddressSpace) MapFrame(va Addr, f Frame, perm Perm) error {
 	if va&PageMask != 0 {
 		panic(fmt.Sprintf("mem: MapFrame of unaligned address %#x", uint64(va)))
@@ -240,9 +256,10 @@ func (as *AddressSpace) MapFrame(va Addr, f Frame, perm Perm) error {
 	if _, ok := as.pages.lookup(va); ok {
 		return fmt.Errorf("mem: page %#x already mapped", uint64(va))
 	}
-	// Touch the frame to validate it is live; Data panics on a stale
-	// frame, which is a kernel bug, not a recoverable error.
-	_ = as.phys.Data(f)
+	// A stale frame is a kernel bug, not a recoverable error. The
+	// check backs nothing: the frame gets its page at its first touch
+	// through either space.
+	as.phys.checkLive(f, "MapFrame of unallocated")
 	as.pages.set(va, PTE{Frame: f, Perm: perm, Shared: true})
 	as.tcInvalidate(va)
 	as.tlbFlushPage(va)
@@ -338,25 +355,33 @@ func (as *AddressSpace) costUnmapPage() sim.Cycles {
 // tlb index: direct-mapped by page number.
 func tlbIndex(page Addr) int { return int((page >> PageShift) % tlbSize) }
 
-func (as *AddressSpace) tlbLookup(page Addr) bool {
-	i := tlbIndex(page)
-	if as.tlbValid[i] && as.tlb[i] == page {
+// tlbValid marks a TLB tag in use. Tags are page addresses, whose low
+// bits are clear.
+const tlbValid Addr = 1
+
+// tlbLookup counts a simulated TLB hit or takes the miss out of line,
+// so the hit inlines into translate; it indexes without tlbIndex's
+// conversion to stay within the inlining budget.
+func (as *AddressSpace) tlbLookup(page Addr) {
+	if as.tlb[(page>>PageShift)%tlbSize] == page|tlbValid {
 		as.Stats.TLBHits++
-		return true
+	} else {
+		as.tlbMiss(page)
 	}
+}
+
+// tlbMiss fills page's TLB slot and charges the miss.
+func (as *AddressSpace) tlbMiss(page Addr) {
 	as.Stats.TLBMisses++
-	as.tlb[i] = page
-	as.tlbValid[i] = true
+	as.tlb[tlbIndex(page)] = page | tlbValid
 	if as.costs != nil {
 		as.chargeCost(as.costs.TLBMiss)
 	}
-	return false
 }
 
 func (as *AddressSpace) tlbFlushPage(page Addr) {
-	i := tlbIndex(page)
-	if as.tlbValid[i] && as.tlb[i] == page {
-		as.tlbValid[i] = false
+	if i := tlbIndex(page); as.tlb[i] == page|tlbValid {
+		as.tlb[i] = 0
 	}
 }
 
@@ -365,11 +390,9 @@ func (as *AddressSpace) tlbFlushPage(page Addr) {
 // than required for correctness, but it keeps the coherence argument
 // one line long.
 func (as *AddressSpace) TLBFlush() {
-	for i := range as.tlbValid {
-		as.tlbValid[i] = false
-	}
+	as.tlb = [tlbSize]Addr{}
 	for i := range as.tc {
-		as.tc[i].valid = false
+		as.tc[i].data = nil
 	}
 }
 
@@ -381,32 +404,32 @@ func tcIndex(page Addr) int { return int((uint64(page) >> PageShift) & tcMask) }
 // call this before the next access.
 func (as *AddressSpace) tcInvalidate(page Addr) {
 	e := &as.tc[tcIndex(page)]
-	if e.valid && e.page == page {
-		e.valid = false
+	if e.page == page {
+		e.data = nil
 	}
 }
 
 // translate resolves one page with permission checking and fault
-// delivery. On success it returns the PTE. The fast path serves
-// repeat translations from the host-side cache; simulated TLB
+// delivery. On success it returns the page's bytes. The fast path
+// serves repeat translations from the host-side cache; simulated TLB
 // accounting still runs on every success, so cycle counts match the
 // uncached walk exactly.
-func (as *AddressSpace) translate(va Addr, access Access) (PTE, error) {
+func (as *AddressSpace) translate(va Addr, access Access) (*[PageSize]byte, error) {
 	page := va &^ Addr(PageMask)
 	e := &as.tc[tcIndex(page)]
-	if e.valid && e.page == page {
-		perm := e.pte.Perm
-		if (access == AccessRead && perm&PermR != 0) ||
-			(access == AccessWrite && perm&PermW != 0) {
-			as.tlbLookup(page)
-			return e.pte, nil
-		}
+	// PermR and PermW are 1 and 2, and AccessRead and AccessWrite 0
+	// and 1, so PermR<<access is the permission the access needs.
+	if e.data != nil && e.page == page && e.perm&(PermR<<access) != 0 {
+		as.tlbLookup(page)
+		return e.data, nil
 	}
 	return as.translateSlow(va, page, access)
 }
 
-// translateSlow is the full page walk with fault delivery.
-func (as *AddressSpace) translateSlow(va, page Addr, access Access) (PTE, error) {
+// translateSlow is the full page walk with fault delivery. A
+// successful walk fills the translation cache with the frame's bytes,
+// backing the frame at its first touch.
+func (as *AddressSpace) translateSlow(va, page Addr, access Access) (*[PageSize]byte, error) {
 	for attempt := 0; ; attempt++ {
 		pte, ok := as.pages.lookup(page)
 		var f *Fault
@@ -419,9 +442,10 @@ func (as *AddressSpace) translateSlow(va, page Addr, access Access) (PTE, error)
 			access == AccessWrite && pte.Perm&PermW == 0:
 			f = &Fault{Addr: va, Access: access}
 		default:
-			as.tc[tcIndex(page)] = tcEntry{page: page, pte: pte, valid: true}
+			d := as.phys.page(pte.Frame)
+			as.tc[tcIndex(page)] = tcEntry{page: page, data: d, perm: pte.Perm}
 			as.tlbLookup(page)
-			return pte, nil
+			return d, nil
 		}
 		as.Stats.Faults++
 		if as.costs != nil {
@@ -431,10 +455,10 @@ func (as *AddressSpace) translateSlow(va, page Addr, access Access) (PTE, error)
 			as.FaultProbe(f)
 		}
 		if as.Handler == nil || attempt > 4 {
-			return PTE{}, f
+			return nil, f
 		}
 		if as.Handler(as, f) == FaultKill {
-			return PTE{}, f
+			return nil, f
 		}
 		// FaultRetry: handler repaired the mapping; walk again.
 	}
@@ -445,12 +469,12 @@ func (as *AddressSpace) translateSlow(va, page Addr, access Access) (PTE, error)
 // one host memmove.
 func (as *AddressSpace) ReadBytes(va Addr, p []byte) error {
 	for len(p) > 0 {
-		pte, err := as.translate(va, AccessRead)
+		d, err := as.translate(va, AccessRead)
 		if err != nil {
 			return err
 		}
 		off := int(va & PageMask)
-		n := copy(p, as.phys.Data(pte.Frame)[off:])
+		n := copy(p, d[off:])
 		p = p[n:]
 		va += Addr(n)
 	}
@@ -460,12 +484,12 @@ func (as *AddressSpace) ReadBytes(va Addr, p []byte) error {
 // WriteBytes copies p into memory starting at va.
 func (as *AddressSpace) WriteBytes(va Addr, p []byte) error {
 	for len(p) > 0 {
-		pte, err := as.translate(va, AccessWrite)
+		d, err := as.translate(va, AccessWrite)
 		if err != nil {
 			return err
 		}
 		off := int(va & PageMask)
-		n := copy(as.phys.Data(pte.Frame)[off:], p)
+		n := copy(d[off:], p)
 		p = p[n:]
 		va += Addr(n)
 	}
@@ -480,11 +504,11 @@ func (as *AddressSpace) WriteBytes(va Addr, p []byte) error {
 // ReadBytes(va, 8) did.
 func (as *AddressSpace) ReadU64(va Addr) (uint64, error) {
 	if off := int(va & PageMask); off <= PageSize-8 {
-		pte, err := as.translate(va, AccessRead)
+		d, err := as.translate(va, AccessRead)
 		if err != nil {
 			return 0, err
 		}
-		return binary.LittleEndian.Uint64(as.phys.Data(pte.Frame)[off:]), nil
+		return binary.LittleEndian.Uint64(d[off:]), nil
 	}
 	var b [8]byte
 	if err := as.ReadBytes(va, b[:]); err != nil {
@@ -496,11 +520,11 @@ func (as *AddressSpace) ReadU64(va Addr) (uint64, error) {
 // WriteU64 writes a little-endian 64-bit word.
 func (as *AddressSpace) WriteU64(va Addr, v uint64) error {
 	if off := int(va & PageMask); off <= PageSize-8 {
-		pte, err := as.translate(va, AccessWrite)
+		d, err := as.translate(va, AccessWrite)
 		if err != nil {
 			return err
 		}
-		binary.LittleEndian.PutUint64(as.phys.Data(pte.Frame)[off:], v)
+		binary.LittleEndian.PutUint64(d[off:], v)
 		return nil
 	}
 	var b [8]byte

@@ -53,15 +53,31 @@ func (v UserView) Base() Addr { return v.base }
 // zero UserView is not).
 func (v UserView) Valid() bool { return v.as != nil }
 
+// check bounds [off, off+n) against the window. It inlines: the error
+// it returns is formatted only when read.
 func (v UserView) check(off, n int) error {
-	if v.as == nil {
-		return fmt.Errorf("%w: zero view", ErrViewBounds)
-	}
-	if off < 0 || n < 0 || off > v.n || n > v.n-off {
-		return fmt.Errorf("%w: [%d,+%d) of %d-byte view", ErrViewBounds, off, n, v.n)
+	// v.n >= 0, so a negative off or n fails as a huge unsigned one.
+	if v.as == nil || uint(off) > uint(v.n) || uint(n) > uint(v.n-off) {
+		return boundsError{off: off, n: n, len: v.n, zero: v.as == nil}
 	}
 	return nil
 }
+
+// boundsError is an access check refused: [off, off+n) of a len-byte
+// window, or any access to the zero view. It wraps ErrViewBounds.
+type boundsError struct {
+	off, n, len int
+	zero        bool
+}
+
+func (e boundsError) Error() string {
+	if e.zero {
+		return ErrViewBounds.Error() + ": zero view"
+	}
+	return fmt.Sprintf("%v: [%d,+%d) of %d-byte view", ErrViewBounds, e.off, e.n, e.len)
+}
+
+func (e boundsError) Unwrap() error { return ErrViewBounds }
 
 // Sub narrows the view to [off, off+n).
 func (v UserView) Sub(off, n int) (UserView, error) {
@@ -103,11 +119,11 @@ func (v UserView) Bytes(off, n int, access Access) ([]byte, error) {
 	if po+n > PageSize {
 		return nil, fmt.Errorf("%w: Bytes range [%d,+%d) straddles a page", ErrViewBounds, off, n)
 	}
-	pte, err := v.as.translate(va, access)
+	d, err := v.as.translate(va, access)
 	if err != nil {
 		return nil, err
 	}
-	return v.as.phys.Data(pte.Frame)[po : po+n], nil
+	return d[po : po+n], nil
 }
 
 // Pages walks [off, off+n) page run by page run, handing fn the
@@ -123,7 +139,7 @@ func (v UserView) Pages(off, n int, access Access, fn func(p []byte) error) erro
 	}
 	va := v.base + Addr(off)
 	for n > 0 {
-		pte, err := v.as.translate(va, access)
+		d, err := v.as.translate(va, access)
 		if err != nil {
 			return err
 		}
@@ -132,7 +148,7 @@ func (v UserView) Pages(off, n int, access Access, fn func(p []byte) error) erro
 		if run > n {
 			run = n
 		}
-		if err := fn(v.as.phys.Data(pte.Frame)[po : po+run]); err != nil {
+		if err := fn(d[po : po+run]); err != nil {
 			return err
 		}
 		va += Addr(run)

@@ -47,7 +47,7 @@ type ringState struct {
 	kBase   mem.Addr
 	// ur/kr are the user-space and kernel-space handles over the same
 	// frames; cursor state lives in the shared bytes.
-	ur, kr *kring.Ring
+	ur, kr kring.Ring
 	// pending is the anycall-staged entry queue, drained ahead of the
 	// SQ. It survives across ring_enter calls under backpressure. It is
 	// stored next-entry-last, so popping an entry and staging a block
@@ -150,8 +150,10 @@ func (pr *Proc) ringEnterInternal(id int) (int64, error) {
 }
 
 // RingClose is the ring_close system call: unmap both sides and drop
-// the ring. The kernel's borrowed mapping goes first (Shared PTEs
-// free nothing); the user unmap then releases the frames.
+// the ring. The kernel's borrowed mapping of each page goes first
+// (Shared PTEs free nothing); the user unmap then releases the frame.
+// The order is required: the kernel space's translation cache keeps a
+// borrowed frame's bytes until its own unmap (mem.MapFrame).
 func (pr *Proc) RingClose(id int) error {
 	pr.enter(NrRingClose, 8)
 	err := pr.ringCloseInternal(id)
@@ -178,12 +180,12 @@ func (pr *Proc) ringCloseInternal(id int) error {
 
 // drain is the per-ring_enter dispatch context: the completions of
 // THIS crossing, which FDRel references and anycalls inspect. Each
-// Proc keeps one between crossings (Proc.freeDrain), so cqes keeps its
+// Proc keeps one between crossings (Proc.freeDrain), so done keeps its
 // capacity from one ring_enter to the next.
 type drain struct {
 	pr   *Proc
 	rs   *ringState
-	cqes []kring.CQE
+	done []completion
 	// e and a are the entry being dispatched and its decoded
 	// arguments, zeroed and reused for every entry: both escape
 	// through the registry's indirect calls, so per-entry values would
@@ -197,6 +199,13 @@ type drain struct {
 	watchdog func(*kernel.Process) error
 	max      sim.Cycles
 	prev     func(*kernel.Process) error
+}
+
+// completion is what the drain's log keeps of a CQE it pushed: the
+// result and errno, all that FDRel references and anycalls read.
+type completion struct {
+	res int64
+	err uint32
 }
 
 // overrun is the drain's preemption watchdog: a drain that holds the
@@ -264,7 +273,7 @@ func (d *drain) complete(cqe *kring.CQE, herr error) error {
 		}
 		return err
 	}
-	d.cqes = append(d.cqes, *cqe)
+	d.done = append(d.done, completion{res: cqe.Res, err: cqe.Err})
 	rs := d.rs
 	if herr != nil && rs.errs == nil {
 		rs.errs = make([]error, 2*rs.entries)
@@ -281,14 +290,14 @@ func (d *drain) complete(cqe *kring.CQE, herr error) error {
 // descriptor.
 func (d *drain) resolveFd(e *kring.SQE, a *Args) error {
 	b := e.Args[0]
-	if b < 1 || b > int64(len(d.cqes)) {
-		return fmt.Errorf("%w: fd reference %d entries back, drain has %d", vfs.ErrInval, b, len(d.cqes))
+	if b < 1 || b > int64(len(d.done)) {
+		return fmt.Errorf("%w: fd reference %d entries back, drain has %d", vfs.ErrInval, b, len(d.done))
 	}
-	ref := d.cqes[int64(len(d.cqes))-b]
-	if ref.Err != 0 {
-		return fmt.Errorf("%w: fd reference to failed entry (errno %d)", errCanceled, ref.Err)
+	ref := d.done[int64(len(d.done))-b]
+	if ref.err != 0 {
+		return fmt.Errorf("%w: fd reference to failed entry (errno %d)", errCanceled, ref.err)
 	}
-	a.Fd = int(ref.Res)
+	a.Fd = int(ref.res)
 	return nil
 }
 
@@ -314,10 +323,10 @@ func (pr *Proc) ringDrain(rs *ringState) (int64, error) {
 	}
 	// A drain completes at most one CQ's worth of entries (CqPush
 	// refuses the rest), so a log of that capacity never grows.
-	if cqCap := 2 * rs.entries; cap(d.cqes) < cqCap {
-		d.cqes = make([]kring.CQE, 0, cqCap)
+	if cqCap := 2 * rs.entries; cap(d.done) < cqCap {
+		d.done = make([]completion, 0, cqCap)
 	}
-	*d = drain{pr: pr, rs: rs, cqes: d.cqes[:0], watchdog: d.watchdog,
+	*d = drain{pr: pr, rs: rs, done: d.done[:0], watchdog: d.watchdog,
 		max: costs.MaxKernelCycles, prev: p.OnPreempt}
 	defer func() { pr.freeDrain = d }()
 
@@ -463,11 +472,11 @@ func (pr *Proc) ringDrain(rs *ringState) (int64, error) {
 // own entry.
 func (pr *Proc) ringAnycall(d *drain, e *kring.SQE) (res int64, skip int64, abort bool, herr error) {
 	var prevRes, prevErr int64
-	if n := len(d.cqes); n > 0 {
-		prevRes = d.cqes[n-1].Res
-		prevErr = int64(d.cqes[n-1].Err)
+	if n := len(d.done); n > 0 {
+		prevRes = d.done[n-1].res
+		prevErr = int64(d.done[n-1].err)
 	}
-	v, err := pr.kuInvoke(int(e.Ext), int64(len(d.cqes)), prevRes, prevErr, e.Args[0])
+	v, err := pr.kuInvoke(int(e.Ext), int64(len(d.done)), prevRes, prevErr, e.Args[0])
 	if err != nil {
 		return 0, 0, false, err
 	}
