@@ -363,6 +363,59 @@ func TestTranslationCacheSetPermCoherence(t *testing.T) {
 	}
 }
 
+// TestTranslationCacheUnalignedUnmap: Unmap of an address inside a
+// page drops that page's cached walk, so a read at the page's start
+// faults instead of reading the freed frame.
+func TestTranslationCacheUnalignedUnmap(t *testing.T) {
+	costs := sim.DefaultCosts()
+	phys := NewPhys(0)
+	as := NewAddressSpace("t", phys, &costs)
+	base, err := as.MapRegion(1, PermRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b [8]byte
+	if err := as.ReadBytes(base, b[:]); err != nil { // populate the cache
+		t.Fatal(err)
+	}
+	if err := as.Unmap(base + 1); err != nil {
+		t.Fatal(err)
+	}
+	if phys.InUse() != 0 {
+		t.Fatalf("unmap left %d frames in use, want 0", phys.InUse())
+	}
+	err = as.ReadBytes(base, b[:])
+	f, ok := err.(*Fault)
+	if !ok || !f.NotPresent {
+		t.Fatalf("read after unaligned unmap: want not-present fault, got %v", err)
+	}
+}
+
+// TestTranslationCacheUnalignedSetPerm: SetPerm of an address inside
+// a page drops that page's cached rw walk, so a write at the page's
+// start no longer succeeds.
+func TestTranslationCacheUnalignedSetPerm(t *testing.T) {
+	costs := sim.DefaultCosts()
+	as := NewAddressSpace("t", NewPhys(0), &costs)
+	base, err := as.MapRegion(1, PermRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := as.WriteU64(base, 7); err != nil { // populate the cache
+		t.Fatal(err)
+	}
+	if err := as.SetPerm(base+8, PermR); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.WriteBytes(base, []byte{8}); err == nil {
+		t.Fatal("write after an unaligned downgrade to read-only succeeded")
+	}
+	v, err := as.ReadU64(base)
+	if err != nil || v != 7 {
+		t.Fatalf("read-only page: got %d, %v; want 7, nil", v, err)
+	}
+}
+
 // TestTranslationCacheGuardPromotion: a guard page's fault must reach
 // the handler (never a cached bypass), and after promotion the page
 // must serve zeroed, writable memory.

@@ -281,10 +281,12 @@ func (as *AddressSpace) MapGuard(va Addr) error {
 	return nil
 }
 
-// Unmap removes the mapping at va, releasing its frame. Unmapping a
+// Unmap removes the mapping of the page holding va, releasing its
+// frame, and drops that page's cached translation. Unmapping a
 // guard page releases nothing, and neither does unmapping a Shared
 // borrow (the owning space frees the frame when it unmaps).
 func (as *AddressSpace) Unmap(va Addr) error {
+	va = PageDown(va)
 	pte, ok := as.pages.lookup(va)
 	if !ok {
 		return fmt.Errorf("mem: unmap of unmapped page %#x", uint64(va))
@@ -299,10 +301,12 @@ func (as *AddressSpace) Unmap(va Addr) error {
 	return nil
 }
 
-// SetPerm changes the permissions of an existing mapping. Used by
+// SetPerm changes the permissions of the existing mapping of the page
+// holding va and drops that page's cached translation. Used by
 // Kefence's auto-map mode to convert a guard page into a readable (or
 // writable) page after logging the overflow.
 func (as *AddressSpace) SetPerm(va Addr, perm Perm) error {
+	va = PageDown(va)
 	pte, ok := as.pages.lookup(va)
 	if !ok {
 		return fmt.Errorf("mem: SetPerm on unmapped page %#x", uint64(va))

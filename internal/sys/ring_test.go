@@ -954,7 +954,10 @@ func TestRingDrainDeterminism(t *testing.T) {
 // costs 11 more. A frame gets its page at its first touch, so the
 // first crossing backs the completion-queue pages the user's pushes
 // left untouched; those count apart (Phys.Backed), whether a page
-// came fresh or from the page pool.
+// came fresh or from the page pool. Both figures are the least of
+// three rounds, each a fresh process's first crossing and one warm
+// crossing, since the count is the whole program's and another
+// goroutine may allocate during one; no warm crossing may back a page.
 func TestRingDrainAllocsFlat(t *testing.T) {
 	const (
 		recSize = 64
@@ -962,9 +965,10 @@ func TestRingDrainAllocsFlat(t *testing.T) {
 		tmplOff = recSize       // the pump's [read, anycall] block
 		pathOff = tmplOff + 256 // "/ghost"
 	)
-	m, k := env()
-	var first, allocs, firstBacked, backed uint64
-	run(t, m, k, func(pr *Proc) error {
+	const rounds = 3
+	first, allocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	var firstBacked, backed uint64
+	round := func(pr *Proc) error {
 		phys := pr.P.UAS.Phys()
 		fd, err := pr.Creat("/table")
 		if err != nil {
@@ -1053,12 +1057,24 @@ func TestRingDrainAllocsFlat(t *testing.T) {
 		// pooled printers.
 		runtime.GC()
 		runtime.GC()
-		if first, firstBacked, err = enter(); err != nil {
+		f, fb, err := enter()
+		if err != nil {
 			return err
 		}
-		allocs, backed, err = enter()
-		return err
-	})
+		if f < first {
+			first, firstBacked = f, fb
+		}
+		a, b, err := enter()
+		if err != nil {
+			return err
+		}
+		allocs, backed = min(allocs, a), max(backed, b)
+		return nil
+	}
+	for range rounds {
+		m, k := env()
+		run(t, m, k, round)
+	}
 	t.Logf("a 1,024-entry ring_enter allocated %d heap objects, %d the first time, which backed %d pages",
 		allocs, first, firstBacked)
 	if allocs > 4+fmtPoolSlack || backed != 0 {
